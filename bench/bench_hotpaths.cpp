@@ -1,14 +1,22 @@
 // Perf-regression harness for the transfer hot paths: times the read,
-// write and merge kernels on a real (posix) disk under the three I/O
-// modes — per-record, bulk, and bulk+overlapped — and emits both a text
-// table and a machine-readable bench_results/BENCH_hotpaths.json with the
-// best-of-reps ns/record per (kernel, mode).  Block-I/O counts and metered
-// comparisons are reported per row so a mode that got faster by *doing
-// less metered work* (instead of doing the same work faster) shows up
-// immediately; the equivalence tests enforce the same invariant
-// bit-exactly.  The merge kernels sweep the fan-in (k ∈ {4..256}) and
-// include a Zipf-skewed input — the duplicate-heavy regime where the
-// gallop path behaves differently from uniform keys.
+// write and merge kernels on a real (posix) disk in three modes and emits
+// both a text table and a machine-readable bench_results/BENCH_hotpaths.json
+// with the best-of-reps ns/record per (kernel, mode).  The modes:
+//
+//  * per-record — the baseline, a loop written here that moves one record
+//    per call (push for writes, next for reads, peek/pop_discard/push for
+//    merges);
+//  * bulk — the library's block-granular calls (push_span, read_span,
+//    merge_run_group / pop_run_into);
+//  * overlapped — bulk with read-ahead / write-behind through the disk's
+//    IoExecutor.
+//
+// Block-I/O counts and metered comparisons are reported per row so a mode
+// that got faster by *doing less metered work* (instead of doing the same
+// work faster) shows up immediately; the equivalence tests enforce the
+// same invariant bit-exactly.  The merge kernels sweep the fan-in (k ∈
+// {4..256}) and include a Zipf-skewed input — the duplicate-heavy regime
+// where the gallop path behaves differently from uniform keys.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -29,6 +37,7 @@
 #include "metrics/table.h"
 #include "net/communicator.h"
 #include "pdm/typed_io.h"
+#include "seq/cursors.h"
 #include "seq/kway_merge.h"
 #include "seq/loser_tree.h"
 #include "seq/run_formation.h"
@@ -48,21 +57,60 @@ struct Row {
 
 struct Mode {
   const char* name;
-  bool bulk;
+  bool per_record;  ///< the bench's own one-record-per-call loop
   bool overlapped;
 };
 
 constexpr Mode kModes[] = {
-    {"per-record", false, false},
-    {"bulk", true, false},
-    {"overlapped", true, true},
+    {"per-record", true, false},
+    {"bulk", false, false},
+    {"overlapped", false, true},
 };
 
 pdm::DiskParams mode_params(const Mode& m) {
   pdm::DiskParams p;
-  p.bulk_transfers = m.bulk;
   p.io_mode = m.overlapped ? pdm::IoMode::kOverlapped : pdm::IoMode::kSync;
   return p;
+}
+
+/// Drains `tree` into `out` one record per call — the per-record baseline
+/// for the merge kernels.  Returns the records merged.
+template <typename Tree>
+u64 merge_per_record(Tree& tree, pdm::BlockWriter<u32>& out) {
+  u64 merged = 0;
+  while (const u32* top = tree.peek()) {
+    out.push(*top);
+    tree.pop_discard();
+    ++merged;
+  }
+  return merged;
+}
+
+/// The per-record baseline of merge_run_group: one reader and run cursor
+/// per run, one loser tree, and a record-at-a-time drain.
+u64 merge_runs_per_record(pdm::Disk& disk, const std::string& runs_file,
+                          const seq::RunLayout& layout,
+                          pdm::BlockWriter<u32>& out, Meter& meter) {
+  const u64 runs = layout.run_count();
+  std::vector<pdm::BlockFile> files;
+  std::vector<pdm::BlockReader<u32>> readers;
+  std::vector<seq::RunCursor<u32>> cursors;
+  files.reserve(runs);
+  readers.reserve(runs);
+  cursors.reserve(runs);
+  u64 offset = 0;
+  for (const u64 len : layout.run_lengths) {
+    files.push_back(disk.open(runs_file));
+    readers.emplace_back(files.back());
+    readers.back().seek_record(offset);
+    cursors.emplace_back(&readers.back(), len);
+    offset += len;
+  }
+  std::vector<seq::RunCursor<u32>*> sources;
+  for (auto& c : cursors) sources.push_back(&c);
+  seq::LoserTree<u32, seq::RunCursor<u32>> tree(std::move(sources),
+                                                std::less<u32>(), &meter);
+  return merge_per_record(tree, out);
 }
 
 template <typename F>
@@ -168,6 +216,7 @@ int run(const BenchOptions& opt) {
   struct Kernel {
     std::string name;
     std::function<RepResult(const Mode&)> rep;
+    bool has_per_record = true;  ///< false: no one-record-per-call form
   };
 
   const MergeInput presorted = make_merge_input(k, n / k, true);
@@ -183,8 +232,15 @@ int run(const BenchOptions& opt) {
                        pdm::Disk disk = disk_for(m);
                        disk.reset_stats();
                        const double s = time_seconds([&] {
-                         pdm::write_file<u32>(disk, "w",
-                                              std::span<const u32>(data));
+                         if (!m.per_record) {
+                           pdm::write_file<u32>(disk, "w",
+                                                std::span<const u32>(data));
+                           return;
+                         }
+                         pdm::BlockFile f = disk.create("w");
+                         pdm::BlockWriter<u32> w(f);
+                         for (const u32 v : data) w.push(v);
+                         w.flush();
                        });
                        const u64 ios = disk.stats().total_block_ios();
                        disk.remove("w");
@@ -196,8 +252,16 @@ int run(const BenchOptions& opt) {
                                             std::span<const u32>(data));
                        disk.reset_stats();
                        std::vector<u32> back;
-                       const double s = time_seconds(
-                           [&] { back = pdm::read_file<u32>(disk, "r"); });
+                       const double s = time_seconds([&] {
+                         if (!m.per_record) {
+                           back = pdm::read_file<u32>(disk, "r");
+                           return;
+                         }
+                         pdm::BlockFile f = disk.open("r");
+                         pdm::BlockReader<u32> r(f);
+                         back.resize(r.size_records());
+                         for (u32& v : back) r.next(v);
+                       });
                        PALADIN_ASSERT(back.size() == n);
                        const u64 ios = disk.stats().total_block_ios();
                        disk.remove("r");
@@ -215,8 +279,11 @@ int run(const BenchOptions& opt) {
       const double s = time_seconds([&] {
         pdm::BlockFile out = disk.create("merged");
         pdm::BlockWriter<u32> writer(out);
-        merged = seq::merge_run_group<u32>(disk, "runs", in->layout, 0, runs,
-                                           writer, meter);
+        merged = m.per_record
+                     ? merge_runs_per_record(disk, "runs", in->layout, writer,
+                                             meter)
+                     : seq::merge_run_group<u32>(disk, "runs", in->layout, 0,
+                                                 runs, writer, meter);
         writer.flush();
       });
       PALADIN_ASSERT(merged == in->layout.total_records);
@@ -278,7 +345,8 @@ int run(const BenchOptions& opt) {
          const u64 ios = disk.stats().total_block_ios();
          disk.remove("sorted");
          return {s, ios, meter.compares};
-       }});
+       },
+       /*has_per_record=*/false});
   // One fabric per net-merge kernel, k sender ranks + rank 0 as the
   // merging receiver, alive across all modes and reps (see NetState).
   // All chunks are pre-delivered (free wire: the kernel times the
@@ -318,15 +386,8 @@ int run(const BenchOptions& opt) {
         pdm::BlockWriter<u32> writer(out);
         seq::LoserTree<u32, core::NetworkRunSource<u32>> tree(
             std::move(sources), std::less<u32>(), &meter);
-        if (m.bulk) {
-          merged = tree.pop_run_into(writer);
-        } else {
-          while (const u32* top = tree.peek()) {
-            writer.push(*top);
-            tree.pop_discard();
-            ++merged;
-          }
-        }
+        merged = m.per_record ? merge_per_record(tree, writer)
+                              : tree.pop_run_into(writer);
         writer.flush();
       });
       PALADIN_ASSERT(merged == in->layout.total_records);
@@ -347,8 +408,9 @@ int run(const BenchOptions& opt) {
       {"net-merge-zipf", net_merge_kernel(&zipf, std::make_shared<NetState>(k))});
 
   for (const Kernel& kernel : kernels) {
-    double base_ns = 0.0;
+    double base_ns = 0.0;  // stays 0 for kernels without a per-record row
     for (const Mode& mode : kModes) {
+      if (mode.per_record && !kernel.has_per_record) continue;
       std::vector<double> samples;
       u64 ios = 0;
       u64 compares = 0;
@@ -364,19 +426,21 @@ int run(const BenchOptions& opt) {
       const double ns = *std::min_element(samples.begin(), samples.end()) *
                         1e9 / static_cast<double>(n);
       const double cpr = static_cast<double>(compares) / static_cast<double>(n);
-      if (std::string(mode.name) == "per-record") base_ns = ns;
+      if (mode.per_record) base_ns = ns;
       rows.push_back({kernel.name, mode.name, n, ns, ios, cpr});
       table.add_row({kernel.name, mode.name, std::to_string(n),
                      metrics::TextTable::fmt(ns, 2), std::to_string(ios),
                      metrics::TextTable::fmt(cpr, 2),
-                     metrics::TextTable::fmt(base_ns / ns, 2) + "x"});
+                     base_ns > 0.0
+                         ? metrics::TextTable::fmt(base_ns / ns, 2) + "x"
+                         : std::string("-")});
     }
   }
   table.print(std::cout);
   note("block-I/O and compare counts must match across the modes of each "
-       "kernel: the fast paths change wall-clock only, never the metered "
-       "work (enforced bit-exactly by test_io_equivalence and "
-       "test_merge_kernels)");
+       "kernel: bulk calls and overlapped I/O change wall-clock only, never "
+       "the metered work (enforced exactly by test_pdm's IoAccounting, "
+       "test_io_equivalence and test_merge_kernels)");
 
   std::filesystem::create_directories("bench_results");
   std::ofstream json("bench_results/BENCH_hotpaths.json");

@@ -49,8 +49,6 @@ int run(const BenchOptions& opt) {
     for (u64 m : {base / 64, base / 16}) {
       cases.push_back({n, m, seq::SortStrategy::kPolyphase,
                        seq::RunFormation::kLoadSortStore});
-      cases.push_back({n, m, seq::SortStrategy::kCascade,
-                       seq::RunFormation::kLoadSortStore});
       cases.push_back({n, m, seq::SortStrategy::kBalancedKWay,
                        seq::RunFormation::kLoadSortStore});
       cases.push_back({n, m, seq::SortStrategy::kPolyphase,
@@ -89,10 +87,8 @@ int run(const BenchOptions& opt) {
   }
   table.print(std::cout);
   note("polyphase pays one distribution pass over the balanced merge but "
-       "needs no run redistribution between phases; cascade's descending "
-       "sub-merges overtake polyphase as the tape count grows (Knuth "
-       "5.4.3); replacement selection halves the initial run count (runs "
-       "~2M on random input)");
+       "needs no run redistribution between phases; replacement selection "
+       "halves the initial run count (runs ~2M on random input)");
 
   heading("PDM D disks: parallel I/O scales as ceil(n/D) (striped writes)");
   metrics::TextTable dtable({"D", "blocks written", "parallel steps",

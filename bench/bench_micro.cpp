@@ -192,7 +192,6 @@ BENCHMARK(BM_StreamingPartition)->Arg(4)->Arg(8)->Arg(16);
 void BM_BlockIoRoundTrip(benchmark::State& state) {
   const u64 n = 1 << 16;
   pdm::DiskParams params;
-  params.bulk_transfers = state.range(0) != 0;
   const auto data = random_keys(n, 4);
   for (auto _ : state) {
     pdm::Disk disk = pdm::Disk::in_memory(params);
@@ -202,17 +201,15 @@ void BM_BlockIoRoundTrip(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<i64>(n * sizeof(u32) * 2));
-  state.SetLabel(params.bulk_transfers ? "bulk" : "per-record");
 }
-BENCHMARK(BM_BlockIoRoundTrip)->Arg(0)->Arg(1);
+BENCHMARK(BM_BlockIoRoundTrip);
 
-// The same round trip through real files: per-record vs bulk vs
-// bulk+overlapped (write-behind / read-ahead through the IoExecutor).
+// The same round trip through real files: sync vs overlapped (write-behind
+// / read-ahead through the IoExecutor).
 void BM_FileIoRoundTrip(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
+  const bool overlapped = state.range(0) != 0;
   pdm::DiskParams params;
-  params.bulk_transfers = mode >= 1;
-  params.io_mode = mode == 2 ? pdm::IoMode::kOverlapped : pdm::IoMode::kSync;
+  params.io_mode = overlapped ? pdm::IoMode::kOverlapped : pdm::IoMode::kSync;
   const u64 n = 1 << 18;
   const auto data = random_keys(n, 4);
   ScopedTempDir dir("fileio");
@@ -227,11 +224,9 @@ void BM_FileIoRoundTrip(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<i64>(n * sizeof(u32) * 2));
-  state.SetLabel(mode == 0   ? "sync/per-record"
-                 : mode == 1 ? "sync/bulk"
-                             : "overlapped/bulk");
+  state.SetLabel(overlapped ? "overlapped" : "sync");
 }
-BENCHMARK(BM_FileIoRoundTrip)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_FileIoRoundTrip)->Arg(0)->Arg(1);
 
 void BM_MultisetChecksum(benchmark::State& state) {
   const u64 n = 1 << 16;

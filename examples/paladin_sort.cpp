@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "base/enum_names.h"
 #include "base/temp_dir.h"
 #include "core/backend.h"
 #include "core/scatter_gather.h"
@@ -69,16 +70,16 @@ struct Options {
     std::cout
         << "paladin_sort --input FILE [--output FILE] [--perf a,b,c,...]\n"
            "             [--algorithm NAME]  (one of: "
-        << core::algorithm_names()
+        << enum_names(core::kAllAlgorithms)
         << ")\n"
            "             [--splitter NAME]  (one of: "
-        << core::splitter_strategy_names()
+        << enum_names(core::kAllSplitterStrategies)
         << ")\n"
            "             [--memory RECORDS] [--message RECORDS]\n"
            "             [--net fast-ethernet|myrinet|infinite]\n"
            "             [--demo N]   (generate N keys instead of --input)\n"
            "             [--dist NAME]  (--demo distribution; one of: "
-        << workload::dist_names()
+        << enum_names(workload::kAllDists)
         << ")\n"
            "             [--obs-out PREFIX]  (write PREFIX.trace.json + "
            "PREFIX.report.json)\n"
@@ -87,7 +88,7 @@ struct Options {
            "                 keys: n dist algo width arrival priority "
            "seed bytes id)\n"
            "             [--policy NAME]  (--jobs policy; one of: "
-        << service::policy_names()
+        << enum_names(service::kAllPolicies)
         << ")\n"
            "             [--drift SPEC]  (seeded speed drift, e.g.\n"
            "                 seed=7,epoch=0.5,prob=0.25,factor=4,regime=2"
@@ -105,6 +106,17 @@ struct Options {
       }
       return argv[++i];
     };
+    // An enum-valued option: its value must name one entry of `all`.
+    auto need_enum = [&](int& i, const auto& all, const char* what) {
+      const std::string name = need_value(i);
+      const auto value = parse_enum(all, name);
+      if (!value) {
+        std::cerr << "unknown " << what << " '" << name
+                  << "'; valid: " << enum_names(all) << "\n";
+        std::exit(2);
+      }
+      return *value;
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--input") {
@@ -119,22 +131,10 @@ struct Options {
           opt.perf.push_back(static_cast<u32>(std::stoul(item)));
         }
       } else if (arg == "--algorithm") {
-        const std::string name = need_value(i);
-        const auto algo = core::try_parse_algorithm(name);
-        if (!algo) {
-          std::cerr << "unknown algorithm '" << name
-                    << "'; valid: " << core::algorithm_names() << "\n";
-          std::exit(2);
-        }
-        opt.algorithm = *algo;
+        opt.algorithm = need_enum(i, core::kAllAlgorithms, "algorithm");
       } else if (arg == "--splitter") {
-        const std::string name = need_value(i);
-        if (!core::try_parse_splitter_strategy(name, opt.splitter)) {
-          std::cerr << "unknown splitter strategy '" << name
-                    << "'; valid: " << core::splitter_strategy_names()
-                    << "\n";
-          std::exit(2);
-        }
+        opt.splitter =
+            need_enum(i, core::kAllSplitterStrategies, "splitter strategy");
       } else if (arg == "--memory") {
         opt.memory_records = std::stoull(need_value(i));
       } else if (arg == "--message") {
@@ -144,14 +144,7 @@ struct Options {
       } else if (arg == "--demo") {
         opt.demo_records = std::stoull(need_value(i));
       } else if (arg == "--dist") {
-        const std::string name = need_value(i);
-        const auto dist = workload::try_parse_dist(name);
-        if (!dist) {
-          std::cerr << "unknown distribution '" << name
-                    << "'; valid: " << workload::dist_names() << "\n";
-          std::exit(2);
-        }
-        opt.demo_dist = *dist;
+        opt.demo_dist = need_enum(i, workload::kAllDists, "distribution");
       } else if (arg == "--obs-out") {
         opt.obs_out = need_value(i);
       } else if (arg == "--jobs") {
@@ -168,14 +161,7 @@ struct Options {
       } else if (arg == "--adaptive") {
         opt.adaptive = true;
       } else if (arg == "--policy") {
-        const std::string name = need_value(i);
-        const auto policy = service::try_parse_policy(name);
-        if (!policy) {
-          std::cerr << "unknown policy '" << name
-                    << "'; valid: " << service::policy_names() << "\n";
-          std::exit(2);
-        }
-        opt.policy = *policy;
+        opt.policy = need_enum(i, service::kAllPolicies, "policy");
       } else {
         usage();
         std::exit(arg == "--help" || arg == "-h" ? 0 : 2);
@@ -238,12 +224,12 @@ void apply_job_field(service::JobSpec& job, const std::string& key,
     if (key == "n" || key == "records") {
       job.records = std::stoull(value);
     } else if (key == "dist") {
-      const auto dist = workload::try_parse_dist(value);
-      if (!dist) throw std::invalid_argument(workload::dist_names());
+      const auto dist = parse_enum(workload::kAllDists, value);
+      if (!dist) throw std::invalid_argument(enum_names(workload::kAllDists));
       job.dist = *dist;
     } else if (key == "algo" || key == "algorithm") {
-      const auto algo = core::try_parse_algorithm(value);
-      if (!algo) throw std::invalid_argument(core::algorithm_names());
+      const auto algo = parse_enum(core::kAllAlgorithms, value);
+      if (!algo) throw std::invalid_argument(enum_names(core::kAllAlgorithms));
       job.algorithm = *algo;
     } else if (key == "width") {
       job.perf.assign(std::stoul(value), 1);

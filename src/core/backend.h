@@ -10,8 +10,9 @@
 //    a backend's full config by slice-assignment instead of field-by-field
 //    plumbing, and slice the common report back out generically;
 //  * BackendContext — the bundle of per-node handles (node, perf, common
-//    config) the shared phase helpers run against, plus a PhaseTimer for
-//    the per-phase time / block-I/O columns every report carries;
+//    config) the shared phase helpers run against, plus a PhaseTimer that
+//    fills the per-phase time / block-I/O columns every report carries and
+//    the matching trace counter and snapshot;
 //  * shared phase helpers — the sampling / splitter-selection / routing /
 //    concatenation scaffolding that used to be re-implemented inside each
 //    ext_* header, hoisted here so the backends keep only their genuinely
@@ -25,6 +26,7 @@
 #include <cmath>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/contracts.h"
@@ -130,15 +132,29 @@ class BackendContext {
 };
 
 /// Time / block-I/O bracket for one backend phase: captures the virtual
-/// clock and the disk's block-I/O counter at construction so the report's
-/// per-phase columns are one-liners.
+/// clock and the disk's block-I/O counter at construction; finish() does a
+/// phase's whole bookkeeping in one call.
 class PhaseTimer {
  public:
   explicit PhaseTimer(const BackendContext& bc)
       : bc_(&bc), t0_(bc.now()), io0_(bc.block_ios()) {}
 
   double seconds() const { return bc_->now() - t0_; }
-  u64 ios() const { return bc_->block_ios() - io0_; }
+
+  /// Ends the phase: stores its virtual seconds and block I/Os in the
+  /// report columns `t` and `io`, and when tracing sets `counter` to the
+  /// block I/Os and snapshots the registry as `label`.  Set any other
+  /// counter the phase reports before calling this: the registry exports
+  /// in first-touch order.
+  void finish(double& t, u64& io, std::string_view counter,
+              std::string_view label) const {
+    t = seconds();
+    io = bc_->block_ios() - io0_;
+    if (obs::Tracer* const tr = bc_->obs()) {
+      tr->counters().set(counter, io);
+      tr->snapshot(std::string(label));
+    }
+  }
 
  private:
   const BackendContext* bc_;

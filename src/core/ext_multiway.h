@@ -169,15 +169,11 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
                                    ctx, less);
     span.end();
     report.initial_runs = runs.run_count();
-    report.t_run_formation = phase.seconds();
-    report.io_run_formation = phase.ios();
+    if (tr) tr->counters().set("multiway.initial_runs", report.initial_runs);
+    phase.finish(report.t_run_formation, report.io_run_formation,
+                 "multiway.io.run_formation", "phase1.run_formation");
     span.arg("runs", report.initial_runs);
     span.arg("blocks", report.io_run_formation);
-  }
-  if (tr) {
-    tr->counters().set("multiway.initial_runs", report.initial_runs);
-    tr->counters().set("multiway.io.run_formation", report.io_run_formation);
-    tr->snapshot("phase1.run_formation");
   }
 
   if (p == 1) {
@@ -195,15 +191,11 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
     if (!config.keep_intermediates) ctx.disk().remove(runs_file);
     span.end();
     report.final_records = report.local_records;
-    report.t_merge = phase.seconds();
-    report.io_merge = phase.ios();
+    if (tr) tr->counters().set("multiway.records_out", report.final_records);
+    phase.finish(report.t_merge, report.io_merge, "multiway.io.merge",
+                 "phase4.merge");
     report.t_total = total.seconds();
     span.arg("blocks", report.io_merge);
-    if (tr) {
-      tr->counters().set("multiway.records_out", report.final_records);
-      tr->counters().set("multiway.io.merge", report.io_merge);
-      tr->snapshot("phase4.merge");
-    }
     return report;
   }
 
@@ -236,15 +228,11 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
         config.designated_node, less,
         adapt_weights.empty() ? nullptr : &adapt_weights);
     span.end();
-    report.t_splitters = phase.seconds();
-    report.io_splitters = phase.ios();
+    if (tr) tr->counters().set("multiway.samples", report.samples_contributed);
+    phase.finish(report.t_splitters, report.io_splitters,
+                 "multiway.io.splitters", "phase2.splitters");
     span.arg("samples", report.samples_contributed);
     span.arg("blocks", report.io_splitters);
-  }
-  if (tr) {
-    tr->counters().set("multiway.samples", report.samples_contributed);
-    tr->counters().set("multiway.io.splitters", report.io_splitters);
-    tr->snapshot("phase2.splitters");
   }
 
   // ---- Phase 3: cut every run at the splitters; exchange the pieces ----
@@ -352,17 +340,15 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
       PALADIN_ASSERT(got == recv_total);
     }
     span.end();
-    report.t_exchange = phase.seconds();
-    report.io_exchange = phase.ios();
+    if (tr) {
+      tr->counters().set("multiway.messages_sent", report.messages_sent);
+      tr->counters().set("multiway.effective_message_records",
+                         report.effective_message_records);
+    }
+    phase.finish(report.t_exchange, report.io_exchange, "multiway.io.exchange",
+                 "phase3.exchange");
     span.arg("blocks", report.io_exchange);
     span.arg("messages", report.messages_sent);
-  }
-  if (tr) {
-    tr->counters().set("multiway.messages_sent", report.messages_sent);
-    tr->counters().set("multiway.effective_message_records",
-                       report.effective_message_records);
-    tr->counters().set("multiway.io.exchange", report.io_exchange);
-    tr->snapshot("phase3.exchange");
   }
 
   // ---- Phase 4: one global multiway merge over all surviving pieces ----
@@ -443,19 +429,17 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
       }
     }
     span.end();
-    report.t_merge = phase.seconds();
-    report.io_merge = phase.ios();
+    if (tr) {
+      tr->counters().set("multiway.records_out", report.final_records);
+      tr->counters().set("multiway.merge_fan_in", report.merge_fan_in);
+    }
+    phase.finish(report.t_merge, report.io_merge, "multiway.io.merge",
+                 "phase4.merge");
     span.arg("blocks", report.io_merge);
     span.arg("records", report.final_records);
     span.arg("fan_in", report.merge_fan_in);
   }
   report.t_total = total.seconds();
-  if (tr) {
-    tr->counters().set("multiway.records_out", report.final_records);
-    tr->counters().set("multiway.merge_fan_in", report.merge_fan_in);
-    tr->counters().set("multiway.io.merge", report.io_merge);
-    tr->snapshot("phase4.merge");
-  }
   return report;
 }
 

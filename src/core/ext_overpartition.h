@@ -95,9 +95,9 @@ ExtOverpartitionReport ext_overpartition_sort(
         std::span<const u64>(local_sizes), 0);
     if (rank == 0) {
       for (u64 b = 0; b < buckets; ++b) {
-        u64 total = 0;
-        for (u32 i = 0; i < p; ++i) total += gathered[i * buckets + b];
-        global_sizes[b] = total;
+        u64 size = 0;
+        for (u32 i = 0; i < p; ++i) size += gathered[i * buckets + b];
+        global_sizes[b] = size;
       }
     }
     global_sizes =

@@ -55,9 +55,9 @@ struct ExtPsrsOptions {
   /// Per-destination credit window in pipelined mode and in the phased
   /// exchange: at most this many un-acknowledged chunks in flight.
   u64 flow_window_chunks = kDefaultFlowWindow;
-  /// Phased Step 3 via partition_sorted_file_seek: binary-search each
-  /// buffered chunk's cut position (Θ((l/B)·p·log B) comparisons) instead
-  /// of comparing every record (Θ(l)), same single streaming pass.
+  /// Phased Step 3 bills each buffered chunk's cut position as a binary
+  /// search (Θ((l/B)·p·log B) comparisons, see partition_sorted_file)
+  /// instead of one comparison per record (Θ(l)), same streaming pass.
   /// Identical partition contents; off by default so the paper's
   /// record-at-a-time comparison bill stays the modelled cost.
   bool partition_boundary_seek = false;
@@ -119,8 +119,8 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   PALADIN_EXPECTS_MSG(report.local_records == perf.share(rank, n),
                       "node share does not match perf-proportional layout");
 
-  const double t0 = ctx.clock().now();
-  const u64 io0 = ctx.disk().stats().total_block_ios();
+  const BackendContext bc(ctx, perf, config);
+  const PhaseTimer total(bc);
   obs::ScopedSpan sort_span(tr, "psrs.sort", "psrs");
 
   if (p == 1) {
@@ -130,33 +130,25 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
                                 config.sequential, ctx, less, tr);
     span.end();
     report.final_records = report.local_records;
-    report.t_seq_sort = ctx.clock().now() - t0;
-    report.io_seq_sort = ctx.disk().stats().total_block_ios() - io0;
+    if (tr) tr->counters().set("psrs.records_out", report.final_records);
+    total.finish(report.t_seq_sort, report.io_seq_sort, "psrs.io.seq_sort",
+                 "step1.seq_sort");
     report.t_total = report.t_seq_sort;
-    report.io_final_merge = 0;
     span.arg("blocks", report.io_seq_sort);
-    if (tr) {
-      tr->counters().set("psrs.records_out", report.final_records);
-      tr->counters().set("psrs.io.seq_sort", report.io_seq_sort);
-      tr->snapshot("step1.seq_sort");
-    }
     return report;
   }
 
   // ---- Step 1: sequential external sort of the local share -----------
   const std::string sorted_local = config.output + ".step1";
   {
+    const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "psrs.step1.seq_sort", "psrs");
     seq::external_sort<T, Less>(ctx.disk(), config.input, sorted_local,
                                 config.sequential, ctx, less, tr);
     span.end();
-    report.t_seq_sort = ctx.clock().now() - t0;
-    report.io_seq_sort = ctx.disk().stats().total_block_ios() - io0;
+    phase.finish(report.t_seq_sort, report.io_seq_sort, "psrs.io.seq_sort",
+                 "step1.seq_sort");
     span.arg("blocks", report.io_seq_sort);
-  }
-  if (tr) {
-    tr->counters().set("psrs.io.seq_sort", report.io_seq_sort);
-    tr->snapshot("step1.seq_sort");
   }
 
   // ---- Adaptive re-estimation (hetero/drift.h) ------------------------
@@ -169,15 +161,13 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   std::vector<double> adapt_weights;
   if (config.adaptive.enabled) {
     obs::ScopedSpan span(tr, "psrs.adapt", "drift");
-    const BackendContext bc(ctx, perf, config);
     const AdaptiveOutcome ad = adaptive_reestimate(
         bc, config.adaptive, report.local_records, config.designated_node);
     if (ad.applied) adapt_weights = ad.weights;
   }
 
   // ---- Step 2: regular sampling & pivot selection ---------------------
-  const double t1 = ctx.clock().now();
-  const u64 io1 = ctx.disk().stats().total_block_ios();
+  const PhaseTimer sampling(bc);
   std::vector<T> pivots;
   {
     obs::ScopedSpan span(tr, "psrs.step2.sampling", "psrs");
@@ -243,18 +233,13 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
       PALADIN_ASSERT(pivots.size() == p - 1);
     }
   }
-  report.t_sampling = ctx.clock().now() - t1;
-  report.io_sampling = ctx.disk().stats().total_block_ios() - io1;
-  if (tr) {
-    tr->counters().set("psrs.samples", report.samples_contributed);
-    tr->counters().set("psrs.io.sampling", report.io_sampling);
-    tr->snapshot("step2.sampling");
-  }
+  if (tr) tr->counters().set("psrs.samples", report.samples_contributed);
+  sampling.finish(report.t_sampling, report.io_sampling, "psrs.io.sampling",
+                  "step2.sampling");
 
   if (config.pipelined) {
     // ---- Steps 3–5, fused: overlapped partition→send→merge ------------
-    const double t2 = ctx.clock().now();
-    const u64 io2 = ctx.disk().stats().total_block_ios();
+    const PhaseTimer phase(bc);
     const u64 msg =
         clamped_message_records<T>(ctx.disk(), config.message_records);
     report.effective_message_records = msg;
@@ -266,8 +251,14 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
     span.end();
     report.final_records = piped.merged;
     report.messages_sent = piped.data_messages;
-    report.t_pipeline = ctx.clock().now() - t2;
-    report.io_pipeline = ctx.disk().stats().total_block_ios() - io2;
+    if (tr) {
+      tr->counters().set("psrs.records_out", report.final_records);
+      tr->counters().set("psrs.messages_sent", report.messages_sent);
+      tr->counters().set("psrs.effective_message_records",
+                         report.effective_message_records);
+    }
+    phase.finish(report.t_pipeline, report.io_pipeline, "psrs.io.pipeline",
+                 "steps3-5.pipeline");
     span.arg("blocks", report.io_pipeline);
     span.arg("records", report.final_records);
     // The fused steps touch the disk once on each side — read the sorted
@@ -277,49 +268,29 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
     const u64 bound = ceil_div(report.local_records, rpb) +
                       ceil_div(report.final_records, rpb);
     PALADIN_ENSURES(report.io_pipeline <= bound + 2);
-    report.t_total = ctx.clock().now() - t0;
-    if (tr) {
-      tr->counters().set("psrs.records_out", report.final_records);
-      tr->counters().set("psrs.messages_sent", report.messages_sent);
-      tr->counters().set("psrs.effective_message_records",
-                         report.effective_message_records);
-      tr->counters().set("psrs.io.pipeline", report.io_pipeline);
-      tr->snapshot("steps3-5.pipeline");
-    }
+    report.t_total = total.seconds();
     return report;
   }
 
   // ---- Step 3: partition the sorted file by the pivots ----------------
-  const double t2 = ctx.clock().now();
-  const u64 io2 = ctx.disk().stats().total_block_ios();
   const std::string part_prefix = config.output + ".step3";
   {
+    const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "psrs.step3.partition", "psrs");
-    if (config.partition_boundary_seek) {
-      partition_sorted_file_seek<T, Less>(ctx.disk(), sorted_local,
-                                          part_prefix,
-                                          std::span<const T>(pivots), ctx,
-                                          less);
-    } else {
-      partition_sorted_file<T, Less>(ctx.disk(), sorted_local, part_prefix,
-                                     std::span<const T>(pivots), ctx, less);
-    }
+    partition_sorted_file<T, Less>(ctx.disk(), sorted_local, part_prefix,
+                                   std::span<const T>(pivots), ctx, less,
+                                   config.partition_boundary_seek);
     if (!config.keep_intermediates) ctx.disk().remove(sorted_local);
     span.end();
-    report.t_partition = ctx.clock().now() - t2;
-    report.io_partition = ctx.disk().stats().total_block_ios() - io2;
+    phase.finish(report.t_partition, report.io_partition, "psrs.io.partition",
+                 "step3.partition");
     span.arg("blocks", report.io_partition);
-  }
-  if (tr) {
-    tr->counters().set("psrs.io.partition", report.io_partition);
-    tr->snapshot("step3.partition");
   }
 
   // ---- Step 4: redistribution -----------------------------------------
-  const double t3 = ctx.clock().now();
-  const u64 io3 = ctx.disk().stats().total_block_ios();
   const std::string recv_prefix = config.output + ".step4";
   {
+    const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "psrs.step4.redistribute", "psrs");
     const RedistributeResult exchanged = redistribute_partitions<T>(
         ctx, part_prefix, recv_prefix, config.message_records,
@@ -332,23 +303,20 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
       }
     }
     span.end();
-    report.t_redistribute = ctx.clock().now() - t3;
-    report.io_redistribute = ctx.disk().stats().total_block_ios() - io3;
+    if (tr) {
+      tr->counters().set("psrs.messages_sent", report.messages_sent);
+      tr->counters().set("psrs.effective_message_records",
+                         report.effective_message_records);
+    }
+    phase.finish(report.t_redistribute, report.io_redistribute,
+                 "psrs.io.redistribute", "step4.redistribute");
     span.arg("blocks", report.io_redistribute);
     span.arg("messages", report.messages_sent);
   }
-  if (tr) {
-    tr->counters().set("psrs.messages_sent", report.messages_sent);
-    tr->counters().set("psrs.effective_message_records",
-                       report.effective_message_records);
-    tr->counters().set("psrs.io.redistribute", report.io_redistribute);
-    tr->snapshot("step4.redistribute");
-  }
 
   // ---- Step 5: final merge of the p sorted runs ------------------------
-  const double t4 = ctx.clock().now();
-  const u64 io4 = ctx.disk().stats().total_block_ios();
   {
+    const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "psrs.step5.final_merge", "psrs");
     // Runs: the local partition we kept plus one file per peer.
     std::vector<std::string> run_files;
@@ -380,17 +348,13 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
       for (const std::string& f : run_files) ctx.disk().remove(f);
     }
     span.end();
-    report.t_final_merge = ctx.clock().now() - t4;
-    report.io_final_merge = ctx.disk().stats().total_block_ios() - io4;
+    if (tr) tr->counters().set("psrs.records_out", report.final_records);
+    phase.finish(report.t_final_merge, report.io_final_merge,
+                 "psrs.io.final_merge", "step5.final_merge");
     span.arg("blocks", report.io_final_merge);
     span.arg("records", report.final_records);
   }
-  report.t_total = ctx.clock().now() - t0;
-  if (tr) {
-    tr->counters().set("psrs.records_out", report.final_records);
-    tr->counters().set("psrs.io.final_merge", report.io_final_merge);
-    tr->snapshot("step5.final_merge");
-  }
+  report.t_total = total.seconds();
   return report;
 }
 

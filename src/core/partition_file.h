@@ -28,118 +28,28 @@ inline std::string partition_name(const std::string& prefix, u32 j) {
 
 /// Streams `sorted_file` into p partition files `prefix + ".part<j>"`.
 /// Returns the number of records landed in each partition.
+///
+/// Records at or below the current pivot form a prefix of each buffered
+/// chunk (the input is sorted), so they move with one push_span.
+/// `boundary_seek` (ExtPsrsOptions::partition_boundary_seek) picks how that
+/// prefix is billed:
+///  * off — one comparison per staying record, the paper's modelled
+///    record-at-a-time bill, charged together with the pivot-advance
+///    comparisons once the pass ends;
+///  * on — one metered binary search per chunk (⌈log2(c+1)⌉ comparisons,
+///    seq::metered_upper_bound), charged at each search, so comparisons
+///    drop from Θ(l) to Θ((l/B)·p·log B).
+/// The first record past the pivot advances to its home partition at one
+/// comparison per pivot step, creating the files in between, so the
+/// partition contents, the file-creation points and the 2·l/B streaming
+/// I/O bound do not depend on `boundary_seek`.
 template <Record T, typename Less = std::less<T>>
 std::vector<u64> partition_sorted_file(pdm::Disk& disk,
                                        const std::string& sorted_file,
                                        const std::string& prefix,
                                        std::span<const T> pivots, Meter& meter,
-                                       Less less = {}) {
-  const u32 p = static_cast<u32>(pivots.size()) + 1;
-  std::vector<u64> sizes(p, 0);
-
-  pdm::BlockFile in = disk.open(sorted_file);
-  pdm::BlockReader<T> reader(in);
-
-  u32 current = 0;
-  pdm::BlockFile out_file = disk.create(partition_name(prefix, 0));
-  std::vector<pdm::BlockFile> files;
-  std::vector<pdm::BlockWriter<T>> writers;
-  files.reserve(p);
-  writers.reserve(p);
-  files.push_back(std::move(out_file));
-  writers.emplace_back(files.back());
-
-  u64 compares = 0;
-  if (disk.params().bulk_transfers) {
-    // Block-granular variant of the loop below: records at or below the
-    // current pivot form a prefix of each buffered chunk (input sorted),
-    // so they move with one push_span at one comparison each — the same
-    // comparison the record-at-a-time loop spends to learn "stays here".
-    // The first record past the pivot replays the pivot-advance loop
-    // verbatim, so comparison counts and partition-file creation points
-    // are identical.
-    for (;;) {
-      std::span<const T> chunk = reader.buffered();
-      if (chunk.empty()) break;
-      while (!chunk.empty()) {
-        if (current + 1 == p) {
-          // Last partition: everything remaining stays, no comparisons.
-          writers[current].push_span(chunk);
-          sizes[current] += chunk.size();
-          reader.advance_n(chunk.size());
-          break;
-        }
-        const auto past = std::upper_bound(chunk.begin(), chunk.end(),
-                                           pivots[current], less);
-        const u64 stay = static_cast<u64>(past - chunk.begin());
-        if (stay > 0) {
-          writers[current].push_span(chunk.first(stay));
-          sizes[current] += stay;
-          compares += stay;
-          reader.advance_n(stay);
-          chunk = chunk.subspan(stay);
-          if (chunk.empty()) break;
-        }
-        const T& v = chunk.front();
-        while (current + 1 < p) {
-          ++compares;
-          if (!less(pivots[current], v)) break;  // v <= pivot: stays here
-          ++current;
-          files.push_back(disk.create(partition_name(prefix, current)));
-          writers.emplace_back(files.back());
-        }
-        writers[current].push(v);
-        ++sizes[current];
-        reader.advance_n(1);
-        chunk = chunk.subspan(1);
-      }
-    }
-  } else {
-    T v;
-    while (reader.next(v)) {
-      // Advance past every pivot the record exceeds (input is sorted, so
-      // `current` only moves forward; the total comparison count is
-      // records + p, not records·log p).
-      while (current + 1 < p) {
-        ++compares;
-        if (!less(pivots[current], v)) break;  // v <= pivot: stays here
-        ++current;
-        files.push_back(disk.create(partition_name(prefix, current)));
-        writers.emplace_back(files.back());
-      }
-      writers[current].push(v);
-      ++sizes[current];
-    }
-  }
-  meter.on_compares(compares);
-  meter.on_moves(reader.size_records());
-
-  // Seal open writers and materialise empty partitions for the tail.
-  for (auto& w : writers) w.flush();
-  for (u32 j = current + 1; j < p; ++j) {
-    pdm::BlockFile f = disk.create(partition_name(prefix, j));
-    pdm::BlockWriter<T> w(f);
-    w.flush();
-  }
-  return sizes;
-}
-
-/// Boundary-seek variant (ExtPsrsOptions::partition_boundary_seek): the
-/// same single streaming pass as the bulk path above, but each buffered
-/// chunk's cut position is found with a metered binary search
-/// (⌈log2(c+1)⌉ comparisons per upper_bound, seq::metered_upper_bound)
-/// instead of billing one comparison per staying record.  Comparisons
-/// drop from Θ(l) to Θ((l/B)·p·log B); the tie rule (records equal to a
-/// pivot stay in the lower partition — upper_bound, the partition_cuts
-/// rule), the partition contents, and the 2·l/B streaming I/O bound are
-/// unchanged.  Opt-in rather than a silent replacement because the
-/// record-at-a-time comparison bill is the paper's modelled cost.
-template <Record T, typename Less = std::less<T>>
-std::vector<u64> partition_sorted_file_seek(pdm::Disk& disk,
-                                            const std::string& sorted_file,
-                                            const std::string& prefix,
-                                            std::span<const T> pivots,
-                                            Meter& meter, Less less = {}) {
+                                       Less less = {},
+                                       bool boundary_seek = false) {
   const u32 p = static_cast<u32>(pivots.size()) + 1;
   std::vector<u64> sizes(p, 0);
 
@@ -154,7 +64,7 @@ std::vector<u64> partition_sorted_file_seek(pdm::Disk& disk,
   files.push_back(disk.create(partition_name(prefix, 0)));
   writers.emplace_back(files.back());
 
-  u64 advance_compares = 0;
+  u64 compares = 0;
   for (;;) {
     std::span<const T> chunk = reader.buffered();
     if (chunk.empty()) break;
@@ -166,8 +76,15 @@ std::vector<u64> partition_sorted_file_seek(pdm::Disk& disk,
         reader.advance_n(chunk.size());
         break;
       }
-      const u64 stay =
-          seq::metered_upper_bound(chunk, pivots[current], meter, less);
+      u64 stay = 0;
+      if (boundary_seek) {
+        stay = seq::metered_upper_bound(chunk, pivots[current], meter, less);
+      } else {
+        stay = static_cast<u64>(std::upper_bound(chunk.begin(), chunk.end(),
+                                                 pivots[current], less) -
+                                chunk.begin());
+        compares += stay;
+      }
       if (stay > 0) {
         writers[current].push_span(chunk.first(stay));
         sizes[current] += stay;
@@ -175,12 +92,11 @@ std::vector<u64> partition_sorted_file_seek(pdm::Disk& disk,
         chunk = chunk.subspan(stay);
         if (chunk.empty()) break;
       }
-      // First record past the pivot: advance to its home partition,
-      // creating the files in between (one comparison per step, exactly
-      // the pivot-advance loop of partition_sorted_file).
+      // First record past the pivot: advance past every pivot it exceeds
+      // (input is sorted, so `current` only moves forward).
       const T& v = chunk.front();
       while (current + 1 < p) {
-        ++advance_compares;
+        ++compares;
         if (!less(pivots[current], v)) break;  // v <= pivot: stays here
         ++current;
         files.push_back(disk.create(partition_name(prefix, current)));
@@ -192,7 +108,7 @@ std::vector<u64> partition_sorted_file_seek(pdm::Disk& disk,
       chunk = chunk.subspan(1);
     }
   }
-  meter.on_compares(advance_compares);
+  meter.on_compares(compares);
   meter.on_moves(reader.size_records());
 
   // Seal open writers and materialise empty partitions for the tail.
@@ -220,7 +136,7 @@ std::vector<u64> partition_sorted_file_seek(pdm::Disk& disk,
 ///
 /// The ascending-destination order is what the pipeline's deadlock-freedom
 /// argument rests on, so it is a contract of this class, not an accident.
-/// Costs mirror the bulk path of partition_sorted_file: one comparison per
+/// Costs mirror partition_sorted_file's default billing: one comparison per
 /// record that stays in a non-final partition, one per pivot-advance step,
 /// none for the last partition; one move per record, charged per chunk.
 /// Each charge lands at the event that produced it, so the sequence of

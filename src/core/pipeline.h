@@ -256,15 +256,7 @@ PipelineOutcome pipelined_exchange_merge(net::NodeContext& ctx,
     {
       seq::LoserTree<T, NetworkRunSource<T>, Less> tree(std::move(sources),
                                                         less, &merge_meter);
-      if (ctx.disk().params().bulk_transfers) {
-        out.merged = tree.pop_run_into(writer);
-      } else {
-        while (const T* top = tree.peek()) {
-          writer.push(*top);
-          tree.pop_discard();
-          ++out.merged;
-        }
-      }
+      out.merged = tree.pop_run_into(writer);
     }
     writer.flush();
     merge_meter.on_moves(out.merged);

@@ -14,9 +14,7 @@
 // BackendReport back out of whatever the backend returned.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "base/contracts.h"
 #include "base/types.h"
@@ -80,37 +78,6 @@ inline const char* to_string(ParallelSortAlgorithm a) {
     case ParallelSortAlgorithm::kExtMultiway: return "ext-multiway";
   }
   PALADIN_UNREACHABLE();
-}
-
-/// Comma-separated list of the valid algorithm names, for error messages
-/// and --help text.
-inline std::string algorithm_names() {
-  std::string names;
-  for (const ParallelSortAlgorithm a : kAllAlgorithms) {
-    if (!names.empty()) names += ", ";
-    names += to_string(a);
-  }
-  return names;
-}
-
-/// Name → algorithm, or nullopt for an unknown name.
-inline std::optional<ParallelSortAlgorithm> try_parse_algorithm(
-    std::string_view name) {
-  for (const ParallelSortAlgorithm a : kAllAlgorithms) {
-    if (name == to_string(a)) return a;
-  }
-  return std::nullopt;
-}
-
-/// Name → algorithm; an unknown name is a contract violation whose message
-/// lists the valid names.  The CLI and the benches parse --algorithm
-/// through here instead of ad-hoc string matching.
-inline ParallelSortAlgorithm parse_algorithm(std::string_view name) {
-  const std::optional<ParallelSortAlgorithm> a = try_parse_algorithm(name);
-  PALADIN_EXPECTS_MSG(a.has_value(), "unknown algorithm '" +
-                                         std::string(name) +
-                                         "'; valid: " + algorithm_names());
-  return *a;
 }
 
 /// Driver-level configuration: the shared BackendConfig core plus one

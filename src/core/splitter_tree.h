@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "base/contracts.h"
@@ -61,6 +60,12 @@ enum class SplitterStrategy : u8 {
   kTree,
 };
 
+inline constexpr SplitterStrategy kAllSplitterStrategies[] = {
+    SplitterStrategy::kAuto,
+    SplitterStrategy::kFlat,
+    SplitterStrategy::kTree,
+};
+
 inline const char* to_string(SplitterStrategy s) {
   switch (s) {
     case SplitterStrategy::kAuto: return "auto";
@@ -69,16 +74,6 @@ inline const char* to_string(SplitterStrategy s) {
   }
   PALADIN_UNREACHABLE();
 }
-
-inline bool try_parse_splitter_strategy(std::string_view name,
-                                        SplitterStrategy& out) {
-  if (name == "auto") { out = SplitterStrategy::kAuto; return true; }
-  if (name == "flat") { out = SplitterStrategy::kFlat; return true; }
-  if (name == "tree") { out = SplitterStrategy::kTree; return true; }
-  return false;
-}
-
-inline const char* splitter_strategy_names() { return "auto, flat, tree"; }
 
 /// Knobs of the multi-level selection; lives in BackendConfig so every
 /// backend inherits the same seam.  The defaults are the auto heuristic:
@@ -299,7 +294,10 @@ std::vector<WeightedSample<T>> splitter_tree_gather(
     std::vector<std::vector<WS>> runs;
     runs.reserve(fanout);
     runs.push_back(std::move(digest));
-    const u32 end = std::min<u64>(static_cast<u64>(lead) + fanout, active);
+    // At most `active`, as is the next level's count below: both casts
+    // are exact.
+    const u32 end = static_cast<u32>(
+        std::min<u64>(static_cast<u64>(lead) + fanout, active));
     for (u32 m = lead + 1; m < end; ++m) {
       runs.push_back(comm.template recv_records<WS>(
           rank_of(static_cast<u64>(m) * stride), kTagSplitterDigest));
@@ -308,7 +306,7 @@ std::vector<WeightedSample<T>> splitter_tree_gather(
                                           merge_equal, less, stats);
     span.arg("points_kept", digest.size());
     span.end();
-    active = ceil_div(active, fanout);
+    active = static_cast<u32>(ceil_div(active, fanout));
     idx = group;
     stride *= fanout;
   }

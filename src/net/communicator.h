@@ -230,7 +230,10 @@ class Communicator {
     Packet p = recv_packet(src, tag);
     PALADIN_ASSERT(p.payload.size() % sizeof(T) == 0);
     std::vector<T> out(p.payload.size() / sizeof(T));
-    std::memcpy(out.data(), p.payload.data(), p.payload.size());
+    // An empty payload's data() may be null, and memcpy from null is UB.
+    if (!out.empty()) {
+      std::memcpy(out.data(), p.payload.data(), p.payload.size());
+    }
     return out;
   }
 
@@ -414,7 +417,10 @@ class Communicator {
     Packet p = recv_internal(src, tag);
     PALADIN_ASSERT(p.payload.size() % sizeof(T) == 0);
     std::vector<T> out(p.payload.size() / sizeof(T));
-    std::memcpy(out.data(), p.payload.data(), p.payload.size());
+    // An empty payload's data() may be null, and memcpy from null is UB.
+    if (!out.empty()) {
+      std::memcpy(out.data(), p.payload.data(), p.payload.size());
+    }
     return out;
   }
 

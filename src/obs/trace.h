@@ -57,7 +57,7 @@ inline const char* to_string(Track t) {
     case Track::kSend: return "send";
     case Track::kMerge: return "merge";
   }
-  return "?";
+  PALADIN_UNREACHABLE();
 }
 
 struct SpanRecord {

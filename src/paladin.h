@@ -27,7 +27,6 @@
 #include "pdm/typed_io.h"
 
 // net — the simulated cluster runtime
-#include "net/bsp.h"
 #include "net/cluster.h"
 #include "net/communicator.h"
 #include "net/cost_model.h"

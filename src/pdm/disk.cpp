@@ -198,9 +198,9 @@ void Disk::account(u64 blocks, ByteCount bytes, bool is_write) {
   }
   if (cost_sink_) {
     // Charge per block: a k-block transfer must accumulate simulated time
-    // exactly like k single-block transfers, so the bulk fast paths (which
-    // batch whole-block runs into one write_at/read_at) stay bit-identical
-    // to the per-record path under floating-point addition.
+    // exactly like k single-block transfers, so batching whole-block runs
+    // into one write_at/read_at (typed_io.h) leaves the virtual clock
+    // bit-identical under floating-point addition.
     const double per_block = params_.block_cost_seconds();
     for (u64 i = 0; i < blocks; ++i) cost_sink_(per_block);
   }

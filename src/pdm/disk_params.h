@@ -28,7 +28,7 @@ inline const char* to_string(IoMode m) {
     case IoMode::kSync: return "sync";
     case IoMode::kOverlapped: return "overlapped";
   }
-  return "?";
+  PALADIN_UNREACHABLE();
 }
 
 struct DiskParams {
@@ -48,13 +48,6 @@ struct DiskParams {
   /// Transfer scheduling (see IoMode).  Purely a wall-clock knob: both
   /// modes produce identical IoStats and identical virtual-time charges.
   IoMode io_mode = IoMode::kAuto;
-
-  /// When true (default), push_span/read_span and the k-way merge use
-  /// block-granular memcpy fast paths instead of per-record loops.  The
-  /// fast paths are exact — same bytes, same block counts, same metered
-  /// compares/moves — so this knob exists only for the equivalence tests
-  /// and the bulk-vs-per-record benchmark rows.
-  bool bulk_transfers = true;
 
   /// Simulated cost of transferring one block.
   double block_cost_seconds() const {

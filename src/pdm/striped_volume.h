@@ -77,10 +77,9 @@ class StripedVolume {
 
 /// Writes a record stream striped across the volume's disks, one block per
 /// disk in round-robin order.  push_span moves whole blocks straight from
-/// the caller's span (DiskParams::bulk_transfers), and on disks with an
-/// IoExecutor the block writes run behind the caller (write-behind), with
-/// each transfer charged to its disk at submission — the synchronous
-/// path's logical point.
+/// the caller's span, and on disks with an IoExecutor the block writes run
+/// behind the caller (write-behind), with each transfer charged to its disk
+/// at submission — the synchronous path's logical point.
 template <Record T>
 class StripedWriter {
  public:
@@ -89,8 +88,7 @@ class StripedWriter {
   StripedWriter(StripedVolume& volume, const std::string& name)
       : volume_(&volume),
         records_per_block_(
-            volume.disk(0).params().records_per_block(sizeof(T))),
-        bulk_(volume.disk(0).params().bulk_transfers) {
+            volume.disk(0).params().records_per_block(sizeof(T))) {
     const u64 d = volume.disk_count();
     files_.reserve(d);
     execs_.reserve(d);
@@ -125,10 +123,6 @@ class StripedWriter {
   }
 
   void push_span(std::span<const T> records) {
-    if (!bulk_) {
-      for (const T& r : records) push(r);
-      return;
-    }
     records_written_ += records.size();
     if (!buffer_.empty()) {
       const u64 room = records_per_block_ - buffer_.size();
@@ -199,7 +193,6 @@ class StripedWriter {
 
   StripedVolume* volume_;
   u64 records_per_block_;
-  bool bulk_ = true;
   std::vector<BlockFile> files_;
   std::vector<IoExecutor*> execs_;
   std::vector<u64> cursor_bytes_;

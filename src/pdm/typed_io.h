@@ -3,19 +3,19 @@
 // the RAM/disk boundary does it in block-sized transfers — the invariant
 // behind the PDM I/O accounting.
 //
-// Two performance layers sit on top of the plain per-record path, both
-// exact with respect to accounting (same block counts, same bytes, same
-// order of cost-sink charges — see DESIGN.md §7):
+// Records move in bulk: push_span/read_span transfer whole record-blocks
+// with memcpy/direct transfers, and buffered()/advance_n expose the block
+// buffer so the k-way merge can drain winner runs block-at-a-time.  The
+// single-record calls (push, next, peek/advance) go through the same block
+// buffer, so mixing them with the span calls never changes what is
+// charged: a transfer of k record-blocks is k block transfers, each
+// charged separately to the cost sink (DESIGN.md §7).
 //
-//  * bulk fast paths (DiskParams::bulk_transfers) — push_span/read_span
-//    move whole record-blocks with memcpy/direct transfers instead of
-//    per-record loops, and buffered()/advance_n expose the block buffer so
-//    the k-way merge can drain winner runs block-at-a-time;
-//  * overlapped I/O (DiskParams::io_mode) — double-buffered read-ahead and
-//    write-behind through the disk's IoExecutor, so compute overlaps real
-//    file I/O.  The worker moves bytes only; transfers are charged on this
-//    thread at the synchronous path's logical points (buffer adoption for
-//    reads, flush for writes).
+// Overlapped I/O (DiskParams::io_mode) adds double-buffered read-ahead and
+// write-behind through the disk's IoExecutor, so compute overlaps real file
+// I/O.  The worker moves bytes only; transfers are charged on this thread
+// at the synchronous path's logical points (buffer adoption for reads,
+// flush for writes), so IoStats and virtual time do not depend on the mode.
 #pragma once
 
 #include <algorithm>
@@ -52,7 +52,6 @@ class BlockWriter {
       : file_(&file),
         records_per_block_(file.disk().params().records_per_block(sizeof(T))),
         cursor_bytes_(append ? file.size_bytes() : 0),
-        bulk_(file.disk().params().bulk_transfers),
         exec_(file.disk().executor()) {
     buffer_.reserve(records_per_block_);
   }
@@ -81,10 +80,6 @@ class BlockWriter {
   }
 
   void push_span(std::span<const T> records) {
-    if (!bulk_) {
-      for (const T& r : records) push(r);
-      return;
-    }
     records_written_ += records.size();
     // Top up a partially filled staging buffer to its block boundary.
     if (!buffer_.empty()) {
@@ -190,7 +185,6 @@ class BlockWriter {
   u64 records_per_block_;
   u64 cursor_bytes_ = 0;
   u64 records_written_ = 0;
-  bool bulk_ = true;
   IoExecutor* exec_ = nullptr;  ///< nullptr => synchronous transfers
   IoExecutor::Ticket last_ticket_ = 0;
   std::vector<T> buffer_;
@@ -205,7 +199,6 @@ class BlockReader {
   explicit BlockReader(BlockFile& file)
       : file_(&file),
         records_per_block_(file.disk().params().records_per_block(sizeof(T))),
-        bulk_(file.disk().params().bulk_transfers),
         exec_(file.disk().executor()) {
     const u64 bytes = file.size_bytes();
     PALADIN_EXPECTS_MSG(bytes % sizeof(T) == 0,
@@ -309,11 +302,6 @@ class BlockReader {
 
   /// Bulk read of up to out.size() records; returns records read.
   u64 read_span(std::span<T> out) {
-    if (!bulk_) {
-      u64 n = 0;
-      while (n < out.size() && next(out[n])) ++n;
-      return n;
-    }
     const u64 want = std::min<u64>(out.size(), remaining());
     u64 n = 0;
     while (n < want) {
@@ -476,7 +464,6 @@ class BlockReader {
   u64 next_record_ = 0;
   u64 buffer_first_ = 0;
   u64 expected_next_ = kNoBlock;  ///< block that continues the stream
-  bool bulk_ = true;
   IoExecutor* exec_ = nullptr;  ///< nullptr => synchronous transfers
   IoExecutor::Ticket prefetch_ticket_ = 0;
   u64 prefetch_first_ = kNoBlock;
@@ -485,9 +472,9 @@ class BlockReader {
 };
 
 /// Streams up to `limit` records from `in` to `out` in block-granular
-/// chunks.  Chunking follows the reader's block buffer, so the sequence of
-/// charged transfers is identical to a per-record copy loop.  Returns the
-/// number of records copied; the writer is not flushed.
+/// chunks.  Chunking follows the reader's block buffer, so each block is
+/// read once and written once.  Returns the number of records copied; the
+/// writer is not flushed.
 template <Record T>
 u64 copy_records(BlockReader<T>& in, BlockWriter<T>& out,
                  u64 limit = ~u64{0}) {

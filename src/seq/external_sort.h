@@ -14,7 +14,6 @@
 #include "obs/trace.h"
 #include "pdm/pdm_math.h"
 #include "pdm/typed_io.h"
-#include "seq/cascade.h"
 #include "seq/kway_merge.h"
 #include "seq/polyphase.h"
 #include "seq/run_formation.h"
@@ -24,14 +23,12 @@ namespace paladin::seq {
 enum class SortStrategy {
   kPolyphase,
   kBalancedKWay,
-  kCascade,
 };
 
 inline const char* to_string(SortStrategy s) {
   switch (s) {
     case SortStrategy::kPolyphase: return "polyphase";
     case SortStrategy::kBalancedKWay: return "balanced-kway";
-    case SortStrategy::kCascade: return "cascade";
   }
   PALADIN_UNREACHABLE();
 }
@@ -95,19 +92,6 @@ ExternalSortResult external_sort(pdm::Disk& disk, const std::string& input,
                                   tracer);
       result.initial_runs = pr.initial_runs;
       result.merge_passes = pr.merge_phases;
-      return result;
-    }
-    case SortStrategy::kCascade: {
-      CascadeConfig cc;
-      cc.memory_records = config.memory_records;
-      const u32 affordable = static_cast<u32>(std::min<u64>(
-          config.tape_count, max_fan_in<T>(disk, config.memory_records) + 1));
-      cc.tape_count = std::max<u32>(3, affordable);
-      cc.run_formation = config.run_formation;
-      const CascadeResult cr =
-          cascade_sort<T, Less>(disk, input, output, cc, meter, less);
-      result.initial_runs = cr.initial_runs;
-      result.merge_passes = cr.merge_passes;
       return result;
     }
     case SortStrategy::kBalancedKWay: {

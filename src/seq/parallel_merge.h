@@ -71,7 +71,7 @@ struct MergePiece {
 
 /// Knobs for the in-node merge.  threads == 1 is the serial tree verbatim;
 /// 0 resolves to min(hardware_concurrency, 8).  The parallel path also
-/// requires an exact KeyCodec with std::less, bulk transfers, at least
+/// requires an exact KeyCodec with std::less, at least
 /// min_parallel_records of input, and no active disk fault plan — anything
 /// else falls back to serial.  Strips bound worker buffer memory: the
 /// output range is processed strip_records at a time, each strip split
@@ -449,8 +449,8 @@ MergeResult merge_pieces(pdm::Disk& disk, const std::vector<MergePiece>& pieces,
 
   const u32 threads = resolve_merge_threads(tuning.threads);
   if constexpr (LoserTree<T, detail::RawReader<T>, Less>::kKeyCached) {
-    if (threads > 1 && disk.params().bulk_transfers &&
-        total >= tuning.min_parallel_records && !disk.disk_faults_active()) {
+    if (threads > 1 && total >= tuning.min_parallel_records &&
+        !disk.disk_faults_active()) {
       return detail::merge_pieces_parallel<T, Less>(disk, pieces, out, meter,
                                                     total, threads, tuning);
     }
@@ -473,17 +473,7 @@ MergeResult merge_pieces(pdm::Disk& disk, const std::vector<MergePiece>& pieces,
   sources.reserve(cursors.size());
   for (auto& c : cursors) sources.push_back(&c);
   LoserTree<T, RunCursor<T>, Less> tree(std::move(sources), less, &meter);
-  u64 merged = 0;
-  if (disk.params().bulk_transfers) {
-    merged = tree.pop_run_into(out);
-  } else {
-    while (const T* top = tree.peek()) {
-      out.push(*top);
-      tree.pop_discard();
-      ++merged;
-    }
-  }
-  result.merged = merged;
+  result.merged = tree.pop_run_into(out);
   result.tail_compares = tree.take_unreported();
   return result;
 }

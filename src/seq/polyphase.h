@@ -277,16 +277,7 @@ PolyphaseResult polyphase_sort(pdm::Disk& disk, const std::string& input,
       LoserTree<T, RunCursor<T>, Less> tree(std::move(sources), less, &meter);
       pdm::BlockWriter<T>& sink =
           final_phase ? *final_writer : out_tape.writer();
-      u64 merged = 0;
-      if (disk.params().bulk_transfers) {
-        merged = tree.pop_run_into(sink);
-      } else {
-        while (const T* top = tree.peek()) {
-          sink.push(*top);
-          tree.pop_discard();
-          ++merged;
-        }
-      }
+      const u64 merged = tree.pop_run_into(sink);
       meter.on_moves(merged);
       if (!final_phase) out_tape.append_run_length(merged);
     }

@@ -56,24 +56,18 @@ StripedSortResult striped_sort(pdm::StripedVolume& volume,
   {
     pdm::StripedReader<T> reader(volume, input);
     result.records = reader.size_records();
-    const bool bulk = volume.disk(0).params().bulk_transfers;
     std::vector<T> buffer(memory_records);
     u64 run_index = 0;
     for (;;) {
+      // Fill the workspace block-at-a-time from the stripes' buffers.
       u64 got = 0;
-      if (bulk) {
-        // Fill the workspace block-at-a-time from the stripes' buffers.
-        while (got < memory_records) {
-          const std::span<const T> chunk = reader.buffered();
-          if (chunk.empty()) break;
-          const u64 take = std::min<u64>(chunk.size(), memory_records - got);
-          std::memcpy(buffer.data() + got, chunk.data(), take * sizeof(T));
-          reader.advance_n(take);
-          got += take;
-        }
-      } else {
-        T v;
-        while (got < memory_records && reader.next(v)) buffer[got++] = v;
+      while (got < memory_records) {
+        const std::span<const T> chunk = reader.buffered();
+        if (chunk.empty()) break;
+        const u64 take = std::min<u64>(chunk.size(), memory_records - got);
+        std::memcpy(buffer.data() + got, chunk.data(), take * sizeof(T));
+        reader.advance_n(take);
+        got += take;
       }
       if (got == 0) break;
       metered_sort(std::span<T>(buffer.data(), got), meter, less);
@@ -122,16 +116,7 @@ StripedSortResult striped_sort(pdm::StripedVolume& volume,
               ? output
               : output + ".srun" + std::to_string(next_run_index++);
       pdm::StripedWriter<T> writer(volume, out_name);
-      u64 merged = 0;
-      if (volume.disk(0).params().bulk_transfers) {
-        merged = tree.pop_run_into(writer);
-      } else {
-        while (const T* top = tree.peek()) {
-          writer.push(*top);
-          tree.pop_discard();
-          ++merged;
-        }
-      }
+      const u64 merged = tree.pop_run_into(writer);
       writer.flush();
       meter.on_moves(merged);
       if (!final_pass) next_runs.push_back(Run{out_name, merged});

@@ -9,9 +9,7 @@
 // docs/ALGORITHM.md, re-entered per job.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "base/types.h"
@@ -44,12 +42,6 @@ inline const char* to_string(SchedulePolicy p) {
   }
   PALADIN_UNREACHABLE();
 }
-
-/// Name → policy, or nullopt for an unknown name.
-std::optional<SchedulePolicy> try_parse_policy(std::string_view name);
-
-/// Comma-separated valid policy names, for --help and error messages.
-std::string policy_names();
 
 /// One sort request.  Everything the service does with it is a pure
 /// function of this struct plus the service seed (docs/SERVICE.md §5).

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -18,25 +19,6 @@
 #include "workload/generators.h"
 
 namespace paladin::service {
-
-// ---------------------------------------------------------------------------
-// Policy names.
-
-std::optional<SchedulePolicy> try_parse_policy(std::string_view name) {
-  for (const SchedulePolicy p : kAllPolicies) {
-    if (name == to_string(p)) return p;
-  }
-  return std::nullopt;
-}
-
-std::string policy_names() {
-  std::string names;
-  for (const SchedulePolicy p : kAllPolicies) {
-    if (!names.empty()) names += ", ";
-    names += to_string(p);
-  }
-  return names;
-}
 
 // ---------------------------------------------------------------------------
 // Admission.

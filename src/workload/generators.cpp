@@ -45,22 +45,6 @@ const char* to_string(Dist dist) {
   PALADIN_UNREACHABLE();
 }
 
-std::optional<Dist> try_parse_dist(std::string_view name) {
-  for (const Dist d : kAllDists) {
-    if (name == to_string(d)) return d;
-  }
-  return std::nullopt;
-}
-
-std::string dist_names() {
-  std::string names;
-  for (const Dist d : kAllDists) {
-    if (!names.empty()) names += ", ";
-    names += to_string(d);
-  }
-  return names;
-}
-
 std::vector<DefaultKey> generate_share(const WorkloadSpec& spec, u32 node,
                                        u64 offset, u64 count) {
   PALADIN_EXPECTS(spec.node_count >= 1);

@@ -7,10 +7,8 @@
 // of (spec, node, offset) so any node can produce its slice independently.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "base/rng.h"
@@ -52,12 +50,6 @@ inline constexpr Dist kAllDists[] = {
 };
 
 const char* to_string(Dist dist);
-
-/// Name → distribution, or nullopt for an unknown name.
-std::optional<Dist> try_parse_dist(std::string_view name);
-
-/// Comma-separated list of valid distribution names, for error messages.
-std::string dist_names();
 
 struct WorkloadSpec {
   Dist dist = Dist::kUniform;

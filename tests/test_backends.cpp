@@ -212,23 +212,5 @@ TEST(Backends, ExtMultiwayToleratesNonAdmissibleShares) {
   EXPECT_EQ(output, input);
 }
 
-// parse_algorithm round-trips every name; unknown names violate the
-// contract with a message listing the valid ones.
-TEST(Backends, AlgorithmNamesParseAndRoundTrip) {
-  for (const ParallelSortAlgorithm a : kAllAlgorithms) {
-    EXPECT_EQ(parse_algorithm(to_string(a)), a);
-  }
-  EXPECT_FALSE(try_parse_algorithm("quick-sort").has_value());
-  try {
-    parse_algorithm("quick-sort");
-    FAIL() << "expected ContractViolation";
-  } catch (const ContractViolation& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("quick-sort"), std::string::npos);
-    EXPECT_NE(what.find("ext-psrs"), std::string::npos);
-    EXPECT_NE(what.find("ext-multiway"), std::string::npos);
-  }
-}
-
 }  // namespace
 }  // namespace paladin::core

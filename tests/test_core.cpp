@@ -225,8 +225,9 @@ TEST(PartitionFile, SeekVariantMatchesScanBitForBit) {
 
     disk.reset_stats();
     CountingMeter seek_meter;
-    const auto seek_sizes = partition_sorted_file_seek<u32>(
-        disk, "s", "seek", std::span<const u32>(pivots), seek_meter);
+    const auto seek_sizes = partition_sorted_file<u32>(
+        disk, "s", "seek", std::span<const u32>(pivots), seek_meter, {},
+        /*boundary_seek=*/true);
     const u64 seek_ios = disk.stats().total_block_ios();
 
     EXPECT_EQ(seek_sizes, scan_sizes);
@@ -238,6 +239,14 @@ TEST(PartitionFile, SeekVariantMatchesScanBitForBit) {
     EXPECT_EQ(seek_ios, scan_ios);
     EXPECT_EQ(seek_meter.moves, scan_meter.moves);
     EXPECT_LE(seek_meter.compares, scan_meter.compares);
+    // The scan bill: one comparison per record outside the last partition
+    // plus one per pivot the stream advances past.
+    u32 last_home = 0;
+    for (u32 j = 0; j < scan_sizes.size(); ++j) {
+      if (scan_sizes[j] > 0) last_home = j;
+    }
+    EXPECT_EQ(scan_meter.compares,
+              sorted.size() - scan_sizes.back() + last_home);
   }
 }
 

@@ -1,10 +1,10 @@
-// Equivalence of the I/O fast paths (DESIGN.md §7): the bulk-transfer
-// memcpy paths and the overlapped (read-ahead / write-behind) mode must be
-// *exactly* the per-record synchronous implementation as far as the model
-// can see — byte-identical output files, identical IoStats block/byte
-// counts, identical metered comparisons and moves, and bit-identical
-// accumulated cost-sink seconds (charge order matters under floating-point
-// addition).  Only wall-clock time may differ.
+// Equivalence of the transfer schedules (DESIGN.md §7): overlapped I/O
+// (read-ahead / write-behind on real files) must be *exactly* synchronous
+// I/O on an in-memory disk as far as the model can see — byte-identical
+// output files, identical IoStats block/byte counts, identical metered
+// comparisons and moves, and bit-identical accumulated cost-sink seconds
+// (charge order matters under floating-point addition).  Only wall-clock
+// time may differ.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -57,16 +57,11 @@ struct IoModeCase {
   const char* label;
   bool posix;  ///< real files (required for overlapped I/O)
   pdm::IoMode io_mode;
-  bool bulk;
 };
 
-constexpr IoModeCase kBaseline{"sync-perrecord-mem", false, pdm::IoMode::kSync,
-                               false};
-constexpr IoModeCase kVariants[] = {
-    {"sync-bulk-mem", false, pdm::IoMode::kSync, true},
-    {"overlapped-perrecord-posix", true, pdm::IoMode::kOverlapped, false},
-    {"overlapped-bulk-posix", true, pdm::IoMode::kOverlapped, true},
-};
+constexpr IoModeCase kBaseline{"sync-mem", false, pdm::IoMode::kSync};
+constexpr IoModeCase kOverlappedPosix{"overlapped-posix", true,
+                                      pdm::IoMode::kOverlapped};
 
 /// Everything the simulation model observes about one run.
 struct Observed {
@@ -120,18 +115,19 @@ class ScratchDir {
 pdm::Disk make_disk(const IoModeCase& mode, pdm::DiskParams params,
                     const ScratchDir& dir) {
   params.io_mode = mode.io_mode;
-  params.bulk_transfers = mode.bulk;
   return mode.posix ? pdm::Disk::posix(dir.path(), params)
                     : pdm::Disk::in_memory(params);
 }
 
 // ---------------------------------------------------------------------
-// Sequential external sorts: all three strategies, all distributions
+// Sequential external sorts: both strategies × both run formations, every
+// distribution
 // ---------------------------------------------------------------------
 
 struct SeqEqCase {
   Dist dist;
   seq::SortStrategy strategy;
+  seq::RunFormation run_formation = seq::RunFormation::kLoadSortStore;
 };
 
 void PrintTo(const SeqEqCase& c, std::ostream* os) {
@@ -151,6 +147,7 @@ Observed run_seq(const SeqEqCase& c, const IoModeCase& mode,
   CountingMeter meter;
   seq::ExternalSortConfig config;
   config.strategy = c.strategy;
+  config.run_formation = c.run_formation;
   config.memory_records = 512;
   config.allow_in_memory = false;
   seq::external_sort<u32>(disk, "in", "out", config, meter);
@@ -175,29 +172,34 @@ TEST_P(SeqIoEquivalence, AllModesObservationallyIdentical) {
   // Sanity: the baseline really sorted.
   EXPECT_TRUE(std::is_sorted(base.output.begin(), base.output.end()));
   EXPECT_EQ(base.output.size(), input.size());
-  for (const IoModeCase& mode : kVariants) {
-    expect_identical(base, run_seq(c, mode, params, input), mode.label);
-  }
+  expect_identical(base, run_seq(c, kOverlappedPosix, params, input),
+                   kOverlappedPosix.label);
 }
 
-std::vector<SeqEqCase> seq_eq_cases() {
+std::vector<SeqEqCase> seq_eq_cases(seq::RunFormation run_formation) {
   std::vector<SeqEqCase> out;
-  for (Dist dist : workload::kAllBenchmarks) {
+  for (Dist dist : workload::kAllDists) {
     for (auto strategy :
-         {seq::SortStrategy::kPolyphase, seq::SortStrategy::kBalancedKWay,
-          seq::SortStrategy::kCascade}) {
-      out.push_back(SeqEqCase{dist, strategy});
+         {seq::SortStrategy::kPolyphase, seq::SortStrategy::kBalancedKWay}) {
+      out.push_back(SeqEqCase{dist, strategy, run_formation});
     }
   }
   return out;
 }
 
+// Load-sort-store moves whole loads with read_span / push_span.
 INSTANTIATE_TEST_SUITE_P(AllDistributions, SeqIoEquivalence,
-                         ::testing::ValuesIn(seq_eq_cases()));
+                         ::testing::ValuesIn(seq_eq_cases(
+                             seq::RunFormation::kLoadSortStore)));
+// Replacement selection reads and writes one record per call (next / push)
+// through the same block buffers.
+INSTANTIATE_TEST_SUITE_P(ReplacementSelection, SeqIoEquivalence,
+                         ::testing::ValuesIn(seq_eq_cases(
+                             seq::RunFormation::kReplacementSelection)));
 
 // Records that do not tile the block (30-byte blocks, 4-byte records →
-// 7 records/block, 28 of 30 bytes used) force the bulk paths onto their
-// one-record-block-at-a-time chunking; accounting must still match.
+// 7 records/block, 28 of 30 bytes used) force the span transfers onto
+// their one-record-block-at-a-time chunking; accounting must still match.
 TEST(SeqIoEquivalenceEdge, InexactRecordBlockFit) {
   pdm::DiskParams params;
   params.block_bytes = 30;
@@ -205,9 +207,8 @@ TEST(SeqIoEquivalenceEdge, InexactRecordBlockFit) {
   const SeqEqCase c{Dist::kUniform, seq::SortStrategy::kPolyphase};
 
   const Observed base = run_seq(c, kBaseline, params, input);
-  for (const IoModeCase& mode : kVariants) {
-    expect_identical(base, run_seq(c, mode, params, input), mode.label);
-  }
+  expect_identical(base, run_seq(c, kOverlappedPosix, params, input),
+                   kOverlappedPosix.label);
 }
 
 // ---------------------------------------------------------------------
@@ -217,7 +218,6 @@ TEST(SeqIoEquivalenceEdge, InexactRecordBlockFit) {
 Observed run_striped(Dist dist, const IoModeCase& mode,
                      pdm::DiskParams params, const std::vector<u32>& input) {
   params.io_mode = mode.io_mode;
-  params.bulk_transfers = mode.bulk;
   const u64 d = 3;
   ScratchDir dir(std::string("striped_") + workload::to_string(dist) + "_" +
                  mode.label);
@@ -269,16 +269,13 @@ TEST_P(StripedIoEquivalence, AllModesObservationallyIdentical) {
   const Observed base = run_striped(dist, kBaseline, params, input);
   EXPECT_TRUE(std::is_sorted(base.output.begin(), base.output.end()));
   EXPECT_EQ(base.output.size(), input.size());
-  for (const IoModeCase& mode : kVariants) {
-    expect_identical(base, run_striped(dist, mode, params, input),
-                     mode.label);
-  }
+  expect_identical(base,
+                   run_striped(dist, kOverlappedPosix, params, input),
+                   kOverlappedPosix.label);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, StripedIoEquivalence,
-                         ::testing::ValuesIn(std::vector<Dist>(
-                             std::begin(workload::kAllBenchmarks),
-                             std::end(workload::kAllBenchmarks))));
+                         ::testing::ValuesIn(workload::kAllDists));
 
 // ---------------------------------------------------------------------
 // Full parallel pipeline: virtual makespan is a pure function of
@@ -290,15 +287,17 @@ struct PipelineRun {
   double makespan = 0.0;
 };
 
-PipelineRun run_pipeline(Dist dist, bool bulk, pdm::IoMode io_mode) {
+PipelineRun run_pipeline(Dist dist, const IoModeCase& mode) {
   PerfVector perf({4, 4, 1, 1});
   const u64 n = perf.round_up_admissible(12000);
 
+  ScratchDir dir(std::string("pipeline_") + workload::to_string(dist) + "_" +
+                 mode.label);
   ClusterConfig config;
   config.perf = {4, 4, 1, 1};
   config.disk.block_bytes = 256;
-  config.disk.bulk_transfers = bulk;
-  config.disk.io_mode = io_mode;
+  config.disk.io_mode = mode.io_mode;
+  if (mode.posix) config.workdir = dir.path();
   Cluster cluster(config);
 
   const auto input = make_input(dist, n, 4321);
@@ -324,19 +323,15 @@ class PipelineIoEquivalence : public ::testing::TestWithParam<Dist> {};
 
 TEST_P(PipelineIoEquivalence, MakespanIndependentOfTransferScheduling) {
   const Dist dist = GetParam();
-  const PipelineRun base = run_pipeline(dist, /*bulk=*/false,
-                                        pdm::IoMode::kSync);
-  const PipelineRun fast = run_pipeline(dist, /*bulk=*/true,
-                                        pdm::IoMode::kAuto);
-  EXPECT_EQ(base.output, fast.output);
+  const PipelineRun base = run_pipeline(dist, kBaseline);
+  const PipelineRun overlapped = run_pipeline(dist, kOverlappedPosix);
+  EXPECT_EQ(base.output, overlapped.output);
   // Bit-identical simulated execution time.
-  EXPECT_EQ(base.makespan, fast.makespan);
+  EXPECT_EQ(base.makespan, overlapped.makespan);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, PipelineIoEquivalence,
-                         ::testing::ValuesIn(std::vector<Dist>(
-                             std::begin(workload::kAllBenchmarks),
-                             std::end(workload::kAllBenchmarks))));
+                         ::testing::ValuesIn(workload::kAllDists));
 
 }  // namespace
 }  // namespace paladin

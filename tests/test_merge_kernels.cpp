@@ -518,7 +518,6 @@ DiskObserved run_disk_merge(Dist dist, u64 n, u32 k,
   ScratchDir dir(std::string("d") + std::to_string(static_cast<int>(dist)));
   pdm::DiskParams params = pdm::DiskParams::fast();
   params.io_mode = mode.io_mode;
-  params.bulk_transfers = true;
   pdm::Disk disk = mode.posix ? pdm::Disk::posix(dir.path(), params)
                               : pdm::Disk::in_memory(params);
 
@@ -608,48 +607,6 @@ TEST(MergeKernels, ParallelMergeIsDeterministicAcrossRuns) {
   const DiskObserved auto_sized =
       run_disk_merge(Dist::kDuplicates, 12000, 6, mode, tuned(0));
   expect_disk_identical(a, auto_sized, "auto threads");
-}
-
-TEST(MergeKernels, ParallelTuningIsInertOffTheFastPath) {
-  // bulk_transfers off forces the serial engine even with threads > 1; the
-  // tuning knob must be a no-op there.
-  ScratchDir dir("nobulk");
-  pdm::DiskParams params = pdm::DiskParams::fast();
-  params.bulk_transfers = false;
-  auto run = [&](u32 threads) {
-    pdm::Disk disk = pdm::Disk::in_memory(params);
-    const auto keys = make_input(Dist::kUniform, 4000, /*seed=*/5);
-    const auto runs = make_runs(keys, 4);
-    seq::RunLayout layout;
-    {
-      pdm::BlockFile f = disk.create("runs");
-      pdm::BlockWriter<u32> w(f);
-      for (const auto& r : runs) {
-        for (u32 v : r) w.push(v);
-        layout.run_lengths.push_back(r.size());
-        layout.total_records += r.size();
-      }
-      w.flush();
-    }
-    DiskObserved obs;
-    disk.set_cost_sink([&obs](double s) {
-      obs.events.push_back({'i', std::bit_cast<u64>(s)});
-    });
-    EventMeter meter(obs.events);
-    pdm::BlockFile out = disk.create("out");
-    pdm::BlockWriter<u32> w(out);
-    obs.merged = seq::merge_run_group<u32>(disk, "runs", layout, 0, 4, w,
-                                           meter, std::less<u32>{},
-                                           tuned(threads));
-    w.flush();
-    obs.stats = disk.stats();
-    return obs;
-  };
-  const DiskObserved serial = run(1);
-  const DiskObserved par = run(8);
-  EXPECT_EQ(serial.merged, par.merged);
-  EXPECT_EQ(serial.events, par.events);
-  EXPECT_EQ(serial.stats.blocks_read, par.stats.blocks_read);
 }
 
 }  // namespace

@@ -2,8 +2,16 @@
 // typed buffered I/O, striped volumes and the PDM bound arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <numeric>
+#include <optional>
+#include <span>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "base/math_util.h"
 #include "base/rng.h"
 #include "base/temp_dir.h"
 #include "pdm/disk.h"
@@ -117,6 +125,96 @@ TEST(IoAccounting, CostSinkChargedPerBlock) {
   write_file<u32>(disk, "f", std::span<const u32>(data));
   EXPECT_NEAR(charged, 2 * disk.params().block_cost_seconds(), 1e-12);
 }
+
+/// Writes a file through alternating runs of push and push_span, then reads
+/// it back through alternating runs of next and read_span.  Spans start at
+/// unaligned record offsets and some cover more than kMaxBulkBlocks blocks.
+/// However the calls batch their transfers, a sequential stream of n
+/// records costs one transfer per record-block, ⌈n / records_per_block⌉,
+/// in each direction, and the cost sink is called once per block.
+template <typename T>
+void expect_mixed_transfers_match_formula(u64 block_bytes, bool overlapped) {
+  DiskParams params;
+  params.block_bytes = block_bytes;
+  params.io_mode = overlapped ? IoMode::kOverlapped : IoMode::kSync;
+  std::optional<ScopedTempDir> dir;
+  if (overlapped) dir.emplace("pdm-accounting");
+  Disk disk = overlapped ? Disk::posix(dir->path(), params)
+                         : Disk::in_memory(params);
+  u64 sink_calls = 0;
+  disk.set_cost_sink([&](double) { ++sink_calls; });
+
+  const u64 rpb = params.records_per_block(sizeof(T));
+  ASSERT_GE(rpb, 1u);
+  const u64 longer = (kMaxBulkBlocks + 2) * rpb + 1;
+  // Run lengths, used in turn; even positions are single-record calls.
+  const u64 runs[] = {1, longer, 3, rpb + 2, 1, 2 * longer, rpb - 1, 5};
+  const u64 n = 5 * longer + rpb / 2 + 3;
+  std::vector<T> data(n);
+  std::iota(data.begin(), data.end(), T{11});
+  const u64 blocks = ceil_div(n, rpb);
+
+  {
+    BlockFile f = disk.create("f");
+    BlockWriter<T> w(f);
+    for (u64 pos = 0, k = 0; pos < n; ++k) {
+      const u64 take = std::min(n - pos, runs[k % std::size(runs)]);
+      if (k % 2 == 0) {
+        for (u64 i = 0; i < take; ++i) w.push(data[pos + i]);
+      } else {
+        w.push_span(std::span<const T>(data).subspan(pos, take));
+      }
+      pos += take;
+    }
+    w.flush();
+  }
+  EXPECT_EQ(disk.stats().blocks_written, blocks);
+  EXPECT_EQ(disk.stats().bytes_written, n * sizeof(T));
+  EXPECT_EQ(sink_calls, blocks);
+
+  std::vector<T> back(n);
+  {
+    BlockFile f = disk.open("f");
+    BlockReader<T> r(f);
+    for (u64 pos = 0, k = 0; pos < n; ++k) {
+      const u64 take = std::min(n - pos, runs[(k + 3) % std::size(runs)]);
+      if (k % 2 == 0) {
+        for (u64 i = 0; i < take; ++i) ASSERT_TRUE(r.next(back[pos + i]));
+      } else {
+        ASSERT_EQ(r.read_span(std::span<T>(back).subspan(pos, take)), take);
+      }
+      pos += take;
+    }
+    EXPECT_TRUE(r.done());
+  }
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(disk.stats().blocks_read, blocks);
+  EXPECT_EQ(disk.stats().bytes_read, n * sizeof(T));
+  EXPECT_EQ(sink_calls, 2 * blocks);
+}
+
+/// (block bytes, record bytes, overlapped on real files or sync in memory).
+class MixedTransferAccounting
+    : public ::testing::TestWithParam<std::tuple<u64, u64, bool>> {};
+
+TEST_P(MixedTransferAccounting, BlocksBytesAndSinkCallsMatchFormula) {
+  const auto [block_bytes, record_bytes, overlapped] = GetParam();
+  if (record_bytes == sizeof(u32)) {
+    expect_mixed_transfers_match_formula<u32>(block_bytes, overlapped);
+  } else {
+    expect_mixed_transfers_match_formula<u64>(block_bytes, overlapped);
+  }
+}
+
+// Records per block (u32 / u64): 8 → 2 / 1, 30 → 7 / 3 with slack,
+// 128 → 32 / 16, 4090 → 1022 / 511 with slack, 4096 → 1024 / 512.  Spans
+// over blocks the records tile batch up to kMaxBulkBlocks blocks per
+// transfer; over blocks with slack they transfer one block at a time.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, MixedTransferAccounting,
+    ::testing::Combine(::testing::Values<u64>(8, 30, 128, 4090, 4096),
+                       ::testing::Values<u64>(sizeof(u32), sizeof(u64)),
+                       ::testing::Bool()));
 
 TEST(IoAccounting, StatsDifferenceOperator) {
   IoStats a{10, 5, 100, 50, 2, 1};

@@ -113,7 +113,7 @@ u64 trace_counter(const obs::NodeTrace& node, std::string_view name) {
 }
 
 // ---------------------------------------------------------------------
-// Bit-identical output + I/O bound, across all benchmark distributions
+// Bit-identical output + I/O bound, across every input distribution
 // ---------------------------------------------------------------------
 
 class PipelineVsPhased : public ::testing::TestWithParam<Dist> {};
@@ -147,7 +147,7 @@ TEST_P(PipelineVsPhased, OutputBitIdenticalAndIoBounded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, PipelineVsPhased,
-                         ::testing::ValuesIn(workload::kAllBenchmarks),
+                         ::testing::ValuesIn(workload::kAllDists),
                          [](const auto& info) {
                            std::string name = workload::to_string(info.param);
                            for (char& c : name) {

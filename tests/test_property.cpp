@@ -1,5 +1,5 @@
 // Property tests: every sort in the library, against the std::sort oracle,
-// across the full benchmark input suite — sequential external sorts (both
+// across every input generator — sequential external sorts (both
 // strategies × both run formations), the striped D-disk sort, and the full
 // scatter → parallel-sort → gather round trip.
 #include <gtest/gtest.h>
@@ -87,10 +87,9 @@ TEST_P(SeqOracle, MatchesStdSort) {
 
 std::vector<SeqCase> seq_cases() {
   std::vector<SeqCase> out;
-  for (Dist dist : workload::kAllBenchmarks) {
+  for (Dist dist : workload::kAllDists) {
     for (auto strategy :
-         {seq::SortStrategy::kPolyphase, seq::SortStrategy::kBalancedKWay,
-          seq::SortStrategy::kCascade}) {
+         {seq::SortStrategy::kPolyphase, seq::SortStrategy::kBalancedKWay}) {
       for (auto rf : {seq::RunFormation::kLoadSortStore,
                       seq::RunFormation::kReplacementSelection}) {
         out.push_back(SeqCase{dist, strategy, rf});
@@ -145,7 +144,7 @@ TEST_P(StripedOracle, MatchesStdSort) {
 
 std::vector<StripedCase> striped_cases() {
   std::vector<StripedCase> out;
-  for (Dist dist : workload::kAllBenchmarks) {
+  for (Dist dist : workload::kAllDists) {
     out.push_back(StripedCase{dist, 3});
   }
   out.push_back(StripedCase{Dist::kUniform, 1});
@@ -199,9 +198,7 @@ TEST_P(EndToEndOracle, ScatterSortGatherEqualsStdSort) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, EndToEndOracle,
-                         ::testing::ValuesIn(std::vector<Dist>(
-                             std::begin(workload::kAllBenchmarks),
-                             std::end(workload::kAllBenchmarks))));
+                         ::testing::ValuesIn(workload::kAllDists));
 
 // ---------------------------------------------------------------------
 // Scatter/gather unit behaviour
@@ -314,9 +311,7 @@ TEST_P(ExternalInCoreAgreement, IdenticalPerNodeSlices) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, ExternalInCoreAgreement,
-                         ::testing::ValuesIn(std::vector<Dist>(
-                             std::begin(workload::kAllBenchmarks),
-                             std::end(workload::kAllBenchmarks))));
+                         ::testing::ValuesIn(workload::kAllDists));
 
 // ---------------------------------------------------------------------
 // Pipelined path: randomized (seed, p, perf, B, m) sweep.  Each drawn

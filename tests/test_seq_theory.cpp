@@ -13,7 +13,6 @@
 #include "seq/cursors.h"
 #include "seq/external_sort.h"
 #include "seq/loser_tree.h"
-#include "seq/cascade.h"
 #include "seq/polyphase.h"
 
 namespace paladin::seq {
@@ -325,91 +324,6 @@ TEST(LinearSpace, BalancedKWayPeakFootprintIsLinear) {
   NullMeter meter;
   external_sort<u32>(disk, "in", "out", config, meter);
   EXPECT_LE(peak, 4 * n * sizeof(u32));
-}
-
-
-// ---------------------------------------------------------------------
-// Cascade merge sort
-// ---------------------------------------------------------------------
-
-TEST(Cascade, DistributionNumbersMatchKnuth) {
-  // T = 3 (k = 2) coincides with polyphase's Fibonacci numbers.
-  EXPECT_EQ(detail::cascade_distribution(2, 2), (std::vector<u64>{1, 1}));
-  EXPECT_EQ(detail::cascade_distribution(5, 2), (std::vector<u64>{3, 2}));
-  EXPECT_EQ(detail::cascade_distribution(13, 2), (std::vector<u64>{8, 5}));
-  // T = 4 (k = 3): totals 1, 3, 6, 14, 31 — the cascade numbers.
-  EXPECT_EQ(detail::cascade_distribution(3, 3), (std::vector<u64>{1, 1, 1}));
-  EXPECT_EQ(detail::cascade_distribution(6, 3), (std::vector<u64>{3, 2, 1}));
-  EXPECT_EQ(detail::cascade_distribution(14, 3), (std::vector<u64>{6, 5, 3}));
-  EXPECT_EQ(detail::cascade_distribution(31, 3),
-            (std::vector<u64>{14, 11, 6}));
-}
-
-class CascadeSweep : public ::testing::TestWithParam<std::tuple<u64, u32>> {};
-
-TEST_P(CascadeSweep, SortsToAPermutation) {
-  const u64 records = std::get<0>(GetParam());
-  const u32 tapes = std::get<1>(GetParam());
-  pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
-  const auto input = random_keys(records, records * 31 + tapes);
-  pdm::write_file<u32>(disk, "in", std::span<const u32>(input));
-
-  CascadeConfig config;
-  config.memory_records = 16 * tapes;  // one block buffer per tape
-  config.tape_count = tapes;
-  NullMeter meter;
-  const auto result = cascade_sort<u32>(disk, "in", "out", config, meter);
-  EXPECT_EQ(result.records, records);
-
-  auto expected = input;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(pdm::read_file<u32>(disk, "out"), expected)
-      << "records=" << records << " tapes=" << tapes;
-
-  // Scratch tapes cleaned up.
-  for (u32 i = 0; i < tapes; ++i) {
-    EXPECT_FALSE(disk.exists("out.ctape" + std::to_string(i)));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, CascadeSweep,
-    ::testing::Combine(::testing::Values(0, 1, 63, 64, 65, 1000, 5000, 20000),
-                       ::testing::Values(3, 4, 6)));
-
-TEST(Cascade, PassCountTracksCascadeLevels) {
-  // 31 runs on 4 tapes is the exact level-4 cascade total → 4 passes.
-  pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
-  const u64 memory = 64;  // 4 block buffers — the 4-tape minimum
-  const auto input = random_keys(31 * memory, 9);
-  pdm::write_file<u32>(disk, "in", std::span<const u32>(input));
-  CascadeConfig config;
-  config.memory_records = memory;
-  config.tape_count = 4;
-  NullMeter meter;
-  const auto result = cascade_sort<u32>(disk, "in", "out", config, meter);
-  EXPECT_EQ(result.initial_runs, 31u);
-  EXPECT_EQ(result.merge_passes, 4u);
-  auto expected = input;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(pdm::read_file<u32>(disk, "out"), expected);
-}
-
-TEST(Cascade, FacadeDispatchesCascadeStrategy) {
-  pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
-  const auto input = random_keys(4000, 21);
-  pdm::write_file<u32>(disk, "in", std::span<const u32>(input));
-  ExternalSortConfig config;
-  config.strategy = SortStrategy::kCascade;
-  config.memory_records = 128;
-  config.tape_count = 6;
-  config.allow_in_memory = false;
-  NullMeter meter;
-  const auto result = external_sort<u32>(disk, "in", "out", config, meter);
-  EXPECT_GT(result.initial_runs, 1u);
-  auto expected = input;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(pdm::read_file<u32>(disk, "out"), expected);
 }
 
 }  // namespace

@@ -17,11 +17,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "base/enum_names.h"
 #include "core/sort_driver.h"
+#include "core/splitter_tree.h"
 #include "core/verify.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
@@ -57,15 +61,28 @@ JobSpec small_job(u64 id, u64 records, double arrival = 0.0) {
   return j;
 }
 
-TEST(ServiceJob, PolicyNamesRoundTrip) {
-  for (const SchedulePolicy p : kAllPolicies) {
-    const auto back = try_parse_policy(to_string(p));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, p);
+/// Every value of `all` parses back from its name and appears in the name
+/// list; `unknown` is rejected.
+template <typename E, std::size_t N>
+void expect_names_round_trip(const E (&all)[N], std::string_view unknown) {
+  const std::string names = enum_names(all);
+  for (const E e : all) {
+    const auto back = parse_enum(all, to_string(e));
+    ASSERT_TRUE(back.has_value()) << to_string(e);
+    EXPECT_EQ(*back, e);
+    EXPECT_NE(names.find(to_string(e)), std::string::npos) << names;
   }
-  EXPECT_FALSE(try_parse_policy("round-robin").has_value());
-  EXPECT_NE(policy_names().find("fifo"), std::string::npos);
-  EXPECT_NE(policy_names().find("fair-share"), std::string::npos);
+  EXPECT_EQ(std::count(names.begin(), names.end(), ','),
+            static_cast<std::ptrdiff_t>(N - 1))
+      << names;
+  EXPECT_FALSE(parse_enum(all, unknown).has_value()) << unknown;
+}
+
+TEST(EnumNames, EveryUserFacingEnumRoundTrips) {
+  expect_names_round_trip(core::kAllAlgorithms, "quick-sort");
+  expect_names_round_trip(core::kAllSplitterStrategies, "pyramid");
+  expect_names_round_trip(workload::kAllDists, "bimodal");
+  expect_names_round_trip(kAllPolicies, "round-robin");
 }
 
 TEST(ServiceJob, AdmissionRejectsAndNormalizes) {

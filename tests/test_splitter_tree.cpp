@@ -46,18 +46,6 @@ using workload::WorkloadSpec;
 // ---------------------------------------------------------------------
 // Config helpers.
 
-TEST(SplitterTree, StrategyNamesRoundTrip) {
-  for (const SplitterStrategy s :
-       {SplitterStrategy::kAuto, SplitterStrategy::kFlat,
-        SplitterStrategy::kTree}) {
-    SplitterStrategy parsed{};
-    ASSERT_TRUE(try_parse_splitter_strategy(to_string(s), parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  SplitterStrategy parsed{};
-  EXPECT_FALSE(try_parse_splitter_strategy("pyramid", parsed));
-}
-
 TEST(SplitterTree, AutoHeuristicAndGeometry) {
   SplitterConfig cfg;  // defaults: auto, threshold 32
   EXPECT_FALSE(splitter_uses_tree(cfg, 1));
