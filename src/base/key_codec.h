@@ -10,10 +10,11 @@
 //  * kEncodable — encode() exists and is monotone: a < b  ⇒  enc(a) < enc(b).
 //    Enough for prefetch hints and gallop pre-filters.
 //  * kExact     — additionally enc(a) == enc(b)  ⇔  neither a < b nor b < a.
-//    Enough to *replace* the comparator outright: the key-cached tree and
-//    the parallel merge's splitter bisection are only enabled when the
-//    codec is exact AND the comparator is std::less<T> (a custom comparator
-//    may order the same bytes differently).
+//    Enough to *replace* the comparator outright when the comparator is
+//    std::less<T> (a custom comparator may order the same bytes
+//    differently): key_codec_replaces_less() is that one test, and the
+//    key-cached loser tree, the parallel merge's splitter bisection and
+//    metered_sort's radix path are all gated on it.
 //
 // The primary template is the comparator fallback: not encodable, so every
 // consumer keeps calling Less.  Integral specializations are provided;
@@ -23,6 +24,7 @@
 #pragma once
 
 #include <concepts>
+#include <functional>
 #include <type_traits>
 
 #include "base/types.h"
@@ -68,6 +70,14 @@ struct KeyCodec<T> {
         static_cast<U>(e ^ (u64{1} << (sizeof(T) * 8 - 1))));
   }
 };
+
+/// True when the codec can stand in for `Less` outright: the image is exact
+/// and `Less` is std::less<T>, so ordering (and equality) by the u64 image
+/// is ordering by the comparator.
+template <typename T, typename Less>
+constexpr bool key_codec_replaces_less() {
+  return KeyCodec<T>::kExact && std::is_same_v<Less, std::less<T>>;
+}
 
 /// True when the codec is exact and its image fits 32 bits — the loser
 /// tree then packs (key, source index) into one u64 so a replay level is a

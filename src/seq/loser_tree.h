@@ -43,10 +43,8 @@ template <Record T, typename Source, typename Less = std::less<T>>
 class LoserTree {
  public:
   /// The cached-key fast mode: sound exactly when the u64 image reproduces
-  /// the comparator's order *and* equality (a custom Less could order the
-  /// same bytes differently, so it must be std::less).
-  static constexpr bool kKeyCached =
-      base::KeyCodec<T>::kExact && std::is_same_v<Less, std::less<T>>;
+  /// the comparator's order *and* equality.
+  static constexpr bool kKeyCached = base::key_codec_replaces_less<T, Less>();
 
   /// The single-u64 node layout: exact codec whose image fits 32 bits.
   static constexpr bool kPacked = kKeyCached && base::key_codec_packs32<T>();

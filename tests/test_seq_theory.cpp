@@ -1,10 +1,14 @@
 // Theory-level tests of the sequential machinery: polyphase phase counts
-// against the generalised-Fibonacci schedule, comparison-count envelopes,
-// custom orderings, and metering exactness.
+// against the generalised-Fibonacci schedule, the in-memory sort's charge
+// model and radix path, comparison-count envelopes, custom orderings, and
+// metering exactness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <numeric>
+#include <type_traits>
 
 #include "base/meter.h"
 #include "base/rng.h"
@@ -14,6 +18,8 @@
 #include "seq/external_sort.h"
 #include "seq/loser_tree.h"
 #include "seq/polyphase.h"
+#include "workload/datamation.h"
+#include "workload/generators.h"
 
 namespace paladin::seq {
 namespace {
@@ -132,20 +138,172 @@ TEST(PolyphaseTheory, SortsU64Records) {
 }
 
 // ---------------------------------------------------------------------
-// Comparison-count envelopes
+// In-memory sort charges (the (n, distinct keys) model) and comparison-
+// count envelopes
 // ---------------------------------------------------------------------
 
-TEST(Metering, MeteredSortComparisonsWithinIntrosortEnvelope) {
-  std::vector<u32> data = random_keys(10000, 8);
+// The in-memory sort model, written out independently of the library:
+// max(n − 1, ⌈1.21·n·⌈log2 d⌉⌉) compares for n records with d distinct
+// keys, in integer arithmetic.
+u64 model_compares(u64 n, u64 distinct) {
+  if (n == 0) return 0;
+  u64 levels = 0;
+  while ((u64{1} << levels) < distinct) ++levels;
+  return std::max(n - 1, (121 * n * levels + 99) / 100);
+}
+
+template <typename T, typename Less = std::less<T>>
+u64 distinct_keys(std::vector<T> v, Less less = {}) {
+  std::sort(v.begin(), v.end(), less);
+  auto equiv = [&less](const T& a, const T& b) {
+    return !less(a, b) && !less(b, a);
+  };
+  return static_cast<u64>(std::unique(v.begin(), v.end(), equiv) - v.begin());
+}
+
+class MeteredSortModel : public ::testing::TestWithParam<workload::Dist> {};
+
+TEST_P(MeteredSortModel, ChargeEqualsTheModelAtEverySize) {
+  for (u64 n : {u64{0}, u64{1}, u64{2}, u64{63}, u64{64}, u64{1000},
+                (u64{1} << 16) + 1}) {
+    workload::WorkloadSpec spec;
+    spec.dist = GetParam();
+    spec.total_records = n;
+    spec.seed = 31 + n;
+    std::vector<u32> data = workload::generate_share(spec, 0, 0, n);
+    std::vector<u32> expected = data;
+    std::sort(expected.begin(), expected.end());
+    const u64 distinct = distinct_keys(data);
+
+    CountingMeter meter;
+    metered_sort(std::span<u32>(data), meter);
+    EXPECT_EQ(data, expected) << "n=" << n;
+    EXPECT_EQ(meter.compares, model_compares(n, distinct)) << "n=" << n;
+    EXPECT_EQ(meter.moves, n);
+    if (GetParam() == workload::Dist::kZero && n > 0) {
+      EXPECT_EQ(meter.compares, n - 1) << "all-equal input, n=" << n;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDistributions, MeteredSortModel,
+                         ::testing::ValuesIn(workload::kAllDists),
+                         [](const auto& info) {
+                           std::string name = workload::to_string(info.param);
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
+TEST(Metering, MeteredSortChargeIgnoresInputOrder) {
+  workload::WorkloadSpec spec;
+  spec.dist = workload::Dist::kZipf;
+  spec.total_records = 5000;
+  const std::vector<u32> input = workload::generate_share(spec, 0, 0, 5000);
+  std::vector<u32> sorted = input;
+  std::sort(sorted.begin(), sorted.end());
+
+  CountingMeter reference;
+  std::vector<u32> data = input;
+  metered_sort(std::span<u32>(data), reference);
+  for (u64 seed = 1; seed <= 4; ++seed) {
+    std::vector<u32> permuted = input;
+    Xoshiro256 rng(seed);
+    for (u64 i = permuted.size(); i > 1; --i) {
+      std::swap(permuted[i - 1], permuted[rng.next_below(i)]);
+    }
+    for (const auto& order : {permuted, sorted}) {
+      CountingMeter meter;
+      std::vector<u32> copy = order;
+      metered_sort(std::span<u32>(copy), meter);
+      EXPECT_EQ(meter.compares, reference.compares) << "seed " << seed;
+      EXPECT_EQ(meter.moves, reference.moves);
+    }
+  }
+}
+
+// The radix path must reproduce std::sort byte for byte on both sides of
+// its cutoff, including inputs where some 8-bit digit never changes (the
+// pass is skipped) and signed inputs straddling zero.
+template <typename T>
+class RadixSortMatchesStdSort : public ::testing::Test {};
+
+using RadixKeyTypes = ::testing::Types<u32, u64, i32, i64>;
+TYPED_TEST_SUITE(RadixSortMatchesStdSort, RadixKeyTypes);
+
+TYPED_TEST(RadixSortMatchesStdSort, ByteIdentical) {
+  using T = TypeParam;
+  using U = std::make_unsigned_t<T>;
+  constexpr u32 kBits = sizeof(T) * 8;
+  const U low_byte = 0xFF;
+  const U high_byte = static_cast<U>(low_byte << (kBits - 8));
+  const U no_second_byte = static_cast<U>(~(low_byte << 8));
+  const std::pair<const char*, U> masks[] = {
+      {"full range", static_cast<U>(~U{0})},
+      {"low byte only", low_byte},
+      {"high byte only", high_byte},
+      {"second byte constant", no_second_byte},
+      {"all equal", U{0}},
+  };
+  for (u64 n : {u64{1}, u64{63}, u64{64}, u64{65}, u64{1000}, u64{70000}}) {
+    for (const auto& [name, mask] : masks) {
+      Xoshiro256 rng(n * 7 + mask);
+      std::vector<T> data(n);
+      for (T& v : data) {
+        v = static_cast<T>(static_cast<U>(rng.next()) & mask);
+      }
+      std::vector<T> expected = data;
+      std::sort(expected.begin(), expected.end());
+      CountingMeter meter;
+      metered_sort(std::span<T>(data), meter);
+      ASSERT_EQ(std::memcmp(data.data(), expected.data(), n * sizeof(T)), 0)
+          << name << ", n=" << n;
+      EXPECT_EQ(meter.compares, model_compares(n, distinct_keys(expected)))
+          << name << ", n=" << n;
+    }
+  }
+}
+
+// Comparator-only sorts keep std::sort (same comparisons, so the same
+// bytes as the counted sort they replace) and are priced by the same model.
+TEST(Metering, DatamationSortIsChargedByTheModel) {
+  using workload::DatamationLess;
+  using workload::DatamationRecord;
+  std::vector<DatamationRecord> input;
+  for (u64 i = 0; i < 3000; ++i) {
+    DatamationRecord r = workload::datamation_record(9, i);
+    if (i % 3 == 0) std::memset(r.key, 0x5A, sizeof(r.key));  // a heavy key
+    input.push_back(r);
+  }
+  std::vector<DatamationRecord> expected = input;
+  u64 counted = 0;
+  std::sort(expected.begin(), expected.end(),
+            CountingLess<DatamationLess>{DatamationLess{}, &counted});
+
+  std::vector<DatamationRecord> data = input;
   CountingMeter meter;
-  metered_sort(std::span<u32>(data), meter);
-  const double n = 10000;
-  // introsort: >= n-1 (already-sorted floor is ~n log n for random, but
-  // never below n-1), <= ~3 n log2 n.
-  EXPECT_GE(meter.compares, static_cast<u64>(n) - 1);
-  EXPECT_LE(meter.compares,
-            static_cast<u64>(3.0 * n * std::log2(n)));
-  EXPECT_EQ(meter.moves, 10000u);
+  metered_sort(std::span<DatamationRecord>(data), meter, DatamationLess{});
+  EXPECT_TRUE(std::is_sorted(data.begin(), data.end(), DatamationLess{}));
+  ASSERT_EQ(std::memcmp(data.data(), expected.data(),
+                        data.size() * sizeof(DatamationRecord)),
+            0);
+  EXPECT_EQ(meter.compares,
+            model_compares(input.size(), distinct_keys(input, DatamationLess{})));
+  EXPECT_EQ(meter.moves, input.size());
+}
+
+TEST(Metering, GreaterSortIsChargedByTheModel) {
+  std::vector<u32> data = random_keys(10000, 8);
+  for (u32& v : data) v %= 700;  // duplicates: d = 700 < n
+  std::vector<u32> expected = data;
+  std::sort(expected.begin(), expected.end(), std::greater<u32>{});
+  CountingMeter meter;
+  metered_sort(std::span<u32>(data), meter, std::greater<u32>{});
+  EXPECT_EQ(data, expected);
+  EXPECT_EQ(meter.compares,
+            model_compares(data.size(), distinct_keys(data, std::greater<u32>{})));
+  EXPECT_EQ(meter.moves, data.size());
 }
 
 TEST(Metering, ExternalSortChargesScaleWithInput) {
