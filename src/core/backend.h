@@ -13,10 +13,11 @@
 //    config) the shared phase helpers run against, plus a PhaseTimer that
 //    fills the per-phase time / block-I/O columns every report carries and
 //    the matching trace counter and snapshot;
-//  * shared phase helpers — the sampling / splitter-selection / routing /
-//    concatenation scaffolding that used to be re-implemented inside each
-//    ext_* header, hoisted here so the backends keep only their genuinely
-//    distinct logic;
+//  * shared phase helpers — the sampling / splitter-selection / routing
+//    scaffolding that used to be re-implemented inside each ext_* header,
+//    hoisted here so the backends keep only their genuinely distinct logic
+//    (the spill exchange and spill merge every backend shares live in
+//    core/redistribute.h and core/merge_files.h);
 //  * collect_sorted_output — the layout-aware gather that assembles the
 //    globally sorted sequence at one node whatever the backend's output
 //    layout (contiguous slices or scattered bucket files).
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "base/contracts.h"
-#include "base/meter.h"
 #include "base/types.h"
 #include "core/scatter_gather.h"
 #include "core/splitter_tree.h"
@@ -58,9 +58,6 @@ struct BackendConfig {
   /// Node-local file names.
   std::string input = "input";
   std::string output = "sorted";
-  /// Keep intermediate files (for inspection) instead of deleting them as
-  /// soon as they are consumed.
-  bool keep_intermediates = false;
   /// How splitters are selected (flat designated-node sort vs the
   /// multi-level sample tree of core/splitter_tree.h); shared by all four
   /// backends.  The default auto heuristic keeps the paper-scale runs on
@@ -272,7 +269,7 @@ std::vector<T> draw_random_sample(net::NodeContext& ctx,
 }
 
 /// Splitter selection from gathered random samples: gathers every node's
-/// `local_sample` at `root`, sorts there, cuts `cuts` quantiles —
+/// `local_sample` at node 0, sorts there, cuts `cuts` quantiles —
 /// perf-weighted when `perf` is non-null (cut j at rank Σ_{t≤j} perf/Σperf,
 /// as in PSRS pivot selection), uniform otherwise — and broadcasts the cut
 /// keys, so every node returns the same `cuts` splitters in sorted order.
@@ -294,20 +291,20 @@ std::vector<T> select_sample_splitters(const BackendContext& bc,
                                        std::vector<T> local_sample, u64 cuts,
                                        const hetero::PerfVector* perf,
                                        bool unique_splitters = false,
-                                       u32 root = 0, Less less = {},
+                                       Less less = {},
                                        const std::vector<double>* weights =
                                            nullptr) {
   if (weights == nullptr && cuts > 0 &&
       splitter_uses_tree(bc.common().splitter, bc.p())) {
     return tree_select_sample_splitters<T, Less>(
         bc.node(), bc.common().splitter, std::move(local_sample), cuts, perf,
-        unique_splitters, root, less);
+        unique_splitters, /*root=*/0, less);
   }
   net::Communicator& comm = bc.comm();
   std::vector<T> splitters;
   std::vector<T> gathered =
-      comm.template gather_records<T>(std::span<const T>(local_sample), root);
-  if (bc.rank() == root) {
+      comm.template gather_records<T>(std::span<const T>(local_sample), 0);
+  if (bc.rank() == 0) {
     PALADIN_EXPECTS_MSG(gathered.size() > cuts,
                         "not enough samples for the requested splitters");
     seq::metered_sort(std::span<T>(gathered), bc.node(), less);
@@ -345,7 +342,7 @@ std::vector<T> select_sample_splitters(const BackendContext& bc,
       }
     }
   }
-  splitters = comm.template bcast_records<T>(std::move(splitters), root);
+  splitters = comm.template bcast_records<T>(std::move(splitters), 0);
   PALADIN_ASSERT(splitters.size() == cuts ||
                  (unique_splitters && splitters.size() <= cuts) || cuts == 0);
   return splitters;
@@ -389,25 +386,6 @@ std::vector<u64> route_file_by_splitters(net::NodeContext& ctx,
   ctx.on_compares(compares);
   ctx.on_moves(routed);
   return sizes;
-}
-
-/// Concatenates `sources` into `dest` in order, removing each source as it
-/// is consumed (unless `keep_sources`).  Returns records written.
-template <Record T>
-u64 concat_files(pdm::Disk& disk, std::span<const std::string> sources,
-                 const std::string& dest, Meter& meter,
-                 bool keep_sources = false) {
-  pdm::BlockFile out = disk.create(dest);
-  pdm::BlockWriter<T> writer(out);
-  for (const std::string& name : sources) {
-    pdm::BlockFile f = disk.open(name);
-    pdm::BlockReader<T> reader(f);
-    const u64 copied = pdm::copy_records(reader, writer);
-    meter.on_moves(copied);
-    if (!keep_sources) disk.remove(name);
-  }
-  writer.flush();
-  return writer.records_written();
 }
 
 /// Collective: assembles the globally sorted sequence at `root` into

@@ -9,8 +9,10 @@
 //      perf-weighted pivots from the sample;
 //   2. streams the unsorted file once, routing each record by binary
 //      search into p bucket files;
-//   3. redistributes bucket j to node j;
-//   4. sorts the received data with the sequential external sort (run
+//   3. redistributes bucket j to node j through the shared spill exchange
+//      (core/redistribute.h): the node copies its own bucket into the
+//      file it will sort and every peer's bucket lands behind it;
+//   4. sorts the owned data with the sequential external sort (run
 //      formation = DeWitt's "small sorted runs", merge = his merge-sort).
 //
 // Because the pivots come from a random sample rather than regular
@@ -84,44 +86,41 @@ ExtDistributionReport ext_distribution_sort(
   // gather-and-sort at node 0.
   std::vector<T> pivots = select_sample_splitters<T, Less>(
       bc, draw_random_sample<T>(ctx, config.input, want), p - 1, &perf,
-      /*unique_splitters=*/false, /*root=*/0, less,
+      /*unique_splitters=*/false, less,
       adapt_weights.empty() ? nullptr : &adapt_weights);
 
   // ---- 2. Stream + route into p bucket files --------------------------
   const std::string part_prefix = config.output + ".dist";
-  route_file_by_splitters<T>(
-      ctx, config.input, std::span<const T>(pivots),
-      [&](u64 j) { return partition_name(part_prefix, static_cast<u32>(j)); },
-      less);
+  const auto bucket_name = [&](u64 j) {
+    return partition_name(part_prefix, static_cast<u32>(j));
+  };
+  const std::vector<u64> sizes = route_file_by_splitters<T>(
+      ctx, config.input, std::span<const T>(pivots), bucket_name, less);
 
-  // ---- 3. Redistribute -------------------------------------------------
-  const std::string recv_prefix = config.output + ".recv";
-  redistribute_partitions<T>(ctx, part_prefix, recv_prefix,
-                             config.message_records);
-
-  // ---- 4. Concatenate what I own and sort it externally ----------------
+  // ---- 3. Redistribute: my bucket, then every peer's, into `.mine` ----
   const std::string unsorted_mine = config.output + ".mine";
   {
-    std::vector<std::string> sources;
-    sources.reserve(p);
-    for (u32 src = 0; src < p; ++src) {
-      sources.push_back(src == rank ? partition_name(part_prefix, rank)
-                                    : received_name(recv_prefix, src));
-    }
-    report.final_records =
-        concat_files<T>(ctx.disk(), std::span<const std::string>(sources),
-                        unsorted_mine, ctx, config.keep_intermediates);
+    pdm::BlockFile in = ctx.disk().open(bucket_name(rank));
+    pdm::BlockReader<T> reader(in);
+    pdm::BlockFile out = ctx.disk().create(unsorted_mine);
+    pdm::BlockWriter<T> writer(out);
+    ctx.on_moves(pdm::copy_records(reader, writer));
+    writer.flush();
   }
-  if (!config.keep_intermediates) {
-    for (u32 j = 0; j < p; ++j) {
-      if (j != rank && ctx.disk().exists(partition_name(part_prefix, j))) {
-        ctx.disk().remove(partition_name(part_prefix, j));
-      }
-    }
+  std::vector<std::vector<seq::MergePiece>> outgoing(p);
+  for (u32 j = 0; j < p; ++j) {
+    if (j != rank) outgoing[j].push_back({bucket_name(j), 0, sizes[j]});
   }
+  redistribute_pieces<T>(
+      ctx, outgoing, [&](u32, u64) { return unsorted_mine; },
+      config.message_records);
+  for (u32 j = 0; j < p; ++j) ctx.disk().remove(bucket_name(j));
+
+  // ---- 4. Sort what I own externally -----------------------------------
+  report.final_records = ctx.disk().file_records<T>(unsorted_mine);
   seq::external_sort<T, Less>(ctx.disk(), unsorted_mine, config.output,
                               config.sequential, ctx, less);
-  if (!config.keep_intermediates) ctx.disk().remove(unsorted_mine);
+  ctx.disk().remove(unsorted_mine);
 
   report.t_total = total.seconds();
   return report;

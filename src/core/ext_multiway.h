@@ -9,30 +9,27 @@
 //   Phase 1  run formation — one streaming pass turns the local share into
 //            ~l_i/M memory-sized sorted runs (no local merge passes);
 //   Phase 2  oversampled random splitters — each node samples its unsorted
-//            input perf-proportionally; a designated node sorts the pooled
-//            sample and broadcasts p−1 perf-weighted cut keys (with the
+//            input perf-proportionally; node 0 sorts the pooled sample and
+//            broadcasts p−1 perf-weighted cut keys (with the
 //            Axtmann–Sanders duplicate-robust dedup, see
 //            select_sample_splitters);
 //   Phase 3  one redistribution — every run is cut at the splitters by
 //            binary search *in the runs file* (no partition copy on disk),
-//            and the run pieces travel to their owners in block-multiple,
-//            credit-windowed messages, spilling to one file per source;
+//            and the R run pieces for each peer go through the shared
+//            spill exchange (core/redistribute.h: block-multiple,
+//            credit-windowed messages), landing back to back in one file
+//            per source;
 //   Phase 4  one global multiway merge — a single loser-tree pass over all
-//            R·p surviving run pieces produces the node's contiguous
-//            sorted slice.  No polyphase, no per-step intermediate sort.
+//            R·p surviving run pieces (core/merge_files.h's
+//            merge_sorted_pieces) produces the node's contiguous sorted
+//            slice.  No polyphase, no per-step intermediate sort.
 //
 // I/O per node ≈ 2 passes for run formation + 1 read + 1 write around the
 // wire + 1 merge pass — the "just over two scans" shape the ICDE paper
 // targets, versus external PSRS's sort-then-merge profile.  When the
 // memory budget cannot buffer one block per piece (fan-in R·p exceeds
-// max_fan_in at tiny test geometries) the merge degrades to the balanced
-// multi-pass fallback, exactly like core/merge_files.h.
-//
-// Deadlock-freedom of Phase 3 is the redistribute.h argument verbatim: the
-// exchange runs in p−1 lockstep offset phases; within a phase the pair
-// moves chunks in rounds under a W-chunk credit window, so every wait is
-// on a lexicographically smaller (phase, round, part) position of the
-// partner.  Mailbox occupancy stays O(W · message_bytes) per pair.
+// max_fan_in at tiny test geometries) merge_sorted_pieces degrades to the
+// balanced multi-pass fallback.
 #pragma once
 
 #include <algorithm>
@@ -40,15 +37,14 @@
 #include <vector>
 
 #include "base/contracts.h"
-#include "base/math_util.h"
 #include "base/types.h"
 #include "core/backend.h"
+#include "core/merge_files.h"
 #include "core/redistribute.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
 #include "pdm/typed_io.h"
 #include "seq/kway_merge.h"
-#include "seq/loser_tree.h"
 #include "seq/parallel_merge.h"
 #include "seq/run_formation.h"
 
@@ -61,16 +57,6 @@ struct ExtMultiwayOptions {
   /// distribution sort's default: splitters here are final — there is no
   /// per-owner full sort afterwards to absorb imbalance.
   u32 oversample = 32;
-  /// Node that sorts the pooled sample and broadcasts the splitters.
-  u32 designated_node = 0;
-  /// Deduplicate the sorted sample before cutting (Axtmann–Sanders robust
-  /// splitter selection).  Keeps heavy duplicate mass from collapsing
-  /// several splitters onto one key; see select_sample_splitters.  On the
-  /// tree path (BackendConfig::splitter) the dedup runs per level in
-  /// unique-value space — core/splitter_tree.h's merge_equal mode.
-  bool unique_splitters = true;
-  /// Per-pair credit window during the run-piece exchange.
-  u64 flow_window_chunks = kDefaultFlowWindow;
 };
 
 struct ExtMultiwayConfig : BackendConfig, ExtMultiwayOptions {};
@@ -136,13 +122,9 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
                                     const ExtMultiwayConfig& config,
                                     Less less = {}) {
   PALADIN_EXPECTS(perf.node_count() == ctx.node_count());
-  PALADIN_EXPECTS(config.designated_node < ctx.node_count());
   net::Communicator& comm = ctx.comm();
   const u32 p = comm.size();
   const u32 rank = comm.rank();
-  constexpr int kTagHeader = 70;
-  constexpr int kTagData = 71;
-  constexpr int kTagAck = 72;
 
   BackendContext bc(ctx, perf, config);
   obs::Tracer* const tr = ctx.obs();
@@ -188,7 +170,7 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
                                           ctx, less,
                                           config.sequential.merge),
         runs.run_count() > 0 ? 1 : 0);
-    if (!config.keep_intermediates) ctx.disk().remove(runs_file);
+    ctx.disk().remove(runs_file);
     span.end();
     report.final_records = report.local_records;
     if (tr) tr->counters().set("multiway.records_out", report.final_records);
@@ -207,8 +189,7 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
   if (config.adaptive.enabled) {
     obs::ScopedSpan span(tr, "multiway.adapt", "drift");
     const AdaptiveOutcome ad =
-        adaptive_reestimate(bc, config.adaptive, report.local_records,
-                            config.designated_node);
+        adaptive_reestimate(bc, config.adaptive, report.local_records, 0);
     if (ad.applied) adapt_weights = ad.weights;
   }
 
@@ -224,8 +205,7 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
         draw_random_sample<T>(ctx, config.input, want);
     report.samples_contributed = sample.size();
     splitters = select_sample_splitters<T, Less>(
-        bc, std::move(sample), p - 1, &perf, config.unique_splitters,
-        config.designated_node, less,
+        bc, std::move(sample), p - 1, &perf, /*unique_splitters=*/true, less,
         adapt_weights.empty() ? nullptr : &adapt_weights);
     span.end();
     if (tr) tr->counters().set("multiway.samples", report.samples_contributed);
@@ -237,10 +217,12 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
 
   // ---- Phase 3: cut every run at the splitters; exchange the pieces ----
   // cuts[r][j] = absolute record offset (in the runs file) where run r's
-  // piece for node j begins; cuts[r][p] = run end.
+  // piece for node j begins; cuts[r][p] = run end.  Every run's piece for
+  // node j travels to j and lands back to back with src's other pieces in
+  // `<output>.mwrecv.from<src>`.
   const std::string recv_prefix = config.output + ".mwrecv";
   std::vector<std::vector<u64>> cuts(runs.run_count());
-  std::vector<seq::RunLayout> recv_runs(p);  // piece lengths per source
+  RedistributeResult exchanged;
   {
     const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "multiway.phase3.exchange", "multiway");
@@ -262,83 +244,20 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
       }
     }
 
-    const u64 msg =
-        clamped_message_records<T>(ctx.disk(), config.message_records);
-    report.effective_message_records = msg;
-    std::vector<T> chunk;
-    chunk.reserve(msg);
-    for (u32 offset = 1; offset < p; ++offset) {
-      const u32 dst = (rank + offset) % p;
-      const u32 src = (rank + p - offset) % p;
-
-      // Per-run piece lengths as the pair header, both directions.
-      std::vector<u64> send_pieces(runs.run_count());
-      u64 send_total = 0;
-      u64 send_chunks = 0;
+    std::vector<std::vector<seq::MergePiece>> outgoing(p);
+    for (u32 j = 0; j < p; ++j) {
+      if (j == rank) continue;
       for (u64 r = 0; r < runs.run_count(); ++r) {
-        send_pieces[r] = cuts[r][dst + 1] - cuts[r][dst];
-        send_total += send_pieces[r];
-        send_chunks += ceil_div(send_pieces[r], msg);
+        outgoing[j].push_back(
+            {runs_file, cuts[r][j], cuts[r][j + 1] - cuts[r][j]});
       }
-      comm.template send_records<u64>(dst, kTagHeader, send_pieces);
-      const std::vector<u64> recv_pieces =
-          comm.template recv_records<u64>(src, kTagHeader);
-      u64 recv_total = 0;
-      u64 recv_chunks = 0;
-      for (const u64 len : recv_pieces) {
-        recv_total += len;
-        recv_chunks += ceil_div(len, msg);
-      }
-      recv_runs[src].run_lengths = recv_pieces;
-      recv_runs[src].total_records = recv_total;
-
-      pdm::BlockFile f = ctx.disk().open(runs_file);
-      pdm::BlockReader<T> reader(f);
-      pdm::BlockFile rf = ctx.disk().create(received_name(recv_prefix, src));
-      pdm::BlockWriter<T> writer(rf);
-
-      // Sender-side walk over this destination's pieces, in run order.
-      u64 send_run = 0;
-      u64 piece_left = 0;
-      u64 sent = 0;
-      u64 got = 0;
-      const u64 rounds = std::max(send_chunks, recv_chunks);
-      for (u64 k = 0; k < rounds; ++k) {
-        if (k < send_chunks) {
-          if (k >= config.flow_window_chunks) {
-            comm.recv_packet(dst, kTagAck);  // credit: chunk k−W consumed
-            if (tr) tr->counters().add("multiway.acks_consumed", 1);
-          }
-          while (piece_left == 0) {
-            PALADIN_ASSERT(send_run < runs.run_count());
-            piece_left = send_pieces[send_run];
-            if (piece_left > 0) reader.seek_record(cuts[send_run][dst]);
-            ++send_run;
-          }
-          const u64 take = std::min(msg, piece_left);
-          chunk.resize(take);
-          const u64 read = reader.read_span(std::span<T>(chunk));
-          PALADIN_ASSERT(read == take);
-          comm.template send_records<T>(dst, kTagData, chunk);
-          ++report.messages_sent;
-          piece_left -= take;
-          sent += take;
-          if (tr) tr->counters().add("multiway.chunks_sent", 1);
-        }
-        if (k < recv_chunks) {
-          std::vector<T> data = comm.template recv_records<T>(src, kTagData);
-          PALADIN_ASSERT(!data.empty());
-          writer.push_span(std::span<const T>(data));
-          got += data.size();
-          comm.send_value<u8>(src, kTagAck, 0);
-          if (tr) tr->counters().add("multiway.acks_sent", 1);
-        }
-      }
-      writer.flush();
-      chunk.clear();
-      PALADIN_ASSERT(sent == send_total);
-      PALADIN_ASSERT(got == recv_total);
     }
+    exchanged = redistribute_pieces<T>(
+        ctx, outgoing,
+        [&](u32 src, u64) { return received_name(recv_prefix, src); },
+        config.message_records);
+    report.messages_sent = exchanged.messages;
+    report.effective_message_records = exchanged.effective_message_records;
     span.end();
     if (tr) {
       tr->counters().set("multiway.messages_sent", report.messages_sent);
@@ -361,72 +280,24 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
       if (len > 0) pieces.push_back({runs_file, cuts[r][rank], len});
     }
     for (u32 off = 1; off < p; ++off) {
-      const u32 src = (rank + p - off) % p;
-      const std::string name = received_name(recv_prefix, src);
-      u64 pos = 0;
-      for (const u64 len : recv_runs[src].run_lengths) {
-        if (len > 0) pieces.push_back({name, pos, len});
-        pos += len;
+      for (const seq::MergePiece& piece :
+           exchanged.received[(rank + p - off) % p]) {
+        if (piece.len > 0) pieces.push_back(piece);
       }
     }
     report.merge_fan_in = pieces.size();
+    // The headline single pass: one merge over all pieces straight to the
+    // output file, with the balanced fallback when the memory budget
+    // cannot buffer one block per piece.
+    const MergeOutcome merged = merge_sorted_pieces<T, Less>(
+        ctx.disk(), pieces, config.output, config.sequential.memory_records,
+        ctx, less, config.sequential.merge);
+    report.final_records = merged.merged;
+    report.merge_passes = merged.passes;
 
-    const u64 fan_in =
-        seq::max_fan_in<T>(ctx.disk(), config.sequential.memory_records);
-    if (pieces.empty()) {
-      pdm::BlockFile out = ctx.disk().create(config.output);
-      pdm::BlockWriter<T> writer(out);
-      writer.flush();
-      report.final_records = 0;
-    } else if (pieces.size() <= fan_in) {
-      // The headline single pass: one merge over all pieces straight to
-      // the output file (parallel engine per config.sequential.merge; one
-      // block buffer per piece either way).
-      pdm::BlockFile out = ctx.disk().create(config.output);
-      pdm::BlockWriter<T> writer(out);
-      const seq::MergeResult r = seq::merge_pieces<T, Less>(
-          ctx.disk(), pieces, writer, ctx, less, config.sequential.merge);
-      writer.flush();
-      ctx.on_moves(r.merged);
-      if (r.tail_compares > 0) ctx.on_compares(r.tail_compares);
-      report.final_records = r.merged;
-      report.merge_passes = 1;
-    } else {
-      // Degenerate memory budget (fan-in exceeds the block buffers M can
-      // hold): concatenate the pieces into one runs file and fall back to
-      // the balanced multi-pass merge, as core/merge_files.h does.
-      const std::string cat = config.output + ".mwcat";
-      seq::RunLayout cat_layout;
-      {
-        pdm::BlockFile out = ctx.disk().create(cat);
-        pdm::BlockWriter<T> writer(out);
-        for (const seq::MergePiece& piece : pieces) {
-          pdm::BlockFile f = ctx.disk().open(piece.file);
-          pdm::BlockReader<T> reader(f);
-          reader.seek_record(piece.offset);
-          const u64 copied = pdm::copy_records(reader, writer, piece.len);
-          PALADIN_ASSERT(copied == piece.len);
-          ctx.on_moves(copied);
-          cat_layout.run_lengths.push_back(copied);
-          cat_layout.total_records += copied;
-        }
-        writer.flush();
-      }
-      report.merge_passes = 1 + seq::merge_runs_balanced<T, Less>(
-                                    ctx.disk(), cat, cat_layout,
-                                    config.output,
-                                    config.sequential.memory_records, ctx,
-                                    less, config.sequential.merge);
-      ctx.disk().remove(cat);
-      report.final_records = ctx.disk().file_records<T>(config.output);
-    }
-
-    if (!config.keep_intermediates) {
-      ctx.disk().remove(runs_file);
-      for (u32 off = 1; off < p; ++off) {
-        const u32 src = (rank + p - off) % p;
-        ctx.disk().remove(received_name(recv_prefix, src));
-      }
+    ctx.disk().remove(runs_file);
+    for (const std::vector<seq::MergePiece>& landed : exchanged.received) {
+      if (!landed.empty()) ctx.disk().remove(landed.front().file);
     }
     span.end();
     if (tr) {

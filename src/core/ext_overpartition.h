@@ -8,16 +8,18 @@
 //      search per record — no initial sort);
 //   3. global bucket sizes → greedy perf-weighted LPT schedule assigns
 //      buckets to processors;
-//   4. bucket files travel to their owners;
-//   5. each owner externally sorts each received bucket (its first and
-//      only full sort of that data).
+//   4. bucket files travel to their owners through the shared spill
+//      exchange (core/redistribute.h), landing behind a copy of the
+//      owner's own piece of the bucket;
+//   5. each owner externally sorts each owned bucket (its first and only
+//      full sort of that data).
 //
 // The output is one sorted file per owned bucket, named
 // `<output>.bucket<b>`; globally the sort order is the bucket order, with
 // ownership scattered by the schedule — overpartitioning trades the
 // contiguous-slice property of PSRS for size-adaptive assignment.  The
 // sample/splitter/route scaffolding comes from core/backend.h; the LPT
-// schedule and the bucket shipping are this backend's own.
+// schedule is this backend's own.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include "base/types.h"
 #include "core/backend.h"
 #include "core/overpartition.h"
+#include "core/redistribute.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
 #include "pdm/typed_io.h"
@@ -61,8 +64,6 @@ ExtOverpartitionReport ext_overpartition_sort(
   const u64 buckets = static_cast<u64>(p) * config.s;
   BackendContext bc(ctx, perf, config);
   const PhaseTimer total(bc);
-  constexpr int kTagHeader = 60;
-  constexpr int kTagData = 61;
 
   ExtOverpartitionReport report;
   report.layout = OutputLayout::kBucketFiles;
@@ -79,7 +80,7 @@ ExtOverpartitionReport ext_overpartition_sort(
   // even faster with p than PSRS Step 2, so the tree pays off sooner.
   std::vector<T> pivots = select_sample_splitters<T, Less>(
       bc, draw_random_sample<T>(ctx, config.input, want), buckets - 1,
-      /*perf=*/nullptr, /*unique_splitters=*/false, /*root=*/0, less);
+      /*perf=*/nullptr, /*unique_splitters=*/false, less);
 
   // ---- 2. One streaming pass into p·s bucket files ---------------------
   const auto local_bucket = [&](u64 b) {
@@ -120,81 +121,40 @@ ExtOverpartitionReport ext_overpartition_sort(
           : detail::assign_sublists(
                 global_sizes, std::span<const double>(adapt_weights));
 
-  // ---- 4. Ship bucket files to their owners ----------------------------
-  // Send: for each bucket not owned by me, stream my local piece to the
-  // owner, framed per bucket.  Receive: for each bucket I own, collect the
-  // pieces of all peers.
-  std::vector<T> chunk;
-  chunk.reserve(config.message_records);
-  for (u32 offset = 1; offset < p; ++offset) {
-    const u32 dst = (rank + offset) % p;
-    for (u64 b = 0; b < buckets; ++b) {
-      if (owner[b] != dst) continue;
-      pdm::BlockFile f = ctx.disk().open(local_bucket(b));
-      pdm::BlockReader<T> reader(f);
-      comm.send_value<u64>(dst, kTagHeader, reader.size_records());
-      chunk.clear();
-      T v;
-      while (reader.next(v)) {
-        chunk.push_back(v);
-        if (chunk.size() == config.message_records) {
-          comm.template send_records<T>(dst, kTagData, chunk);
-          chunk.clear();
-        }
-      }
-      if (!chunk.empty()) {
-        comm.template send_records<T>(dst, kTagData, chunk);
-        chunk.clear();
-      }
-    }
-  }
-
-  const auto owned_bucket = [&](u64 b) {
-    return bucket_file_name(config.output, b);
+  // ---- 4. Ship bucket pieces to their owners --------------------------
+  // Each owned bucket starts as a copy of my own piece in `.raw`; piece k
+  // from a peer is its piece of the k-th bucket I own and lands behind it.
+  const auto raw_bucket = [&](u64 b) {
+    return bucket_file_name(config.output, b) + ".raw";
   };
-  // Start each owned bucket with my local piece, then append peers'.
+  std::vector<u64> mine;
+  std::vector<std::vector<seq::MergePiece>> outgoing(p);
   for (u64 b = 0; b < buckets; ++b) {
-    if (owner[b] != rank) continue;
-    pdm::BlockFile out = ctx.disk().create(owned_bucket(b) + ".raw");
-    pdm::BlockWriter<T> writer(out);
-    {
-      pdm::BlockFile f = ctx.disk().open(local_bucket(b));
-      pdm::BlockReader<T> reader(f);
-      T v;
-      while (reader.next(v)) writer.push(v);
+    if (owner[b] != rank) {
+      outgoing[owner[b]].push_back({local_bucket(b), 0, local_sizes[b]});
+      continue;
     }
+    mine.push_back(b);
+    pdm::BlockFile in = ctx.disk().open(local_bucket(b));
+    pdm::BlockReader<T> reader(in);
+    pdm::BlockFile out = ctx.disk().create(raw_bucket(b));
+    pdm::BlockWriter<T> writer(out);
+    pdm::copy_records(reader, writer);
     writer.flush();
   }
-  for (u32 offset = 1; offset < p; ++offset) {
-    const u32 src = (rank + p - offset) % p;
-    for (u64 b = 0; b < buckets; ++b) {
-      if (owner[b] != rank) continue;
-      const u64 expected = comm.recv_value<u64>(src, kTagHeader);
-      pdm::BlockFile out = ctx.disk().open(owned_bucket(b) + ".raw");
-      pdm::BlockWriter<T> writer(out, /*append=*/true);
-      u64 got = 0;
-      while (got < expected) {
-        std::vector<T> data = comm.template recv_records<T>(src, kTagData);
-        PALADIN_ASSERT(!data.empty());
-        writer.push_span(std::span<const T>(data));
-        got += data.size();
-      }
-      writer.flush();
-    }
-  }
-  if (!config.keep_intermediates) {
-    for (u64 b = 0; b < buckets; ++b) ctx.disk().remove(local_bucket(b));
-  }
+  redistribute_pieces<T>(
+      ctx, outgoing, [&](u32, u64 k) { return raw_bucket(mine[k]); },
+      config.message_records);
+  for (u64 b = 0; b < buckets; ++b) ctx.disk().remove(local_bucket(b));
 
   // ---- 5. Externally sort every owned bucket ---------------------------
-  for (u64 b = 0; b < buckets; ++b) {
-    if (owner[b] != rank) continue;
-    seq::external_sort<T, Less>(ctx.disk(), owned_bucket(b) + ".raw",
-                                owned_bucket(b), config.sequential, ctx,
-                                less);
-    if (!config.keep_intermediates) ctx.disk().remove(owned_bucket(b) + ".raw");
+  for (const u64 b : mine) {
+    const std::string sorted = bucket_file_name(config.output, b);
+    seq::external_sort<T, Less>(ctx.disk(), raw_bucket(b), sorted,
+                                config.sequential, ctx, less);
+    ctx.disk().remove(raw_bucket(b));
     report.owned_buckets.push_back(b);
-    report.final_records += ctx.disk().file_records<T>(owned_bucket(b));
+    report.final_records += ctx.disk().file_records<T>(sorted);
   }
 
   report.t_total = total.seconds();

@@ -247,7 +247,7 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
     const PipelineOutcome piped = pipelined_exchange_merge<T, Less>(
         ctx, sorted_local, config.output, std::span<const T>(pivots), msg,
         config.flow_window_chunks, less);
-    if (!config.keep_intermediates) ctx.disk().remove(sorted_local);
+    ctx.disk().remove(sorted_local);
     span.end();
     report.final_records = piped.merged;
     report.messages_sent = piped.data_messages;
@@ -274,13 +274,14 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
 
   // ---- Step 3: partition the sorted file by the pivots ----------------
   const std::string part_prefix = config.output + ".step3";
+  std::vector<u64> part_sizes;
   {
     const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "psrs.step3.partition", "psrs");
-    partition_sorted_file<T, Less>(ctx.disk(), sorted_local, part_prefix,
-                                   std::span<const T>(pivots), ctx, less,
-                                   config.partition_boundary_seek);
-    if (!config.keep_intermediates) ctx.disk().remove(sorted_local);
+    part_sizes = partition_sorted_file<T, Less>(
+        ctx.disk(), sorted_local, part_prefix, std::span<const T>(pivots), ctx,
+        less, config.partition_boundary_seek);
+    ctx.disk().remove(sorted_local);
     span.end();
     phase.finish(report.t_partition, report.io_partition, "psrs.io.partition",
                  "step3.partition");
@@ -288,19 +289,26 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   }
 
   // ---- Step 4: redistribution -----------------------------------------
+  // Partition j travels to node j as one piece; what src sent lands in
+  // `<output>.step4.from<src>`.
   const std::string recv_prefix = config.output + ".step4";
+  RedistributeResult exchanged;
   {
     const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "psrs.step4.redistribute", "psrs");
-    const RedistributeResult exchanged = redistribute_partitions<T>(
-        ctx, part_prefix, recv_prefix, config.message_records,
-        config.flow_window_chunks);
+    std::vector<std::vector<seq::MergePiece>> outgoing(p);
+    for (u32 j = 0; j < p; ++j) {
+      if (j == rank) continue;
+      outgoing[j].push_back({partition_name(part_prefix, j), 0, part_sizes[j]});
+    }
+    exchanged = redistribute_pieces<T>(
+        ctx, outgoing,
+        [&](u32 src, u64) { return received_name(recv_prefix, src); },
+        config.message_records, config.flow_window_chunks);
     report.messages_sent = exchanged.messages;
     report.effective_message_records = exchanged.effective_message_records;
-    if (!config.keep_intermediates) {
-      for (u32 j = 0; j < p; ++j) {
-        if (j != rank) ctx.disk().remove(partition_name(part_prefix, j));
-      }
+    for (u32 j = 0; j < p; ++j) {
+      if (j != rank) ctx.disk().remove(partition_name(part_prefix, j));
     }
     span.end();
     if (tr) {
@@ -318,35 +326,32 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   {
     const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "psrs.step5.final_merge", "psrs");
-    // Runs: the local partition we kept plus one file per peer.
-    std::vector<std::string> run_files;
-    run_files.reserve(p);
+    // Runs: the local partition we kept plus the piece from every peer.
+    const seq::MergePiece own{partition_name(part_prefix, rank), 0,
+                              part_sizes[rank]};
+    std::vector<seq::MergePiece> runs;
+    u64 slice_records = 0;
     for (u32 j = 0; j < p; ++j) {
-      run_files.push_back(j == rank ? partition_name(part_prefix, rank)
-                                    : received_name(recv_prefix, j));
+      runs.push_back(j == rank ? own : exchanged.received[j].front());
+      slice_records += runs.back().len;
     }
     // Adaptive absorb: the re-split often leaves this node a slice that
     // fits the sequential memory budget outright — merge the runs in one
     // buffered pass instead of the concatenate + multi-pass external
     // merge.  Gated on weights having applied, so static and drift-free
     // runs keep the external merge's exact cost funnel.
-    u64 slice_records = 0;
-    for (const std::string& f : run_files) {
-      slice_records += ctx.disk().file_records<T>(f);
-    }
     if (!adapt_weights.empty() &&
         slice_records <= config.sequential.memory_records) {
-      report.final_records = merge_sorted_files_in_memory<T, Less>(
-          ctx.disk(), run_files, config.output, ctx, less);
+      report.final_records = merge_sorted_pieces_in_memory<T, Less>(
+          ctx.disk(), runs, config.output, ctx, less);
     } else {
-      report.final_records = merge_sorted_files<T, Less>(
-          ctx.disk(), run_files, config.output,
-          config.sequential.memory_records, ctx, less,
-          config.sequential.merge);
+      report.final_records =
+          merge_sorted_pieces<T, Less>(ctx.disk(), runs, config.output,
+                                       config.sequential.memory_records, ctx,
+                                       less, config.sequential.merge)
+              .merged;
     }
-    if (!config.keep_intermediates) {
-      for (const std::string& f : run_files) ctx.disk().remove(f);
-    }
+    for (const seq::MergePiece& run : runs) ctx.disk().remove(run.file);
     span.end();
     if (tr) tr->counters().set("psrs.records_out", report.final_records);
     phase.finish(report.t_final_merge, report.io_final_merge,

@@ -1,8 +1,9 @@
-// Step 5 helper: merge several sorted files into one output file.
-// Single-pass (loser tree over one cursor per file) when the memory budget
-// admits the fan-in — always true for the p ≤ m−1 clusters the paper
-// targets — otherwise the files are concatenated as runs and merged with
-// the balanced multi-pass machinery.
+// Step 5, and the spill merge of every backend: merge sorted pieces (file,
+// offset, length) into one output file.  Single-pass (loser tree over one
+// cursor per piece) when the memory budget admits the fan-in — always true
+// for the p ≤ m−1 clusters the paper targets — otherwise the pieces are
+// concatenated as runs and merged with the balanced multi-pass machinery.
+// The file also holds the fused pipeline's network merge source.
 #pragma once
 
 #include <algorithm>
@@ -140,28 +141,30 @@ class NetworkRunSource {
 
 /// Absorb merge for the adaptive re-split path (hetero::AdaptiveConfig):
 /// when a node's re-split slice fits the sequential memory budget, load
-/// the sorted runs and merge them with ⌈log2 k⌉ in-memory pairwise levels
+/// the sorted pieces and merge them with ⌈log2 k⌉ in-memory pairwise levels
 /// — one read and one write pass of block I/O instead of the concatenate +
 /// multi-pass external merge below, with the same log-factor comparison
 /// bill a loser tree would charge.  Callers gate on the budget; the only
 /// caller is ext_psrs once adaptation applied, so static and drift-free
 /// runs keep their exact external-merge cost funnel.
 template <Record T, typename Less = std::less<T>>
-u64 merge_sorted_files_in_memory(pdm::Disk& disk,
-                                 const std::vector<std::string>& run_files,
-                                 const std::string& output, Meter& meter,
-                                 Less less = {}) {
-  PALADIN_EXPECTS(!run_files.empty());
+u64 merge_sorted_pieces_in_memory(pdm::Disk& disk,
+                                  const std::vector<seq::MergePiece>& pieces,
+                                  const std::string& output, Meter& meter,
+                                  Less less = {}) {
+  PALADIN_EXPECTS(!pieces.empty());
   std::vector<std::vector<T>> runs;
-  runs.reserve(run_files.size());
+  runs.reserve(pieces.size());
   u64 total = 0;
-  for (const std::string& name : run_files) {
-    pdm::BlockFile f = disk.open(name);
+  for (const seq::MergePiece& piece : pieces) {
+    pdm::BlockFile f = disk.open(piece.file);
     pdm::BlockReader<T> reader(f);
-    std::vector<T> run;
-    run.reserve(reader.size_records());
-    T v;
-    while (reader.next(v)) run.push_back(v);
+    reader.seek_record(piece.offset);
+    std::vector<T> run(piece.len);
+    for (T& v : run) {
+      const bool ok = reader.next(v);
+      PALADIN_ASSERT(ok);
+    }
     total += run.size();
     runs.push_back(std::move(run));
   }
@@ -192,51 +195,66 @@ u64 merge_sorted_files_in_memory(pdm::Disk& disk,
   return total;
 }
 
-template <Record T, typename Less = std::less<T>>
-u64 merge_sorted_files(pdm::Disk& disk,
-                       const std::vector<std::string>& run_files,
-                       const std::string& output, u64 memory_records,
-                       Meter& meter, Less less = {},
-                       const seq::MergeTuning& tuning = {}) {
-  PALADIN_EXPECTS(!run_files.empty());
-  const u64 fan_in = seq::max_fan_in<T>(disk, memory_records);
+struct MergeOutcome {
+  u64 merged = 0;  ///< records written to the output
+  /// Passes over the data: 0 for no pieces, 1 for the single loser-tree
+  /// pass, and in the fallback the concatenation plus the balanced passes.
+  u64 passes = 0;
+};
 
-  if (run_files.size() <= fan_in) {
-    std::vector<seq::MergePiece> pieces;
-    pieces.reserve(run_files.size());
-    for (const std::string& name : run_files) {
-      pieces.push_back({name, 0, disk.file_records<T>(name)});
-    }
+/// The spill merge of every backend: merges the sorted `pieces` into
+/// `output`.  One loser-tree pass when the memory budget holds a block
+/// buffer per piece (M/B − 1 of them; always true for the p ≤ m−1
+/// clusters the paper targets), otherwise the pieces are concatenated as
+/// runs and merged with the balanced multi-pass machinery.
+template <Record T, typename Less = std::less<T>>
+MergeOutcome merge_sorted_pieces(pdm::Disk& disk,
+                                 const std::vector<seq::MergePiece>& pieces,
+                                 const std::string& output,
+                                 u64 memory_records, Meter& meter,
+                                 Less less = {},
+                                 const seq::MergeTuning& tuning = {}) {
+  MergeOutcome outcome;
+  if (pieces.size() <= seq::max_fan_in<T>(disk, memory_records)) {
     pdm::BlockFile out_file = disk.create(output);
     pdm::BlockWriter<T> writer(out_file);
     const seq::MergeResult r =
         seq::merge_pieces<T, Less>(disk, pieces, writer, meter, less, tuning);
     writer.flush();
-    meter.on_moves(r.merged);
-    if (r.tail_compares > 0) meter.on_compares(r.tail_compares);
-    return r.merged;
+    if (!pieces.empty()) {
+      meter.on_moves(r.merged);
+      if (r.tail_compares > 0) meter.on_compares(r.tail_compares);
+      outcome = {r.merged, 1};
+    }
+    return outcome;
   }
 
   // Degenerate memory budget: concatenate into a runs file and reuse the
-  // balanced multi-pass merge.
+  // balanced multi-pass merge.  The copy is block I/O only; it charges no
+  // per-record moves.
   const std::string runs_name = output + ".cat";
   seq::RunLayout layout;
   {
     pdm::BlockFile cat_file = disk.create(runs_name);
     pdm::BlockWriter<T> writer(cat_file);
-    for (const std::string& name : run_files) {
-      pdm::BlockFile f = disk.open(name);
+    for (const seq::MergePiece& piece : pieces) {
+      pdm::BlockFile f = disk.open(piece.file);
       pdm::BlockReader<T> reader(f);
-      const u64 len = pdm::copy_records(reader, writer);
+      reader.seek_record(piece.offset);
+      const u64 len = pdm::copy_records(reader, writer, piece.len);
+      PALADIN_ASSERT(len == piece.len);
       layout.run_lengths.push_back(len);
       layout.total_records += len;
     }
     writer.flush();
   }
-  seq::merge_runs_balanced<T, Less>(disk, runs_name, layout, output,
-                                    memory_records, meter, less, tuning);
+  outcome.merged = layout.total_records;
+  outcome.passes =
+      1 + seq::merge_runs_balanced<T, Less>(disk, runs_name, layout, output,
+                                            memory_records, meter, less,
+                                            tuning);
   disk.remove(runs_name);
-  return layout.total_records;
+  return outcome;
 }
 
 }  // namespace paladin::core

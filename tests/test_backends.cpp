@@ -212,5 +212,47 @@ TEST(Backends, ExtMultiwayToleratesNonAdmissibleShares) {
   EXPECT_EQ(output, input);
 }
 
+// Every backend's spill exchange runs under the credit window: no peer can
+// queue more than W un-acknowledged messages plus its piece-length header
+// in a node's inbox, whatever the data volume.
+TEST(Backends, ExchangeInboxStaysWithinCreditWindow) {
+  constexpr u32 p = 4;
+  constexpr u64 n = u64{1} << 16;
+  constexpr u64 kMessage = 64;
+  const PerfVector perf({1, 1, 1, 1});
+  ParallelSortConfig psc;
+  psc.sequential.memory_records = 4096;
+  psc.message_records = kMessage;
+  psc.psrs.pipelined = false;
+  // A header lists one length per piece: at most the p·s buckets a peer
+  // can own (overpartitioning), which also covers the l/M = 4 run pieces
+  // of the multiway sort.
+  const u64 max_pieces = p * psc.overpartition.s;
+  const u64 bound =
+      (p - 1) * kDefaultFlowWindow * kMessage * sizeof(DefaultKey) +
+      (p - 1) * max_pieces * sizeof(u64);
+  for (const ParallelSortAlgorithm algo :
+       {ParallelSortAlgorithm::kExtPsrs,
+        ParallelSortAlgorithm::kExtDistribution,
+        ParallelSortAlgorithm::kExtOverpartition,
+        ParallelSortAlgorithm::kExtMultiway}) {
+    SCOPED_TRACE(to_string(algo));
+    psc.algorithm = algo;
+    ClusterConfig config = ClusterConfig::homogeneous(p);
+    config.disk.block_bytes = 256;
+    Cluster cluster(config);
+    WorkloadSpec spec{Dist::kUniform, n, p, 17};
+    const auto outcome = cluster.run([&](NodeContext& ctx) -> u64 {
+      workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
+                            perf.share(ctx.rank(), n), ctx.disk(), "input");
+      parallel_external_sort<DefaultKey>(ctx, perf, psc);
+      return ctx.comm().inbox_peak_bytes();
+    });
+    for (u32 r = 0; r < p; ++r) {
+      EXPECT_LE(outcome.results[r], bound) << "node " << r;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace paladin::core

@@ -12,6 +12,7 @@
 #include "core/ext_psrs.h"
 #include "core/merge_files.h"
 #include "core/partition_file.h"
+#include "core/redistribute.h"
 #include "core/sampling.h"
 #include "core/verify.h"
 #include "hetero/perf_vector.h"
@@ -260,8 +261,18 @@ TEST(PartitionCuts, MatchUpperBounds) {
 }
 
 // ---------------------------------------------------------------------
-// merge_sorted_files
+// merge_sorted_pieces
 // ---------------------------------------------------------------------
+
+/// Whole-file merge pieces.
+std::vector<seq::MergePiece> whole_files(
+    pdm::Disk& disk, const std::vector<std::string>& names) {
+  std::vector<seq::MergePiece> pieces;
+  for (const std::string& name : names) {
+    pieces.push_back({name, 0, disk.file_records<u32>(name)});
+  }
+  return pieces;
+}
 
 TEST(MergeFiles, SinglePassMergesInOrder) {
   pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
@@ -270,11 +281,44 @@ TEST(MergeFiles, SinglePassMergesInOrder) {
   pdm::write_file<u32>(disk, "b", std::span<const u32>(b));
   pdm::write_file<u32>(disk, "c", std::span<const u32>(c));
   NullMeter meter;
-  const u64 merged =
-      merge_sorted_files<u32>(disk, {"a", "b", "c"}, "out", 1024, meter);
-  EXPECT_EQ(merged, 9u);
+  const MergeOutcome m = merge_sorted_pieces<u32>(
+      disk, whole_files(disk, {"a", "b", "c"}), "out", 1024, meter);
+  EXPECT_EQ(m.merged, 9u);
+  EXPECT_EQ(m.passes, 1u);
   EXPECT_EQ(pdm::read_file<u32>(disk, "out"),
             (std::vector<u32>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(MergeFiles, PiecesAtOffsetsMergeOnlyTheirRanges) {
+  // Two sorted runs back to back in one file plus a run in the middle of
+  // another: offsets that are not block-aligned (16 records per block),
+  // and records outside the pieces that must not reach the output.
+  pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
+  std::vector<u32> runs;
+  for (u32 i = 0; i < 37; ++i) runs.push_back(2 * i);      // [0, 37)
+  for (u32 i = 0; i < 29; ++i) runs.push_back(2 * i + 1);  // [37, 66)
+  std::vector<u32> other(50, 999);
+  for (u32 i = 0; i < 21; ++i) other[5 + i] = 3 * i;  // [5, 26)
+  pdm::write_file<u32>(disk, "runs", std::span<const u32>(runs));
+  pdm::write_file<u32>(disk, "other", std::span<const u32>(other));
+  const std::vector<seq::MergePiece> pieces = {
+      {"runs", 3, 30}, {"runs", 40, 20}, {"other", 5, 21}};
+  std::vector<u32> expected(runs.begin() + 3, runs.begin() + 33);
+  expected.insert(expected.end(), runs.begin() + 40, runs.begin() + 60);
+  expected.insert(expected.end(), other.begin() + 5, other.begin() + 26);
+  std::sort(expected.begin(), expected.end());
+  NullMeter meter;
+  const u64 rpb = disk.params().records_per_block(sizeof(u32));
+  for (const u64 memory : {u64{1024}, 3 * rpb}) {  // single pass, fallback
+    const MergeOutcome m =
+        merge_sorted_pieces<u32>(disk, pieces, "out", memory, meter);
+    EXPECT_EQ(m.merged, expected.size()) << "memory " << memory;
+    EXPECT_EQ(m.passes, memory == 1024 ? 1u : 3u) << "memory " << memory;
+    EXPECT_EQ(pdm::read_file<u32>(disk, "out"), expected);
+  }
+  EXPECT_EQ(merge_sorted_pieces_in_memory<u32>(disk, pieces, "mem", meter),
+            expected.size());
+  EXPECT_EQ(pdm::read_file<u32>(disk, "mem"), expected);
 }
 
 TEST(MergeFiles, FallsBackToMultiPassOnTinyMemory) {
@@ -292,10 +336,13 @@ TEST(MergeFiles, FallsBackToMultiPassOnTinyMemory) {
   std::sort(expected.begin(), expected.end());
   NullMeter meter;
   const u64 rpb = disk.params().records_per_block(sizeof(u32));
-  const u64 merged = merge_sorted_files<u32>(disk, names, "out", 3 * rpb,
-                                             meter);
-  EXPECT_EQ(merged, 400u);
+  const MergeOutcome m = merge_sorted_pieces<u32>(
+      disk, whole_files(disk, names), "out", 3 * rpb, meter);
+  EXPECT_EQ(m.merged, 400u);
+  // The concatenation plus ⌈log2 8⌉ balanced passes.
+  EXPECT_EQ(m.passes, 4u);
   EXPECT_EQ(pdm::read_file<u32>(disk, "out"), expected);
+  EXPECT_FALSE(disk.exists("out.cat"));
 }
 
 TEST(MergeFiles, InMemoryAbsorbMatchesExternalMerge) {
@@ -314,13 +361,14 @@ TEST(MergeFiles, InMemoryAbsorbMatchesExternalMerge) {
     pdm::write_file<u32>(disk, names.back(), std::span<const u32>(data));
     total_blocks += (data.size() + rpb - 1) / rpb;
   }
+  const std::vector<seq::MergePiece> pieces = whole_files(disk, names);
   NullMeter meter;
   const u64 external =
-      merge_sorted_files<u32>(disk, names, "ext.out", 1024, meter);
+      merge_sorted_pieces<u32>(disk, pieces, "ext.out", 1024, meter).merged;
 
   disk.reset_stats();
   const u64 absorbed =
-      merge_sorted_files_in_memory<u32>(disk, names, "mem.out", meter);
+      merge_sorted_pieces_in_memory<u32>(disk, pieces, "mem.out", meter);
   // One read pass over the runs + one write pass of the output (partial
   // tail blocks round each run up by at most one block).  Snapshot before
   // the verification reads below touch the disk again.
@@ -339,8 +387,271 @@ TEST(MergeFiles, EmptyInputsProduceEmptyOutput) {
   pdm::write_file<u32>(disk, "a", std::span<const u32>());
   pdm::write_file<u32>(disk, "b", std::span<const u32>());
   NullMeter meter;
-  EXPECT_EQ(merge_sorted_files<u32>(disk, {"a", "b"}, "out", 1024, meter), 0u);
+  const MergeOutcome empty_pieces = merge_sorted_pieces<u32>(
+      disk, whole_files(disk, {"a", "b"}), "out", 1024, meter);
+  EXPECT_EQ(empty_pieces.merged, 0u);
+  EXPECT_EQ(empty_pieces.passes, 1u);
   EXPECT_EQ(disk.file_records<u32>("out"), 0u);
+  const MergeOutcome no_pieces =
+      merge_sorted_pieces<u32>(disk, {}, "none", 1024, meter);
+  EXPECT_EQ(no_pieces.merged, 0u);
+  EXPECT_EQ(no_pieces.passes, 0u);
+  EXPECT_EQ(disk.file_records<u32>("none"), 0u);
+}
+
+// ---------------------------------------------------------------------
+// redistribute_pieces
+// ---------------------------------------------------------------------
+
+/// Runs `body` on every node of a homogeneous observed cluster with
+/// 64-byte blocks (16 u32 records per block) and returns its results.
+template <typename Fn>
+auto run_exchange(u32 p, Fn&& body) {
+  ClusterConfig config = ClusterConfig::homogeneous(p);
+  config.disk = tiny_blocks();
+  config.observe = true;
+  Cluster cluster(config);
+  return cluster.run(std::forward<Fn>(body)).results;
+}
+
+/// Σ⌈len/msg⌉ over the pieces a node sends.
+u64 expected_messages(const std::vector<std::vector<seq::MergePiece>>& out,
+                      u64 msg) {
+  u64 messages = 0;
+  for (const auto& pieces : out) {
+    for (const seq::MergePiece& piece : pieces) {
+      messages += ceil_div(piece.len, msg);
+    }
+  }
+  return messages;
+}
+
+/// The exchange's message count must equal Σ⌈len/msg⌉ and its
+/// redistribute.chunks_sent counter.
+bool messages_consistent(NodeContext& ctx, const RedistributeResult& res,
+                         const std::vector<std::vector<seq::MergePiece>>& out) {
+  const obs::CounterRegistry& counters = ctx.obs()->counters();
+  const u64 counted = counters.contains("redistribute.chunks_sent")
+                          ? counters.value("redistribute.chunks_sent")
+                          : 0;
+  return res.messages ==
+             expected_messages(out, res.effective_message_records) &&
+         res.messages == counted;
+}
+
+TEST(Redistribute, MovesExactPartitionContents) {
+  // One whole-file piece per peer, landing in one file per source.
+  const auto results = run_exchange(3, [&](NodeContext& ctx) -> bool {
+    const u32 p = ctx.node_count();
+    const u32 rank = ctx.rank();
+    // Partition j of node r contains values 1000*r + 100*j + k.
+    std::vector<std::vector<seq::MergePiece>> outgoing(p);
+    for (u32 j = 0; j < p; ++j) {
+      std::vector<u32> data;
+      for (u32 k = 0; k < 10 + j; ++k) {
+        data.push_back(1000 * rank + 100 * j + k);
+      }
+      pdm::write_file<u32>(ctx.disk(), partition_name("x.step3", j),
+                           std::span<const u32>(data));
+      if (j != rank) {
+        outgoing[j].push_back({partition_name("x.step3", j), 0, data.size()});
+      }
+    }
+    const RedistributeResult result = redistribute_pieces<u32>(
+        ctx, outgoing,
+        [](u32 src, u64) { return received_name("x.step4", src); },
+        /*message_records=*/4);
+
+    bool ok = result.received[rank].empty() && result.sent_records[rank] == 0;
+    // From every peer src we must hold exactly src's partition `rank`.
+    for (u32 src = 0; src < p; ++src) {
+      if (src == rank) continue;
+      const auto got =
+          pdm::read_file<u32>(ctx.disk(), received_name("x.step4", src));
+      ok = ok && got.size() == 10 + rank;
+      for (u32 k = 0; k < got.size(); ++k) {
+        ok = ok && got[k] == 1000 * src + 100 * rank + k;
+      }
+      ok = ok && result.received[src].size() == 1 &&
+           result.received[src][0].file == received_name("x.step4", src) &&
+           result.received[src][0].offset == 0 &&
+           result.received[src][0].len == got.size();
+      ok = ok && result.sent_records[src] == 10 + src;
+    }
+    // Messages: ceil(count/message_records) per outgoing peer partition,
+    // after the block-multiple clamp (64-byte blocks, u32 → requested 4
+    // rounds up to 16).
+    ok = ok && result.effective_message_records == 16;
+    return ok && messages_consistent(ctx, result, outgoing);
+  });
+  for (bool ok : results) EXPECT_TRUE(ok);
+}
+
+TEST(Redistribute, SingleRecordRequestClampsToOneBlock) {
+  // message_records = 1 is the paper's pathological small-packet request.
+  // The paper requires block-multiple messages, so the request clamps up
+  // to one 16-record block (64-byte blocks, u32) and the 7 records travel
+  // in a single message; correctness must be unaffected.
+  const auto results = run_exchange(2, [&](NodeContext& ctx) -> u64 {
+    const u32 peer = 1 - ctx.rank();
+    std::vector<u32> data;
+    for (u32 k = 0; k < 7; ++k) data.push_back(10 * ctx.rank() + k);
+    pdm::write_file<u32>(ctx.disk(), "y.part", std::span<const u32>(data));
+    std::vector<std::vector<seq::MergePiece>> outgoing(2);
+    outgoing[peer].push_back({"y.part", 0, 7});
+    const RedistributeResult result = redistribute_pieces<u32>(
+        ctx, outgoing, [](u32, u64) { return std::string("y.in"); }, 1);
+    EXPECT_EQ(result.effective_message_records, 16u);
+    std::vector<u32> expected;
+    for (u32 k = 0; k < 7; ++k) expected.push_back(10 * peer + k);
+    EXPECT_EQ(pdm::read_file<u32>(ctx.disk(), "y.in"), expected);
+    EXPECT_TRUE(messages_consistent(ctx, result, outgoing));
+    return result.messages;
+  });
+  for (u64 messages : results) EXPECT_EQ(messages, 1u);
+}
+
+TEST(Redistribute, ZeroSizePartitionsExchangeCleanly) {
+  // Node r's partition j holds j records of value r: partition 0 is empty
+  // on every node, so every node both sends and receives empty streams —
+  // and an empty piece still creates its landing file.
+  const auto results =
+      run_exchange(3, [&](NodeContext& ctx) -> RedistributeResult {
+        const u32 p = ctx.node_count();
+        std::vector<std::vector<seq::MergePiece>> outgoing(p);
+        for (u32 j = 0; j < p; ++j) {
+          std::vector<u32> data(j, ctx.rank());
+          pdm::write_file<u32>(ctx.disk(), partition_name("px", j),
+                               std::span<const u32>(data));
+          if (j != ctx.rank()) {
+            outgoing[j].push_back({partition_name("px", j), 0, j});
+          }
+        }
+        RedistributeResult res = redistribute_pieces<u32>(
+            ctx, outgoing,
+            [](u32 src, u64) { return received_name("rx", src); },
+            /*message_records=*/16, /*window_chunks=*/2);
+        for (u32 src = 0; src < p; ++src) {
+          if (src == ctx.rank()) continue;
+          EXPECT_EQ(pdm::read_file<u32>(ctx.disk(), received_name("rx", src)),
+                    std::vector<u32>(ctx.rank(), src));
+        }
+        EXPECT_TRUE(messages_consistent(ctx, res, outgoing));
+        return res;
+      });
+
+  for (u32 r = 0; r < 3; ++r) {
+    const RedistributeResult& res = results[r];
+    for (u32 src = 0; src < 3; ++src) {
+      if (src == r) continue;
+      ASSERT_EQ(res.received[src].size(), 1u) << "node " << r;
+      EXPECT_EQ(res.received[src][0].len, r) << "node " << r;
+      EXPECT_EQ(res.sent_records[src], src) << "node " << r;
+    }
+    EXPECT_EQ(res.effective_message_records, 16u);
+  }
+}
+
+TEST(Redistribute, UnalignedPiecesFromTwoFilesLandInTheirOwnFiles) {
+  // Each node sends every peer three pieces cut from two files at offsets
+  // that are not block-aligned (16 records per block); piece k from src
+  // lands in its own file "in.<src>.<k>".
+  const auto results = run_exchange(3, [&](NodeContext& ctx) -> bool {
+    const u32 p = ctx.node_count();
+    const u32 rank = ctx.rank();
+    std::vector<u32> a(100), b(60);
+    for (u32 i = 0; i < a.size(); ++i) a[i] = 100000 * rank + i;
+    for (u32 i = 0; i < b.size(); ++i) b[i] = 100000 * rank + 50000 + i;
+    pdm::write_file<u32>(ctx.disk(), "a", std::span<const u32>(a));
+    pdm::write_file<u32>(ctx.disk(), "b", std::span<const u32>(b));
+    // Peer j gets a[3j+5, +33), b[7+j, +19) and a[50+j, +17): lengths
+    // above, at and below the 16-record message.
+    const auto pieces_for = [](u32 j) {
+      return std::vector<seq::MergePiece>{
+          {"a", 3 * j + 5, 33}, {"b", 7 + j, 19}, {"a", 50 + j, 17}};
+    };
+    std::vector<std::vector<seq::MergePiece>> outgoing(p);
+    for (u32 j = 0; j < p; ++j) {
+      if (j != rank) outgoing[j] = pieces_for(j);
+    }
+    const auto land = [](u32 src, u64 k) {
+      return "in." + std::to_string(src) + "." + std::to_string(k);
+    };
+    const RedistributeResult res =
+        redistribute_pieces<u32>(ctx, outgoing, land, 16);
+
+    bool ok = true;
+    for (u32 src = 0; src < p; ++src) {
+      if (src == rank) continue;
+      const std::vector<seq::MergePiece> sent = pieces_for(rank);
+      ok = ok && res.received[src].size() == sent.size();
+      for (u64 k = 0; k < sent.size() && ok; ++k) {
+        const seq::MergePiece& landed = res.received[src][k];
+        ok = ok && landed.file == land(src, k) && landed.offset == 0 &&
+             landed.len == sent[k].len;
+        const u32 base = 100000 * src + (sent[k].file == "b" ? 50000 : 0);
+        const std::vector<u32> got =
+            pdm::read_file<u32>(ctx.disk(), land(src, k));
+        ok = ok && got.size() == sent[k].len;
+        for (u64 i = 0; i < got.size(); ++i) {
+          ok = ok && got[i] == base + sent[k].offset + i;
+        }
+      }
+    }
+    // 33 → 3 messages, 19 → 2, 17 → 2, per peer.
+    return ok && res.messages == 7 * (p - 1) &&
+           messages_consistent(ctx, res, outgoing);
+  });
+  for (bool ok : results) EXPECT_TRUE(ok);
+}
+
+TEST(Redistribute, ZeroLengthPiecesAndSilentPeersLandInOneFile) {
+  // Node 0 sends nothing at all (an empty header); every other node sends
+  // each peer pieces with zero-length entries first, in the middle and
+  // last.  Every piece from every source lands back to back in one file
+  // that already holds the node's own records, at the offset the result
+  // reports.
+  const auto results = run_exchange(4, [&](NodeContext& ctx) -> bool {
+    const u32 p = ctx.node_count();
+    const u32 rank = ctx.rank();
+    std::vector<u32> src_data(40);
+    for (u32 i = 0; i < src_data.size(); ++i) src_data[i] = 1000 * rank + i;
+    pdm::write_file<u32>(ctx.disk(), "src", std::span<const u32>(src_data));
+    const std::vector<u32> own(5, 7);
+    pdm::write_file<u32>(ctx.disk(), "all", std::span<const u32>(own));
+    const std::vector<seq::MergePiece> pattern = {
+        {"src", 0, 0}, {"src", 1, 20}, {"src", 21, 0},
+        {"src", 30, 3}, {"src", 40, 0}};
+    std::vector<std::vector<seq::MergePiece>> outgoing(p);
+    for (u32 j = 0; j < p; ++j) {
+      if (rank != 0 && j != rank) outgoing[j] = pattern;
+    }
+    const RedistributeResult res = redistribute_pieces<u32>(
+        ctx, outgoing, [](u32, u64) { return std::string("all"); }, 16);
+
+    // Expected file: own records, then each source in phase order.
+    std::vector<u32> expected = own;
+    bool ok = res.received[0].empty() && res.received[rank].empty();
+    for (u32 offset = 1; offset < p; ++offset) {
+      const u32 src = (rank + p - offset) % p;
+      if (src == 0) continue;
+      ok = ok && res.received[src].size() == pattern.size();
+      for (u64 k = 0; k < pattern.size() && ok; ++k) {
+        const seq::MergePiece& landed = res.received[src][k];
+        ok = ok && landed.file == "all" && landed.offset == expected.size() &&
+             landed.len == pattern[k].len;
+        for (u64 i = 0; i < pattern[k].len; ++i) {
+          expected.push_back(1000 * src +
+                             static_cast<u32>(pattern[k].offset + i));
+        }
+      }
+    }
+    ok = ok && pdm::read_file<u32>(ctx.disk(), "all") == expected;
+    // 20 → 2 messages and 3 → 1 per peer, from every node but node 0.
+    return ok && res.messages == (rank == 0 ? 0 : 3 * (p - 1)) &&
+           messages_consistent(ctx, res, outgoing);
+  });
+  for (bool ok : results) EXPECT_TRUE(ok);
 }
 
 // ---------------------------------------------------------------------

@@ -8,10 +8,10 @@
 #include <filesystem>
 
 #include "base/checksum.h"
+#include "base/math_util.h"
 #include "base/temp_dir.h"
 #include "core/ext_distribution.h"
 #include "core/ext_psrs.h"
-#include "core/redistribute.h"
 #include "core/sort_driver.h"
 #include "core/verify.h"
 #include "hetero/calibration.h"
@@ -95,32 +95,6 @@ TEST(Integration, ScratchFilesAreCleanedUp) {
     return leftovers;
   });
   for (u64 leftovers : outcome.results) EXPECT_EQ(leftovers, 0u);
-}
-
-TEST(Integration, KeepIntermediatesRetainsStepFiles) {
-  PerfVector perf({1, 1});
-  const u64 n = perf.round_up_admissible(2000);
-  ClusterConfig config;
-  config.perf = {1, 1};
-  config.disk.block_bytes = 256;
-  Cluster cluster(config);
-  WorkloadSpec spec{Dist::kUniform, n, 2, 4};
-  auto outcome = cluster.run([&](NodeContext& ctx) -> bool {
-    workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
-                          perf.share(ctx.rank(), n), ctx.disk(), "input");
-    ExtPsrsConfig psrs;
-    psrs.sequential.memory_records = 256;
-    psrs.sequential.allow_in_memory = false;
-    psrs.keep_intermediates = true;
-    // The pipeline streams partitions over the network without ever
-    // writing step-3/step-4 files; only the phased mode has them to keep.
-    psrs.pipelined = false;
-    core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
-    return ctx.disk().exists("sorted.step1") &&
-           ctx.disk().exists("sorted.step3.part0") &&
-           ctx.disk().exists("sorted.step3.part1");
-  });
-  for (bool kept : outcome.results) EXPECT_TRUE(kept);
 }
 
 // ---------------------------------------------------------------------
@@ -323,83 +297,6 @@ TEST(Integration, PsrsAndDistributionSortProduceIdenticalGlobalOrder) {
   EXPECT_EQ(a, b);
   EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
   EXPECT_EQ(a.size(), n);
-}
-
-// ---------------------------------------------------------------------
-// Redistribution unit behaviour
-// ---------------------------------------------------------------------
-
-TEST(Integration, RedistributeMovesExactPartitionContents) {
-  ClusterConfig config = ClusterConfig::homogeneous(3);
-  config.disk.block_bytes = 64;
-  Cluster cluster(config);
-  auto outcome = cluster.run([&](NodeContext& ctx) -> bool {
-    const u32 p = ctx.node_count();
-    // Partition j of node r contains values 1000*r + 100*j + k.
-    for (u32 j = 0; j < p; ++j) {
-      pdm::BlockFile f =
-          ctx.disk().create(core::partition_name("x.step3", j));
-      pdm::BlockWriter<u32> w(f);
-      for (u32 k = 0; k < 10 + j; ++k) {
-        w.push(1000 * ctx.rank() + 100 * j + k);
-      }
-      w.flush();
-    }
-    const auto result = core::redistribute_partitions<u32>(
-        ctx, "x.step3", "x.step4", /*message_records=*/4);
-
-    bool ok = true;
-    // From every peer src we must hold exactly src's partition `rank`.
-    for (u32 src = 0; src < p; ++src) {
-      if (src == ctx.rank()) continue;
-      const auto got = pdm::read_file<u32>(
-          ctx.disk(), core::received_name("x.step4", src));
-      ok = ok && got.size() == 10 + ctx.rank();
-      for (u32 k = 0; k < got.size(); ++k) {
-        ok = ok && got[k] == 1000 * src + 100 * ctx.rank() + k;
-      }
-      ok = ok && result.received_records[src] == got.size();
-    }
-    // Messages: ceil(count/message_records) per outgoing peer partition,
-    // after the block-multiple clamp (64-byte blocks, u32 → requested 4
-    // rounds up to 16).
-    ok = ok && result.effective_message_records == 16;
-    u64 expected_messages = 0;
-    for (u32 dst = 0; dst < p; ++dst) {
-      if (dst == ctx.rank()) continue;
-      expected_messages += ceil_div(10 + dst, result.effective_message_records);
-    }
-    ok = ok && result.messages == expected_messages;
-    return ok;
-  });
-  for (bool ok : outcome.results) EXPECT_TRUE(ok);
-}
-
-TEST(Integration, RedistributeSingleRecordMessages) {
-  // message_records = 1 is the paper's pathological small-packet request.
-  // The paper requires block-multiple messages, so the request clamps up
-  // to one 16-record block (64-byte blocks, u32) and the 7 records travel
-  // in a single message; correctness must be unaffected.
-  ClusterConfig config = ClusterConfig::homogeneous(2);
-  config.disk.block_bytes = 64;
-  Cluster cluster(config);
-  auto outcome = cluster.run([&](NodeContext& ctx) -> u64 {
-    for (u32 j = 0; j < 2; ++j) {
-      pdm::BlockFile f =
-          ctx.disk().create(core::partition_name("y.step3", j));
-      pdm::BlockWriter<u32> w(f);
-      for (u32 k = 0; k < 7; ++k) w.push(10 * ctx.rank() + k);
-      w.flush();
-    }
-    const auto result =
-        core::redistribute_partitions<u32>(ctx, "y.step3", "y.step4", 1);
-    EXPECT_EQ(result.effective_message_records, 16u);
-    const auto got = pdm::read_file<u32>(
-        ctx.disk(), core::received_name("y.step4", 1 - ctx.rank()));
-    EXPECT_EQ(got.size(), 7u);
-    return result.messages;
-  });
-  for (u64 messages : outcome.results) EXPECT_EQ(messages, 1u);
 }
 
 // ---------------------------------------------------------------------

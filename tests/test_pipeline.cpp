@@ -261,39 +261,5 @@ TEST(Redistribute, SubBlockMessageSizeStillSortsIdentically) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Legacy exchange: zero-size partitions and flow-controlled schedule
-// ---------------------------------------------------------------------
-
-TEST(Redistribute, ZeroSizePartitionsExchangeCleanly) {
-  // Node r's partition j holds j records of value r: partition 0 is empty
-  // on every node, so every node both sends and receives empty streams.
-  ClusterConfig config;
-  config.perf = {1, 1, 1};
-  config.disk = tiny_blocks();
-  Cluster cluster(config);
-
-  auto outcome = cluster.run([&](NodeContext& ctx) -> RedistributeResult {
-    const u32 p = ctx.node_count();
-    for (u32 j = 0; j < p; ++j) {
-      std::vector<DefaultKey> data(j, ctx.rank());
-      pdm::write_file<DefaultKey>(ctx.disk(), "px.part" + std::to_string(j),
-                                  std::span<const DefaultKey>(data));
-    }
-    return redistribute_partitions<DefaultKey>(ctx, "px", "rx",
-                                               /*message_records=*/16,
-                                               /*window_chunks=*/2);
-  });
-
-  for (u32 r = 0; r < 3; ++r) {
-    const RedistributeResult& res = outcome.results[r];
-    for (u32 src = 0; src < 3; ++src) {
-      EXPECT_EQ(res.received_records[src], r) << "node " << r;
-      EXPECT_EQ(res.sent_records[src], src) << "node " << r;
-    }
-    EXPECT_EQ(res.effective_message_records, 16u);
-  }
-}
-
 }  // namespace
 }  // namespace paladin::core

@@ -6,6 +6,7 @@ Usage:
   check_perf_regression.py --splitters NEW_JSON BASELINE_JSON [--threshold=0.20]
   check_perf_regression.py --service NEW_JSON BASELINE_JSON [--threshold=0.20]
   check_perf_regression.py --drift NEW_JSON BASELINE_JSON [--threshold=0.20]
+  check_perf_regression.py --all NEW_DIR BASELINE_DIR [--threshold=0.20]
 
 Default mode compares the merge rows (kernel name containing "merge") of a
 freshly generated bench_results/BENCH_hotpaths.json against the committed
@@ -27,12 +28,18 @@ recovery_factor drop beyond the threshold fails (the adaptive layer
 recovers a smaller share of the drift damage than it used to), and an
 adaptive-row makespan rise beyond the threshold fails.
 
+--all runs the four gates above, in that order, on BENCH_hotpaths.json,
+BENCH_splitters.json, BENCH_service.json and BENCH_drift.json of the two
+directories.  Every gate runs even after one fails; the exit status is
+nonzero when any of them failed.
+
 In all modes rows present on only one side are reported but never fail
 the gate (new rows appear, retired ones vanish), and older baselines
 missing optional fields are accepted.
 """
 
 import json
+import os
 import sys
 
 EXPANSION_TOLERANCE = 0.05
@@ -277,12 +284,34 @@ def check_drift(new_path, base_path, threshold):
     return 0
 
 
+def check_all(new_dir, base_dir, threshold):
+    gates = [
+        ("BENCH_hotpaths.json", check_merge),
+        ("BENCH_splitters.json", check_splitters),
+        ("BENCH_service.json", check_service),
+        ("BENCH_drift.json", check_drift),
+    ]
+    failed = []
+    for name, check in gates:
+        print(f"\n== {name}")
+        if check(os.path.join(new_dir, name), os.path.join(base_dir, name),
+                 threshold) != 0:
+            failed.append(name)
+    if failed:
+        print(f"\nFAIL: {len(failed)} of {len(gates)} gates failed: "
+              + ", ".join(failed))
+        return 1
+    print(f"\nOK: all {len(gates)} gates passed")
+    return 0
+
+
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     threshold = 0.20
     splitters = "--splitters" in argv[1:]
     service = "--service" in argv[1:]
     drift = "--drift" in argv[1:]
+    run_all = "--all" in argv[1:]
     for a in argv[1:]:
         if a.startswith("--threshold="):
             threshold = float(a.split("=", 1)[1])
@@ -290,6 +319,8 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
 
+    if run_all:
+        return check_all(args[0], args[1], threshold)
     if splitters:
         return check_splitters(args[0], args[1], threshold)
     if service:
