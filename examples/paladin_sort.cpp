@@ -20,12 +20,16 @@
 // the shared simulated cluster.  --obs-out then writes the aggregated
 // per-job service report (PREFIX.report.json).
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "base/enum_names.h"
@@ -106,6 +110,25 @@ struct Options {
       }
       return argv[++i];
     };
+    // A numeric value of `flag`: the whole text must be a decimal integer
+    // in [min, max].
+    auto check_number = [](std::string_view text, const char* flag, u64 min,
+                           u64 max) {
+      u64 value = 0;
+      const char* end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+      if (ec != std::errc() || ptr != end || value < min || value > max) {
+        std::cerr << "bad " << flag << " value '" << text
+                  << "'; expected an integer in [" << min << ", " << max
+                  << "]\n";
+        std::exit(2);
+      }
+      return value;
+    };
+    auto need_number = [&](int& i, const char* flag, u64 min) {
+      return check_number(need_value(i), flag, min,
+                          std::numeric_limits<u64>::max());
+    };
     // An enum-valued option: its value must name one entry of `all`.
     auto need_enum = [&](int& i, const auto& all, const char* what) {
       const std::string name = need_value(i);
@@ -124,11 +147,17 @@ struct Options {
       } else if (arg == "--output") {
         opt.output = need_value(i);
       } else if (arg == "--perf") {
+        // Comma-separated speed factors, each >= 1.
+        const std::string list = need_value(i);
+        std::string_view rest = list;
         opt.perf.clear();
-        std::stringstream ss(need_value(i));
-        std::string item;
-        while (std::getline(ss, item, ',')) {
-          opt.perf.push_back(static_cast<u32>(std::stoul(item)));
+        for (;;) {
+          const auto comma = rest.find(',');
+          opt.perf.push_back(static_cast<u32>(
+              check_number(rest.substr(0, comma), "--perf", 1,
+                           std::numeric_limits<u32>::max())));
+          if (comma == std::string_view::npos) break;
+          rest.remove_prefix(comma + 1);
         }
       } else if (arg == "--algorithm") {
         opt.algorithm = need_enum(i, core::kAllAlgorithms, "algorithm");
@@ -136,13 +165,13 @@ struct Options {
         opt.splitter =
             need_enum(i, core::kAllSplitterStrategies, "splitter strategy");
       } else if (arg == "--memory") {
-        opt.memory_records = std::stoull(need_value(i));
+        opt.memory_records = need_number(i, "--memory", 1);
       } else if (arg == "--message") {
-        opt.message_records = std::stoull(need_value(i));
+        opt.message_records = need_number(i, "--message", 1);
       } else if (arg == "--net") {
         opt.net = need_value(i);
       } else if (arg == "--demo") {
-        opt.demo_records = std::stoull(need_value(i));
+        opt.demo_records = need_number(i, "--demo", 0);
       } else if (arg == "--dist") {
         opt.demo_dist = need_enum(i, workload::kAllDists, "distribution");
       } else if (arg == "--obs-out") {

@@ -13,8 +13,8 @@
 //    Enough to *replace* the comparator outright when the comparator is
 //    std::less<T> (a custom comparator may order the same bytes
 //    differently): key_codec_replaces_less() is that one test, and the
-//    key-cached loser tree, the parallel merge's splitter bisection and
-//    metered_sort's radix path are all gated on it.
+//    key-cached loser tree and metered_sort's radix path are both gated
+//    on it.
 //
 // The primary template is the comparator fallback: not encodable, so every
 // consumer keeps calling Less.  Integral specializations are provided;

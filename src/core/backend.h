@@ -48,9 +48,8 @@ namespace paladin::core {
 /// (plus their own option struct), so the driver builds them by slicing.
 struct BackendConfig {
   /// Sequential machinery for the local sort phases (memory budget, tape
-  /// count, run-formation strategy, in-node merge engine — the
-  /// `sequential.merge` tuning also drives every backend's final merge,
-  /// see seq/parallel_merge.h).
+  /// count, run-formation strategy); the memory budget also sizes every
+  /// backend's final merge.
   seq::ExternalSortConfig sequential;
   /// Records per network message (paper: 8K integers = 32 KB); clamped up
   /// to a block multiple by the transports.

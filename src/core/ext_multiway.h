@@ -45,7 +45,6 @@
 #include "net/cluster.h"
 #include "pdm/typed_io.h"
 #include "seq/kway_merge.h"
-#include "seq/parallel_merge.h"
 #include "seq/run_formation.h"
 
 namespace paladin::core {
@@ -167,8 +166,7 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
         seq::merge_runs_balanced<T, Less>(ctx.disk(), runs_file, runs,
                                           config.output,
                                           config.sequential.memory_records,
-                                          ctx, less,
-                                          config.sequential.merge),
+                                          ctx, less),
         runs.run_count() > 0 ? 1 : 0);
     ctx.disk().remove(runs_file);
     span.end();
@@ -291,7 +289,7 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
     // cannot buffer one block per piece.
     const MergeOutcome merged = merge_sorted_pieces<T, Less>(
         ctx.disk(), pieces, config.output, config.sequential.memory_records,
-        ctx, less, config.sequential.merge);
+        ctx, less);
     report.final_records = merged.merged;
     report.merge_passes = merged.passes;
 

@@ -348,7 +348,7 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
       report.final_records =
           merge_sorted_pieces<T, Less>(ctx.disk(), runs, config.output,
                                        config.sequential.memory_records, ctx,
-                                       less, config.sequential.merge)
+                                       less)
               .merged;
     }
     for (const seq::MergePiece& run : runs) ctx.disk().remove(run.file);

@@ -23,7 +23,6 @@
 #include "seq/cursors.h"
 #include "seq/kway_merge.h"
 #include "seq/loser_tree.h"
-#include "seq/parallel_merge.h"
 
 namespace paladin::core {
 
@@ -212,14 +211,13 @@ MergeOutcome merge_sorted_pieces(pdm::Disk& disk,
                                  const std::vector<seq::MergePiece>& pieces,
                                  const std::string& output,
                                  u64 memory_records, Meter& meter,
-                                 Less less = {},
-                                 const seq::MergeTuning& tuning = {}) {
+                                 Less less = {}) {
   MergeOutcome outcome;
   if (pieces.size() <= seq::max_fan_in<T>(disk, memory_records)) {
     pdm::BlockFile out_file = disk.create(output);
     pdm::BlockWriter<T> writer(out_file);
     const seq::MergeResult r =
-        seq::merge_pieces<T, Less>(disk, pieces, writer, meter, less, tuning);
+        seq::merge_pieces<T, Less>(disk, pieces, writer, meter, less);
     writer.flush();
     if (!pieces.empty()) {
       meter.on_moves(r.merged);
@@ -251,8 +249,7 @@ MergeOutcome merge_sorted_pieces(pdm::Disk& disk,
   outcome.merged = layout.total_records;
   outcome.passes =
       1 + seq::merge_runs_balanced<T, Less>(disk, runs_name, layout, output,
-                                            memory_records, meter, less,
-                                            tuning);
+                                            memory_records, meter, less);
   disk.remove(runs_name);
   return outcome;
 }

@@ -238,10 +238,8 @@ PipelineOutcome pipelined_exchange_merge(net::NodeContext& ctx,
     // Merge half: one network source per rank (the local partition arrives
     // as free self-sends), fed cooperatively by pump_send.  The tree runs
     // the key-cached kernel (seq/loser_tree.h) and each chunk refill
-    // prefetches its head (NetworkRunSource::adopt); the stream stays
-    // serial because the sources pump the send half — partition-parallel
-    // merging here would reorder network charges, unlike the file-backed
-    // final merges that use seq/parallel_merge.h.
+    // prefetches its head (NetworkRunSource::adopt); like the file-backed
+    // merges in seq/kway_merge.h it is one serial tree per node.
     std::vector<NetworkRunSource<T>> net_sources;
     net_sources.reserve(p);
     for (u32 s = 0; s < p; ++s) {

@@ -45,7 +45,7 @@
 #include "base/types.h"
 #include "net/cluster.h"
 #include "pdm/typed_io.h"
-#include "seq/parallel_merge.h"
+#include "seq/kway_merge.h"
 
 namespace paladin::core {
 

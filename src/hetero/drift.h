@@ -30,10 +30,13 @@
 #endif
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "base/contracts.h"
@@ -176,7 +179,9 @@ struct AdaptiveConfig {
 /// the CLI --drift flag and the soak tier's PALADIN_SOAK_REPRO lines:
 ///   seed=7,epoch=0.5,prob=0.25,factor=4,regime=2,force=0:8:inf:4
 /// where each force= entry is rank:from_epoch:until_epoch:factor and
-/// until_epoch may be "inf".
+/// until_epoch may be "inf".  The parser accepts exactly the plans a
+/// DriftOracle accepts: anything else throws std::invalid_argument (or
+/// std::out_of_range for a number too large for its field).
 inline std::string drift_plan_to_string(const DriftPlan& plan) {
   std::ostringstream os;
   os.precision(17);  // round-trips any double exactly
@@ -197,6 +202,25 @@ inline std::string drift_plan_to_string(const DriftPlan& plan) {
 }
 
 inline DriftPlan parse_drift_plan(const std::string& spec) {
+  // The whole of `text` as a finite number of value's type; unlike stoull,
+  // from_chars rejects "-1" for an unsigned field instead of wrapping it.
+  auto number = [](const std::string& text, auto value) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc::result_out_of_range) {
+      throw std::out_of_range("drift spec number out of range: " + text);
+    }
+    if (ec != std::errc() || ptr != end) {
+      throw std::invalid_argument("drift spec number malformed: " + text);
+    }
+    if (!std::isfinite(static_cast<double>(value))) {
+      throw std::invalid_argument("drift spec number must be finite: " + text);
+    }
+    return value;
+  };
+  auto require = [](bool ok, const std::string& what) {
+    if (!ok) throw std::invalid_argument("drift spec " + what);
+  };
   DriftPlan plan;
   std::istringstream is(spec);
   std::string item;
@@ -209,15 +233,18 @@ inline DriftPlan parse_drift_plan(const std::string& spec) {
     const std::string key = item.substr(0, eq);
     const std::string val = item.substr(eq + 1);
     if (key == "seed") {
-      plan.seed = std::stoull(val);
+      plan.seed = number(val, u64{});
     } else if (key == "epoch") {
-      plan.spec.epoch_seconds = std::stod(val);
+      plan.spec.epoch_seconds = number(val, 0.0);
+      require(plan.spec.epoch_seconds > 0.0, "epoch must be > 0: " + val);
     } else if (key == "prob") {
-      plan.spec.slow_prob = std::stod(val);
+      plan.spec.slow_prob = number(val, 0.0);
     } else if (key == "factor") {
-      plan.spec.slow_factor = std::stod(val);
+      plan.spec.slow_factor = number(val, 0.0);
+      require(plan.spec.slow_factor >= 1.0, "factor must be >= 1: " + val);
     } else if (key == "regime") {
-      plan.spec.regime_epochs = std::stoull(val);
+      plan.spec.regime_epochs = number(val, u64{});
+      require(plan.spec.regime_epochs >= 1, "regime must be >= 1: " + val);
     } else if (key == "force") {
       ForcedSlowdown f;
       std::istringstream fs(val);
@@ -228,11 +255,14 @@ inline DriftPlan parse_drift_plan(const std::string& spec) {
         throw std::invalid_argument("drift force entry needs "
                                     "rank:from:until:factor: " + val);
       }
-      f.rank = static_cast<u32>(std::stoul(parts[0]));
-      f.from_epoch = std::stoull(parts[1]);
+      f.rank = number(parts[0], u32{});
+      f.from_epoch = number(parts[1], u64{});
       f.until_epoch = parts[2] == "inf" ? std::numeric_limits<u64>::max()
-                                        : std::stoull(parts[2]);
-      f.factor = std::stod(parts[3]);
+                                        : number(parts[2], u64{});
+      f.factor = number(parts[3], 0.0);
+      require(f.from_epoch <= f.until_epoch,
+              "force from must not exceed until: " + val);
+      require(f.factor >= 1.0, "force factor must be >= 1: " + val);
       plan.forced.push_back(f);
     } else {
       throw std::invalid_argument("unknown drift spec key: " + key);

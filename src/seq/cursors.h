@@ -1,7 +1,7 @@
 // Cursor types feeding the loser tree.  A cursor exposes peek()/advance()
 // over a sorted sequence: in memory (MemCursor), a whole file
-// (BlockReader already matches), or a length-limited segment of a file
-// (RunCursor — one run on a polyphase tape).
+// (pdm::BlockReader already matches), or a length-limited segment of a
+// file (RunCursor — one run on a polyphase tape, or one merge piece).
 #pragma once
 
 #include <span>
@@ -48,15 +48,12 @@ class MemCursor {
 
 /// Cursor over the next `length` records of a block reader — one run on a
 /// tape that holds several runs back to back.  Several RunCursors may share
-/// one reader sequentially (never concurrently).  The Reader parameter is
-/// anything with peek/advance/buffered/advance_n over records (the charged
-/// pdm::BlockReader by default; the parallel merge substitutes its
-/// uncharged worker-thread reader, seq/parallel_merge.h).
-template <Record T, typename Reader = pdm::BlockReader<T>>
+/// one reader sequentially (never concurrently).
+template <Record T>
 class RunCursor {
  public:
   RunCursor() = default;
-  RunCursor(Reader* reader, u64 length)
+  RunCursor(pdm::BlockReader<T>* reader, u64 length)
       : reader_(reader), remaining_(length) {}
 
   const T* peek() const {
@@ -96,26 +93,8 @@ class RunCursor {
   }
 
  private:
-  Reader* reader_ = nullptr;
+  pdm::BlockReader<T>* reader_ = nullptr;
   u64 remaining_ = 0;
-};
-
-/// Cursor over a whole file through its own reader.
-template <Record T>
-class FileCursor {
- public:
-  explicit FileCursor(pdm::BlockFile& file) : reader_(file) {}
-
-  const T* peek() { return reader_.peek(); }
-  void advance() { reader_.advance(); }
-  const T* advance_peek() { return reader_.advance_peek(); }
-  u64 size_records() const { return reader_.size_records(); }
-
-  std::span<const T> buffered() { return reader_.buffered(); }
-  void advance_n(u64 n) { reader_.advance_n(n); }
-
- private:
-  pdm::BlockReader<T> reader_;
 };
 
 }  // namespace paladin::seq

@@ -42,10 +42,6 @@ struct ExternalSortConfig {
   RunFormation run_formation = RunFormation::kLoadSortStore;
   /// When true, inputs that fit in memory are sorted in one load.
   bool allow_in_memory = true;
-  /// In-node merge engine (seq/parallel_merge.h): threads == 1 forces the
-  /// serial tree, 0 auto-sizes.  Output and accounting are bit-identical
-  /// for every setting; only wall-clock changes.
-  MergeTuning merge;
 };
 
 struct ExternalSortResult {
@@ -107,8 +103,7 @@ ExternalSortResult external_sort(pdm::Disk& disk, const std::string& input,
       }
       result.initial_runs = layout.run_count();
       result.merge_passes = merge_runs_balanced<T, Less>(
-          disk, runs_name, layout, output, config.memory_records, meter, less,
-          config.merge);
+          disk, runs_name, layout, output, config.memory_records, meter, less);
       disk.remove(runs_name);
       return result;
     }

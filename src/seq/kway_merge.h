@@ -1,8 +1,11 @@
-// Balanced multi-pass k-way merging of sorted runs.  The fan-in respects
-// the memory budget (one block buffer per input run + one output block must
-// fit in M), so the pass count matches the PDM-optimal ⌈log_m(runs)⌉.
-// This is both the baseline external sort's merge phase and the final merge
-// (Step 5) of the parallel algorithm.
+// K-way merging of sorted file ranges.  merge_pieces() is the one file
+// merge every caller shares: a serial loser tree over one block reader per
+// piece.  On top of it, balanced multi-pass merging of sorted runs keeps
+// the fan-in within the memory budget (one block buffer per input run +
+// one output block must fit in M), so the pass count matches the
+// PDM-optimal ⌈log_m(runs)⌉.  This is both the baseline external sort's
+// merge phase and, through core/merge_files.h, the final merge (Step 5)
+// of the parallel algorithm.
 #pragma once
 
 #include <string>
@@ -15,10 +18,57 @@
 #include "pdm/typed_io.h"
 #include "seq/cursors.h"
 #include "seq/loser_tree.h"
-#include "seq/parallel_merge.h"
 #include "seq/run_formation.h"
 
 namespace paladin::seq {
+
+/// One sorted merge input: `len` records of `file` starting at record
+/// `offset`.
+struct MergePiece {
+  std::string file;
+  u64 offset = 0;
+  u64 len = 0;
+};
+
+struct MergeResult {
+  u64 merged = 0;
+  /// Compare count not yet delivered to the meter: the caller emits it
+  /// (after its on_moves) exactly where the serial tree's destructor
+  /// flush would land.
+  u64 tail_compares = 0;
+};
+
+/// Merges `pieces` (each sorted) into `out`.  Delivers moves/tail-compares
+/// through the returned MergeResult so the caller can keep its historical
+/// meter order: push charges, then on_moves(merged), then
+/// on_compares(tail_compares) — identical to the inlined tree it replaces.
+template <Record T, typename Less = std::less<T>>
+MergeResult merge_pieces(pdm::Disk& disk, const std::vector<MergePiece>& pieces,
+                         pdm::BlockWriter<T>& out, Meter& meter,
+                         Less less = {}) {
+  MergeResult result;
+  if (pieces.empty()) return result;
+
+  std::vector<pdm::BlockFile> files;
+  std::vector<pdm::BlockReader<T>> readers;
+  std::vector<RunCursor<T>> cursors;
+  files.reserve(pieces.size());
+  readers.reserve(pieces.size());
+  cursors.reserve(pieces.size());
+  for (const MergePiece& p : pieces) {
+    files.push_back(disk.open(p.file));
+    readers.emplace_back(files.back());
+    readers.back().seek_record(p.offset);
+    cursors.emplace_back(&readers.back(), p.len);
+  }
+  std::vector<RunCursor<T>*> sources;
+  sources.reserve(cursors.size());
+  for (auto& c : cursors) sources.push_back(&c);
+  LoserTree<T, RunCursor<T>, Less> tree(std::move(sources), less, &meter);
+  result.merged = tree.pop_run_into(out);
+  result.tail_compares = tree.take_unreported();
+  return result;
+}
 
 /// Largest merge fan-in the memory budget allows: one block per input run
 /// plus one output block.  At least 2.
@@ -31,14 +81,11 @@ u64 max_fan_in(const pdm::Disk& disk, u64 memory_records) {
 
 /// Merges `count` runs laid out back-to-back in `runs_file` starting at
 /// run index `first` of `layout`, appending one combined run to `out`.
-/// Returns the merged length.  `tuning` selects the in-node merge engine
-/// (seq/parallel_merge.h); every setting produces bit-identical output and
-/// accounting.
+/// Returns the merged length.
 template <Record T, typename Less = std::less<T>>
 u64 merge_run_group(pdm::Disk& disk, const std::string& runs_file,
                     const RunLayout& layout, u64 first, u64 count,
-                    pdm::BlockWriter<T>& out, Meter& meter, Less less = {},
-                    const MergeTuning& tuning = {}) {
+                    pdm::BlockWriter<T>& out, Meter& meter, Less less = {}) {
   PALADIN_EXPECTS(first + count <= layout.run_count());
   // Each run becomes one merge piece with its own reader (one block buffer
   // each) so the merge streams all group members concurrently.
@@ -52,8 +99,7 @@ u64 merge_run_group(pdm::Disk& disk, const std::string& runs_file,
     offset += layout.run_lengths[first + i];
   }
 
-  const MergeResult r =
-      merge_pieces<T, Less>(disk, pieces, out, meter, less, tuning);
+  const MergeResult r = merge_pieces<T, Less>(disk, pieces, out, meter, less);
   meter.on_moves(r.merged);
   if (r.tail_compares > 0) meter.on_compares(r.tail_compares);
   return r.merged;
@@ -66,8 +112,7 @@ u64 merge_run_group(pdm::Disk& disk, const std::string& runs_file,
 template <Record T, typename Less = std::less<T>>
 u64 merge_runs_balanced(pdm::Disk& disk, const std::string& runs_file,
                         RunLayout layout, const std::string& output,
-                        u64 memory_records, Meter& meter, Less less = {},
-                        const MergeTuning& tuning = {}) {
+                        u64 memory_records, Meter& meter, Less less = {}) {
   PALADIN_EXPECTS(runs_file != output);
   const u64 fan_in = max_fan_in<T>(disk, memory_records);
 
@@ -88,8 +133,8 @@ u64 merge_runs_balanced(pdm::Disk& disk, const std::string& runs_file,
     RunLayout next_layout;
     for (u64 first = 0; first < layout.run_count(); first += fan_in) {
       const u64 count = std::min(fan_in, layout.run_count() - first);
-      const u64 merged = merge_run_group<T, Less>(
-          disk, current, layout, first, count, out, meter, less, tuning);
+      const u64 merged = merge_run_group<T, Less>(disk, current, layout, first,
+                                                  count, out, meter, less);
       next_layout.run_lengths.push_back(merged);
       next_layout.total_records += merged;
     }

@@ -242,9 +242,9 @@ class LoserTree {
   u64 comparisons() const { return compares_; }
 
   /// Comparisons counted but not yet delivered to the meter; marks them
-  /// reported.  Lets a caller that replays this tree's accounting (the
-  /// parallel merge) emit the tail batch at the exact point the destructor
-  /// otherwise would.
+  /// reported.  Lets seq::merge_pieces hand the tail batch to its caller,
+  /// which emits it after charging the moves — where the destructor of a
+  /// tree in the caller's own scope would.
   u64 take_unreported() {
     const u64 pending = compares_ - reported_;
     reported_ = compares_;

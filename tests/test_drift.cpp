@@ -16,13 +16,18 @@
 //  * adaptive repartitioning recovers makespan: under a seeded 4× forced
 //    slowdown of one node, the adaptive run's makespan is strictly below
 //    the static-perf run's.
+//
+// The --drift spec parser is fuzzed too: every spec it accepts builds an
+// oracle and round-trips through drift_plan_to_string.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "base/rng.h"
 #include "core/ext_psrs.h"
 #include "core/sort_driver.h"
 #include "core/verify.h"
@@ -171,6 +176,113 @@ TEST(DriftOracle, PlanSpecStringRoundTrips) {
   EXPECT_THROW(hetero::parse_drift_plan("unknown_key=1"),
                std::invalid_argument);
   EXPECT_THROW(hetero::parse_drift_plan("force=1:2"), std::invalid_argument);
+}
+
+/// Field-by-field plan equality; doubles compare by value, so a NaN that
+/// slipped through the parser fails it.
+bool same_plan(const DriftPlan& a, const DriftPlan& b) {
+  if (a.seed != b.seed || a.spec.epoch_seconds != b.spec.epoch_seconds ||
+      a.spec.slow_prob != b.spec.slow_prob ||
+      a.spec.slow_factor != b.spec.slow_factor ||
+      a.spec.regime_epochs != b.spec.regime_epochs ||
+      a.forced.size() != b.forced.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.forced.size(); ++i) {
+    const ForcedSlowdown& x = a.forced[i];
+    const ForcedSlowdown& y = b.forced[i];
+    if (x.rank != y.rank || x.from_epoch != y.from_epoch ||
+        x.until_epoch != y.until_epoch || x.factor != y.factor) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Seeded fuzz over the --drift grammar: specs assembled from its keys,
+// separators and edge-case numbers, plus one-character mutations of valid
+// specs.  Every spec is either rejected with std::invalid_argument /
+// std::out_of_range, or parses to a plan a DriftOracle accepts and that
+// comes back unchanged through drift_plan_to_string.
+TEST(DriftOracle, SeededSpecFuzzRejectsOrRoundTrips) {
+  const std::vector<std::string> keys = {"seed",   "epoch", "prob", "factor",
+                                         "regime", "force", "bogus"};
+  const std::vector<std::string> numbers = {
+      "-1", "0",  "nan", "inf", "1e308", "", "1", "2", "0.5", "4", "7", "-0",
+      "1e-320", "3e", "0x10", "4294967296", "18446744073709551615",
+      "18446744073709551616"};
+  const std::vector<std::string> valid = {
+      "seed=7,epoch=0.5,prob=0.25,factor=4,regime=2,force=0:8:inf:4",
+      "epoch=0.125,prob=1,factor=2",
+      "force=3:0:12:1.5,force=1:4:4:1",
+      "seed=18446744073709551615,regime=1,force=4294967295:0:inf:1e308"};
+  const std::string alphabet = "0123456789.-+,=:einfa x";
+
+  Xoshiro256 rng(20261017);
+  auto pick = [&](const std::vector<std::string>& from) {
+    return from[rng.next_below(from.size())];
+  };
+  auto random_spec = [&] {
+    std::string spec;
+    const u64 items = rng.next_in(1, 4);
+    for (u64 i = 0; i < items; ++i) {
+      if (i > 0) spec += rng.next_below(8) == 0 ? ":" : ",";
+      const std::string key = pick(keys);
+      spec += key;
+      if (rng.next_below(10) != 0) spec += "=";
+      if (key == "force") {
+        const u64 parts = rng.next_in(3, 5);
+        for (u64 j = 0; j < parts; ++j) {
+          if (j > 0) spec += ":";
+          spec += pick(numbers);
+        }
+      } else {
+        spec += pick(numbers);
+      }
+    }
+    return spec;
+  };
+  auto mutated_spec = [&] {
+    std::string spec = pick(valid);
+    const u64 at = rng.next_below(spec.size());
+    const char c = alphabet[rng.next_below(alphabet.size())];
+    const u64 op = rng.next_below(3);  // insert, delete or replace
+    if (op == 0) {
+      spec.insert(at, 1, c);
+    } else if (op == 1) {
+      spec.erase(at, 1);
+    } else {
+      spec[at] = c;
+    }
+    return spec;
+  };
+
+  u64 parsed = 0;
+  u64 rejected = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const std::string spec = round % 2 == 0 ? random_spec() : mutated_spec();
+    std::optional<DriftPlan> plan;
+    try {
+      plan = hetero::parse_drift_plan(spec);
+    } catch (const std::invalid_argument&) {
+    } catch (const std::out_of_range&) {
+    }
+    if (!plan) {
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    SCOPED_TRACE(spec);
+    EXPECT_NO_THROW({ const DriftOracle oracle(*plan, /*rank=*/0); });
+    const std::string text = hetero::drift_plan_to_string(*plan);
+    DriftPlan back;
+    ASSERT_NO_THROW(back = hetero::parse_drift_plan(text)) << text;
+    EXPECT_TRUE(same_plan(*plan, back)) << text;
+    EXPECT_EQ(hetero::drift_plan_to_string(back), text);
+  }
+  // Both outcomes must be exercised for the sweep to mean anything.
+  EXPECT_GT(parsed, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 // ---- full-cluster differential runs ------------------------------------

@@ -9,12 +9,11 @@
 //     gallop drains, and both the encodable (u32, std::less) fast path and
 //     the comparator fallback (100-byte Datamation records, memcmp order).
 //  2. Codec level: KeyCodec encodings are strictly order-preserving.
-//  3. Disk level: merge_run_group with parallel tuning (threads > 1) vs the
-//     serial engine — byte-identical output files, identical IoStats, and a
-//     bit-identical *event sequence* (every meter batch and every cost-sink
-//     charge, in order), which subsumes virtual-clock equality under
-//     floating-point addition.  Plus determinism: repeated parallel runs
-//     and different thread counts all reproduce the serial events exactly.
+//  3. Disk level: merge_run_group on the synchronous in-memory disk vs the
+//     overlapped (read-ahead / write-behind) posix disk — byte-identical
+//     output files, identical IoStats, and a bit-identical *event sequence*
+//     (every meter batch and every cost-sink charge, in order), which
+//     subsumes virtual-clock equality under floating-point addition.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -37,7 +36,6 @@
 #include "seq/cursors.h"
 #include "seq/kway_merge.h"
 #include "seq/loser_tree.h"
-#include "seq/parallel_merge.h"
 #include "seq/run_formation.h"
 #include "workload/datamation.h"
 #include "workload/generators.h"
@@ -456,7 +454,7 @@ TEST(MergeKernels, SingleSourceAndAllEmptyEdgeCases) {
 }
 
 // ---------------------------------------------------------------------
-// Disk level: serial vs parallel merge engine
+// Disk level: synchronous vs overlapped I/O engine
 // ---------------------------------------------------------------------
 
 /// A scratch directory for posix-backed cases, removed on destruction.
@@ -509,12 +507,11 @@ void expect_disk_identical(const DiskObserved& base, const DiskObserved& got,
 }
 
 /// Forms ragged sorted runs from `dist`, writes them back-to-back, merges
-/// them with `merge_run_group` under `tuning`, and captures everything the
-/// simulation model can observe.  The event log starts after setup so only
-/// the merge itself is compared.
+/// them with `merge_run_group` on the disk `mode` describes, and captures
+/// everything the simulation model can observe.  The event log starts
+/// after setup so only the merge itself is compared.
 DiskObserved run_disk_merge(Dist dist, u64 n, u32 k,
-                            const DiskMergeCase& mode,
-                            const seq::MergeTuning& tuning) {
+                            const DiskMergeCase& mode) {
   ScratchDir dir(std::string("d") + std::to_string(static_cast<int>(dist)));
   pdm::DiskParams params = pdm::DiskParams::fast();
   params.io_mode = mode.io_mode;
@@ -543,8 +540,8 @@ DiskObserved run_disk_merge(Dist dist, u64 n, u32 k,
   {
     pdm::BlockFile out = disk.create("out");
     pdm::BlockWriter<u32> w(out);
-    obs.merged = seq::merge_run_group<u32>(disk, "runs", layout, 0, k, w,
-                                           meter, std::less<u32>{}, tuning);
+    obs.merged =
+        seq::merge_run_group<u32>(disk, "runs", layout, 0, k, w, meter);
     w.flush();
   }
   obs.stats = disk.stats();
@@ -560,53 +557,28 @@ DiskObserved run_disk_merge(Dist dist, u64 n, u32 k,
   return obs;
 }
 
-seq::MergeTuning tuned(u32 threads) {
-  seq::MergeTuning t;
-  t.threads = threads;
-  t.min_parallel_records = 1;  // engage the parallel engine on test-sized data
-  t.strip_records = 2048;      // several strips across the 12k-record merge
-  return t;
-}
-
-TEST(MergeKernels, ParallelMergeMatchesSerialBitForBit) {
+// The overlapped engine moves physical transfers onto a worker thread but
+// charges them at the synchronous path's logical points, so the merge's
+// whole event sequence must not depend on which engine ran it.
+TEST(MergeKernels, DiskMergeChargesIndependentOfIoEngine) {
   constexpr u64 kRecords = 12000;
   constexpr u32 kPieces = 6;
-  const DiskMergeCase kModes[] = {
-      {"sync-mem", false, pdm::IoMode::kSync},
-      {"overlapped-posix", true, pdm::IoMode::kOverlapped},
-  };
+  const DiskMergeCase sync{"sync-mem", false, pdm::IoMode::kSync};
+  const DiskMergeCase overlapped{"overlapped-posix", true,
+                                 pdm::IoMode::kOverlapped};
   const Dist kDists[] = {Dist::kUniform, Dist::kZero, Dist::kZipf,
                          Dist::kSorted, Dist::kStaggered};
-  for (const auto& mode : kModes) {
-    for (Dist dist : kDists) {
-      const std::string what = std::string(mode.label) + "/" +
-                               workload::to_string(dist);
-      SCOPED_TRACE(what);
-      const DiskObserved serial =
-          run_disk_merge(dist, kRecords, kPieces, mode, tuned(1));
-      ASSERT_EQ(serial.merged, kRecords) << what;
-      for (u32 threads : {2u, 3u, 8u}) {
-        const DiskObserved par =
-            run_disk_merge(dist, kRecords, kPieces, mode, tuned(threads));
-        expect_disk_identical(serial, par,
-                              what + "/threads=" + std::to_string(threads));
-      }
-    }
+  for (Dist dist : kDists) {
+    const std::string what = workload::to_string(dist);
+    SCOPED_TRACE(what);
+    const DiskObserved base = run_disk_merge(dist, kRecords, kPieces, sync);
+    ASSERT_EQ(base.merged, kRecords) << what;
+    ASSERT_TRUE(std::is_sorted(base.output.begin(), base.output.end()))
+        << what;
+    expect_disk_identical(
+        base, run_disk_merge(dist, kRecords, kPieces, overlapped),
+        what + "/" + overlapped.label);
   }
-}
-
-TEST(MergeKernels, ParallelMergeIsDeterministicAcrossRuns) {
-  const DiskMergeCase mode{"sync-mem", false, pdm::IoMode::kSync};
-  const DiskObserved a =
-      run_disk_merge(Dist::kDuplicates, 12000, 6, mode, tuned(3));
-  const DiskObserved b =
-      run_disk_merge(Dist::kDuplicates, 12000, 6, mode, tuned(3));
-  expect_disk_identical(a, b, "replay threads=3");
-  // Auto-sized thread count (threads = 0) must also land on the same
-  // observable run, whatever the hardware reports.
-  const DiskObserved auto_sized =
-      run_disk_merge(Dist::kDuplicates, 12000, 6, mode, tuned(0));
-  expect_disk_identical(a, auto_sized, "auto threads");
 }
 
 }  // namespace
