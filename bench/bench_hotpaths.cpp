@@ -1,7 +1,7 @@
 // Perf-regression harness for the transfer hot paths: times the read,
-// write and merge kernels on a real (posix) disk in three modes and emits
-// both a text table and a machine-readable bench_results/BENCH_hotpaths.json
-// with the best-of-reps ns/record per (kernel, mode).  The modes:
+// write and merge kernels in four modes and emits both a text table and a
+// machine-readable bench_results/BENCH_hotpaths.json with the best-of-reps
+// ns/record per (kernel, mode).  The modes:
 //
 //  * per-record — the baseline, a loop written here that moves one record
 //    per call (push for writes, next for reads, peek/pop_discard/push for
@@ -9,7 +9,11 @@
 //  * bulk — the library's block-granular calls (push_span, read_span,
 //    merge_run_group / pop_run_into);
 //  * overlapped — bulk with read-ahead / write-behind through the disk's
-//    IoExecutor.
+//    IoExecutor;
+//  * memory — bulk on pdm::Disk::in_memory, the disk every bench and
+//    whole-sort benchmark run sorts on.
+//
+// The first three run on a real (posix) disk.
 //
 // Block-I/O counts and metered comparisons are reported per row so a mode
 // that got faster by *doing less metered work* (instead of doing the same
@@ -59,12 +63,14 @@ struct Mode {
   const char* name;
   bool per_record;  ///< the bench's own one-record-per-call loop
   bool overlapped;
+  bool in_memory;   ///< pdm::MemBackend instead of real files
 };
 
 constexpr Mode kModes[] = {
-    {"per-record", true, false},
-    {"bulk", false, false},
-    {"overlapped", false, true},
+    {"per-record", true, false, false},
+    {"bulk", false, false, false},
+    {"overlapped", false, true, false},
+    {"memory", false, false, true},
 };
 
 pdm::DiskParams mode_params(const Mode& m) {
@@ -208,7 +214,7 @@ int run(const BenchOptions& opt) {
   std::filesystem::remove_all(scratch);
   std::filesystem::create_directories(scratch);
 
-  heading("Hot-path kernels on a real disk: best-of-reps ns/record per mode");
+  heading("Hot-path kernels: best-of-reps ns/record per mode");
   metrics::TextTable table({"kernel", "mode", "records", "ns/record",
                             "block IOs", "cmp/rec", "vs per-record"});
   std::vector<Row> rows;
@@ -224,7 +230,8 @@ int run(const BenchOptions& opt) {
   const MergeInput zipf = make_interleaved(zipf_keys(n, 93), k);
 
   auto disk_for = [&](const Mode& m) {
-    return pdm::Disk::posix(scratch, mode_params(m));
+    return m.in_memory ? pdm::Disk::in_memory(mode_params(m))
+                       : pdm::Disk::posix(scratch, mode_params(m));
   };
 
   std::vector<Kernel> kernels;

@@ -445,11 +445,6 @@ int main(int argc, char** argv) {
     keys.resize(n, std::numeric_limits<u32>::max());
   }
 
-  std::cout << "sorting " << original << " keys (padded to " << n << ") on "
-            << perf.node_count() << " nodes, perf " << perf.to_string()
-            << ", " << config.network.name << ", algorithm "
-            << core::to_string(opt.algorithm) << "\n";
-
   core::ParallelSortConfig psc;
   psc.algorithm = opt.algorithm;
   psc.splitter.strategy = opt.splitter;
@@ -457,6 +452,32 @@ int main(int argc, char** argv) {
   psc.sequential.memory_records = opt.memory_records;
   psc.sequential.allow_in_memory = false;
   psc.message_records = opt.message_records;
+
+  // ext-psrs's flat Step 2 (the tree path clamps instead; a re-split always
+  // samples flat) takes a sample every n/(p·Σperf·oversample) records, so
+  // PerfVector::sample_stride refuses anything smaller.
+  if (psc.algorithm == core::ParallelSortAlgorithm::kExtPsrs &&
+      (psc.adaptive.enabled ||
+       !core::splitter_uses_tree(psc.splitter, perf.node_count()))) {
+    const u64 minimum =
+        perf.sum() * perf.node_count() * psc.psrs.sampling_oversample;
+    if (n < minimum) {
+      if (opt.demo_records > 0) {
+        std::cerr << "--demo " << opt.demo_records;
+      } else {
+        std::cerr << "--input " << opt.input;
+      }
+      std::cerr << " gives " << n
+                << " keys, below ext-psrs's sampling minimum of " << minimum
+                << " (p*sum(perf) for perf " << perf.to_string() << ")\n";
+      return 2;
+    }
+  }
+
+  std::cout << "sorting " << original << " keys (padded to " << n << ") on "
+            << perf.node_count() << " nodes, perf " << perf.to_string()
+            << ", " << config.network.name << ", algorithm "
+            << core::to_string(opt.algorithm) << "\n";
 
   net::Cluster cluster(config);
   struct NodeOut {

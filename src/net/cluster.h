@@ -41,7 +41,7 @@ struct ClusterConfig {
   /// cut the latency terms to O(log p)).
   CollectiveAlgo collectives = CollectiveAlgo::kLinear;
 
-  /// When empty, nodes get in-memory disks (hermetic unit tests).  When
+  /// When empty (every bench's default), nodes get in-memory disks.  When
   /// set, node i's disk lives in workdir/"node<i>" as real files.
   std::filesystem::path workdir;
 

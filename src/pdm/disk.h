@@ -80,7 +80,8 @@ class Disk {
   static Disk posix(const std::filesystem::path& dir,
                     DiskParams params = DiskParams::scsi_2002());
 
-  /// In-memory disk for hermetic tests.
+  /// In-memory disk (MemBackend): what benches, perfbench and most tests
+  /// sort on.
   static Disk in_memory(DiskParams params = DiskParams::scsi_2002());
 
   Disk(std::unique_ptr<FileBackend> backend, DiskParams params);

@@ -1,11 +1,42 @@
 #include "pdm/file_backend.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "base/contracts.h"
 
 namespace paladin::pdm {
+
+/// A MemBackend file; see the class comment in file_backend.h.
+struct MemFile {
+  static constexpr u64 kChunkBytes = u64{1} << 20;
+
+  std::vector<std::unique_ptr<u8[]>> chunks;
+  u64 size = 0;  ///< logical size; bytes past it are uninitialised
+
+  /// Allocates chunks until the first `bytes` bytes are backed.
+  void reserve(u64 bytes) {
+    while (chunks.size() * kChunkBytes < bytes) {
+      chunks.push_back(std::make_unique_for_overwrite<u8[]>(kChunkBytes));
+    }
+  }
+
+  /// Calls f(chunk bytes, bytes done so far, length) once per chunk that
+  /// [offset, offset + len) touches, in order.  The range must be backed.
+  template <typename F>
+  void for_each_segment(u64 offset, u64 len, F&& f) {
+    for (u64 done = 0; done < len;) {
+      const u64 pos = offset + done;
+      const u64 in_chunk = pos % kChunkBytes;
+      const u64 take = std::min(len - done, kChunkBytes - in_chunk);
+      f(chunks[pos / kChunkBytes].get() + in_chunk, done, take);
+      done += take;
+    }
+  }
+};
 
 namespace {
 
@@ -38,47 +69,44 @@ class PosixFileHandle final : public FileHandle {
     return static_cast<u64>(s);
   }
 
-  void truncate(u64 new_size) override {
-    // stdio has no portable truncate; emulate only the grow direction we
-    // need and assert otherwise.  (Shrinking is never required: files are
-    // recreated rather than shrunk.)
-    const u64 cur = size_bytes();
-    if (new_size > cur) {
-      const u8 zero = 0;
-      write_at(new_size - 1, std::span<const u8>(&zero, 1));
-    } else {
-      PALADIN_EXPECTS_MSG(new_size == cur,
-                          "PosixFileHandle does not support shrinking");
-    }
-  }
-
  private:
   mutable std::FILE* f_;
 };
 
 class MemFileHandle final : public FileHandle {
  public:
-  explicit MemFileHandle(std::shared_ptr<std::vector<u8>> buf)
-      : buf_(std::move(buf)) {}
+  explicit MemFileHandle(std::shared_ptr<MemFile> file)
+      : file_(std::move(file)) {}
 
   u64 read_at(u64 offset, std::span<u8> out) override {
-    if (offset >= buf_->size()) return 0;
-    const u64 n = std::min<u64>(out.size(), buf_->size() - offset);
-    std::memcpy(out.data(), buf_->data() + offset, n);
+    if (offset >= file_->size) return 0;
+    const u64 n = std::min<u64>(out.size(), file_->size - offset);
+    file_->for_each_segment(offset, n, [&](u8* bytes, u64 done, u64 len) {
+      std::memcpy(out.data() + done, bytes, len);
+    });
     return n;
   }
 
   void write_at(u64 offset, std::span<const u8> data) override {
-    if (offset + data.size() > buf_->size()) buf_->resize(offset + data.size());
-    std::memcpy(buf_->data() + offset, data.data(), data.size());
+    const u64 end = offset + data.size();
+    file_->reserve(end);
+    if (offset > file_->size) {
+      file_->for_each_segment(file_->size, offset - file_->size,
+                              [](u8* bytes, u64, u64 len) {
+                                std::memset(bytes, 0, len);
+                              });
+    }
+    file_->for_each_segment(offset, data.size(),
+                            [&](u8* bytes, u64 done, u64 len) {
+                              std::memcpy(bytes, data.data() + done, len);
+                            });
+    file_->size = std::max(file_->size, end);
   }
 
-  u64 size_bytes() const override { return buf_->size(); }
-
-  void truncate(u64 new_size) override { buf_->resize(new_size); }
+  u64 size_bytes() const override { return file_->size; }
 
  private:
-  std::shared_ptr<std::vector<u8>> buf_;
+  std::shared_ptr<MemFile> file_;
 };
 
 }  // namespace
@@ -126,9 +154,9 @@ u64 PosixBackend::total_bytes() const {
 }
 
 std::unique_ptr<FileHandle> MemBackend::create(const std::string& name) {
-  auto buf = std::make_shared<std::vector<u8>>();
-  files_[name] = buf;
-  return std::make_unique<MemFileHandle>(std::move(buf));
+  auto file = std::make_shared<MemFile>();
+  files_[name] = file;
+  return std::make_unique<MemFileHandle>(std::move(file));
 }
 
 std::unique_ptr<FileHandle> MemBackend::open(const std::string& name) {
@@ -146,12 +174,12 @@ void MemBackend::remove(const std::string& name) { files_.erase(name); }
 u64 MemBackend::file_size(const std::string& name) const {
   auto it = files_.find(name);
   PALADIN_EXPECTS(it != files_.end());
-  return it->second->size();
+  return it->second->size;
 }
 
 u64 MemBackend::total_bytes() const {
   u64 total = 0;
-  for (const auto& [name, buf] : files_) total += buf->size();
+  for (const auto& [name, file] : files_) total += file->size;
   return total;
 }
 

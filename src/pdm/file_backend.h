@@ -1,8 +1,10 @@
 // Storage backends.  A backend knows how to persist named byte sequences;
 // the Disk layer above it adds PDM block accounting and cost charging.  Two
-// implementations: PosixBackend (real files — the default, so out-of-core
-// runs genuinely round-trip data through the filesystem) and MemBackend
-// (in-memory, for fast hermetic unit tests of the layers above).
+// implementations: PosixBackend (real files, so out-of-core runs genuinely
+// round-trip data through the filesystem) and MemBackend (files in process
+// memory).  MemBackend is not only the unit tests' disk: every node of a
+// cluster without a workdir sorts on it, so every whole-sort benchmark run
+// and every bench run without --workdir does.
 #pragma once
 
 #include <filesystem>
@@ -10,7 +12,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "base/types.h"
 
@@ -30,8 +31,6 @@ class FileHandle {
   virtual void write_at(u64 offset, std::span<const u8> data) = 0;
 
   virtual u64 size_bytes() const = 0;
-
-  virtual void truncate(u64 new_size) = 0;
 };
 
 class FileBackend {
@@ -78,7 +77,14 @@ class PosixBackend final : public FileBackend {
   std::filesystem::path dir_;
 };
 
-/// In-memory files; hermetic and fast for unit tests.
+/// One in-memory file (defined in file_backend.cpp).
+struct MemFile;
+
+/// In-memory files.  A file is a list of fixed 1 MiB chunks plus a logical
+/// size: chunks are allocated uninitialised and never reallocated, so a
+/// growing file costs one allocation per MiB and no copy, and only the gap
+/// a write past EOF leaves is zeroed.  Sizes are logical, never the
+/// allocated capacity.
 class MemBackend final : public FileBackend {
  public:
   std::unique_ptr<FileHandle> create(const std::string& name) override;
@@ -89,9 +95,9 @@ class MemBackend final : public FileBackend {
   u64 total_bytes() const override;
 
  private:
-  // shared_ptr so handles stay valid across map rehash and after remove()
-  // of other entries; a handle pins its own buffer.
-  std::map<std::string, std::shared_ptr<std::vector<u8>>> files_;
+  // shared_ptr so a handle pins its own file: it stays valid after
+  // remove() or a re-create() of its name.
+  std::map<std::string, std::shared_ptr<MemFile>> files_;
 };
 
 }  // namespace paladin::pdm

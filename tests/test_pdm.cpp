@@ -88,6 +88,102 @@ TEST_P(BackendTest, AppendExtendsFile) {
   EXPECT_EQ(out[14], 0xbb);
 }
 
+// Seeded write_at/read_at calls against a plain byte-vector model, checked
+// after every call: 2–3 MiB transfers, writes straddling multiples of 2^20,
+// unaligned overwrites inside the data, writes past EOF (the gap reads back
+// as zero) and reads at or beyond EOF (0 or a short count).
+TEST_P(BackendTest, MatchesByteVectorModel) {
+  constexpr u64 kMiB = u64{1} << 20;
+  constexpr u64 kMaxBytes = 4 * kMiB;  // keeps the whole-file checks cheap
+  Disk disk = make_disk();
+  BlockFile f;
+  std::vector<u8> model;
+  std::vector<u8> all;  // the whole file, read back after every call
+  Xoshiro256 rng(1616);
+
+  // Payload bytes are odd, so a gap that is not zeroed shows.
+  auto write = [&](u64 off, u64 len) {
+    std::vector<u8> data(len);
+    for (u8& b : data) b = static_cast<u8>(rng.next() | 1);
+    f.write_at(off, data);
+    if (off + len > model.size()) model.resize(off + len, 0);
+    std::copy(data.begin(), data.end(),
+              model.begin() + static_cast<std::ptrdiff_t>(off));
+  };
+  auto read = [&](u64 off, u64 len) {
+    std::vector<u8> out(len);
+    const u64 got = f.read_at(off, out);
+    const u64 want =
+        off >= model.size() ? 0 : std::min(len, model.size() - off);
+    ASSERT_EQ(got, want) << "read of " << len << " bytes at " << off;
+    EXPECT_TRUE(std::equal(out.begin(),
+                           out.begin() + static_cast<std::ptrdiff_t>(got),
+                           model.begin() + static_cast<std::ptrdiff_t>(off)))
+        << "read of " << len << " bytes at " << off;
+  };
+  auto unaligned_overwrite = [&] {
+    const u64 off = rng.next_below(model.size());
+    write(off, 1 + rng.next_below(std::min<u64>(model.size() - off, 65536)));
+  };
+
+  for (u32 call = 0; call < 300; ++call) {
+    if (call % 50 == 0) {  // start over from an empty file now and then
+      f = BlockFile();
+      f = disk.create("f");
+      model.clear();
+    }
+    const u64 size = model.size();
+    switch (size == 0 ? 0 : rng.next_below(5)) {
+      case 0: {  // a 2–3 MiB transfer starting inside the data or at EOF
+        const u64 len = 2 * kMiB + rng.next_below(kMiB + 1);
+        const u64 off = rng.next_below(std::min(size, kMaxBytes - len) + 1);
+        if (size == 0 || rng.next_below(2) == 0) {
+          write(off, len);
+        } else {
+          read(off, len);
+        }
+        break;
+      }
+      case 1: {  // a write straddling a multiple of 2^20
+        const u64 boundary = (1 + rng.next_below(kMaxBytes / kMiB - 1)) * kMiB;
+        const u64 before = 1 + rng.next_below(4096);
+        write(boundary - before, before + 1 + rng.next_below(4096));
+        break;
+      }
+      case 2:
+        unaligned_overwrite();
+        break;
+      case 3: {  // a write past EOF, its gap crossing a chunk now and then
+        const u64 gap = 1 + rng.next_below(kMiB + kMiB / 2);
+        const u64 len = 1 + rng.next_below(8192);
+        if (size + gap + len > kMaxBytes) {
+          unaligned_overwrite();
+        } else {
+          write(size + gap, len);
+        }
+        break;
+      }
+      default: {  // a read at EOF, beyond it, or across it
+        const u64 len = 1 + rng.next_below(8192);
+        switch (rng.next_below(3)) {
+          case 0: read(size, len); break;
+          case 1: read(size + 1 + rng.next_below(kMiB), len); break;
+          default: read(size - rng.next_below(std::min<u64>(size, len)), len);
+        }
+      }
+    }
+    ASSERT_EQ(f.size_bytes(), model.size()) << "after call " << call;
+    ASSERT_EQ(disk.live_bytes(), model.size()) << "after call " << call;
+    all.resize(model.size());
+    ASSERT_EQ(f.read_at(0, all), model.size()) << "after call " << call;
+    if (all != model) {
+      const auto diff = std::mismatch(all.begin(), all.end(), model.begin());
+      FAIL() << "byte " << diff.first - all.begin() << " wrong after call "
+             << call;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(MemAndPosix, BackendTest, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "posix" : "mem";

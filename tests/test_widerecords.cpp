@@ -127,7 +127,6 @@ class FaultyBackend final : public pdm::FileBackend {
       inner_->write_at(offset, data);
     }
     u64 size_bytes() const override { return inner_->size_bytes(); }
-    void truncate(u64 s) override { inner_->truncate(s); }
 
    private:
     std::unique_ptr<pdm::FileHandle> inner_;
