@@ -20,7 +20,9 @@
 // work faster) shows up immediately; the equivalence tests enforce the
 // same invariant bit-exactly.  The merge kernels sweep the fan-in (k ∈
 // {4..256}) and include a Zipf-skewed input — the duplicate-heavy regime
-// where the gallop path behaves differently from uniform keys.
+// where the gallop path behaves differently from uniform keys.  The
+// run-formation kernels sort uniform and Zipf runs, the two sides of
+// seq::metered_sort's choice between its radix and counting kernels.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -413,6 +415,38 @@ int run(const BenchOptions& opt) {
       {"net-merge", net_merge_kernel(&interleaved, std::make_shared<NetState>(k))});
   kernels.push_back(
       {"net-merge-zipf", net_merge_kernel(&zipf, std::make_shared<NetState>(k))});
+
+  // Run formation: load-sort-store at M = 2^17, so every run is one
+  // in-memory seq::metered_sort; the compares are that sort's model
+  // charge.  Uniform runs hold ~2^17 distinct keys, Zipf runs ~1K.
+  constexpr u64 kRunMemory = u64{1} << 17;
+  const std::vector<u32> zipf_data = zipf_keys(n, 93);
+  auto runform_kernel = [&](const std::vector<u32>* in) {
+    return [&, in](const Mode& m) -> RepResult {
+      pdm::Disk disk = disk_for(m);
+      pdm::write_file<u32>(disk, "input", std::span<const u32>(*in));
+      disk.reset_stats();
+      CountingMeter meter;
+      seq::RunLayout layout;
+      const double s = time_seconds([&] {
+        pdm::BlockFile f = disk.open("input");
+        pdm::BlockReader<u32> reader(f);
+        pdm::BlockFile out = disk.create("runs");
+        pdm::BlockWriter<u32> writer(out);
+        layout = seq::form_runs_load_sort<u32>(reader, writer, kRunMemory,
+                                               meter);
+      });
+      PALADIN_ASSERT(layout.total_records == n);
+      const u64 ios = disk.stats().total_block_ios();
+      disk.remove("input");
+      disk.remove("runs");
+      return {s, ios, meter.compares};
+    };
+  };
+  kernels.push_back({"runform-uniform", runform_kernel(&data),
+                     /*has_per_record=*/false});
+  kernels.push_back({"runform-zipf", runform_kernel(&zipf_data),
+                     /*has_per_record=*/false});
 
   for (const Kernel& kernel : kernels) {
     double base_ns = 0.0;  // stays 0 for kernels without a per-record row

@@ -453,25 +453,19 @@ int main(int argc, char** argv) {
   psc.sequential.allow_in_memory = false;
   psc.message_records = opt.message_records;
 
-  // ext-psrs's flat Step 2 (the tree path clamps instead; a re-split always
-  // samples flat) takes a sample every n/(p·Σperf·oversample) records, so
-  // PerfVector::sample_stride refuses anything smaller.
-  if (psc.algorithm == core::ParallelSortAlgorithm::kExtPsrs &&
-      (psc.adaptive.enabled ||
-       !core::splitter_uses_tree(psc.splitter, perf.node_count()))) {
-    const u64 minimum =
-        perf.sum() * perf.node_count() * psc.psrs.sampling_oversample;
-    if (n < minimum) {
-      if (opt.demo_records > 0) {
-        std::cerr << "--demo " << opt.demo_records;
-      } else {
-        std::cerr << "--input " << opt.input;
-      }
-      std::cerr << " gives " << n
-                << " keys, below ext-psrs's sampling minimum of " << minimum
-                << " (p*sum(perf) for perf " << perf.to_string() << ")\n";
-      return 2;
+  // Below the backend's sampling minimum a splitter contract would abort
+  // the run.
+  const u64 minimum = core::minimum_input(psc, perf);
+  if (n < minimum) {
+    if (opt.demo_records > 0) {
+      std::cerr << "--demo " << opt.demo_records;
+    } else {
+      std::cerr << "--input " << opt.input;
     }
+    std::cerr << " gives " << n << " keys, below "
+              << core::to_string(psc.algorithm) << "'s sampling minimum of "
+              << minimum << " (perf " << perf.to_string() << ")\n";
+    return 2;
   }
 
   std::cout << "sorting " << original << " keys (padded to " << n << ") on "

@@ -14,6 +14,7 @@
 // BackendReport back out of whatever the backend returned.
 #pragma once
 
+#include <algorithm>
 #include <string>
 
 #include "base/contracts.h"
@@ -23,6 +24,7 @@
 #include "core/ext_multiway.h"
 #include "core/ext_overpartition.h"
 #include "core/ext_psrs.h"
+#include "core/splitter_tree.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
 #include "obs/export.h"
@@ -90,6 +92,46 @@ struct ParallelSortConfig : BackendConfig {
   ExtOverpartitionOptions overpartition;
   ExtMultiwayOptions multiway;
 };
+
+/// Smallest input the configured backend can sort on `perf`: an admissible
+/// n (hetero/perf_vector.h) whose sample holds enough keys to cut the
+/// backend's splitters.  Below it a sampling contract fails, so the CLI
+/// rejects such an input and the service pads a job up to this size.
+inline u64 minimum_input(const ParallelSortConfig& config,
+                         const hetero::PerfVector& perf) {
+  const u64 p = perf.node_count();
+  switch (config.algorithm) {
+    case ParallelSortAlgorithm::kExtPsrs:
+      // Flat Step 2, and any re-split, samples every n/(p·Σperf·oversample)
+      // records (PerfVector::sample_stride).  The tree path clamps that
+      // stride to 1 and then draws n − p samples, of which it needs p.
+      if (config.adaptive.enabled ||
+          !splitter_uses_tree(config.splitter, perf.node_count())) {
+        return perf.sum() * p * config.psrs.sampling_oversample;
+      }
+      return perf.round_up_admissible(2 * p);
+    case ParallelSortAlgorithm::kExtOverpartition: {
+      // Node i samples min(l_i, s·oversample) of its l_i = u·perf[i]
+      // records, and p·s − 1 bucket splitters need p·s samples; u = s
+      // always suffices.
+      const u64 s = config.overpartition.s;
+      const u64 cap = s * config.overpartition.oversample;
+      for (u64 u = 1; u < s; ++u) {
+        u64 samples = 0;
+        for (u32 i = 0; i < perf.node_count(); ++i) {
+          samples += std::min<u64>(u * perf[i], cap);
+        }
+        if (samples >= p * s) return u * perf.sum();
+      }
+      return s * perf.sum();
+    }
+    case ParallelSortAlgorithm::kExtDistribution:
+    case ParallelSortAlgorithm::kExtMultiway:
+      // Node i samples at least perf[i] ≥ 1 records: Σperf ≥ p samples.
+      return perf.round_up_admissible(1);
+  }
+  PALADIN_UNREACHABLE();
+}
 
 /// Uniform per-node result across the algorithms — the common slice of
 /// whatever the backend reported (including output layout and, for the

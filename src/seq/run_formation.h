@@ -12,6 +12,7 @@
 // lengths, which is the layout the polyphase distribution step consumes.
 #pragma once
 
+#include <algorithm>
 #include <queue>
 #include <string>
 #include <vector>
@@ -49,7 +50,7 @@ RunLayout form_runs_load_sort(pdm::BlockReader<T>& input,
                               Meter& meter, Less less = {}) {
   PALADIN_EXPECTS(memory_records > 0);
   RunLayout layout;
-  std::vector<T> buffer(memory_records);
+  std::vector<T> buffer(std::min(memory_records, input.remaining()));
   for (;;) {
     const u64 got = input.read_span(std::span<T>(buffer));
     if (got == 0) break;

@@ -50,8 +50,9 @@ struct JobSpec {
   /// ties and names the job's disk/file namespace ("job<id>.*").
   u64 id = 0;
   /// Requested record count n.  Rounded up at dispatch to the slice's
-  /// admissible size (n mod Σperf == 0, hetero/perf_vector.h); the
-  /// rounded value lands in JobReport::records.
+  /// admissible size (n mod Σperf == 0, hetero/perf_vector.h) and at least
+  /// the backend's sampling minimum there (core::minimum_input); the
+  /// padded value lands in JobReport::records.
   u64 records = 0;
   /// Record width in bytes: sizeof(DefaultKey) = 4 (the paper's u32 keys)
   /// or 100 (Datamation/AlphaSort records, workload/datamation.h).

@@ -34,7 +34,7 @@ struct JobReport {
   double start_s = 0.0;   ///< dispatch time: max(arrival, slice availability)
   double finish_s = 0.0;  ///< last slice node's virtual clock at completion
   /// Records actually sorted (the spec's count rounded up to the slice's
-  /// admissible size).
+  /// admissible size and the backend's sampling minimum).
   u64 records = 0;
   /// Sorted + permutation verification verdict, layout-aware.
   bool ok = false;

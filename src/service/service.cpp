@@ -309,12 +309,15 @@ JobReport run_one_job(const ServiceConfig& svc, net::Fabric& fabric,
   const u32 w = static_cast<u32>(slice.size());
   const net::ClusterConfig cfg = job_cluster_config(svc, job, slice);
   const hetero::PerfVector perf(std::vector<u32>(cfg.perf));
-  const u64 n_eff = perf.round_up_admissible(job.records);
 
   core::ParallelSortConfig sort_cfg = svc.sort;
   sort_cfg.algorithm = job.algorithm;
   sort_cfg.input = "job" + std::to_string(job.id) + ".input";
   sort_cfg.output = "job" + std::to_string(job.id) + ".sorted";
+  // Pad to an admissible size, and a job too small for its backend's
+  // sample on this slice up to the backend's minimum.
+  const u64 n_eff = std::max(perf.round_up_admissible(job.records),
+                             core::minimum_input(sort_cfg, perf));
 
   const net::CommGroup group{slice, tag_base};
 

@@ -1,14 +1,17 @@
 // Theory-level tests of the sequential machinery: polyphase phase counts
 // against the generalised-Fibonacci schedule, the in-memory sort's charge
-// model and radix path, comparison-count envelopes, custom orderings, and
-// metering exactness.
+// model and its counting and radix paths, comparison-count envelopes,
+// custom orderings, and metering exactness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <type_traits>
+#include <utility>
 
 #include "base/meter.h"
 #include "base/rng.h"
@@ -263,6 +266,89 @@ TYPED_TEST(RadixSortMatchesStdSort, ByteIdentical) {
           << name << ", n=" << n;
     }
   }
+}
+
+/// `n` records holding exactly `distinct` keys: each key once, the rest
+/// drawn with Zipf skew, shuffled.  With `late_key` one more key replaces a
+/// record in the last 1% of the span, and appears nowhere before it.
+template <typename T>
+std::vector<T> keys_with_distinct(u64 n, u64 distinct, bool late_key,
+                                  u64 seed) {
+  using U = std::make_unsigned_t<T>;
+  // An odd multiplier is a bijection mod 2^bits: distinct indices give
+  // distinct keys, scattered over the range (and both signs).
+  auto key = [](u64 k) {
+    return static_cast<T>(static_cast<U>(k * 0x9E3779B97F4A7C15ull));
+  };
+  Xoshiro256 rng(seed);
+  const u64 tail = late_key ? std::max<u64>(1, n / 100) : 0;
+  const u64 head = n - tail;
+  const double ln_d = std::log(static_cast<double>(distinct));
+  std::vector<T> data(n);
+  for (u64 i = 0; i < n; ++i) {
+    const u64 rank = std::min<u64>(
+        static_cast<u64>(std::exp(rng.next_double() * ln_d)) - 1,
+        distinct - 1);
+    data[i] = key(i < distinct ? i : rank);
+  }
+  for (u64 i = head; i > 1; --i) {
+    std::swap(data[i - 1], data[rng.next_below(i)]);
+  }
+  if (late_key) data[head + rng.next_below(tail)] = key(distinct);
+  return data;
+}
+
+// A run holding at most K = counting_max_distinct(n) distinct keys is
+// counting-sorted and any other run radix-sorted: on both sides of K, and
+// for a run whose (K+1)-th key first appears in its last 1%, the output is
+// std::sort's byte for byte and the charge is the model's.
+TYPED_TEST(RadixSortMatchesStdSort, DistinctCountBands) {
+  using T = TypeParam;
+  for (u64 n : {u64{detail::kRadixCutoff - 1}, u64{detail::kRadixCutoff},
+                u64{detail::kRadixCutoff + 1}, u64{1} << 17}) {
+    const u64 k = std::max<u64>(detail::counting_max_distinct(n), 1);
+    const std::pair<u64, bool> bands[] = {
+        {1, false}, {k - 1, false}, {k, false}, {k + 1, false}, {k, true}};
+    for (const auto& [distinct, late] : bands) {
+      if (distinct == 0) continue;
+      std::vector<T> data = keys_with_distinct<T>(n, distinct, late, n + k);
+      std::vector<T> expected = data;
+      std::sort(expected.begin(), expected.end());
+      const u64 d = distinct_keys(expected);
+      ASSERT_EQ(d, distinct + (late ? 1 : 0)) << "n=" << n;
+      CountingMeter meter;
+      metered_sort(std::span<T>(data), meter);
+      ASSERT_EQ(std::memcmp(data.data(), expected.data(), n * sizeof(T)), 0)
+          << "n=" << n << ", " << d << " distinct, late=" << late;
+      EXPECT_EQ(meter.compares, model_compares(n, d))
+          << "n=" << n << ", " << d << " distinct";
+      EXPECT_EQ(meter.moves, n);
+    }
+  }
+}
+
+// The counting kernel sorts a run holding K distinct keys and returns K.
+// When the (K+1)-th key appears it declines: the span is unchanged and the
+// digit counts it hands the radix sort cover every record.
+TEST(CountingSort, DeclinesWithTheSpanUnchanged) {
+  const u64 n = u64{1} << 17;
+  const u64 k = detail::counting_max_distinct(n);
+
+  std::vector<u32> data = keys_with_distinct<u32>(n, k, false, 5);
+  std::vector<u32> expected = data;
+  std::sort(expected.begin(), expected.end());
+  detail::DigitCounts<u32> counts{};
+  EXPECT_EQ(detail::counting_sort(std::span<u32>(data), counts), k);
+  EXPECT_EQ(data, expected);
+
+  const std::vector<u32> input = keys_with_distinct<u32>(n, k, true, 5);
+  data = input;
+  counts = {};
+  EXPECT_EQ(detail::counting_sort(std::span<u32>(data), counts), std::nullopt);
+  ASSERT_EQ(std::memcmp(data.data(), input.data(), n * sizeof(u32)), 0);
+  detail::DigitCounts<u32> all{};
+  detail::add_digit_counts(std::span<const u32>(input), all);
+  EXPECT_EQ(counts, all);
 }
 
 // Comparator-only sorts keep std::sort (same comparisons, so the same

@@ -13,7 +13,7 @@
 //    monster, bounding the small job's latency;
 //  * determinism — a replayed workload serialises byte-identically;
 //  * admission — rejections carry reasons, widths clamp, sizes round up to
-//    the slice's admissible n.
+//    the slice's admissible n and its backend's sampling minimum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -278,6 +278,40 @@ TEST(ServiceScheduler, MixedBackendsAllVerify) {
     EXPECT_NE(j.digest, 0u);
     EXPECT_GT(j.io.blocks_written, 0u);
   }
+}
+
+// A job too small for its backend's sample on its slice is padded to
+// core::minimum_input instead of aborting the run, so every other job's
+// result survives.
+TEST(ServiceScheduler, TinyJobsArePaddedToTheBackendMinimum) {
+  const ServiceConfig sc = tiny_service({4, 2, 1, 1}, SchedulePolicy::kFifo);
+  const JobSpec normal = small_job(0, 2000);
+  const ServiceReport alone = SortService(sc).run({normal});
+  ASSERT_EQ(alone.jobs.size(), 1u);
+  ASSERT_TRUE(alone.jobs[0].ok);
+
+  std::vector<JobSpec> jobs = {normal};
+  for (const ParallelSortAlgorithm algo : core::kAllAlgorithms) {
+    for (const u32 width : {1u, 2u, 4u}) {
+      for (const u64 n : {1u, 2u, 3u, 4u, 8u, 15u, 16u}) {
+        JobSpec j = small_job(jobs.size(), n, 1.0);
+        j.algorithm = algo;
+        j.perf.assign(width, 1);
+        jobs.push_back(j);
+      }
+    }
+  }
+  const ServiceReport report = SortService(sc).run(jobs);
+  EXPECT_TRUE(report.rejected.empty());
+  ASSERT_EQ(report.jobs.size(), jobs.size());
+  for (const JobReport& j : report.jobs) {
+    EXPECT_TRUE(j.ok) << core::to_string(j.spec.algorithm) << " n="
+                      << j.spec.records << " width=" << j.nodes.size();
+    EXPECT_GE(j.records, j.spec.records);
+  }
+  EXPECT_EQ(report.jobs[0].spec.id, 0u);
+  EXPECT_EQ(report.jobs[0].digest, alone.jobs[0].digest);
+  EXPECT_EQ(report.jobs[0].records, alone.jobs[0].records);
 }
 
 TEST(ServiceScheduler, DatamationRecordsSort) {
