@@ -40,6 +40,7 @@
 #include "bench/bench_common.h"
 #include "core/merge_files.h"
 #include "core/partition_file.h"
+#include "core/pipeline.h"
 #include "metrics/table.h"
 #include "net/communicator.h"
 #include "pdm/typed_io.h"
@@ -321,7 +322,8 @@ int run(const BenchOptions& opt) {
   // chunk-emit streams a sorted file through the PartitionStream into
   // block-multiple payload chunks (the send half, minus the wire);
   // net-merge feeds a LoserTree straight from a mailbox full of chunk
-  // streams and writes only the final output (the receive half).
+  // streams and writes only the final output (the data pass's receive
+  // half).
   constexpr u64 kChunkRecords = 8192;
   // p−1 evenly spaced pivots over the presorted input.
   std::vector<u32> pivots;
@@ -373,10 +375,9 @@ int run(const BenchOptions& opt) {
           std::vector<u8> payload = st->comms[run + 1].pool().acquire();
           payload.resize(take * sizeof(u32));
           std::memcpy(payload.data(), base + off, payload.size());
-          st->comms[run + 1].isend_payload(st->clock, 0, 1,
-                                           std::move(payload));
+          st->comms[run + 1].host_send(0, 1, std::move(payload));
         }
-        st->comms[run + 1].isend_payload(st->clock, 0, 1, {});  // EOS
+        st->comms[run + 1].host_send(0, 1, {});  // EOS
       }
       pdm::Disk disk = disk_for(m);
       disk.reset_stats();
@@ -386,8 +387,7 @@ int run(const BenchOptions& opt) {
         std::vector<core::NetworkRunSource<u32>> net_sources;
         net_sources.reserve(k);
         for (u32 r = 0; r < k; ++r) {
-          net_sources.emplace_back(st->comms[0], st->clock, r + 1, 1, 2,
-                                   nullptr);
+          net_sources.emplace_back(st->comms[0], r + 1, 1, 2, nullptr);
         }
         std::vector<core::NetworkRunSource<u32>*> sources;
         for (auto& src : net_sources) sources.push_back(&src);
@@ -403,7 +403,7 @@ int run(const BenchOptions& opt) {
       // Drain the per-chunk acks out of the sender mailboxes so they do
       // not accumulate across reps.
       for (u64 run = 0; run < k; ++run) {
-        while (st->comms[run + 1].try_recv_packet_on(st->clock, 0, 2)) {
+        while (st->comms[run + 1].host_try_recv(0, 2)) {
         }
       }
       const u64 ios = disk.stats().total_block_ios();

@@ -245,91 +245,23 @@ std::vector<u32> load_keys(const Options& opt) {
 
 // --- sort-as-a-service mode (--jobs) -------------------------------------
 
-/// One `key=value` pair applied to a JobSpec.  Exits with a message on an
-/// unknown key or unparsable value — the spec is user input.
-void apply_job_field(service::JobSpec& job, const std::string& key,
-                     const std::string& value) {
-  try {
-    if (key == "n" || key == "records") {
-      job.records = std::stoull(value);
-    } else if (key == "dist") {
-      const auto dist = parse_enum(workload::kAllDists, value);
-      if (!dist) throw std::invalid_argument(enum_names(workload::kAllDists));
-      job.dist = *dist;
-    } else if (key == "algo" || key == "algorithm") {
-      const auto algo = parse_enum(core::kAllAlgorithms, value);
-      if (!algo) throw std::invalid_argument(enum_names(core::kAllAlgorithms));
-      job.algorithm = *algo;
-    } else if (key == "width") {
-      job.perf.assign(std::stoul(value), 1);
-    } else if (key == "arrival") {
-      job.arrival_s = std::stod(value);
-    } else if (key == "priority") {
-      job.priority = static_cast<u32>(std::stoul(value));
-    } else if (key == "seed") {
-      job.seed = std::stoull(value);
-    } else if (key == "bytes") {
-      job.record_bytes = static_cast<u32>(std::stoul(value));
-    } else if (key == "id") {
-      job.id = std::stoull(value);
-    } else {
-      std::cerr << "unknown job key '" << key
-                << "'; valid: n dist algo width arrival priority seed "
-                   "bytes id\n";
-      std::exit(2);
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "bad value '" << value << "' for job key '" << key << "' ("
-              << e.what() << ")\n";
-    std::exit(2);
-  }
-}
-
-/// Parse a --jobs spec: if the argument names a readable file its contents
-/// are the spec, otherwise the argument itself is.  Jobs are separated by
-/// ';' or newlines; '#' starts a comment line; each job is a
-/// comma-separated key=value list.  Ids default to the job's position.
-std::vector<service::JobSpec> parse_jobs(const std::string& arg) {
+/// Parse a --jobs spec (service::parse_job_specs): if the argument names a
+/// readable file its contents are the spec, otherwise the argument itself
+/// is.  Exits with a message on a malformed spec — the spec is user input.
+std::vector<service::JobSpec> parse_jobs(const std::string& arg,
+                                         u32 cluster_width) {
   std::string text = arg;
   if (std::ifstream file(arg); file) {
     std::ostringstream buf;
     buf << file.rdbuf();
     text = buf.str();
   }
-  for (char& c : text) {
-    if (c == '\n') c = ';';
-  }
-  std::vector<service::JobSpec> jobs;
-  std::stringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line, ';')) {
-    const auto start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '#') continue;
-    service::JobSpec job;
-    job.id = jobs.size();
-    std::stringstream fields(line);
-    std::string field;
-    while (std::getline(fields, field, ',')) {
-      const auto eq = field.find('=');
-      if (eq == std::string::npos) {
-        std::cerr << "job field '" << field << "' is not key=value\n";
-        std::exit(2);
-      }
-      auto trim = [](std::string s) {
-        const auto a = s.find_first_not_of(" \t\r");
-        const auto b = s.find_last_not_of(" \t\r");
-        return a == std::string::npos ? std::string() : s.substr(a, b - a + 1);
-      };
-      apply_job_field(job, trim(field.substr(0, eq)),
-                      trim(field.substr(eq + 1)));
-    }
-    jobs.push_back(std::move(job));
-  }
-  if (jobs.empty()) {
-    std::cerr << "--jobs spec contains no jobs\n";
+  try {
+    return service::parse_job_specs(text, cluster_width);
+  } catch (const std::exception& e) {
+    std::cerr << "bad --jobs spec (" << e.what() << ")\n";
     std::exit(2);
   }
-  return jobs;
 }
 
 /// Service mode: run the parsed workload through the multi-job scheduler
@@ -344,7 +276,8 @@ int run_service(const Options& opt, const net::ClusterConfig& config) {
   sc.sort.sequential.allow_in_memory = false;
   sc.sort.message_records = opt.message_records;
 
-  const std::vector<service::JobSpec> jobs = parse_jobs(opt.jobs);
+  const std::vector<service::JobSpec> jobs =
+      parse_jobs(opt.jobs, static_cast<u32>(config.perf.size()));
   std::cout << "service mode: " << jobs.size() << " job(s), policy "
             << service::to_string(opt.policy) << ", cluster perf "
             << hetero::PerfVector(config.perf).to_string() << ", "
@@ -429,22 +362,6 @@ int main(int argc, char** argv) {
     return run_service(opt, config);
   }
 
-  std::vector<u32> keys;
-  u64 original = 0;
-  u64 n = 0;
-  if (opt.demo_records > 0) {
-    n = perf.round_up_admissible(opt.demo_records);
-    original = n;  // every generated key is real data
-    keys = demo_keys(opt, perf, n);
-  } else {
-    keys = load_keys(opt);
-    original = keys.size();
-    n = perf.round_up_admissible(original);
-    // Pad to an admissible size with max-keys; they sort to the end and
-    // are trimmed before writing the output.
-    keys.resize(n, std::numeric_limits<u32>::max());
-  }
-
   core::ParallelSortConfig psc;
   psc.algorithm = opt.algorithm;
   psc.splitter.strategy = opt.splitter;
@@ -453,19 +370,48 @@ int main(int argc, char** argv) {
   psc.sequential.allow_in_memory = false;
   psc.message_records = opt.message_records;
 
+  // A file's keys are real data; generated keys and padding wait for the
+  // size checks below.
+  std::vector<u32> keys;
+  if (opt.demo_records == 0) keys = load_keys(opt);
+  const u64 requested = opt.demo_records > 0 ? opt.demo_records : keys.size();
+  const std::string source = opt.demo_records > 0
+                                 ? "--demo " + std::to_string(requested)
+                                 : "--input " + opt.input;
+
+  // Above the service's admission cap the run could not hold the keys, so
+  // reject it before generating or padding any.  A request within the cap
+  // rounds up to at most cap + Σperf, which cannot overflow.
+  const u64 cap = service::AdmissionPolicy{}.max_records;
+  if (requested > cap) {
+    std::cerr << source << " asks for " << requested
+              << " keys, above the admission cap of " << cap << "\n";
+    return 2;
+  }
+  const u64 n = perf.round_up_admissible(requested);
+  if (n > cap) {
+    std::cerr << source << " gives " << n << " keys (perf "
+              << perf.to_string() << "), above the admission cap of " << cap
+              << "\n";
+    return 2;
+  }
   // Below the backend's sampling minimum a splitter contract would abort
   // the run.
   const u64 minimum = core::minimum_input(psc, perf);
   if (n < minimum) {
-    if (opt.demo_records > 0) {
-      std::cerr << "--demo " << opt.demo_records;
-    } else {
-      std::cerr << "--input " << opt.input;
-    }
-    std::cerr << " gives " << n << " keys, below "
+    std::cerr << source << " gives " << n << " keys, below "
               << core::to_string(psc.algorithm) << "'s sampling minimum of "
               << minimum << " (perf " << perf.to_string() << ")\n";
     return 2;
+  }
+  u64 original = requested;
+  if (opt.demo_records > 0) {
+    keys = demo_keys(opt, perf, n);
+    original = n;  // every generated key is real data
+  } else {
+    // Pad to an admissible size with max-keys; they sort to the end and
+    // are trimmed before writing the output.
+    keys.resize(n, std::numeric_limits<u32>::max());
   }
 
   std::cout << "sorting " << original << " keys (padded to " << n << ") on "

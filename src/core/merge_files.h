@@ -3,11 +3,9 @@
 // cursor per piece) when the memory budget admits the fan-in — always true
 // for the p ≤ m−1 clusters the paper targets — otherwise the pieces are
 // concatenated as runs and merged with the balanced multi-pass machinery.
-// The file also holds the fused pipeline's network merge source.
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <iterator>
 #include <span>
@@ -16,127 +14,13 @@
 
 #include "base/contracts.h"
 #include "base/meter.h"
-#include "base/prefetch.h"
 #include "base/types.h"
-#include "net/communicator.h"
 #include "pdm/typed_io.h"
 #include "seq/cursors.h"
 #include "seq/kway_merge.h"
 #include "seq/loser_tree.h"
 
 namespace paladin::core {
-
-/// LoserTree source fed straight from the mailbox: one instance per sending
-/// rank, consuming that rank's chunk stream (data chunks carry >= 1 record;
-/// an empty payload is end-of-stream).  Each consumed data chunk is
-/// acknowledged with an empty message on `ack_tag`, which is what returns a
-/// flow-control credit to the sender.
-///
-/// Contract inherited from the tree: peek() may return nullptr only when
-/// the stream is permanently exhausted.  A dry-but-open source therefore
-/// *blocks* inside peek(), cooperatively: while no chunk is queued it first
-/// drives `make_progress` (the owning node's send half — without this two
-/// merge-blocked nodes that still owe each other data would deadlock), and
-/// only parks on the mailbox when that reports no progress either.  All
-/// receive/ack charges land on the merge-stream clock at the consumption
-/// point, which is determined by the merge order alone — not by when the
-/// chunk physically arrived — keeping the virtual makespan
-/// schedule-independent.
-template <Record T>
-class NetworkRunSource {
- public:
-  NetworkRunSource(net::Communicator& comm, net::VirtualClock& clock, u32 src,
-                   int data_tag, int ack_tag,
-                   std::function<bool()> make_progress)
-      : comm_(&comm),
-        clock_(&clock),
-        src_(src),
-        data_tag_(data_tag),
-        ack_tag_(ack_tag),
-        make_progress_(std::move(make_progress)) {}
-
-  const T* peek() {
-    if (index_ < buffer_.size()) return &buffer_[index_];
-    if (exhausted_) return nullptr;
-    refill();
-    return exhausted_ ? nullptr : &buffer_[index_];
-  }
-
-  void advance() {
-    PALADIN_EXPECTS(index_ < buffer_.size());
-    ++index_;
-  }
-
-  /// Fused advance()+peek() (see pdm::BlockReader::advance_peek); the
-  /// chunk refill lands at the same point the separate sequence refills.
-  const T* advance_peek() {
-    PALADIN_EXPECTS(index_ < buffer_.size());
-    ++index_;
-    if (index_ < buffer_.size()) [[likely]] return &buffer_[index_];
-    if (exhausted_) return nullptr;
-    refill();
-    return exhausted_ ? nullptr : &buffer_[index_];
-  }
-
-  /// Records already in memory past the cursor (never refills).
-  std::span<const T> buffered() const {
-    return std::span<const T>(buffer_).subspan(index_);
-  }
-
-  void advance_n(u64 n) {
-    PALADIN_EXPECTS(index_ + n <= buffer_.size());
-    index_ += static_cast<std::size_t>(n);
-  }
-
-  u64 received_records() const { return received_; }
-
- private:
-  void refill() {
-    for (;;) {
-      // Snapshot the delivery count *before* probing: a packet landing
-      // between the failed probe and the wait then wakes us immediately.
-      const u64 seen = comm_->inbox_deliveries();
-      if (std::optional<net::Packet> pkt =
-              comm_->try_recv_packet_on(*clock_, src_, data_tag_)) {
-        if (pkt->payload.empty()) {
-          exhausted_ = true;
-          return;
-        }
-        adopt(std::move(pkt->payload));
-        // Consuming the chunk frees one credit at the sender.  Self-acks
-        // cost nothing (self-delivery is free) but keep the bookkeeping
-        // uniform.
-        comm_->isend_payload(*clock_, src_, ack_tag_, {});
-        return;
-      }
-      if (make_progress_ && make_progress_()) continue;
-      comm_->wait_any_delivery_beyond(seen);
-    }
-  }
-
-  void adopt(std::vector<u8> payload) {
-    PALADIN_ASSERT(payload.size() % sizeof(T) == 0);
-    buffer_.resize(payload.size() / sizeof(T));
-    std::memcpy(buffer_.data(), payload.data(), payload.size());
-    comm_->pool().release(std::move(payload));
-    index_ = 0;
-    received_ += buffer_.size();
-    // Copying a whole chunk just evicted the head from L1; the tree reads
-    // it immediately after this refill.
-    base::prefetch_read(buffer_.data());
-  }
-
-  net::Communicator* comm_;
-  net::VirtualClock* clock_;
-  u32 src_;
-  int data_tag_;
-  int ack_tag_;
-  std::function<bool()> make_progress_;
-  std::vector<T> buffer_;
-  std::size_t index_ = 0;
-  u64 received_ = 0;
-  bool exhausted_ = false;
-};
 
 /// Absorb merge for the adaptive re-split path (hetero::AdaptiveConfig):
 /// when a node's re-split slice fits the sequential memory budget, load

@@ -17,6 +17,29 @@
 // credits that this receiver's merge will return, or itself merge-blocked,
 // in which case its cooperative wait loop keeps pumping its own sends.
 //
+// Two passes.  Charged in that order on the host, the p merges would run
+// one after another: node j's merge cannot start until node j−1's has
+// drained.  So each node first moves and merges the data with nothing
+// charged, then prices what it did:
+//  * The data pass finds the node's p cuts in its sorted file by binary
+//    search, sends every partition in PartitionStream's exact chunks (m
+//    records from each cut, then an empty end-of-stream) round-robin to all
+//    destinations under a host window of `window_chunks` per stream
+//    (Communicator::host_send: no clock, no CommStats, no fault framing;
+//    a stream out of credits never holds up another), and runs the loser
+//    tree into the output file.  Instead of applying
+//    them it logs, in order, the merge stream's charges: each source
+//    refill, disk cost-sink call and meter call.  All nodes merge at once.
+//  * The pricing pass is the charged protocol above.  The send half reads
+//    the sorted file again through PartitionStream (charged reads, compares
+//    and moves), passes the credit gate and sends real payloads; the merge
+//    half replays the log — a refill is the charged receive plus ack with
+//    the payload dropped, a disk entry goes through the disk sink's
+//    expression on the merge clock, a meter entry through the merge meter.
+// A node leaves its data pass only once every chunk it sent there was
+// acked, so no uncharged packet outlives the pass and each inbox holds at
+// most `window_chunks` chunks per stream, whichever pass they belong to.
+//
 // Determinism: each node runs two logical clocks seeded from its node
 // clock — a send-stream clock S (partition compares/moves, sorted-file
 // reads, chunk sends, credit waits) and a merge-stream clock M (chunk
@@ -24,12 +47,18 @@
 // tied to a point in its own stream's deterministic order (the k-th chunk
 // to dst, the ack consumed exactly when chunk k+W needs its credit, the
 // chunk consumed exactly when the merge needs stream s), never to physical
-// arrival order, so both clocks — and the node finish time
-// max(S, M) merged back into the node clock — are pure functions of
-// (seed, config) regardless of thread scheduling.
+// arrival order.  The data pass feeds the merge the same chunks, so its
+// log is a pure function of the input, and the pricing pass applies to
+// both clocks the operations a single charged pass would, with the same
+// arguments in the same order.  Both clocks — and the node finish time
+// max(S, M) merged back into the node clock — are therefore pure functions
+// of (seed, config) regardless of thread scheduling.
 #pragma once
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -37,8 +66,8 @@
 
 #include "base/contracts.h"
 #include "base/meter.h"
+#include "base/prefetch.h"
 #include "base/types.h"
-#include "core/merge_files.h"
 #include "core/partition_file.h"
 #include "net/cluster.h"
 #include "net/virtual_clock.h"
@@ -50,6 +79,10 @@ namespace paladin::core {
 
 inline constexpr int kTagPipelineData = 50;
 inline constexpr int kTagPipelineAck = 51;
+/// The data pass's uncharged traffic.  A peer's pricing pass may start while
+/// this node's data pass still runs, so the passes share no tag.
+inline constexpr int kTagPipelineHostData = 52;
+inline constexpr int kTagPipelineHostAck = 53;
 
 /// What the fused steps 3–5 produced on this node.
 struct PipelineOutcome {
@@ -92,6 +125,269 @@ class StreamMeter final : public Meter {
   double speed_;
 };
 
+/// One merge-stream charge as the data pass met it.
+struct MergeCharge {
+  enum class Kind : u8 { kRefill, kDisk, kCompares, kMoves, kSeconds };
+  Kind kind = Kind::kRefill;
+  u32 source = 0;        ///< kRefill: the stream's sending rank
+  u64 count = 0;         ///< kCompares/kMoves: n
+  double seconds = 0.0;  ///< kDisk/kSeconds: the amount charged
+};
+
+/// Meter that logs its calls for the pricing pass instead of pricing them.
+class LoggingMeter final : public Meter {
+ public:
+  explicit LoggingMeter(std::vector<MergeCharge>& log) : log_(&log) {}
+
+  void on_compares(u64 n) override {
+    log_->push_back({MergeCharge::Kind::kCompares, 0, n, 0.0});
+  }
+  void on_moves(u64 n) override {
+    log_->push_back({MergeCharge::Kind::kMoves, 0, n, 0.0});
+  }
+  void on_seconds(double s) override {
+    log_->push_back({MergeCharge::Kind::kSeconds, 0, 0, s});
+  }
+
+ private:
+  std::vector<MergeCharge>* log_;
+};
+
+/// LoserTree source fed straight from the mailbox by the uncharged host
+/// calls: one instance per sending rank, consuming that rank's chunk stream
+/// (data chunks carry >= 1 record; an empty payload is end-of-stream).
+/// Each consumed data chunk is acknowledged with an empty message on
+/// `ack_tag`, which is what returns a window credit to the sender.
+///
+/// Contract inherited from the tree: peek() may return nullptr only when
+/// the stream is permanently exhausted.  Every refill first drives
+/// `make_progress` (the owning node's send half), so the node keeps its
+/// peers fed while it merges.  A dry-but-open source then *blocks* inside
+/// peek(), cooperatively: it drives `make_progress` again and parks on the
+/// mailbox only when that reports no progress either — without this two
+/// merge-blocked nodes that still owe each other data would deadlock.
+/// With a `log`, each refill first appends its kRefill entry.
+template <Record T>
+class NetworkRunSource {
+ public:
+  NetworkRunSource(net::Communicator& comm, u32 src, int data_tag, int ack_tag,
+                   std::function<bool()> make_progress,
+                   std::vector<MergeCharge>* log = nullptr)
+      : comm_(&comm),
+        src_(src),
+        data_tag_(data_tag),
+        ack_tag_(ack_tag),
+        make_progress_(std::move(make_progress)),
+        log_(log) {}
+
+  const T* peek() {
+    if (index_ < buffer_.size()) return &buffer_[index_];
+    if (exhausted_) return nullptr;
+    refill();
+    return exhausted_ ? nullptr : &buffer_[index_];
+  }
+
+  void advance() {
+    PALADIN_EXPECTS(index_ < buffer_.size());
+    ++index_;
+  }
+
+  /// Fused advance()+peek() (see pdm::BlockReader::advance_peek); the
+  /// chunk refill lands at the same point the separate sequence refills.
+  const T* advance_peek() {
+    PALADIN_EXPECTS(index_ < buffer_.size());
+    ++index_;
+    if (index_ < buffer_.size()) [[likely]] return &buffer_[index_];
+    if (exhausted_) return nullptr;
+    refill();
+    return exhausted_ ? nullptr : &buffer_[index_];
+  }
+
+  /// Records already in memory past the cursor (never refills).
+  std::span<const T> buffered() const {
+    return std::span<const T>(buffer_).subspan(index_);
+  }
+
+  void advance_n(u64 n) {
+    PALADIN_EXPECTS(index_ + n <= buffer_.size());
+    index_ += static_cast<std::size_t>(n);
+  }
+
+ private:
+  void refill() {
+    if (log_ != nullptr) {
+      log_->push_back({MergeCharge::Kind::kRefill, src_, 0, 0.0});
+    }
+    if (make_progress_) make_progress_();
+    for (;;) {
+      // Snapshot the delivery count *before* probing: a packet landing
+      // between the failed probe and the wait then wakes us immediately.
+      const u64 seen = comm_->inbox_deliveries();
+      if (std::optional<std::vector<u8>> payload =
+              comm_->host_try_recv(src_, data_tag_)) {
+        if (payload->empty()) {
+          exhausted_ = true;
+          return;
+        }
+        adopt(std::move(*payload));
+        comm_->host_send(src_, ack_tag_, {});
+        return;
+      }
+      if (make_progress_ && make_progress_()) continue;
+      comm_->wait_any_delivery_beyond(seen);
+    }
+  }
+
+  void adopt(std::vector<u8> payload) {
+    PALADIN_ASSERT(payload.size() % sizeof(T) == 0);
+    buffer_.resize(payload.size() / sizeof(T));
+    std::memcpy(buffer_.data(), payload.data(), payload.size());
+    comm_->pool().release(std::move(payload));
+    index_ = 0;
+    // Copying a whole chunk just evicted the head from L1; the tree reads
+    // it immediately after this refill.
+    base::prefetch_read(buffer_.data());
+  }
+
+  net::Communicator* comm_;
+  u32 src_;
+  int data_tag_;
+  int ack_tag_;
+  std::function<bool()> make_progress_;
+  std::vector<MergeCharge>* log_;
+  std::vector<T> buffer_;
+  std::size_t index_ = 0;
+  bool exhausted_ = false;
+};
+
+namespace detail {
+
+/// The data pass: ships this node's partitions of `sorted_file` to their
+/// destinations and merges the incoming streams into `output`, charging
+/// nothing.  Appends the merge stream's charges to `log` in the order a
+/// charged merge applies them and returns the records merged.
+template <Record T, typename Less>
+u64 data_pass(net::NodeContext& ctx, const std::string& sorted_file,
+              const std::string& output, std::span<const T> pivots,
+              u64 message_records, u64 window_chunks, Less less,
+              std::vector<MergeCharge>& log) {
+  net::Communicator& comm = ctx.comm();
+  const u32 p = comm.size();
+  const pdm::BlockFile in = ctx.disk().open(sorted_file);
+  pdm::FileHandle& file = *in.raw_handle();
+  PALADIN_ASSERT(in.size_bytes() % sizeof(T) == 0);
+  const u64 records = in.size_bytes() / sizeof(T);
+
+  // Partition j is [next[j], end[j]): the records above pivots[j−1] and at
+  // or below pivots[j] — PartitionStream's upper_bound tie rule.
+  std::vector<u64> next(p, 0);
+  std::vector<u64> end(p, records);
+  for (u32 j = 0; j + 1 < p; ++j) {
+    u64 lo = j == 0 ? 0 : end[j - 1];
+    u64 hi = records;
+    while (lo < hi) {
+      const u64 mid = lo + (hi - lo) / 2;
+      T v{};
+      file.read_at(mid * sizeof(T),
+                   std::span<u8>(reinterpret_cast<u8*>(&v), sizeof(T)));
+      if (less(pivots[j], v)) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    end[j] = lo;
+    next[j + 1] = lo;
+  }
+
+  // Send half: round-robin over the destinations, one chunk per stream and
+  // sweep while its window has a credit; end-of-stream needs none.
+  std::vector<u64> sent(p, 0);
+  std::vector<u64> acked(p, 0);
+  std::vector<u8> closed(p, 0);
+  u32 open = p;
+  auto pump = [&]() -> bool {
+    bool progress = false;
+    for (u32 d = 0; d < p; ++d) {
+      while (acked[d] < sent[d] &&
+             comm.host_try_recv(d, kTagPipelineHostAck).has_value()) {
+        ++acked[d];
+        progress = true;
+      }
+    }
+    for (bool moved = open > 0; moved;) {
+      moved = false;
+      for (u32 d = 0; d < p; ++d) {
+        if (closed[d] != 0) continue;
+        if (next[d] == end[d]) {
+          comm.host_send(d, kTagPipelineHostData, {});
+          closed[d] = 1;
+          --open;
+          moved = true;
+          continue;
+        }
+        if (sent[d] - acked[d] >= window_chunks) continue;
+        const u64 n = std::min(message_records, end[d] - next[d]);
+        std::vector<u8> payload = comm.pool().acquire();
+        payload.resize(n * sizeof(T));
+        file.read_at(next[d] * sizeof(T), payload);
+        comm.host_send(d, kTagPipelineHostData, std::move(payload));
+        next[d] += n;
+        ++sent[d];
+        moved = true;
+      }
+      progress = progress || moved;
+    }
+    return progress;
+  };
+
+  std::vector<NetworkRunSource<T>> net_sources;
+  net_sources.reserve(p);
+  for (u32 s = 0; s < p; ++s) {
+    net_sources.emplace_back(comm, s, kTagPipelineHostData,
+                             kTagPipelineHostAck, pump, &log);
+  }
+  std::vector<NetworkRunSource<T>*> sources;
+  for (auto& s : net_sources) sources.push_back(&s);
+
+  // The output writes are the merge stream's only disk traffic.
+  ctx.disk().set_cost_sink([&log](double s) {
+    log.push_back({MergeCharge::Kind::kDisk, 0, 0, s});
+  });
+  LoggingMeter meter(log);
+  u64 merged = 0;
+  {
+    pdm::BlockFile out_file = ctx.disk().create(output);
+    pdm::BlockWriter<T> writer(out_file);
+    {
+      seq::LoserTree<T, NetworkRunSource<T>, Less> tree(std::move(sources),
+                                                        less, &meter);
+      merged = tree.pop_run_into(writer);
+    }
+    writer.flush();
+  }
+  meter.on_moves(merged);
+  ctx.install_disk_cost_sink();
+
+  // The merge finishing means every stream to us closed; drive our own
+  // tail home and collect every ack, so no uncharged packet is left for
+  // the pricing pass (or the harvest-time inbox sweep) to meet.
+  auto drained = [&] {
+    if (open > 0) return false;
+    for (u32 d = 0; d < p; ++d) {
+      if (acked[d] < sent[d]) return false;
+    }
+    return true;
+  };
+  while (!drained()) {
+    const u64 seen = comm.inbox_deliveries();
+    if (!pump()) comm.wait_any_delivery_beyond(seen);
+  }
+  return merged;
+}
+
+}  // namespace detail
+
 /// Runs the fused partition→send→merge pipeline on one node.
 ///
 /// `sorted_file` is the node's step-2 output (sorted run of l_i records);
@@ -112,6 +408,13 @@ PipelineOutcome pipelined_exchange_merge(net::NodeContext& ctx,
   PALADIN_EXPECTS(message_records >= 1);
   PALADIN_EXPECTS(window_chunks >= 1);
 
+  PipelineOutcome out;
+  std::vector<MergeCharge> log;
+  out.merged = detail::data_pass<T, Less>(ctx, sorted_file, output, pivots,
+                                          message_records, window_chunks,
+                                          less, log);
+
+  // ---- Pricing pass ----------------------------------------------------
   // Dual logical clocks, both seeded from the node clock (merge() is a
   // max, and a fresh VirtualClock sits at 0).
   net::VirtualClock send_clock;
@@ -119,24 +422,25 @@ PipelineOutcome pipelined_exchange_merge(net::NodeContext& ctx,
   send_clock.merge(ctx.clock().now());
   merge_clock.merge(ctx.clock().now());
 
-  // Disk charges route to whichever stream is executing: pump_send flips
-  // `active` to the send clock around the sorted-file reads; everything
-  // else (the merge's output writes) lands on the merge clock.  Restored
-  // via NodeContext::install_disk_cost_sink() at the end.  Under drift the
-  // divisor is the effective speed at the active stream's instant;
-  // otherwise the original value-captured divisor (bit-identical path).
-  net::VirtualClock* active = &merge_clock;
-  if (ctx.drift() != nullptr) {
-    const bool scale = ctx.config().cost.scale_disk_with_speed;
-    ctx.disk().set_cost_sink([&active, &ctx, scale](double s) {
-      active->advance(s / (scale ? ctx.speed_at(active->now()) : 1.0));
-    });
-  } else {
-    const double divisor =
-        ctx.config().cost.scale_disk_with_speed ? ctx.speed() : 1.0;
-    ctx.disk().set_cost_sink(
-        [&active, divisor](double s) { active->advance(s / divisor); });
-  }
+  // Disk charges: the sorted-file reads land on the send clock through the
+  // sink; the logged output writes replay onto the merge clock through the
+  // same expression.  Under drift the divisor is the effective speed at
+  // the charged stream's instant; otherwise the original value-captured
+  // divisor (bit-identical path).  The node-clock sink NodeContext
+  // installed is restored via install_disk_cost_sink() at the end.
+  const bool scale = ctx.config().cost.scale_disk_with_speed;
+  const bool drifting = ctx.drift() != nullptr;
+  const double divisor = scale ? ctx.speed() : 1.0;
+  auto charge_disk = [&ctx, scale, drifting, divisor](net::VirtualClock& clk,
+                                                      double s) {
+    if (drifting) {
+      clk.advance(s / (scale ? ctx.speed_at(clk.now()) : 1.0));
+    } else {
+      clk.advance(s / divisor);
+    }
+  };
+  ctx.disk().set_cost_sink(
+      [&charge_disk, &send_clock](double s) { charge_disk(send_clock, s); });
 
   StreamMeter send_meter(send_clock, ctx.config().cost, ctx);
   StreamMeter merge_meter(merge_clock, ctx.config().cost, ctx);
@@ -157,8 +461,6 @@ PipelineOutcome pipelined_exchange_merge(net::NodeContext& ctx,
                              obs::Track::kMerge);
   }
 
-  PipelineOutcome out;
-
   {
     pdm::BlockFile in = ctx.disk().open(sorted_file);
     pdm::BlockReader<T> reader(in);
@@ -178,12 +480,9 @@ PipelineOutcome pipelined_exchange_merge(net::NodeContext& ctx,
 
     // Drives the send half as far as credits allow.  Returns whether any
     // event shipped (the cooperative-wait loops use this to decide between
-    // retrying and parking).  Runs with disk charges routed to the send
-    // clock; safe to call re-entrantly from inside the merge's refill wait.
+    // retrying and parking).
     auto pump_send = [&]() -> bool {
       if (send_done) return false;
-      net::VirtualClock* const prev = active;
-      active = &send_clock;
       bool progress = false;
       for (;;) {
         if (!have_staged) {
@@ -231,37 +530,47 @@ PipelineOutcome pipelined_exchange_merge(net::NodeContext& ctx,
         have_staged = false;
         progress = true;
       }
-      active = prev;
       return progress;
     };
 
-    // Merge half: one network source per rank (the local partition arrives
-    // as free self-sends), fed cooperatively by pump_send.  The tree runs
-    // the key-cached kernel (seq/loser_tree.h) and each chunk refill
-    // prefetches its head (NetworkRunSource::adopt); like the file-backed
-    // merges in seq/kway_merge.h it is one serial tree per node.
-    std::vector<NetworkRunSource<T>> net_sources;
-    net_sources.reserve(p);
-    for (u32 s = 0; s < p; ++s) {
-      net_sources.emplace_back(comm, merge_clock, s, kTagPipelineData,
-                               kTagPipelineAck, pump_send);
+    // Merge half: replay the data pass's log.  A refill consumes the
+    // stream's next message exactly as the merge did (charged receive, ack
+    // for a data chunk) and drops the payload the data pass already merged.
+    for (const MergeCharge& c : log) {
+      switch (c.kind) {
+        case MergeCharge::Kind::kRefill:
+          for (;;) {
+            const u64 seen = comm.inbox_deliveries();
+            if (std::optional<net::Packet> pkt = comm.try_recv_packet_on(
+                    merge_clock, c.source, kTagPipelineData)) {
+              if (!pkt->payload.empty()) {
+                comm.pool().release(std::move(pkt->payload));
+                comm.isend_payload(merge_clock, c.source, kTagPipelineAck,
+                                   {});
+              }
+              break;
+            }
+            if (!pump_send()) comm.wait_any_delivery_beyond(seen);
+          }
+          break;
+        case MergeCharge::Kind::kDisk:
+          charge_disk(merge_clock, c.seconds);
+          break;
+        case MergeCharge::Kind::kCompares:
+          merge_meter.on_compares(c.count);
+          break;
+        case MergeCharge::Kind::kMoves:
+          merge_meter.on_moves(c.count);
+          break;
+        case MergeCharge::Kind::kSeconds:
+          merge_meter.on_seconds(c.seconds);
+          break;
+      }
     }
-    std::vector<NetworkRunSource<T>*> sources;
-    for (auto& s : net_sources) sources.push_back(&s);
 
-    pdm::BlockFile out_file = ctx.disk().create(output);
-    pdm::BlockWriter<T> writer(out_file);
-    {
-      seq::LoserTree<T, NetworkRunSource<T>, Less> tree(std::move(sources),
-                                                        less, &merge_meter);
-      out.merged = tree.pop_run_into(writer);
-    }
-    writer.flush();
-    merge_meter.on_moves(out.merged);
-
-    // The merge finishing means every peer's stream to us closed, but our
+    // The replay finishing means every peer's stream to us closed, but our
     // own tail sends (destinations above our rank) may still be pending —
-    // drive them home.  Peers still merging keep returning credits.
+    // drive them home.  Peers still replaying keep returning credits.
     while (!send_done) {
       const u64 seen = comm.inbox_deliveries();
       if (!pump_send()) comm.wait_any_delivery_beyond(seen);
@@ -273,9 +582,8 @@ PipelineOutcome pipelined_exchange_merge(net::NodeContext& ctx,
     out.partition_sizes = stream.sizes();
   }
 
-  // Restore the node-clock sink NodeContext installed, then fold both
-  // streams into the node clock: the node is done when its slower stream
-  // is.
+  // Restore the node-clock sink, then fold both streams into the node
+  // clock: the node is done when its slower stream is.
   ctx.install_disk_cost_sink();
   out.send_finish = send_clock.now();
   out.merge_finish = merge_clock.now();

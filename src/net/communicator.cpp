@@ -134,6 +134,25 @@ void Communicator::isend_payload(VirtualClock& clk, u32 dst, int tag,
   deliver_payload(clk, dst, tag, std::move(payload));
 }
 
+void Communicator::host_send(u32 dst, int tag, std::vector<u8>&& payload) {
+  PALADIN_EXPECTS(dst < size());
+  PALADIN_EXPECTS_MSG(tag >= 0, "negative tags are reserved for collectives");
+  Packet p;
+  p.source = static_cast<int>(to_global(rank_));
+  p.tag = to_wire_tag(tag);
+  p.payload = std::move(payload);
+  fabric_->mailbox(to_global(dst)).deliver(std::move(p));
+}
+
+std::optional<std::vector<u8>> Communicator::host_try_recv(u32 src, int tag) {
+  PALADIN_EXPECTS(src < size());
+  std::optional<Packet> p =
+      fabric_->mailbox(to_global(rank_))
+          .try_receive(static_cast<int>(to_global(src)), to_wire_tag(tag));
+  if (!p.has_value()) return std::nullopt;
+  return std::move(p->payload);
+}
+
 void Communicator::charge_receive(VirtualClock& clk, const Packet& p) {
   // Runs on packets still in wire space: p.source is a fabric rank.
   ++stats_.messages_received;

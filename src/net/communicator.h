@@ -158,6 +158,21 @@ class Communicator {
   std::optional<Packet> try_recv_packet_on(VirtualClock& clk, u32 src,
                                            int tag);
 
+  // -- Host-only primitives (no simulated cost at all). ------------------
+  //
+  // The pipeline's data pass (core/pipeline.h) moves the real records
+  // through these before its pricing pass replays the charged protocol, so
+  // they touch no clock, no CommStats and no fault framing: a run's
+  // virtual times, traffic totals and fault counters are exactly those of
+  // the charged calls above.  Use distinct tags from charged traffic that
+  // may share the mailbox.
+
+  /// Moves `payload` into `dst`'s mailbox.
+  void host_send(u32 dst, int tag, std::vector<u8>&& payload);
+
+  /// Takes the oldest queued packet from (src, tag), std::nullopt if none.
+  std::optional<std::vector<u8>> host_try_recv(u32 src, int tag);
+
   /// Delivery counter of this rank's inbox; pair with
   /// wait_any_delivery_beyond() for a sleep-until-anything-arrives wait.
   u64 inbox_deliveries() const {

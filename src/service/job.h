@@ -96,11 +96,24 @@ struct AdmissionDecision {
   JobSpec normalized;   ///< meaningful only when admitted
 };
 
-/// Pure admission check: validates records/record width, resolves an
-/// empty perf to the full cluster width, clamps oversized widths.  Does
-/// not touch the records count — admissibility rounding needs the
-/// scheduler's node slice and happens at dispatch.
+/// Pure admission check: validates records/record width and the arrival
+/// time (finite, >= 0), resolves an empty perf to the full cluster width,
+/// clamps oversized widths.  Does not touch the records count —
+/// admissibility rounding needs the scheduler's node slice and happens at
+/// dispatch.
 AdmissionDecision admit(const JobSpec& spec, u32 cluster_width,
                         const AdmissionPolicy& policy, u64 service_seed);
+
+/// Parses a job list (the CLI's --jobs): jobs separated by ';' or
+/// newlines, '#' starting a comment line, each job a comma-separated
+/// key=value list over the keys n (or records), dist, algo (or algorithm),
+/// width, arrival, priority, seed, bytes and id.  Ids default to the job's
+/// position; width=0 asks for the whole cluster.  Every number must be the
+/// whole value, in its field's range and finite; an arrival must be >= 0
+/// and a width at most `cluster_width`, checked before the width is
+/// allocated.  Anything else throws std::invalid_argument, or
+/// std::out_of_range for a number outside its field.
+std::vector<JobSpec> parse_job_specs(const std::string& spec,
+                                     u32 cluster_width);
 
 }  // namespace paladin::service

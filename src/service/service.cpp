@@ -1,16 +1,22 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <memory>
 #include <numeric>
 #include <span>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "base/checksum.h"
+#include "base/enum_names.h"
 #include "base/rng.h"
 #include "core/verify.h"
 #include "hetero/perf_vector.h"
@@ -40,6 +46,11 @@ AdmissionDecision admit(const JobSpec& spec, u32 cluster_width,
                " exceed admission limit " + std::to_string(policy.max_records);
     return d;
   }
+  if (!std::isfinite(spec.arrival_s) || spec.arrival_s < 0.0) {
+    d.reason = "arrival " + std::to_string(spec.arrival_s) +
+               " s is not a finite time >= 0";
+    return d;
+  }
   if (spec.record_bytes != sizeof(DefaultKey) &&
       spec.record_bytes != sizeof(workload::DatamationRecord)) {
     d.reason = "unsupported record width " + std::to_string(spec.record_bytes) +
@@ -63,6 +74,118 @@ AdmissionDecision admit(const JobSpec& spec, u32 cluster_width,
   }
   d.admitted = true;
   return d;
+}
+
+namespace {
+
+/// The whole of `text` as a finite number of V; unlike stoull, from_chars
+/// rejects "-1" for an unsigned field instead of wrapping it.
+template <typename V>
+V job_number(const std::string& key, const std::string& text) {
+  V value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::out_of_range("job key '" + key + "': " + text +
+                            " is out of range");
+  }
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("job key '" + key + "': '" + text +
+                                "' is not a number");
+  }
+  if constexpr (std::is_floating_point_v<V>) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument("job key '" + key + "': '" + text +
+                                  "' is not a finite number");
+    }
+  }
+  return value;
+}
+
+std::string trim(const std::string& s) {
+  const auto a = s.find_first_not_of(" \t\r");
+  const auto b = s.find_last_not_of(" \t\r");
+  return a == std::string::npos ? std::string() : s.substr(a, b - a + 1);
+}
+
+void apply_job_field(JobSpec& job, const std::string& key,
+                     const std::string& value, u32 cluster_width) {
+  if (key == "n" || key == "records") {
+    job.records = job_number<u64>(key, value);
+  } else if (key == "dist") {
+    const auto dist = parse_enum(workload::kAllDists, value);
+    if (!dist) {
+      throw std::invalid_argument("job key 'dist': '" + value +
+                                  "' is not one of " +
+                                  enum_names(workload::kAllDists));
+    }
+    job.dist = *dist;
+  } else if (key == "algo" || key == "algorithm") {
+    const auto algo = parse_enum(core::kAllAlgorithms, value);
+    if (!algo) {
+      throw std::invalid_argument("job key '" + key + "': '" + value +
+                                  "' is not one of " +
+                                  enum_names(core::kAllAlgorithms));
+    }
+    job.algorithm = *algo;
+  } else if (key == "width") {
+    const u32 width = job_number<u32>(key, value);
+    if (width > cluster_width) {
+      throw std::out_of_range("job key 'width': " + value +
+                              " exceeds the cluster's " +
+                              std::to_string(cluster_width) + " nodes");
+    }
+    job.perf.assign(width, 1);
+  } else if (key == "arrival") {
+    job.arrival_s = job_number<double>(key, value);
+    if (job.arrival_s < 0.0) {
+      throw std::invalid_argument("job key 'arrival': " + value +
+                                  " is negative");
+    }
+  } else if (key == "priority") {
+    job.priority = job_number<u32>(key, value);
+  } else if (key == "seed") {
+    job.seed = job_number<u64>(key, value);
+  } else if (key == "bytes") {
+    job.record_bytes = job_number<u32>(key, value);
+  } else if (key == "id") {
+    job.id = job_number<u64>(key, value);
+  } else {
+    throw std::invalid_argument("unknown job key '" + key +
+                                "'; valid: n dist algo width arrival "
+                                "priority seed bytes id");
+  }
+}
+
+}  // namespace
+
+std::vector<JobSpec> parse_job_specs(const std::string& spec,
+                                     u32 cluster_width) {
+  std::string text = spec;
+  std::replace(text.begin(), text.end(), '\n', ';');
+  std::vector<JobSpec> jobs;
+  std::stringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line, ';')) {
+    const auto start = line.find_first_not_of(" \t\r");
+    if (start == std::string::npos || line[start] == '#') continue;
+    JobSpec job;
+    job.id = jobs.size();
+    std::stringstream fields(line);
+    std::string field;
+    while (std::getline(fields, field, ',')) {
+      const auto eq = field.find('=');
+      if (eq == std::string::npos) {
+        throw std::invalid_argument("job field '" + field +
+                                    "' is not key=value");
+      }
+      apply_job_field(job, trim(field.substr(0, eq)),
+                      trim(field.substr(eq + 1)), cluster_width);
+    }
+    jobs.push_back(std::move(job));
+  }
+  if (jobs.empty()) throw std::invalid_argument("the spec contains no jobs");
+  return jobs;
 }
 
 // ---------------------------------------------------------------------------

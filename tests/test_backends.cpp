@@ -212,9 +212,13 @@ TEST(Backends, ExtMultiwayToleratesNonAdmissibleShares) {
   EXPECT_EQ(output, input);
 }
 
-// Every backend's spill exchange runs under the credit window: no peer can
-// queue more than W un-acknowledged messages plus its piece-length header
-// in a node's inbox, whatever the data volume.
+// Every exchange runs under the credit window.  In every backend's spill
+// exchange no peer can queue more than W un-acknowledged messages plus its
+// piece-length header in a node's inbox, whatever the data volume.  The
+// pipelined default holds at most W chunks per stream, the self-stream
+// included: a node leaves its uncharged data pass only once every chunk it
+// sent there was acked, so its data and pricing passes never both have
+// chunks queued on one stream.
 TEST(Backends, ExchangeInboxStaysWithinCreditWindow) {
   constexpr u32 p = 4;
   constexpr u64 n = u64{1} << 16;
@@ -223,6 +227,23 @@ TEST(Backends, ExchangeInboxStaysWithinCreditWindow) {
   ParallelSortConfig psc;
   psc.sequential.memory_records = 4096;
   psc.message_records = kMessage;
+  auto inbox_peaks = [&] {
+    ClusterConfig config = ClusterConfig::homogeneous(p);
+    config.disk.block_bytes = 256;
+    Cluster cluster(config);
+    WorkloadSpec spec{Dist::kUniform, n, p, 17};
+    return cluster
+        .run([&](NodeContext& ctx) -> u64 {
+          workload::write_share(spec, ctx.rank(),
+                                perf.share_offset(ctx.rank(), n),
+                                perf.share(ctx.rank(), n), ctx.disk(),
+                                "input");
+          parallel_external_sort<DefaultKey>(ctx, perf, psc);
+          return ctx.comm().inbox_peak_bytes();
+        })
+        .results;
+  };
+
   psc.psrs.pipelined = false;
   // A header lists one length per piece: at most the p·s buckets a peer
   // can own (overpartitioning), which also covers the l/M = 4 run pieces
@@ -238,19 +259,21 @@ TEST(Backends, ExchangeInboxStaysWithinCreditWindow) {
         ParallelSortAlgorithm::kExtMultiway}) {
     SCOPED_TRACE(to_string(algo));
     psc.algorithm = algo;
-    ClusterConfig config = ClusterConfig::homogeneous(p);
-    config.disk.block_bytes = 256;
-    Cluster cluster(config);
-    WorkloadSpec spec{Dist::kUniform, n, p, 17};
-    const auto outcome = cluster.run([&](NodeContext& ctx) -> u64 {
-      workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
-                            perf.share(ctx.rank(), n), ctx.disk(), "input");
-      parallel_external_sort<DefaultKey>(ctx, perf, psc);
-      return ctx.comm().inbox_peak_bytes();
-    });
+    const std::vector<u64> peaks = inbox_peaks();
     for (u32 r = 0; r < p; ++r) {
-      EXPECT_LE(outcome.results[r], bound) << "node " << r;
+      EXPECT_LE(peaks[r], bound) << "node " << r;
     }
+  }
+
+  SCOPED_TRACE("pipelined ext-psrs");
+  psc.algorithm = ParallelSortAlgorithm::kExtPsrs;
+  psc.psrs.pipelined = true;
+  const u64 pipelined_bound =
+      p * kDefaultFlowWindow * kMessage * sizeof(DefaultKey);
+  const std::vector<u64> peaks = inbox_peaks();
+  for (u32 r = 0; r < p; ++r) {
+    EXPECT_LE(peaks[r], pipelined_bound) << "node " << r;
+    EXPECT_GT(peaks[r], 0u) << "node " << r;
   }
 }
 

@@ -1,7 +1,9 @@
 // Golden-file determinism test for the observability exporters: one fixed
 // observed pipelined PSRS run must serialise byte-for-byte to the
 // checked-in fixtures tests/golden/obs_run.trace.json (Chrome trace_event)
-// and tests/golden/obs_run.report.json (paladin.run_report.v1).  Any
+// and tests/golden/obs_run.report.json (paladin.run_report.v1), and the
+// same sort on {4,4,1,1} under a pinned disk + network fault plan to
+// tests/golden/obs_faults.{trace,report}.json.  Any
 // intentional change to the trace content or the serialisation format
 // shows up as a reviewable fixture diff — regenerate with
 // tools/regen_golden_obs.sh (which runs this binary with
@@ -15,6 +17,7 @@
 
 #include "core/ext_psrs.h"
 #include "core/sort_driver.h"
+#include "fault/fault.h"
 #include "hetero/drift.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
@@ -29,18 +32,15 @@
 namespace paladin::obs {
 namespace {
 
-/// The fixed run behind the fixtures.  Everything here is pinned: perf
-/// vector, seeds, block size, message size, metadata order.  Do not tweak
-/// casually — every edit is a fixture regeneration.
-ClusterTrace golden_run() {
-  const std::vector<u32> perf_values = {2, 1};
-  hetero::PerfVector perf(perf_values);
-  const u64 n = perf.admissible_size(20);
-
-  net::ClusterConfig config;
-  config.perf = perf_values;
+/// An observed pipelined ext-psrs sort of n = admissible_size(k) uniform
+/// keys drawn with `input_seed`, on `config`'s cluster with tiny blocks.
+/// Everything here is pinned: seeds, block size, message size, metadata
+/// order.  Do not tweak casually — every edit is a fixture regeneration.
+ClusterTrace observed_psrs_run(net::ClusterConfig config, u64 k,
+                               u64 input_seed) {
+  hetero::PerfVector perf(config.perf);
+  const u64 n = perf.admissible_size(k);
   config.disk = test_params::tiny_blocks();
-  config.seed = 1234;
   config.observe = true;
   net::Cluster cluster(config);
 
@@ -48,7 +48,7 @@ ClusterTrace golden_run() {
   spec.dist = workload::Dist::kUniform;
   spec.total_records = n;
   spec.node_count = perf.node_count();
-  spec.seed = 99;
+  spec.seed = input_seed;
 
   auto outcome = cluster.run([&](net::NodeContext& ctx) -> int {
     workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
@@ -62,9 +62,17 @@ ClusterTrace golden_run() {
     core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
     return 0;
   });
-
   ClusterTrace trace = core::collect_cluster_trace(outcome);
   trace.set_meta("algorithm", "ext-psrs");
+  return trace;
+}
+
+/// The fixed run behind the obs_run fixtures.
+ClusterTrace golden_run() {
+  net::ClusterConfig config;
+  config.perf = {2, 1};
+  config.seed = 1234;
+  ClusterTrace trace = observed_psrs_run(config, 20, 99);
   trace.set_meta("perf", "2,1");
   trace.set_meta("fixture", "tests/golden/obs_run");
   return trace;
@@ -76,15 +84,9 @@ ClusterTrace golden_run() {
 /// unchanged — the drift-free fixtures above must never move when this
 /// one does).
 ClusterTrace golden_drift_run() {
-  const std::vector<u32> perf_values = {2, 1};
-  hetero::PerfVector perf(perf_values);
-  const u64 n = perf.admissible_size(20);
-
   net::ClusterConfig config;
-  config.perf = perf_values;
-  config.disk = test_params::tiny_blocks();
+  config.perf = {2, 1};
   config.seed = 1234;
-  config.observe = true;
   config.drift_plan.seed = 77;
   config.drift_plan.spec.epoch_seconds = 0.05;
   config.drift_plan.spec.slow_prob = 0.5;
@@ -96,32 +98,33 @@ ClusterTrace golden_drift_run() {
   forced.until_epoch = 6;
   forced.factor = 3.0;
   config.drift_plan.forced.push_back(forced);
-  net::Cluster cluster(config);
-
-  workload::WorkloadSpec spec;
-  spec.dist = workload::Dist::kUniform;
-  spec.total_records = n;
-  spec.node_count = perf.node_count();
-  spec.seed = 99;
-
-  auto outcome = cluster.run([&](net::NodeContext& ctx) -> int {
-    workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
-                          perf.share(ctx.rank(), n), ctx.disk(), "input");
-    core::ExtPsrsConfig psrs;
-    psrs.sequential.memory_records = test_params::kMemoryRecords;
-    psrs.sequential.tape_count = test_params::kTapeCount;
-    psrs.sequential.allow_in_memory = false;
-    psrs.message_records = test_params::kMessageRecords;
-    psrs.pipelined = true;
-    core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
-    return 0;
-  });
-
-  ClusterTrace trace = core::collect_cluster_trace(outcome);
-  trace.set_meta("algorithm", "ext-psrs");
+  ClusterTrace trace = observed_psrs_run(config, 20, 99);
   trace.set_meta("perf", "2,1");
   trace.set_meta("drift", hetero::drift_plan_to_string(config.drift_plan));
   trace.set_meta("fixture", "tests/golden/obs_drift");
+  return trace;
+}
+
+/// Pipelined ext-psrs on the paper's {4,4,1,1} under a pinned fault plan:
+/// transient disk read/write failures, read-path corruption, and dropped,
+/// duplicated and delayed frames.  Pins every faulted makespan, fault
+/// counter and stream-clock stamp, which run-to-run comparisons alone
+/// cannot: a change that moved all of them consistently would still pass.
+ClusterTrace golden_faults_run() {
+  net::ClusterConfig config;
+  config.perf = {4, 4, 1, 1};
+  config.seed = 4242;
+  config.fault_plan.seed = 17;
+  config.fault_plan.disk.read_fail_prob = 0.15;
+  config.fault_plan.disk.write_fail_prob = 0.15;
+  config.fault_plan.disk.corrupt_prob = 0.15;
+  config.fault_plan.net.drop_prob = 0.1;
+  config.fault_plan.net.duplicate_prob = 0.1;
+  config.fault_plan.net.delay_prob = 0.1;
+  ClusterTrace trace = observed_psrs_run(config, 25, 77);
+  trace.set_meta("perf", "4,4,1,1");
+  trace.set_meta("faults", "disk 0.15/0.15/0.15, net 0.1/0.1/0.1, seed 17");
+  trace.set_meta("fixture", "tests/golden/obs_faults");
   return trace;
 }
 
@@ -184,6 +187,19 @@ TEST(ObsGolden, DriftRunReportMatchesFixtureByteExact) {
   if (!hetero::kDriftCompiledIn) GTEST_SKIP() << "drift layer compiled out";
   const ClusterTrace trace = golden_drift_run();
   check_against_golden(run_report_json(trace), "obs_drift.report.json");
+}
+
+TEST(ObsGolden, FaultsChromeTraceMatchesFixtureByteExact) {
+  // The faulted fixtures only exist where the fault layer does.
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
+  const ClusterTrace trace = golden_faults_run();
+  check_against_golden(chrome_trace_json(trace), "obs_faults.trace.json");
+}
+
+TEST(ObsGolden, FaultsRunReportMatchesFixtureByteExact) {
+  if (!fault::kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
+  const ClusterTrace trace = golden_faults_run();
+  check_against_golden(run_report_json(trace), "obs_faults.report.json");
 }
 
 TEST(ObsGolden, TwoCollectionsOfTheSameRunSerialiseIdentically) {

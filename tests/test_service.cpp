@@ -13,12 +13,18 @@
 //    monster, bounding the small job's latency;
 //  * determinism — a replayed workload serialises byte-identically;
 //  * admission — rejections carry reasons, widths clamp, sizes round up to
-//    the slice's admissible n and its backend's sampling minimum.
+//    the slice's admissible n and its backend's sampling minimum;
+//  * job specs — every parsed field is whole, in range and finite, or the
+//    spec is rejected with std::invalid_argument / std::out_of_range.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
+#include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -115,6 +121,120 @@ TEST(ServiceJob, AdmissionRejectsAndNormalizes) {
   JobSpec seeded = small_job(6, 100);
   seeded.seed = 99;
   EXPECT_EQ(admit(seeded, 4, policy, 7).normalized.seed, 99u);
+}
+
+TEST(ServiceJob, AdmissionRejectsNonFiniteOrNegativeArrival) {
+  const AdmissionPolicy policy;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double arrival : {std::nan(""), inf, -inf, -5.0}) {
+    const AdmissionDecision d =
+        admit(small_job(1, 100, arrival), 4, policy, 1);
+    EXPECT_FALSE(d.admitted) << arrival;
+    EXPECT_NE(d.reason.find("arrival"), std::string::npos) << d.reason;
+  }
+  EXPECT_TRUE(admit(small_job(2, 100, 0.0), 4, policy, 1).admitted);
+}
+
+TEST(ServiceJob, SpecFieldsParseWholeInRangeAndFinite) {
+  const std::vector<JobSpec> jobs = parse_job_specs(
+      "n=4096,dist=zipf,algo=ext-multiway,width=2,arrival=0.5,priority=3;"
+      "# a comment\n id=9, n = 100 ,bytes=100,seed=7",
+      4);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].id, 0u);
+  EXPECT_EQ(jobs[0].records, 4096u);
+  EXPECT_EQ(jobs[0].dist, Dist::kZipf);
+  EXPECT_EQ(jobs[0].algorithm, ParallelSortAlgorithm::kExtMultiway);
+  EXPECT_EQ(jobs[0].requested_width(), 2u);
+  EXPECT_EQ(jobs[0].arrival_s, 0.5);
+  EXPECT_EQ(jobs[0].priority, 3u);
+  EXPECT_EQ(jobs[1].id, 9u);
+  EXPECT_EQ(jobs[1].records, 100u);
+  EXPECT_EQ(jobs[1].record_bytes, 100u);
+  EXPECT_EQ(jobs[1].seed, 7u);
+  // Each of these used to parse: a prefix, a wrapped negative, a truncated
+  // priority, a non-finite or negative arrival, a 3·10^9-entry width.
+  for (const char* bad : {"n=12abc", "n=-1", "n=5000,arrival=nan",
+                          "arrival=inf", "arrival=-5", "width=",
+                          "dist=bimodal", "speed=2", "n"}) {
+    EXPECT_THROW(parse_job_specs(bad, 4), std::invalid_argument) << bad;
+  }
+  for (const char* big : {"priority=4294967297", "width=3000000000",
+                          "width=5", "n=18446744073709551616",
+                          "arrival=1e400"}) {
+    EXPECT_THROW(parse_job_specs(big, 4), std::out_of_range) << big;
+  }
+  EXPECT_THROW(parse_job_specs(" ; # nothing", 4), std::invalid_argument);
+}
+
+// Seeded fuzz over --jobs specs built from valid and hostile pieces: each
+// spec is either rejected with std::invalid_argument / std::out_of_range
+// or yields jobs whose fields are finite and in range, which admission
+// then never rejects for their arrival time.
+TEST(ServiceJob, FuzzedSpecsAreRejectedOrInRange) {
+  const std::vector<std::string> keys = {
+      "n",        "records", "dist", "algo", "algorithm", "width", "arrival",
+      "priority", "seed",    "bytes", "id",  "nope",      "",      " n "};
+  const std::vector<std::string> values = {
+      "0",         "1",          "4096",        "12abc",
+      "-1",        "+1",         "4294967295",  "4294967296",
+      "4294967297", "18446744073709551615",     "18446744073709551616",
+      "nan",       "inf",        "-inf",        "-5",
+      "0.5",       "1e400",      "1e-400",      "3000000000",
+      "",          " 7 ",        "0x10",        "zipf",
+      "uniform",   "ext-psrs",   "ext-multiway", "bogus",
+      "2",         "4",          "100"};
+  std::mt19937_64 rng(2026);
+  auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[rng() % from.size()];
+  };
+  u64 accepted = 0;
+  u64 rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string spec;
+    const u64 jobs = 1 + rng() % 3;
+    for (u64 j = 0; j < jobs; ++j) {
+      if (j > 0) spec += rng() % 2 == 0 ? ";" : "\n";
+      if (rng() % 16 == 0) spec += "# ";
+      const u64 fields = 1 + rng() % 3;
+      for (u64 f = 0; f < fields; ++f) {
+        if (f > 0) spec += ",";
+        if (rng() % 32 == 0) {
+          spec += pick(values);  // no '='
+        } else {
+          spec += pick(keys) + "=" + pick(values);
+        }
+      }
+    }
+    const u32 width = 1 + static_cast<u32>(rng() % 8);
+    std::vector<JobSpec> parsed;
+    try {
+      parsed = parse_job_specs(spec, width);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      continue;
+    } catch (const std::out_of_range&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_FALSE(parsed.empty()) << spec;
+    for (const JobSpec& job : parsed) {
+      EXPECT_TRUE(std::isfinite(job.arrival_s)) << spec;
+      EXPECT_GE(job.arrival_s, 0.0) << spec;
+      EXPECT_LE(job.requested_width(), width) << spec;
+      EXPECT_TRUE(parse_enum(workload::kAllDists, to_string(job.dist)))
+          << spec;
+      EXPECT_TRUE(
+          parse_enum(core::kAllAlgorithms, core::to_string(job.algorithm)))
+          << spec;
+      const AdmissionDecision d = admit(job, width, AdmissionPolicy{}, 1);
+      EXPECT_EQ(d.reason.find("arrival"), std::string::npos) << spec;
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 TEST(ServiceScheduler, EmptyWorkload) {

@@ -6,6 +6,7 @@ Usage:
   check_perf_regression.py --splitters NEW_JSON BASELINE_JSON [--threshold=0.20]
   check_perf_regression.py --service NEW_JSON BASELINE_JSON [--threshold=0.20]
   check_perf_regression.py --drift NEW_JSON BASELINE_JSON [--threshold=0.20]
+  check_perf_regression.py --backends NEW_JSON BASELINE_JSON
   check_perf_regression.py --all NEW_DIR BASELINE_DIR [--threshold=0.20]
 
 Default mode compares the merge and run-formation rows (kernel name
@@ -29,10 +30,17 @@ recovery_factor drop beyond the threshold fails (the adaptive layer
 recovers a smaller share of the drift damage than it used to), and an
 adaptive-row makespan rise beyond the threshold fails.
 
---all runs the four gates above, in that order, on BENCH_hotpaths.json,
-BENCH_splitters.json, BENCH_service.json and BENCH_drift.json of the two
-directories.  Every gate runs even after one fails; the exit status is
-nonzero when any of them failed.
+--backends compares bench_results/BENCH_backends.json rows keyed by
+(backend, scenario, record_bytes) exactly: records, makespan_s,
+expansion, sorted and conserved must equal the committed values as
+printed, in either direction.  Every one of them is a virtual-time or
+correctness figure, deterministic per (seed, config), so any change is a
+logic change; a change that means to move them re-baselines the file.
+
+--all runs the five gates above, in that order, on BENCH_hotpaths.json,
+BENCH_splitters.json, BENCH_service.json, BENCH_drift.json and
+BENCH_backends.json of the two directories.  Every gate runs even after
+one fails; the exit status is nonzero when any of them failed.
 
 In all modes rows present on only one side are reported but never fail
 the gate (new rows appear, retired ones vanish), and older baselines
@@ -303,12 +311,67 @@ def check_drift(new_path, base_path, threshold):
     return 0
 
 
+BACKEND_EXACT_FIELDS = ("records", "makespan_s", "expansion", "sorted",
+                        "conserved")
+
+
+def load_backend_rows(path):
+    # Numbers stay the text the bench printed, so "exactly as printed"
+    # is a string comparison.
+    with open(path) as f:
+        doc = json.load(f, parse_float=str, parse_int=str)
+    rows = {}
+    for row in doc.get("rows", []):
+        rows[(row["backend"], row["scenario"], row["record_bytes"])] = row
+    return rows
+
+
+def check_backends(new_path, base_path, threshold=None):
+    new_rows = load_backend_rows(new_path)
+    base_rows = load_backend_rows(base_path)
+
+    failures = []
+    compared = 0
+    for key, base in sorted(base_rows.items()):
+        backend, scenario, record_bytes = key
+        label = f"{backend}/{scenario}/{record_bytes}B"
+        new = new_rows.get(key)
+        if new is None:
+            print(f"note: {label} missing from new results; skipped")
+            continue
+        compared += 1
+        moved = [f"{field} {base.get(field)} -> {new.get(field)}"
+                 for field in BACKEND_EXACT_FIELDS
+                 if new.get(field) != base.get(field)]
+        print(f"{'CHANGED' if moved else 'ok':>10}  {label:<36} "
+              + ("; ".join(moved) if moved else
+                 f"makespan {base['makespan_s']} s"))
+        if moved:
+            failures.append(key)
+
+    for key in sorted(set(new_rows) - set(base_rows)):
+        print(f"note: new row {key[0]}/{key[1]}/{key[2]}B has no baseline; "
+              f"skipped")
+
+    if compared == 0:
+        print("error: no backend rows in common — wrong files?",
+              file=sys.stderr)
+        return 2
+    if failures:
+        print(f"\nFAIL: {len(failures)} backend row(s) differ from the "
+              f"committed baseline (exact gate)")
+        return 1
+    print(f"\nOK: {compared} backend rows equal the baseline")
+    return 0
+
+
 def check_all(new_dir, base_dir, threshold):
     gates = [
         ("BENCH_hotpaths.json", check_merge),
         ("BENCH_splitters.json", check_splitters),
         ("BENCH_service.json", check_service),
         ("BENCH_drift.json", check_drift),
+        ("BENCH_backends.json", check_backends),
     ]
     failed = []
     for name, check in gates:
@@ -330,6 +393,7 @@ def main(argv):
     splitters = "--splitters" in argv[1:]
     service = "--service" in argv[1:]
     drift = "--drift" in argv[1:]
+    backends = "--backends" in argv[1:]
     run_all = "--all" in argv[1:]
     for a in argv[1:]:
         if a.startswith("--threshold="):
@@ -346,6 +410,8 @@ def main(argv):
         return check_service(args[0], args[1], threshold)
     if drift:
         return check_drift(args[0], args[1], threshold)
+    if backends:
+        return check_backends(args[0], args[1])
     return check_merge(args[0], args[1], threshold)
 
 

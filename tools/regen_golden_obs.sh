@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates the observability golden fixtures (tests/golden/*.json) —
-# the drift-free obs_run.{trace,report}.json pair and the drifted-run
-# obs_drift.report.json — by running the test_obs_golden binary with
+# the drift-free obs_run.{trace,report}.json pair, the drifted-run
+# obs_drift.report.json and the faulted-run obs_faults.{trace,report}.json
+# — by running the test_obs_golden binary with
 # PALADIN_REGEN_GOLDEN=1, which makes the byte-exact tests rewrite their
 # fixtures in place instead of comparing.  Run after an intentional
 # exporter/trace change, then review and commit the fixture diff (a
