@@ -76,11 +76,6 @@ DriftRunResult run_psrs(const BenchOptions& opt,
     // path is its slice-independent send pass, which repartitioning
     // cannot shrink — the phased merge is where the re-split pays.
     pc.pipelined = false;
-    // Binary-search partition boundaries (all three runs): Step 3 is
-    // fixed work the re-split cannot shed, so the record-at-a-time
-    // comparison bill would sit on the slowed node's critical path in
-    // static and adaptive runs alike.
-    pc.partition_boundary_seek = true;
     const core::ExtPsrsReport report =
         core::ext_psrs_sort<DefaultKey>(ctx, perf, pc);
     struct R {

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the kernels everything else is
 // built from: loser-tree merging, run formation (both strategies), the
-// streaming partition, and the block I/O layer.  These report real wall
+// in-place partition cuts, and the block I/O layer.  These report real wall
 // time (not simulated seconds) and exist to catch performance regressions
 // in the substrate itself.
 #include <benchmark/benchmark.h>
@@ -167,7 +167,7 @@ void BM_RunFormation(benchmark::State& state) {
 }
 BENCHMARK(BM_RunFormation)->Arg(0)->Arg(1);
 
-void BM_StreamingPartition(benchmark::State& state) {
+void BM_FilePartitionCuts(benchmark::State& state) {
   const u32 p = static_cast<u32>(state.range(0));
   const u64 n = 1 << 16;
   pdm::DiskParams params;
@@ -175,19 +175,17 @@ void BM_StreamingPartition(benchmark::State& state) {
   std::sort(sorted.begin(), sorted.end());
   std::vector<u32> pivots;
   for (u32 j = 1; j < p; ++j) pivots.push_back(sorted[j * n / p]);
+  pdm::Disk disk = pdm::Disk::in_memory(params);
+  pdm::write_file<u32>(disk, "s", std::span<const u32>(sorted));
   for (auto _ : state) {
-    state.PauseTiming();
-    pdm::Disk disk = pdm::Disk::in_memory(params);
-    pdm::write_file<u32>(disk, "s", std::span<const u32>(sorted));
-    state.ResumeTiming();
     NullMeter meter;
-    auto sizes = core::partition_sorted_file<u32>(
-        disk, "s", "p", std::span<const u32>(pivots), meter);
-    benchmark::DoNotOptimize(sizes.data());
+    auto cuts = core::file_partition_cuts<u32>(
+        disk, "s", std::span<const u32>(pivots), meter);
+    benchmark::DoNotOptimize(cuts.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<i64>(n));
 }
-BENCHMARK(BM_StreamingPartition)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_FilePartitionCuts)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_BlockIoRoundTrip(benchmark::State& state) {
   const u64 n = 1 << 16;

@@ -4,6 +4,7 @@
 
 #include <numeric>
 #include <span>
+#include <stdexcept>
 
 #include "base/contracts.h"
 #include "base/types.h"
@@ -55,14 +56,23 @@ constexpr u32 ilog_ceil(u64 x, u64 base) {
   return e;
 }
 
+/// a·b, throwing std::overflow_error (naming `what`) instead of wrapping.
+constexpr u64 checked_mul(u64 a, u64 b, const char* what) {
+  u64 product = 0;
+  if (__builtin_mul_overflow(a, b, &product)) throw std::overflow_error(what);
+  return product;
+}
+
 /// Least common multiple of a non-empty span of positive integers, as used
-/// by Equation 2 to define admissible input sizes: lcm(perf, p).
+/// by Equation 2 to define admissible input sizes: lcm(perf, p).  Throws
+/// std::overflow_error when it does not fit in 64 bits.
 constexpr u64 lcm_of(std::span<const u32> values) {
   PALADIN_EXPECTS(!values.empty());
   u64 acc = 1;
   for (u32 v : values) {
     PALADIN_EXPECTS(v != 0);
-    acc = std::lcm(acc, static_cast<u64>(v));
+    acc = checked_mul(acc, v / std::gcd(acc, u64{v}),
+                      "lcm of the perf factors exceeds 64 bits");
   }
   return acc;
 }

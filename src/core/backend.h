@@ -65,7 +65,7 @@ struct BackendConfig {
   /// Adaptive repartitioning under speed drift (hetero/drift.h): when
   /// enabled, every backend re-estimates effective node speeds right
   /// before its splitter/schedule decision and re-splits the partition
-  /// targets with the blended weights.  Off (the default) leaves the
+  /// targets by the observed speed shares.  Off (the default) leaves the
   /// static perf-proportional path untouched, verbatim.
   hetero::AdaptiveConfig adaptive;
 };
@@ -159,8 +159,8 @@ class PhaseTimer {
 };
 
 /// Outcome of one adaptive speed re-estimation (hetero::AdaptiveConfig).
-/// `weights` is the blended per-node partition share (normalized to sum 1)
-/// on every node when `applied`, empty when adaptation was declined — the
+/// `weights` is the observed per-node speed share (normalized to sum 1) on
+/// every node when `applied`, empty when adaptation was declined — the
 /// caller then runs its static perf-proportional path verbatim.
 struct AdaptiveOutcome {
   bool applied = false;
@@ -170,27 +170,27 @@ struct AdaptiveOutcome {
 
 /// Collective speed re-estimation — every node must call it at the same
 /// point of the algorithm.  Each node runs a probe: it charges
-/// `probe_compares` compares through its (possibly drifting) meter and
-/// reads the virtual time billed; known-work / observed-duration *is* the
-/// node's current effective speed, recorded as an `adapt.probe` span.  The
-/// root gathers the measurements, blends the observed speed shares with
-/// the static perf shares, applies the deadband, and broadcasts either the
+/// hetero::kAdaptProbeCompares compares through its (possibly drifting)
+/// meter and reads the virtual time billed; known-work / observed-duration
+/// *is* the node's current effective speed, recorded as an `adapt.probe`
+/// span.  The root gathers the measurements, takes each node's share of
+/// the summed speed, applies the deadband, and broadcasts either the
 /// normalized weights or an empty vector (declined).  Deterministic: the
 /// probe reads only virtual clocks, so the outcome is a pure function of
 /// (seed, plan, config).
 inline AdaptiveOutcome adaptive_reestimate(const BackendContext& bc,
-                                           const hetero::AdaptiveConfig& cfg,
                                            u64 phase_records, u32 root) {
   AdaptiveOutcome out;
   net::NodeContext& ctx = bc.node();
   const hetero::PerfVector& perf = bc.perf();
   obs::Tracer* const tr = bc.obs();
   const double t0 = ctx.clock().now();
-  ctx.on_compares(cfg.probe_compares);
+  ctx.on_compares(hetero::kAdaptProbeCompares);
   const double dt = ctx.clock().now() - t0;
   const double per_compare = ctx.config().cost.per_compare_seconds;
   out.local_speed =
-      dt > 0.0 ? static_cast<double>(cfg.probe_compares) * per_compare / dt
+      dt > 0.0 ? static_cast<double>(hetero::kAdaptProbeCompares) *
+                     per_compare / dt
                : ctx.speed();
   if (tr) {
     const obs::Tracer::SpanId probe = tr->open_at("adapt.probe", "drift", t0);
@@ -210,22 +210,21 @@ inline AdaptiveOutcome adaptive_reestimate(const BackendContext& bc,
     for (double s : speeds) speed_sum += s;
     const double perf_sum = static_cast<double>(perf.sum());
     weights.resize(p);
-    double blended_sum = 0.0;
+    double weight_sum = 0.0;
     for (u32 i = 0; i < p; ++i) {
       const double stat = static_cast<double>(perf[i]) / perf_sum;
-      const double observed = speed_sum > 0.0 ? speeds[i] / speed_sum : stat;
-      weights[i] = (1.0 - cfg.blend) * stat + cfg.blend * observed;
-      blended_sum += weights[i];
+      weights[i] = speed_sum > 0.0 ? speeds[i] / speed_sum : stat;
+      weight_sum += weights[i];
     }
     double max_rel = 0.0;
     for (u32 i = 0; i < p; ++i) {
-      weights[i] /= blended_sum;
+      weights[i] /= weight_sum;
       const double stat = static_cast<double>(perf[i]) / perf_sum;
       max_rel = std::max(max_rel, std::abs(weights[i] - stat) / stat);
     }
     // Deadband: measurement within noise of the static shares — decline,
     // so drift-free adaptive runs keep the exact static partition.
-    if (max_rel < cfg.min_relative_change) weights.clear();
+    if (max_rel < hetero::kAdaptMinRelativeChange) weights.clear();
   }
   weights = comm.bcast_records<double>(std::move(weights), root);
   out.applied = !weights.empty();

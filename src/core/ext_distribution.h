@@ -67,13 +67,13 @@ ExtDistributionReport ext_distribution_sort(
 
   // ---- Adaptive re-estimation (hetero/drift.h) ------------------------
   // Before the splitter decision: probe effective speeds and, if they
-  // moved beyond the deadband, cut the splitters at the blended-weight
+  // moved beyond the deadband, cut the splitters at the observed-weight
   // quantiles so the bucket a slowed node sorts in step 4 shrinks.
   std::vector<double> adapt_weights;
   if (config.adaptive.enabled && p > 1) {
     obs::ScopedSpan span(bc.obs(), "dist.adapt", "drift");
     const AdaptiveOutcome ad =
-        adaptive_reestimate(bc, config.adaptive, report.local_records, 0);
+        adaptive_reestimate(bc, report.local_records, 0);
     if (ad.applied) adapt_weights = ad.weights;
   }
 

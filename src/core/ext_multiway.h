@@ -182,12 +182,12 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
   // ---- Adaptive re-estimation (hetero/drift.h) ------------------------
   // Phase 1 (run formation) is the backend's big up-front local phase;
   // probe effective speeds after it and re-split the exchange targets
-  // with the blended weights if they moved beyond the deadband.
+  // with the observed speed shares if they moved beyond the deadband.
   std::vector<double> adapt_weights;
   if (config.adaptive.enabled) {
     obs::ScopedSpan span(tr, "multiway.adapt", "drift");
     const AdaptiveOutcome ad =
-        adaptive_reestimate(bc, config.adaptive, report.local_records, 0);
+        adaptive_reestimate(bc, report.local_records, 0);
     if (ad.applied) adapt_weights = ad.weights;
   }
 

@@ -106,13 +106,13 @@ ExtOverpartitionReport ext_overpartition_sort(
   }
   // Adaptive re-estimation (hetero/drift.h): overpartitioning's whole
   // design point is that perf only enters at assignment time — so the
-  // adaptive hook simply swaps the LPT capacity weights for the blended
-  // measured shares right before the schedule is fixed.
+  // adaptive hook simply swaps the LPT capacity weights for the measured
+  // speed shares right before the schedule is fixed.
   std::vector<double> adapt_weights;
   if (config.adaptive.enabled && p > 1) {
     obs::ScopedSpan span(bc.obs(), "overpart.adapt", "drift");
     const AdaptiveOutcome ad =
-        adaptive_reestimate(bc, config.adaptive, report.local_records, 0);
+        adaptive_reestimate(bc, report.local_records, 0);
     if (ad.applied) adapt_weights = ad.weights;
   }
   const std::vector<u32> owner =

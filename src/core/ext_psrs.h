@@ -6,11 +6,15 @@
 //   Step 2  regular sampling of the sorted file; a designated node sorts
 //           the p·Σperf − p samples and broadcasts the p−1 perf-weighted
 //           pivots;
-//   Step 3  streaming partition of the sorted file into p sub-files;
-//   Step 4  redistribution — partition j travels to node j in
-//           block-multiple messages;
-//   Step 5  final merge of the p received sorted runs with the same
-//           external-merge machinery as Step 1.
+//   Step 3  binary partitioning: the p+1 cut offsets of the sorted file,
+//           found by binary search in place;
+//   Step 4  redistribution — partition j travels to node j straight from
+//           the sorted file, in block-multiple messages;
+//   Step 5  final merge of the node's own partition with the p−1 received
+//           runs.
+//
+// By default steps 3–5 run fused instead (core/pipeline.h), with the same
+// output.
 //
 // The PSRS theorem (and its heterogeneous extension, ref. [29] of the
 // paper) bounds node i's final partition by 2·l_i (+d with d duplicates of
@@ -47,20 +51,17 @@ struct ExtPsrsOptions {
   u64 sampling_oversample = 1;
   /// Node that sorts the samples and selects pivots.
   u32 designated_node = 0;
-  /// Fuse steps 3–5 into the overlapped partition→send→merge pipeline
-  /// (≈ Q/B + l_i/B block I/Os for those steps instead of
-  /// ≈ 2·Q/B + 4·l_i/B).  Output is bit-identical to the phased mode;
-  /// default on since bench_table3_parallel confirmed the makespan win.
+  /// Fuse steps 3–5 into the overlapped partition→send→merge pipeline,
+  /// which reads the sorted file once and writes only the merged output,
+  /// instead of the phased cut → exchange → merge, which lands each
+  /// received partition on disk and merges it back.  Output is
+  /// bit-identical either way, and the virtual makespans within about 2%
+  /// (EXPERIMENTS.md Table 3): phased finishes sooner at 2^20 and 2^24
+  /// records on the Table 3 clusters, pipelined at 2^17.
   bool pipelined = true;
   /// Per-destination credit window in pipelined mode and in the phased
   /// exchange: at most this many un-acknowledged chunks in flight.
   u64 flow_window_chunks = kDefaultFlowWindow;
-  /// Phased Step 3 bills each buffered chunk's cut position as a binary
-  /// search (Θ((l/B)·p·log B) comparisons, see partition_sorted_file)
-  /// instead of one comparison per record (Θ(l)), same streaming pass.
-  /// Identical partition contents; off by default so the paper's
-  /// record-at-a-time comparison bill stays the modelled cost.
-  bool partition_boundary_seek = false;
 };
 
 struct ExtPsrsConfig : BackendConfig, ExtPsrsOptions {};
@@ -153,8 +154,8 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
 
   // ---- Adaptive re-estimation (hetero/drift.h) ------------------------
   // Between Step 1 and the pivot decision: measure each node's *current*
-  // effective speed with a probe span and, if the blended weights moved
-  // beyond the deadband, cut Step 2's pivots at the weight quantiles
+  // effective speed with a probe span and, if the observed speed shares
+  // moved beyond the deadband, cut Step 2's pivots at the weight quantiles
   // instead of the static perf quantiles — records the static split would
   // have left on a slowed node land on its faster peers before the
   // steps 3–5 exchange ever ships a byte.
@@ -162,7 +163,7 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   if (config.adaptive.enabled) {
     obs::ScopedSpan span(tr, "psrs.adapt", "drift");
     const AdaptiveOutcome ad = adaptive_reestimate(
-        bc, config.adaptive, report.local_records, config.designated_node);
+        bc, report.local_records, config.designated_node);
     if (ad.applied) adapt_weights = ad.weights;
   }
 
@@ -191,13 +192,13 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
       // Once weights apply, densify the regular sample: the oversample-1
       // sample only offers cut points at the static perf quantiles, which
       // quantises a weighted cut like 1/13 back to ~1/p and leaves the
-      // re-split a no-op (hetero::AdaptiveConfig::resample_oversample).
+      // re-split a no-op (hetero::kAdaptResampleOversample).
       u64 oversample = config.sampling_oversample;
       if (!adapt_weights.empty()) {
         const u64 cap =
             std::max<u64>(n / (perf.sum() * static_cast<u64>(p)), 1);
         oversample = std::min(
-            std::max(oversample, config.adaptive.resample_oversample),
+            std::max(oversample, hetero::kAdaptResampleOversample),
             std::max(cap, oversample));
       }
       const u64 off = perf.sample_stride(n, oversample);
@@ -272,21 +273,23 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
     return report;
   }
 
-  // ---- Step 3: partition the sorted file by the pivots ----------------
-  const std::string part_prefix = config.output + ".step3";
-  std::vector<u64> part_sizes;
+  // ---- Step 3: cut the sorted file at the pivots ----------------------
+  // Partition j is records [cuts[j], cuts[j+1]) of the sorted file, which
+  // stays in place until Step 5 has merged this node's own partition.
+  std::vector<u64> cuts;
   {
     const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "psrs.step3.partition", "psrs");
-    part_sizes = partition_sorted_file<T, Less>(
-        ctx.disk(), sorted_local, part_prefix, std::span<const T>(pivots), ctx,
-        less, config.partition_boundary_seek);
-    ctx.disk().remove(sorted_local);
+    cuts = file_partition_cuts<T, Less>(ctx.disk(), sorted_local,
+                                        std::span<const T>(pivots), ctx, less);
     span.end();
     phase.finish(report.t_partition, report.io_partition, "psrs.io.partition",
                  "step3.partition");
     span.arg("blocks", report.io_partition);
   }
+  const auto piece = [&](u32 j) {
+    return seq::MergePiece{sorted_local, cuts[j], cuts[j + 1] - cuts[j]};
+  };
 
   // ---- Step 4: redistribution -----------------------------------------
   // Partition j travels to node j as one piece; what src sent lands in
@@ -298,8 +301,7 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
     obs::ScopedSpan span(tr, "psrs.step4.redistribute", "psrs");
     std::vector<std::vector<seq::MergePiece>> outgoing(p);
     for (u32 j = 0; j < p; ++j) {
-      if (j == rank) continue;
-      outgoing[j].push_back({partition_name(part_prefix, j), 0, part_sizes[j]});
+      if (j != rank) outgoing[j].push_back(piece(j));
     }
     exchanged = redistribute_pieces<T>(
         ctx, outgoing,
@@ -307,9 +309,6 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
         config.message_records, config.flow_window_chunks);
     report.messages_sent = exchanged.messages;
     report.effective_message_records = exchanged.effective_message_records;
-    for (u32 j = 0; j < p; ++j) {
-      if (j != rank) ctx.disk().remove(partition_name(part_prefix, j));
-    }
     span.end();
     if (tr) {
       tr->counters().set("psrs.messages_sent", report.messages_sent);
@@ -326,13 +325,12 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   {
     const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "psrs.step5.final_merge", "psrs");
-    // Runs: the local partition we kept plus the piece from every peer.
-    const seq::MergePiece own{partition_name(part_prefix, rank), 0,
-                              part_sizes[rank]};
+    // Runs: the local partition, still in the sorted file, plus the piece
+    // from every peer.
     std::vector<seq::MergePiece> runs;
     u64 slice_records = 0;
     for (u32 j = 0; j < p; ++j) {
-      runs.push_back(j == rank ? own : exchanged.received[j].front());
+      runs.push_back(j == rank ? piece(j) : exchanged.received[j].front());
       slice_records += runs.back().len;
     }
     // Adaptive absorb: the re-split often leaves this node a slice that

@@ -47,7 +47,7 @@ struct OverpartitionReport {
 namespace detail {
 
 /// Greedy LPT assignment of sublist sizes to p processors with arbitrary
-/// positive capacity weights (static perf factors or adaptive blended
+/// positive capacity weights (static perf factors or adaptive observed
 /// shares): biggest sublist first, to the processor with the least
 /// weighted load.  Returns sublist → processor.
 inline std::vector<u32> assign_sublists(const std::vector<u64>& sizes,

@@ -1,9 +1,13 @@
-// Step 3 of Algorithm 1: partition a node's *sorted* local file into p
-// sub-files delimited by the p−1 pivots.  Because the input is sorted the
-// split is a single streaming pass — read each record once, write it once:
-// exactly the paper's 2·Q/B I/O bound.  Records equal to a pivot go to the
-// lower partition (ties break toward lower ranks), which is what bounds
-// the duplicate-induced imbalance by the multiplicity d (§3.1).
+// Step 3 of Algorithm 1: cut a node's *sorted* local file at the p−1
+// pivots.  Records equal to a pivot go to the lower partition (ties break
+// toward lower ranks: upper_bound), which is what bounds the
+// duplicate-induced imbalance by the multiplicity d (§3.1).  Three forms
+// share that rule:
+//  * file_partition_cuts — the phased path: cut offsets found by binary
+//    search in the file, which stays in place while its pieces travel;
+//  * PartitionStream — the fused pipeline: the file streamed as
+//    per-partition chunk events;
+//  * partition_cuts — cut offsets of an in-memory span.
 #pragma once
 
 #include <algorithm>
@@ -14,6 +18,7 @@
 #include <vector>
 
 #include "base/contracts.h"
+#include "base/math_util.h"
 #include "base/meter.h"
 #include "base/types.h"
 #include "pdm/typed_io.h"
@@ -26,105 +31,56 @@ inline std::string partition_name(const std::string& prefix, u32 j) {
   return prefix + ".part" + std::to_string(j);
 }
 
-/// Streams `sorted_file` into p partition files `prefix + ".part<j>"`.
-/// Returns the number of records landed in each partition.
-///
-/// Records at or below the current pivot form a prefix of each buffered
-/// chunk (the input is sorted), so they move with one push_span.
-/// `boundary_seek` (ExtPsrsOptions::partition_boundary_seek) picks how that
-/// prefix is billed:
-///  * off — one comparison per staying record, the paper's modelled
-///    record-at-a-time bill, charged together with the pivot-advance
-///    comparisons once the pass ends;
-///  * on — one metered binary search per chunk (⌈log2(c+1)⌉ comparisons,
-///    seq::metered_upper_bound), charged at each search, so comparisons
-///    drop from Θ(l) to Θ((l/B)·p·log B).
-/// The first record past the pivot advances to its home partition at one
-/// comparison per pivot step, creating the files in between, so the
-/// partition contents, the file-creation points and the 2·l/B streaming
-/// I/O bound do not depend on `boundary_seek`.
+/// On-disk counterpart of partition_cuts: the p+1 cut offsets of the sorted
+/// file `sorted_file` under the same tie rule, with cuts[0] = 0 and
+/// cuts[p] = its record count.  Nothing is moved or written.  For each
+/// pivot a binary search over the block-start records of [previous cut,
+/// end) — one block read and one comparison per probe — finds the block
+/// that holds the cut; one more read of that block and a metered
+/// upper_bound inside it place the cut.  That is at most
+/// ⌈log2(⌈l/B⌉ + 1)⌉ + 1 block reads per pivot.
 template <Record T, typename Less = std::less<T>>
-std::vector<u64> partition_sorted_file(pdm::Disk& disk,
-                                       const std::string& sorted_file,
-                                       const std::string& prefix,
-                                       std::span<const T> pivots, Meter& meter,
-                                       Less less = {},
-                                       bool boundary_seek = false) {
-  const u32 p = static_cast<u32>(pivots.size()) + 1;
-  std::vector<u64> sizes(p, 0);
-
+std::vector<u64> file_partition_cuts(pdm::Disk& disk,
+                                     const std::string& sorted_file,
+                                     std::span<const T> pivots, Meter& meter,
+                                     Less less = {}) {
   pdm::BlockFile in = disk.open(sorted_file);
   pdm::BlockReader<T> reader(in);
-
-  u32 current = 0;
-  std::vector<pdm::BlockFile> files;
-  std::vector<pdm::BlockWriter<T>> writers;
-  files.reserve(p);
-  writers.reserve(p);
-  files.push_back(disk.create(partition_name(prefix, 0)));
-  writers.emplace_back(files.back());
-
-  u64 compares = 0;
-  for (;;) {
-    std::span<const T> chunk = reader.buffered();
-    if (chunk.empty()) break;
-    while (!chunk.empty()) {
-      if (current + 1 == p) {
-        // Last partition: everything remaining stays, no comparisons.
-        writers[current].push_span(chunk);
-        sizes[current] += chunk.size();
-        reader.advance_n(chunk.size());
-        break;
-      }
-      u64 stay = 0;
-      if (boundary_seek) {
-        stay = seq::metered_upper_bound(chunk, pivots[current], meter, less);
+  const u64 records = reader.size_records();
+  const u64 rpb = disk.params().records_per_block(sizeof(T));
+  const u64 blocks = ceil_div(records, rpb);
+  std::vector<u64> cuts(pivots.size() + 2, 0);
+  cuts.back() = records;
+  for (std::size_t j = 0; j < pivots.size(); ++j) {
+    const u64 from = cuts[j];
+    // The first block past the one holding `from` that starts above the
+    // pivot; the cut lies in the block before it.
+    u64 lo = from / rpb + 1;
+    u64 hi = blocks;
+    while (lo < hi) {
+      const u64 mid = lo + (hi - lo) / 2;
+      reader.seek_record(mid * rpb);
+      meter.on_compares(1);
+      if (less(pivots[j], reader.buffered().front())) {
+        hi = mid;
       } else {
-        stay = static_cast<u64>(std::upper_bound(chunk.begin(), chunk.end(),
-                                                 pivots[current], less) -
-                                chunk.begin());
-        compares += stay;
+        lo = mid + 1;
       }
-      if (stay > 0) {
-        writers[current].push_span(chunk.first(stay));
-        sizes[current] += stay;
-        reader.advance_n(stay);
-        chunk = chunk.subspan(stay);
-        if (chunk.empty()) break;
-      }
-      // First record past the pivot: advance past every pivot it exceeds
-      // (input is sorted, so `current` only moves forward).
-      const T& v = chunk.front();
-      while (current + 1 < p) {
-        ++compares;
-        if (!less(pivots[current], v)) break;  // v <= pivot: stays here
-        ++current;
-        files.push_back(disk.create(partition_name(prefix, current)));
-        writers.emplace_back(files.back());
-      }
-      writers[current].push(v);
-      ++sizes[current];
-      reader.advance_n(1);
-      chunk = chunk.subspan(1);
     }
+    u64 cut = std::max(from, (lo - 1) * rpb);
+    if (cut < records) {
+      reader.seek_record(cut);
+      cut += seq::metered_upper_bound(reader.buffered(), pivots[j], meter,
+                                      less);
+    }
+    cuts[j + 1] = cut;
   }
-  meter.on_compares(compares);
-  meter.on_moves(reader.size_records());
-
-  // Seal open writers and materialise empty partitions for the tail.
-  for (auto& w : writers) w.flush();
-  for (u32 j = current + 1; j < p; ++j) {
-    pdm::BlockFile f = disk.create(partition_name(prefix, j));
-    pdm::BlockWriter<T> w(f);
-    w.flush();
-  }
-  return sizes;
+  return cuts;
 }
 
-/// Streaming, chunk-emitting variant of partition_sorted_file for the
-/// pipelined redistribution.  Instead of writing p partition files it turns
-/// the sorted input into a sequence of events, in ascending partition
-/// order:
+/// Streaming, chunk-emitting partition for the pipelined redistribution:
+/// turns the sorted input into a sequence of events, in ascending
+/// partition order:
 ///
 ///   kChunk(j, n)      — the next n records of partition j, appended to the
 ///                       caller's payload buffer (never crosses a pivot,
@@ -136,9 +92,9 @@ std::vector<u64> partition_sorted_file(pdm::Disk& disk,
 ///
 /// The ascending-destination order is what the pipeline's deadlock-freedom
 /// argument rests on, so it is a contract of this class, not an accident.
-/// Costs mirror partition_sorted_file's default billing: one comparison per
-/// record that stays in a non-final partition, one per pivot-advance step,
-/// none for the last partition; one move per record, charged per chunk.
+/// Costs are the paper's record-at-a-time bill: one comparison per record
+/// that stays in a non-final partition, one per pivot-advance step, none
+/// for the last partition; one move per record, charged per chunk.
 /// Each charge lands at the event that produced it, so the sequence of
 /// (event, charge) pairs is a pure function of the input — the determinism
 /// pillar for the pipelined clock.

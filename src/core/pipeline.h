@@ -1,8 +1,8 @@
 // Fused steps 3–5 of Algorithm 1: a single overlapped
-// partition → send → merge pipeline.  The phased path materialises p
-// partition files, ships them, spills every received run to disk and reads
-// all runs back for the merge — ≈ 2·Q/B + 4·l_i/B block I/Os.  Here the
-// sorted file is read exactly once (the PartitionStream emits remote
+// partition → send → merge pipeline.  The phased path cuts the sorted file
+// in place, ships each partition out of it, spills every received run to
+// disk and reads all runs back for the merge — ≈ 4·l_i/B block I/Os.  Here
+// the sorted file is read exactly once (the PartitionStream emits remote
 // chunks straight into messages; the local partition self-sends through
 // the same mailbox for free) and only the final merged output is written:
 // ≈ Q/B + l_i/B, the paper's one-round-trip budget.

@@ -53,11 +53,11 @@ std::vector<T> draw_regular_sample(pdm::BlockReader<T>& sorted, u64 off) {
   return samples;
 }
 
-/// Streaming variant for densified draws (hetero::AdaptiveConfig::
-/// resample_oversample): the seek-per-sample loop above re-reads a block
-/// for every pick, which at sub-block strides touches each block many
-/// times — on a freshly slowed node that I/O storm can cost more than the
-/// re-split saves.  One sequential pass keeps the same sample positions
+/// Streaming variant for densified draws (hetero::kAdaptResampleOversample):
+/// the seek-per-sample loop above re-reads a block for every pick, which at
+/// sub-block strides touches each block many times — on a freshly slowed
+/// node that I/O storm can cost more than the re-split saves.  One
+/// sequential pass keeps the same sample positions
 /// (off−1, 2·off−1, …, capped at size−off−1) for at most ⌈l/B⌉ block
 /// reads.  The adaptive path is the only caller, so the paper-exact
 /// static path keeps its I/O pattern bit-for-bit.
@@ -142,7 +142,7 @@ std::vector<T> select_pivots(std::vector<T>& samples,
 }
 
 /// Adaptive variant (hetero::AdaptiveConfig): pivots cut the sorted sample
-/// at the *blended weight* quantiles instead of the static perf quantiles —
+/// at the *observed weight* quantiles instead of the static perf quantiles —
 /// pivot j at index ⌊S·(w_0+…+w_j)⌋ of the S gathered samples.  Because
 /// the global sample stride made every sample represent equal record mass,
 /// this targets a final partition proportional to w_j: records the static

@@ -50,10 +50,13 @@
 
 namespace paladin::core {
 
+/// kAuto switches to the tree at p >= this.
+inline constexpr u32 kTreeThreshold = 32;
+
 /// How Step 2 (and the sample-splitter phases of the other backends)
-/// selects splitters.  kAuto picks flat below SplitterConfig::
-/// tree_threshold — so the paper-scale runs (and the golden traces) keep
-/// the exact flat path — and the tree above it.
+/// selects splitters.  kAuto picks flat below kTreeThreshold — so the
+/// paper-scale runs (and the golden traces) keep the exact flat path — and
+/// the tree above it.
 enum class SplitterStrategy : u8 {
   kAuto,
   kFlat,
@@ -81,8 +84,6 @@ inline const char* to_string(SplitterStrategy s) {
 /// above.
 struct SplitterConfig {
   SplitterStrategy strategy = SplitterStrategy::kAuto;
-  /// kAuto switches to the tree at p >= this.
-  u32 tree_threshold = 32;
   /// Group size per level; 0 = auto (⌈√p⌉ clamped to [2, 32]).
   u32 fanout = 0;
   /// Extra leaf-sampling densification on the tree path (multiplies the
@@ -104,7 +105,7 @@ inline bool splitter_uses_tree(const SplitterConfig& cfg, u32 p) {
   switch (cfg.strategy) {
     case SplitterStrategy::kFlat: return false;
     case SplitterStrategy::kTree: return true;
-    case SplitterStrategy::kAuto: return p >= cfg.tree_threshold;
+    case SplitterStrategy::kAuto: return p >= kTreeThreshold;
   }
   PALADIN_UNREACHABLE();
 }

@@ -147,33 +147,33 @@ class DriftOracle {
 /// The sort's answer to drift (consumed by core/backend.h): between the
 /// sequential-sort/sampling phase and the exchange, every backend may
 /// re-estimate per-node effective speeds from an observed probe span and
-/// re-split its partition targets with the blended weights.  Off by
+/// re-split its partition targets by the observed speed shares.  Off by
 /// default; when off (or when the estimate moves less than the deadband)
 /// the static perf-proportional path runs verbatim.
 struct AdaptiveConfig {
   bool enabled = false;
-  /// Weight of the observed speed share vs the static perf share in the
-  /// blended partition weight: w = (1-blend)*static + blend*observed.
-  double blend = 1.0;
-  /// Deadband: if no node's blended weight moves by at least this relative
-  /// fraction from its static share, adaptation is declined and the run is
-  /// bit-identical to the static path.
-  double min_relative_change = 0.10;
-  /// Compares charged by the speed probe.  The probe measures the virtual
-  /// time the drifted meter bills for a known amount of work, which *is*
-  /// the node's current effective speed — an observed duration, not an
-  /// oracle peek.
-  u64 probe_compares = 4096;
-  /// Sample densification once weights apply.  The paper's oversample-1
-  /// regular sample only offers cut points at the static perf quantiles
-  /// (e.g. multiples of 1/p on an equal cluster), so a weighted cut like
-  /// 1/13 would snap back to ~1/p and the re-split would be a no-op.  When
-  /// adaptation fires, Step 2 raises the sampling oversample to at least
-  /// this value (clamped so n ≥ p·Σperf·oversample still holds), shrinking
-  /// the pivot quantisation error to ~1/(p²·oversample).  Drift-free and
-  /// declined runs never resample, preserving static bit-identity.
-  u64 resample_oversample = 32;
 };
+
+/// Deadband: if no node's observed speed share moves by at least this
+/// relative fraction from its static share, adaptation is declined and the
+/// run is bit-identical to the static path.
+inline constexpr double kAdaptMinRelativeChange = 0.10;
+
+/// Compares charged by the speed probe.  The probe measures the virtual
+/// time the drifted meter bills for a known amount of work, which *is* the
+/// node's current effective speed — an observed duration, not an oracle
+/// peek.
+inline constexpr u64 kAdaptProbeCompares = 4096;
+
+/// Sample densification once weights apply.  The paper's oversample-1
+/// regular sample only offers cut points at the static perf quantiles
+/// (e.g. multiples of 1/p on an equal cluster), so a weighted cut like 1/13
+/// would snap back to ~1/p and the re-split would be a no-op.  When
+/// adaptation fires, Step 2 raises the sampling oversample to at least this
+/// value (clamped so n ≥ p·Σperf·oversample still holds), shrinking the
+/// pivot quantisation error to ~1/(p²·oversample).  Drift-free and declined
+/// runs never resample, preserving static bit-identity.
+inline constexpr u64 kAdaptResampleOversample = 32;
 
 /// `drift_plan_to_string` / `parse_drift_plan` round-trip a plan through
 /// the CLI --drift flag and the soak tier's PALADIN_SOAK_REPRO lines:

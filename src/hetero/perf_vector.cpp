@@ -11,7 +11,6 @@ PerfVector::PerfVector(std::vector<u32> perf) : perf_(std::move(perf)) {
     PALADIN_EXPECTS_MSG(v > 0, "perf factors must be positive");
   }
   sum_ = sum_of(perf_);
-  lcm_ = lcm_of(perf_);
 }
 
 bool PerfVector::homogeneous() const {

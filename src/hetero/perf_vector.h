@@ -30,16 +30,17 @@ class PerfVector {
   /// Σ_i perf[i].
   u64 sum() const { return sum_; }
 
-  /// lcm(perf, p) of Equation 2.
-  u64 lcm() const { return lcm_; }
+  /// lcm(perf, p) of Equation 2; std::overflow_error past 64 bits.
+  u64 lcm() const { return lcm_of(perf_); }
 
   bool homogeneous() const;
 
   /// Equation 2 with multiplier k: n = k · Σperf · lcm(perf) — the paper's
-  /// canonical family of input sizes.
+  /// canonical family of input sizes; std::overflow_error past 64 bits.
   u64 admissible_size(u64 k) const {
     PALADIN_EXPECTS(k >= 1);
-    return k * sum_ * lcm_;
+    return checked_mul(checked_mul(k, sum_, "admissible size exceeds 64 bits"),
+                       lcm(), "admissible size exceeds 64 bits");
   }
 
   /// What the algorithm actually requires of n: every share
@@ -110,7 +111,6 @@ class PerfVector {
  private:
   std::vector<u32> perf_;
   u64 sum_ = 0;
-  u64 lcm_ = 1;
 };
 
 }  // namespace paladin::hetero

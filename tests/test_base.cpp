@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <stdexcept>
 
 #include "base/checksum.h"
 #include "base/contracts.h"
@@ -94,6 +95,18 @@ TEST(MathUtil, LcmOfVectors) {
   EXPECT_EQ(lcm_of(c), 1u);
   const u32 d[] = {6, 10, 15};
   EXPECT_EQ(lcm_of(d), 30u);
+}
+
+TEST(MathUtil, LcmOfThrowsInsteadOfWrapping) {
+  // Three 32-bit primes: their lcm is their product, about 2^96.
+  const u32 big[] = {4294967291u, 4294967279u, 4294967231u};
+  EXPECT_THROW(lcm_of(big), std::overflow_error);
+  // Two of them still fit, exactly.
+  const u32 two[] = {4294967291u, 4294967279u};
+  EXPECT_EQ(lcm_of(two), u64{4294967291u} * 4294967279u);
+  EXPECT_THROW(checked_mul(u64{1} << 32, u64{1} << 32, "x"),
+               std::overflow_error);
+  EXPECT_EQ(checked_mul(u64{1} << 31, u64{1} << 32, "x"), u64{1} << 63);
 }
 
 TEST(MathUtil, SumOf) {

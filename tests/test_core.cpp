@@ -132,122 +132,79 @@ TEST(Sampling, SelectPivotsClampsShortSampleLists) {
 }
 
 // ---------------------------------------------------------------------
-// Partitioning a sorted file
+// Cutting a sorted file in place
 // ---------------------------------------------------------------------
 
-TEST(PartitionFile, SplitsAtPivotsWithTiesGoingLow) {
-  pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
-  std::vector<u32> sorted = {1, 2, 5, 5, 5, 7, 9, 12};
+std::vector<u64> file_cuts(pdm::Disk& disk, const std::vector<u32>& sorted,
+                           const std::vector<u32>& pivots, Meter& meter) {
   pdm::write_file<u32>(disk, "s", std::span<const u32>(sorted));
-  std::vector<u32> pivots = {5, 9};
+  return file_partition_cuts<u32>(disk, "s", std::span<const u32>(pivots),
+                                  meter);
+}
+
+TEST(FilePartitionCuts, SplitsAtPivotsWithTiesGoingLow) {
+  pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
   NullMeter meter;
-  const auto sizes = partition_sorted_file<u32>(disk, "s", "p",
-                                                std::span<const u32>(pivots),
-                                                meter);
   // <=5 → part0 (1,2,5,5,5); <=9 → part1 (7,9); rest → part2 (12).
-  EXPECT_EQ(sizes, (std::vector<u64>{5, 2, 1}));
-  EXPECT_EQ(pdm::read_file<u32>(disk, "p.part0"),
-            (std::vector<u32>{1, 2, 5, 5, 5}));
-  EXPECT_EQ(pdm::read_file<u32>(disk, "p.part1"), (std::vector<u32>{7, 9}));
-  EXPECT_EQ(pdm::read_file<u32>(disk, "p.part2"), (std::vector<u32>{12}));
+  EXPECT_EQ(file_cuts(disk, {1, 2, 5, 5, 5, 7, 9, 12}, {5, 9}, meter),
+            (std::vector<u64>{0, 5, 7, 8}));
 }
 
-TEST(PartitionFile, EmptyPartitionsMaterialised) {
+TEST(FilePartitionCuts, EmptyTailPartitions) {
   pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
-  std::vector<u32> sorted = {1, 2};
-  pdm::write_file<u32>(disk, "s", std::span<const u32>(sorted));
-  std::vector<u32> pivots = {100, 200, 300};
   NullMeter meter;
-  const auto sizes = partition_sorted_file<u32>(disk, "s", "p",
-                                                std::span<const u32>(pivots),
-                                                meter);
-  EXPECT_EQ(sizes, (std::vector<u64>{2, 0, 0, 0}));
-  for (u32 j = 0; j < 4; ++j) {
-    EXPECT_TRUE(disk.exists(partition_name("p", j))) << j;
-  }
+  EXPECT_EQ(file_cuts(disk, {1, 2}, {100, 200, 300}, meter),
+            (std::vector<u64>{0, 2, 2, 2, 2}));
 }
 
-TEST(PartitionFile, EmptyInput) {
+TEST(FilePartitionCuts, EmptyInput) {
   pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
-  pdm::write_file<u32>(disk, "s", std::span<const u32>());
-  std::vector<u32> pivots = {10};
   NullMeter meter;
-  const auto sizes = partition_sorted_file<u32>(disk, "s", "p",
-                                                std::span<const u32>(pivots),
-                                                meter);
-  EXPECT_EQ(sizes, (std::vector<u64>{0, 0}));
+  EXPECT_EQ(file_cuts(disk, {}, {10}, meter), (std::vector<u64>{0, 0, 0}));
 }
 
-TEST(PartitionFile, IoStaysWithinTwoQOverB) {
+TEST(FilePartitionCuts, ReadsLogarithmicallyAndWritesNothing) {
+  // Binary partitioning: per pivot at most ⌈log2(⌈l/B⌉+1)⌉ block-start
+  // probes plus the one block holding the cut; no block written, no record
+  // moved.
   pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
   const u64 rpb = disk.params().records_per_block(sizeof(u32));
   std::vector<u32> sorted(4000);
   for (u32 i = 0; i < 4000; ++i) sorted[i] = i;
   pdm::write_file<u32>(disk, "s", std::span<const u32>(sorted));
   disk.reset_stats();
-  std::vector<u32> pivots = {1000, 2000, 3000};
-  NullMeter meter;
-  partition_sorted_file<u32>(disk, "s", "p", std::span<const u32>(pivots),
-                             meter);
-  // Paper Step 3: no more than 2·Q/B I/Os (+ one partial block per
-  // partition boundary).
-  EXPECT_LE(disk.stats().total_block_ios(), 2 * (4000 / rpb) + 4 + 1);
+  const std::vector<u32> pivots = {1000, 2000, 3000};
+  CountingMeter meter;
+  const auto cuts = file_partition_cuts<u32>(
+      disk, "s", std::span<const u32>(pivots), meter);
+  EXPECT_EQ(cuts, (std::vector<u64>{0, 1001, 2001, 3001, 4000}));
+  EXPECT_EQ(disk.stats().blocks_written, 0u);
+  EXPECT_LE(disk.stats().blocks_read,
+            pivots.size() * (ilog2_ceil(ceil_div(4000, rpb) + 1) + 1));
+  EXPECT_EQ(meter.moves, 0u);
 }
 
-TEST(PartitionFile, SeekVariantMatchesScanBitForBit) {
-  // partition_boundary_seek's contract: identical partition files, sizes
-  // and streaming I/O; only the comparison bill changes (log-factor per
-  // chunk instead of one per staying record).
-  struct Case {
+TEST(FilePartitionCuts, MatchInMemoryCutsAcrossDuplicatePlateaus) {
+  // Plateaus of equal keys cross block boundaries; pivots land on them, on
+  // block-start records, below and above every key, and repeat.
+  for (const u32 run : {3u, 40u}) {
     std::vector<u32> sorted;
-    std::vector<u32> pivots;
-  };
-  std::vector<Case> cases;
-  cases.push_back({{1, 2, 5, 5, 5, 7, 9, 12}, {5, 9}});   // ties at a pivot
-  cases.push_back({{1, 2}, {100, 200, 300}});             // empty tail parts
-  cases.push_back({{}, {10}});                            // empty input
-  {
-    Case big;  // multi-block input, duplicate plateau crossing blocks
-    for (u32 i = 0; i < 4000; ++i) big.sorted.push_back(i / 3);
-    big.pivots = {50, 333, 334, 1200};
-    cases.push_back(std::move(big));
-  }
-  for (std::size_t c = 0; c < cases.size(); ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    const auto& [sorted, pivots] = cases[c];
-    pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
-    pdm::write_file<u32>(disk, "s", std::span<const u32>(sorted));
-
-    disk.reset_stats();
-    CountingMeter scan_meter;
-    const auto scan_sizes = partition_sorted_file<u32>(
-        disk, "s", "scan", std::span<const u32>(pivots), scan_meter);
-    const u64 scan_ios = disk.stats().total_block_ios();
-
-    disk.reset_stats();
-    CountingMeter seek_meter;
-    const auto seek_sizes = partition_sorted_file<u32>(
-        disk, "s", "seek", std::span<const u32>(pivots), seek_meter, {},
-        /*boundary_seek=*/true);
-    const u64 seek_ios = disk.stats().total_block_ios();
-
-    EXPECT_EQ(seek_sizes, scan_sizes);
-    for (u32 j = 0; j <= pivots.size(); ++j) {
-      EXPECT_EQ(pdm::read_file<u32>(disk, partition_name("seek", j)),
-                pdm::read_file<u32>(disk, partition_name("scan", j)))
-          << "part " << j;
+    for (u32 i = 0; i < 4000; ++i) sorted.push_back(i / run);
+    const u32 top = sorted.back();
+    for (const std::vector<u32>& pivots : std::vector<std::vector<u32>>{
+             {50, 333, 334, 1200},
+             {0, 0, top, top},
+             {1, 2, 3, 4, 5, 6, 7, 8},
+             {top / 2, top / 2, top + 1},
+             {16 / run, 32 / run, 48 / run}}) {
+      SCOPED_TRACE("run " + std::to_string(run) + ", first pivot " +
+                   std::to_string(pivots.front()));
+      pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
+      NullMeter meter;
+      EXPECT_EQ(file_cuts(disk, sorted, pivots, meter),
+                partition_cuts<u32>(std::span<const u32>(sorted),
+                                    std::span<const u32>(pivots), meter));
     }
-    EXPECT_EQ(seek_ios, scan_ios);
-    EXPECT_EQ(seek_meter.moves, scan_meter.moves);
-    EXPECT_LE(seek_meter.compares, scan_meter.compares);
-    // The scan bill: one comparison per record outside the last partition
-    // plus one per pivot the stream advances past.
-    u32 last_home = 0;
-    for (u32 j = 0; j < scan_sizes.size(); ++j) {
-      if (scan_sizes[j] > 0) last_home = j;
-    }
-    EXPECT_EQ(scan_meter.compares,
-              sorted.size() - scan_sizes.back() + last_home);
   }
 }
 

@@ -2,6 +2,9 @@
 // (Equation 2, shares, sampling parameters) and the calibration protocol.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "base/rng.h"
 #include "hetero/calibration.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
@@ -175,6 +178,54 @@ TEST(PerfVector, ZeroPerfEntryViolatesContract) {
   EXPECT_THROW(PerfVector({0, 1, 1}), ContractViolation);
   EXPECT_THROW(PerfVector({1, 1, 0}), ContractViolation);
   EXPECT_THROW(PerfVector(std::vector<u32>(16, 0)), ContractViolation);
+}
+
+TEST(PerfVector, FuzzedVectorsHaveAnExactLcmOrReportOverflow) {
+  // Seeded vectors mixing the paper's small factors, 32-bit primes and
+  // random 32-bit factors.  Each one either reports an lcm overflow, or has
+  // an lcm every factor divides; its shares of a rounded-up size sum to
+  // that size either way.
+  constexpr u32 kPrimes[] = {4294967291u, 4294967279u, 4294967231u,
+                             4294967197u};
+  Xoshiro256 rng(0x1c3);
+  u64 overflowed = 0;
+  u64 exact = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<u32> values(1 + rng.next_below(8));
+    for (u32& v : values) {
+      switch (rng.next_below(3)) {
+        case 0: v = static_cast<u32>(1 + rng.next_below(16)); break;
+        case 1: v = kPrimes[rng.next_below(4)]; break;
+        default: v = static_cast<u32>(1 + rng.next_below(0xffffffffu));
+      }
+    }
+    const PerfVector perf(values);
+    SCOPED_TRACE(perf.to_string());
+    const u64 n = perf.round_up_admissible(1 + rng.next_below(u64{1} << 20));
+    u64 total = 0;
+    for (const u64 share : perf.shares(n)) total += share;
+    EXPECT_EQ(total, n);
+
+    u64 lcm = 0;
+    try {
+      lcm = perf.lcm();
+    } catch (const std::overflow_error&) {
+      ++overflowed;
+      EXPECT_THROW(perf.admissible_size(1), std::overflow_error);
+      continue;
+    }
+    ++exact;
+    for (const u32 v : values) EXPECT_EQ(lcm % v, 0u) << v;
+    try {
+      const u64 size = perf.admissible_size(1);
+      EXPECT_TRUE(perf.is_admissible(size));
+      EXPECT_EQ(size % lcm, 0u);
+    } catch (const std::overflow_error&) {
+      // lcm fits but Σperf·lcm does not.
+    }
+  }
+  EXPECT_GT(overflowed, 0u);
+  EXPECT_GT(exact, 0u);
 }
 
 TEST(PerfVector, HomogeneousSamplingMatchesClassicPsrs) {

@@ -76,25 +76,38 @@ TEST(Integration, ScratchFilesAreCleanedUp) {
   ClusterConfig config;
   config.perf = {2, 1};
   config.disk.block_bytes = 256;
-  Cluster cluster(config);
   WorkloadSpec spec{Dist::kUniform, n, 2, 3};
-  auto outcome = cluster.run([&](NodeContext& ctx) -> u64 {
-    workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
-                          perf.share(ctx.rank(), n), ctx.disk(), "input");
-    ExtPsrsConfig psrs;
-    psrs.sequential.memory_records = 256;
-    psrs.sequential.allow_in_memory = false;
-    core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
-    // Only "input" and "sorted" should remain.
-    u64 leftovers = 0;
-    for (const char* name :
-         {"sorted.step1", "sorted.step3.part0", "sorted.step3.part1",
-          "sorted.step4.from0", "sorted.step4.from1", "sorted.step1.runs"}) {
-      if (ctx.disk().exists(name)) ++leftovers;
+  std::vector<u64> files_created[2];
+  for (const bool pipelined : {true, false}) {
+    Cluster cluster(config);
+    auto outcome = cluster.run([&](NodeContext& ctx) -> u64 {
+      workload::write_share(spec, ctx.rank(),
+                            perf.share_offset(ctx.rank(), n),
+                            perf.share(ctx.rank(), n), ctx.disk(), "input");
+      ExtPsrsConfig psrs;
+      psrs.sequential.memory_records = 256;
+      psrs.sequential.allow_in_memory = false;
+      psrs.pipelined = pipelined;
+      core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
+      // Only "input" and "sorted" should remain.
+      u64 leftovers = 0;
+      for (const char* name : {"sorted.step1", "sorted.step4.from0",
+                               "sorted.step4.from1", "sorted.step1.runs"}) {
+        if (ctx.disk().exists(name)) ++leftovers;
+      }
+      return leftovers;
+    });
+    for (u64 leftovers : outcome.results) EXPECT_EQ(leftovers, 0u);
+    for (const auto& node : outcome.nodes) {
+      files_created[pipelined].push_back(node.io.files_created);
     }
-    return leftovers;
-  });
-  for (u64 leftovers : outcome.results) EXPECT_EQ(leftovers, 0u);
+  }
+  // Phased Step 3 cuts the sorted file in place: beyond what the fused
+  // pipeline creates, a phased node creates only the p − 1 files its
+  // peers' partitions land in.
+  for (u32 i = 0; i < 2; ++i) {
+    EXPECT_EQ(files_created[false][i], files_created[true][i] + 1) << i;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -239,10 +252,11 @@ TEST(Integration, StepTimesAndIosAreConsistent) {
     EXPECT_GE(r.t_seq_sort, 0.0);
     EXPECT_NEAR(step_sum, r.t_total, 1e-9 + 0.01 * r.t_total);
 
-    // Paper's per-step I/O bounds (with one partial block per file of
-    // slack): Step 3 <= 2 Q/B; Step 4 <= 2 l_i/B of disk traffic.
+    // Per-step I/O bounds (with one partial block per file of slack):
+    // Step 3 is binary partitioning, at most ⌈log2(Q/B + 1)⌉ + 1 block
+    // reads per pivot; Step 4 <= 2 l_i/B of disk traffic.
     const u64 q_blocks = ceil_div(r.local_records, rpb);
-    EXPECT_LE(r.io_partition, 2 * q_blocks + 4 + 1) << i;
+    EXPECT_LE(r.io_partition, 3 * (ilog2_ceil(q_blocks + 1) + 1)) << i;
     const u64 recv_blocks = ceil_div(r.final_records, rpb);
     EXPECT_LE(r.io_redistribute, q_blocks + recv_blocks + 2 * 4 + 2) << i;
 

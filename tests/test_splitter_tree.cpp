@@ -6,7 +6,7 @@
 //    zipf / all-duplicates adversaries;
 //  * flat≡tree equivalence — the degenerate tree configuration (single
 //    group, re-sampling disabled) reproduces the flat path bit-for-bit,
-//    and the kAuto heuristic below tree_threshold IS the flat path
+//    and the kAuto heuristic below kTreeThreshold IS the flat path
 //    (so the golden traces cannot churn);
 //  * bitwise determinism — external tree-strategy runs replay to
 //    identical output bytes and makespans;

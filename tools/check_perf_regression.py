@@ -3,9 +3,9 @@
 
 Usage:
   check_perf_regression.py NEW_JSON BASELINE_JSON [--threshold=0.20]
-  check_perf_regression.py --splitters NEW_JSON BASELINE_JSON [--threshold=0.20]
-  check_perf_regression.py --service NEW_JSON BASELINE_JSON [--threshold=0.20]
-  check_perf_regression.py --drift NEW_JSON BASELINE_JSON [--threshold=0.20]
+  check_perf_regression.py --splitters NEW_JSON BASELINE_JSON
+  check_perf_regression.py --service NEW_JSON BASELINE_JSON
+  check_perf_regression.py --drift NEW_JSON BASELINE_JSON
   check_perf_regression.py --backends NEW_JSON BASELINE_JSON
   check_perf_regression.py --all NEW_DIR BASELINE_DIR [--threshold=0.20]
 
@@ -14,28 +14,18 @@ containing "merge" or "runform") of a freshly generated
 bench_results/BENCH_hotpaths.json against the committed baseline and exits
 nonzero when a merge row regressed by more than the threshold (default
 +20% ns/record) or any compared row's compares per record moved at all.
+Those rows time the host, so they carry a noise tolerance.
 
---splitters compares bench_results/BENCH_splitters.json rows keyed by
-(strategy, p, dist): t_select_s drift beyond the threshold fails, and —
-since the virtual clock is deterministic — an expansion drift beyond 0.05
-is flagged as a logic change, not noise.
-
---service compares bench_results/BENCH_service.json rows keyed by policy:
-a jobs_per_vsec drop or a p99_s rise beyond the threshold fails, and an
-all_ok=false row fails outright (verification is part of the contract).
-
---drift compares bench_results/BENCH_drift.json: recovery_ok=false fails
-outright (the bench's own >= 2x recovery assertion did not hold), a
-recovery_factor drop beyond the threshold fails (the adaptive layer
-recovers a smaller share of the drift damage than it used to), and an
-adaptive-row makespan rise beyond the threshold fails.
-
---backends compares bench_results/BENCH_backends.json rows keyed by
-(backend, scenario, record_bytes) exactly: records, makespan_s,
-expansion, sorted and conserved must equal the committed values as
-printed, in either direction.  Every one of them is a virtual-time or
-correctness figure, deterministic per (seed, config), so any change is a
-logic change; a change that means to move them re-baselines the file.
+--splitters, --service, --drift and --backends gate the virtual benches
+exactly.  Every field of their rows is a virtual-time or correctness
+figure, deterministic per (seed, config), so any change is a logic change:
+each field of a committed row must equal the new value as printed, in
+either direction.  Rows are keyed by (strategy, p, dist) in
+BENCH_splitters.json, by policy in BENCH_service.json, by mode in
+BENCH_drift.json (whose top-level recovery_factor and recovery_ok are
+compared the same way) and by (backend, scenario, record_bytes) in
+BENCH_backends.json.  A change that means to move them re-baselines the
+file and lists before -> after.
 
 --all runs the five gates above, in that order, on BENCH_hotpaths.json,
 BENCH_splitters.json, BENCH_service.json, BENCH_drift.json and
@@ -43,15 +33,14 @@ BENCH_backends.json of the two directories.  Every gate runs even after
 one fails; the exit status is nonzero when any of them failed.
 
 In all modes rows present on only one side are reported but never fail
-the gate (new rows appear, retired ones vanish), and older baselines
-missing optional fields are accepted.
+the gate (new rows appear, retired ones vanish), and fields present only
+in the new results are not compared, so older baselines missing optional
+fields are accepted.
 """
 
 import json
 import os
 import sys
-
-EXPANSION_TOLERANCE = 0.05
 
 
 def load_doc(path):
@@ -63,13 +52,6 @@ def load_merge_rows(path):
     rows = {}
     for row in load_doc(path).get("rows", []):
         rows[(row["kernel"], row["mode"])] = row
-    return rows
-
-
-def load_splitter_rows(path):
-    rows = {}
-    for row in load_doc(path).get("rows", []):
-        rows[(row["strategy"], row["p"], row["dist"])] = row
     return rows
 
 
@@ -140,244 +122,91 @@ def check_merge(new_path, base_path, threshold):
     return 0
 
 
-def check_splitters(new_path, base_path, threshold):
-    new_rows = load_splitter_rows(new_path)
-    base_rows = load_splitter_rows(base_path)
-
-    failures = []
-    compared = 0
-    for key, base in sorted(base_rows.items()):
-        strategy, p, dist = key
-        label = f"{strategy}/p{p}/{dist}"
-        new = new_rows.get(key)
-        if new is None:
-            print(f"note: {label} missing from new results; skipped")
-            continue
-        compared += 1
-        old_t = base["t_select_s"]
-        new_t = new["t_select_s"]
-        ratio = new_t / old_t if old_t > 0 else float("inf")
-        status = "ok"
-        if ratio > 1.0 + threshold:
-            status = "REGRESSION"
-            failures.append(key)
-        print(f"{status:>10}  {label:<24} "
-              f"{old_t:10.6f} -> {new_t:10.6f} s ({ratio - 1.0:+.1%})")
-        # Selection balance is deterministic per seed: an expansion drift is
-        # a splitter-logic change, not measurement noise.
-        if "expansion" in base and "expansion" in new:
-            drift = abs(base["expansion"] - new["expansion"])
-            if drift > EXPANSION_TOLERANCE:
-                print(f"            expansion drift: {base['expansion']} -> "
-                      f"{new['expansion']}")
-                failures.append(key)
-
-    for key in sorted(set(new_rows) - set(base_rows)):
-        print(f"note: new row {key[0]}/p{key[1]}/{key[2]} has no baseline; "
-              f"skipped")
-
-    if compared == 0:
-        print("error: no splitter rows in common — wrong files?",
-              file=sys.stderr)
-        return 2
-    if failures:
-        print(f"\nFAIL: {len(set(failures))} splitter row(s) drifted more "
-              f"than {threshold:.0%} (or expansion beyond "
-              f"{EXPANSION_TOLERANCE}) vs the committed baseline")
-        return 1
-    print(f"\nOK: {compared} splitter rows within {threshold:.0%} of "
-          f"baseline")
-    return 0
+# Per exact gate: the fields that key a row, and the top-level fields
+# compared next to the rows.
+EXACT_GATES = {
+    "splitters": (("strategy", "p", "dist"), ()),
+    "service": (("policy",), ()),
+    "drift": (("mode",), ("recovery_factor", "recovery_ok")),
+    "backends": (("backend", "scenario", "record_bytes"), ()),
+}
 
 
-def load_service_rows(path):
-    rows = {}
-    for row in load_doc(path).get("rows", []):
-        rows[row["policy"]] = row
-    return rows
-
-
-def check_service(new_path, base_path, threshold):
-    new_rows = load_service_rows(new_path)
-    base_rows = load_service_rows(base_path)
-
-    failures = []
-    compared = 0
-    for policy, base in sorted(base_rows.items()):
-        new = new_rows.get(policy)
-        if new is None:
-            print(f"note: policy {policy} missing from new results; skipped")
-            continue
-        compared += 1
-        if not new.get("all_ok", False):
-            print(f"REGRESSION  {policy:<12} all_ok=false "
-                  f"(a job failed verification)")
-            failures.append(policy)
-        old_tp = base["jobs_per_vsec"]
-        new_tp = new["jobs_per_vsec"]
-        ratio = new_tp / old_tp if old_tp > 0 else float("inf")
-        status = "ok"
-        # Throughput gates downward (a drop is the regression).
-        if ratio < 1.0 - threshold:
-            status = "REGRESSION"
-            failures.append(policy)
-        print(f"{status:>10}  {policy:<12} throughput "
-              f"{old_tp:.6f} -> {new_tp:.6f} jobs/vsec ({ratio - 1.0:+.1%})")
-        old_p99 = base["p99_s"]
-        new_p99 = new["p99_s"]
-        ratio = new_p99 / old_p99 if old_p99 > 0 else float("inf")
-        status = "ok"
-        if ratio > 1.0 + threshold:
-            status = "REGRESSION"
-            failures.append(policy)
-        print(f"{status:>10}  {policy:<12} p99 latency "
-              f"{old_p99:.3f} -> {new_p99:.3f} s ({ratio - 1.0:+.1%})")
-
-    for policy in sorted(set(new_rows) - set(base_rows)):
-        print(f"note: new policy row {policy} has no baseline; skipped")
-
-    if compared == 0:
-        print("error: no service rows in common — wrong files?",
-              file=sys.stderr)
-        return 2
-    if failures:
-        print(f"\nFAIL: {len(set(failures))} service row(s) regressed more "
-              f"than {threshold:.0%} vs the committed baseline")
-        return 1
-    print(f"\nOK: {compared} service rows within {threshold:.0%} of baseline")
-    return 0
-
-
-def check_drift(new_path, base_path, threshold):
-    new_doc = load_doc(new_path)
-    base_doc = load_doc(base_path)
-
-    failures = []
-    # The bench's own assertion is part of the contract: adaptive must
-    # recover >= 2x of the static damage, and every run must verify.
-    if not new_doc.get("recovery_ok", False):
-        print("REGRESSION  recovery_ok=false "
-              "(bench_drift's recovery assertion failed)")
-        failures.append("recovery_ok")
-
-    old_rf = base_doc.get("recovery_factor", 0.0)
-    new_rf = new_doc.get("recovery_factor", 0.0)
-    ratio = new_rf / old_rf if old_rf > 0 else float("inf")
-    status = "ok"
-    # The recovery gap gates downward: recovering a smaller share of the
-    # drift damage than the committed baseline is the regression.
-    if ratio < 1.0 - threshold:
-        status = "REGRESSION"
-        failures.append("recovery_factor")
-    print(f"{status:>10}  recovery factor "
-          f"{old_rf:.3f}x -> {new_rf:.3f}x ({ratio - 1.0:+.1%})")
-
-    new_rows = {row["mode"]: row for row in new_doc.get("rows", [])}
-    base_rows = {row["mode"]: row for row in base_doc.get("rows", [])}
-    compared = 0
-    for mode, base in sorted(base_rows.items()):
-        new = new_rows.get(mode)
-        if new is None:
-            print(f"note: mode {mode} missing from new results; skipped")
-            continue
-        compared += 1
-        if not new.get("ok", False):
-            print(f"REGRESSION  {mode:<10} ok=false "
-                  f"(the run failed verification)")
-            failures.append(mode)
-        # Only the adaptive makespan gates: baseline and static track the
-        # cost model, and static's whole point is to eat the damage.
-        if mode != "adaptive":
-            continue
-        old_mk = base["makespan_s"]
-        new_mk = new["makespan_s"]
-        ratio = new_mk / old_mk if old_mk > 0 else float("inf")
-        status = "ok"
-        if ratio > 1.0 + threshold:
-            status = "REGRESSION"
-            failures.append(mode)
-        print(f"{status:>10}  {mode:<10} makespan "
-              f"{old_mk:.3f} -> {new_mk:.3f} s ({ratio - 1.0:+.1%})")
-
-    if compared == 0:
-        print("error: no drift rows in common — wrong files?",
-              file=sys.stderr)
-        return 2
-    if failures:
-        print(f"\nFAIL: {len(set(failures))} drift check(s) regressed more "
-              f"than {threshold:.0%} vs the committed baseline")
-        return 1
-    print(f"\nOK: drift recovery within {threshold:.0%} of baseline")
-    return 0
-
-
-BACKEND_EXACT_FIELDS = ("records", "makespan_s", "expansion", "sorted",
-                        "conserved")
-
-
-def load_backend_rows(path):
+def load_exact_doc(path):
     # Numbers stay the text the bench printed, so "exactly as printed"
     # is a string comparison.
     with open(path) as f:
-        doc = json.load(f, parse_float=str, parse_int=str)
-    rows = {}
-    for row in doc.get("rows", []):
-        rows[(row["backend"], row["scenario"], row["record_bytes"])] = row
-    return rows
+        return json.load(f, parse_float=str, parse_int=str)
 
 
-def check_backends(new_path, base_path, threshold=None):
-    new_rows = load_backend_rows(new_path)
-    base_rows = load_backend_rows(base_path)
+def shown(value):
+    return value if isinstance(value, str) else json.dumps(value)
 
-    failures = []
+
+def check_exact(bench, new_path, base_path):
+    key_fields, top_fields = EXACT_GATES[bench]
+    new_doc = load_exact_doc(new_path)
+    base_doc = load_exact_doc(base_path)
+
+    def keyed(doc):
+        return {tuple(row[k] for k in key_fields): row
+                for row in doc.get("rows", [])}
+
+    def moved(base, new, fields):
+        return [f"{field} {shown(base.get(field))} -> "
+                f"{shown(new.get(field))}"
+                for field in fields if new.get(field) != base.get(field)]
+
+    failures = 0
+    for field in top_fields:
+        old, new = base_doc.get(field), new_doc.get(field)
+        print(f"{'ok' if new == old else 'CHANGED':>10}  {field} "
+              f"{shown(old)} -> {shown(new)}")
+        failures += new != old
+
+    new_rows = keyed(new_doc)
+    base_rows = keyed(base_doc)
     compared = 0
     for key, base in sorted(base_rows.items()):
-        backend, scenario, record_bytes = key
-        label = f"{backend}/{scenario}/{record_bytes}B"
+        label = "/".join(key)
         new = new_rows.get(key)
         if new is None:
             print(f"note: {label} missing from new results; skipped")
             continue
         compared += 1
-        moved = [f"{field} {base.get(field)} -> {new.get(field)}"
-                 for field in BACKEND_EXACT_FIELDS
-                 if new.get(field) != base.get(field)]
-        print(f"{'CHANGED' if moved else 'ok':>10}  {label:<36} "
-              + ("; ".join(moved) if moved else
-                 f"makespan {base['makespan_s']} s"))
-        if moved:
-            failures.append(key)
+        changes = moved(base, new, base)
+        print(f"{'CHANGED' if changes else 'ok':>10}  {label:<36} "
+              + ("; ".join(changes) if changes else "equal"))
+        if changes:
+            failures += 1
 
     for key in sorted(set(new_rows) - set(base_rows)):
-        print(f"note: new row {key[0]}/{key[1]}/{key[2]}B has no baseline; "
-              f"skipped")
+        print(f"note: new row {'/'.join(key)} has no baseline; skipped")
 
     if compared == 0:
-        print("error: no backend rows in common — wrong files?",
+        print(f"error: no {bench} rows in common — wrong files?",
               file=sys.stderr)
         return 2
     if failures:
-        print(f"\nFAIL: {len(failures)} backend row(s) differ from the "
-              f"committed baseline (exact gate)")
+        print(f"\nFAIL: {failures} {bench} row(s) or field(s) differ from "
+              f"the committed baseline (exact gate)")
         return 1
-    print(f"\nOK: {compared} backend rows equal the baseline")
+    print(f"\nOK: {compared} {bench} rows equal the baseline")
     return 0
 
 
 def check_all(new_dir, base_dir, threshold):
-    gates = [
-        ("BENCH_hotpaths.json", check_merge),
-        ("BENCH_splitters.json", check_splitters),
-        ("BENCH_service.json", check_service),
-        ("BENCH_drift.json", check_drift),
-        ("BENCH_backends.json", check_backends),
-    ]
+    gates = ["hotpaths"] + list(EXACT_GATES)
     failed = []
-    for name, check in gates:
+    for bench in gates:
+        name = f"BENCH_{bench}.json"
         print(f"\n== {name}")
-        if check(os.path.join(new_dir, name), os.path.join(base_dir, name),
-                 threshold) != 0:
+        new_path = os.path.join(new_dir, name)
+        base_path = os.path.join(base_dir, name)
+        status = (check_merge(new_path, base_path, threshold)
+                  if bench == "hotpaths" else
+                  check_exact(bench, new_path, base_path))
+        if status != 0:
             failed.append(name)
     if failed:
         print(f"\nFAIL: {len(failed)} of {len(gates)} gates failed: "
@@ -389,12 +218,8 @@ def check_all(new_dir, base_dir, threshold):
 
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
+    flags = [a[2:] for a in argv[1:] if a.startswith("--")]
     threshold = 0.20
-    splitters = "--splitters" in argv[1:]
-    service = "--service" in argv[1:]
-    drift = "--drift" in argv[1:]
-    backends = "--backends" in argv[1:]
-    run_all = "--all" in argv[1:]
     for a in argv[1:]:
         if a.startswith("--threshold="):
             threshold = float(a.split("=", 1)[1])
@@ -402,16 +227,11 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
 
-    if run_all:
+    if "all" in flags:
         return check_all(args[0], args[1], threshold)
-    if splitters:
-        return check_splitters(args[0], args[1], threshold)
-    if service:
-        return check_service(args[0], args[1], threshold)
-    if drift:
-        return check_drift(args[0], args[1], threshold)
-    if backends:
-        return check_backends(args[0], args[1])
+    for bench in EXACT_GATES:
+        if bench in flags:
+            return check_exact(bench, args[0], args[1])
     return check_merge(args[0], args[1], threshold)
 
 
