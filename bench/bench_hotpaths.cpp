@@ -1,5 +1,5 @@
 // Perf-regression harness for the transfer hot paths: times the read,
-// write and merge kernels in four modes and emits both a text table and a
+// write and merge kernels in three modes and emits both a text table and a
 // machine-readable bench_results/BENCH_hotpaths.json with the best-of-reps
 // ns/record per (kernel, mode).  The modes:
 //
@@ -8,12 +8,10 @@
 //    merges);
 //  * bulk — the library's block-granular calls (push_span, read_span,
 //    merge_run_group / pop_run_into);
-//  * overlapped — bulk with read-ahead / write-behind through the disk's
-//    IoExecutor;
 //  * memory — bulk on pdm::Disk::in_memory, the disk every bench and
 //    whole-sort benchmark run sorts on.
 //
-// The first three run on a real (posix) disk.
+// The first two run on a real (posix) disk.
 //
 // Block-I/O counts and metered comparisons are reported per row so a mode
 // that got faster by *doing less metered work* (instead of doing the same
@@ -65,22 +63,14 @@ struct Row {
 struct Mode {
   const char* name;
   bool per_record;  ///< the bench's own one-record-per-call loop
-  bool overlapped;
   bool in_memory;   ///< pdm::MemBackend instead of real files
 };
 
 constexpr Mode kModes[] = {
-    {"per-record", true, false, false},
-    {"bulk", false, false, false},
-    {"overlapped", false, true, false},
-    {"memory", false, false, true},
+    {"per-record", true, false},
+    {"bulk", false, false},
+    {"memory", false, true},
 };
-
-pdm::DiskParams mode_params(const Mode& m) {
-  pdm::DiskParams p;
-  p.io_mode = m.overlapped ? pdm::IoMode::kOverlapped : pdm::IoMode::kSync;
-  return p;
-}
 
 /// Drains `tree` into `out` one record per call — the per-record baseline
 /// for the merge kernels.  Returns the records merged.
@@ -233,8 +223,7 @@ int run(const BenchOptions& opt) {
   const MergeInput zipf = make_interleaved(zipf_keys(n, 93), k);
 
   auto disk_for = [&](const Mode& m) {
-    return m.in_memory ? pdm::Disk::in_memory(mode_params(m))
-                       : pdm::Disk::posix(scratch, mode_params(m));
+    return m.in_memory ? pdm::Disk::in_memory() : pdm::Disk::posix(scratch);
   };
 
   std::vector<Kernel> kernels;
@@ -455,7 +444,7 @@ int run(const BenchOptions& opt) {
       std::vector<double> samples;
       u64 ios = 0;
       u64 compares = 0;
-      kernel.rep(mode);  // warm-up (page cache, executor spin-up)
+      kernel.rep(mode);  // warm-up (page cache)
       for (u32 r = 0; r < opt.reps; ++r) {
         const RepResult res = kernel.rep(mode);
         samples.push_back(res.seconds);
@@ -479,7 +468,7 @@ int run(const BenchOptions& opt) {
   }
   table.print(std::cout);
   note("block-I/O and compare counts must match across the modes of each "
-       "kernel: bulk calls and overlapped I/O change wall-clock only, never "
+       "kernel: bulk calls and the disk backend change wall-clock only, never "
        "the metered work (enforced exactly by test_pdm's IoAccounting, "
        "test_io_equivalence and test_merge_kernels)");
 

@@ -3,8 +3,6 @@
 // Sort(N) = Θ((n/D)·log_m n) (Theorem 1), across problem size, memory
 // size and disk count D (striped volumes), and compares polyphase against
 // the balanced k-way baseline and both run-formation strategies.
-#include <chrono>
-#include <filesystem>
 #include <iostream>
 
 #include "base/meter.h"
@@ -151,52 +149,6 @@ int run(const BenchOptions& opt) {
        "term predicts; the striped-cursor memory cost reduces the fan-in, "
        "so very large D can add a merge pass");
 
-  heading("Wall-clock on real files: sync vs overlapped (double-buffered) "
-          "I/O");
-  metrics::TextTable otable(
-      {"N (records)", "io mode", "block IOs", "wall s", "speedup"});
-  const std::filesystem::path scratch =
-      (opt.workdir.empty() ? std::filesystem::temp_directory_path()
-                           : opt.workdir) /
-      "paladin_io_bound_overlap";
-  const u64 on = opt.full ? (u64{1} << 23) : (u64{1} << 19);
-  double sync_wall = 0.0;
-  u64 sync_ios = 0;
-  bool ios_match = true;
-  for (const pdm::IoMode mode : {pdm::IoMode::kSync, pdm::IoMode::kOverlapped}) {
-    std::filesystem::remove_all(scratch);
-    std::filesystem::create_directories(scratch);
-    pdm::DiskParams oparams = params;
-    oparams.io_mode = mode;
-    pdm::Disk disk = pdm::Disk::posix(scratch, oparams);
-    fill_random(disk, "in", on, 77);
-    disk.reset_stats();
-    seq::ExternalSortConfig sc;
-    sc.memory_records = on / 32;
-    sc.allow_in_memory = false;
-    NullMeter nmeter;
-    const auto t0 = std::chrono::steady_clock::now();
-    seq::external_sort<u32>(disk, "in", "out", sc, nmeter);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const u64 ios = disk.stats().total_block_ios();
-    if (mode == pdm::IoMode::kSync) {
-      sync_wall = wall;
-      sync_ios = ios;
-    } else if (ios != sync_ios) {
-      ios_match = false;
-    }
-    otable.add_row({std::to_string(on), pdm::to_string(mode),
-                    std::to_string(ios), fmt_seconds(wall),
-                    metrics::TextTable::fmt(sync_wall / wall, 2) + "x"});
-  }
-  std::filesystem::remove_all(scratch);
-  otable.print(std::cout);
-  note(std::string("overlapped mode moves the fwrite/fread calls onto a "
-                   "per-disk worker thread; the metered block count is ") +
-       (ios_match ? "identical" : "DIFFERENT (BUG)") +
-       " across modes, so only wall-clock changes");
   return 0;
 }
 

@@ -202,18 +202,14 @@ void BM_BlockIoRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockIoRoundTrip);
 
-// The same round trip through real files: sync vs overlapped (write-behind
-// / read-ahead through the IoExecutor).
+// The same round trip through real files.
 void BM_FileIoRoundTrip(benchmark::State& state) {
-  const bool overlapped = state.range(0) != 0;
-  pdm::DiskParams params;
-  params.io_mode = overlapped ? pdm::IoMode::kOverlapped : pdm::IoMode::kSync;
   const u64 n = 1 << 18;
   const auto data = random_keys(n, 4);
   ScopedTempDir dir("fileio");
   u64 iter = 0;
   for (auto _ : state) {
-    pdm::Disk disk = pdm::Disk::posix(dir.path, params);
+    pdm::Disk disk = pdm::Disk::posix(dir.path);
     const std::string name = "f" + std::to_string(iter++);
     pdm::write_file<u32>(disk, name, std::span<const u32>(data));
     auto back = pdm::read_file<u32>(disk, name);
@@ -222,9 +218,8 @@ void BM_FileIoRoundTrip(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<i64>(n * sizeof(u32) * 2));
-  state.SetLabel(overlapped ? "overlapped" : "sync");
 }
-BENCHMARK(BM_FileIoRoundTrip)->Arg(0)->Arg(1);
+BENCHMARK(BM_FileIoRoundTrip);
 
 void BM_MultisetChecksum(benchmark::State& state) {
   const u64 n = 1 << 16;

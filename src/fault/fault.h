@@ -119,6 +119,8 @@ struct FaultCounters {
            net_frames_dropped + net_frames_duplicated + net_frames_delayed;
   }
 
+  bool operator==(const FaultCounters&) const = default;
+
   FaultCounters& operator+=(const FaultCounters& o) {
     disk_read_faults += o.disk_read_faults;
     disk_write_faults += o.disk_write_faults;

@@ -87,9 +87,6 @@ void NodeContext::fold_counters_into_tracer() {
   c.set("io.bytes_written", io.bytes_written);
   c.set("io.files_created", io.files_created);
   c.set("io.files_removed", io.files_removed);
-  if (const pdm::IoExecutor* exec = disk_.executor_peek()) {
-    c.set("io.exec.jobs", exec->jobs_submitted());
-  }
   const CommStats& net = comm_.stats();
   c.set("net.messages_sent", net.messages_sent);
   c.set("net.bytes_sent", net.bytes_sent);

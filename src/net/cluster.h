@@ -161,11 +161,11 @@ class NodeContext final : public Meter, public obs::TimeSource {
   /// temporarily reroutes disk charges to a stream clock.
   void install_disk_cost_sink();
 
-  /// Folds the node's scattered accounting (IoStats, CommStats, mailbox
-  /// high-water marks, IoExecutor job totals, block geometry) into the
-  /// tracer's counter registry under the names listed in
-  /// docs/OBSERVABILITY.md.  Called by Cluster::run after the node body
-  /// returns; safe to call earlier for a mid-run snapshot (set semantics).
+  /// Folds the node's scattered accounting (IoStats, CommStats, block
+  /// geometry, fault and drift tallies) into the tracer's counter registry
+  /// under the names listed in docs/OBSERVABILITY.md.  Called by
+  /// Cluster::run after the node body returns; safe to call earlier for a
+  /// mid-run snapshot (set semantics).
   void fold_counters_into_tracer();
 
   // Meter: priced, speed-scaled charges.  The divisor is the *effective*

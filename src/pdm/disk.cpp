@@ -45,24 +45,6 @@ Disk Disk::in_memory(DiskParams params) {
 Disk::Disk(std::unique_ptr<FileBackend> backend, DiskParams params)
     : backend_(std::move(backend)), params_(params) {
   PALADIN_EXPECTS(params_.block_bytes > 0);
-  // kAuto resolves by backend: overlapping memcpy-backed "transfers" buys
-  // nothing and would race the live_bytes() sampling of MemBackend.
-  overlap_enabled_ =
-      params_.io_mode == IoMode::kOverlapped ||
-      (params_.io_mode == IoMode::kAuto && backend_->real_files());
-  if (!backend_->real_files()) overlap_enabled_ = false;
-}
-
-void Disk::set_fault_injector(fault::FaultInjector* injector) {
-  fault_ = injector;
-  if constexpr (fault::kCompiledIn) {
-    if (fault_ != nullptr && fault_->plan().disk_active()) {
-      // Faulted transfers charge backoff/re-read time to the cost sink at
-      // the point of the transfer; an executor-thread transfer has no such
-      // point, so overlap and disk faults are mutually exclusive.
-      overlap_enabled_ = false;
-    }
-  }
 }
 
 bool Disk::disk_faults_active() const {
@@ -152,12 +134,6 @@ void Disk::note_write_fingerprints(u64 name_hash, u64 offset,
       file_map.erase(b);
     }
   }
-}
-
-IoExecutor* Disk::executor() {
-  if (!overlap_enabled_) return nullptr;
-  if (!executor_) executor_ = std::make_unique<IoExecutor>();
-  return executor_.get();
 }
 
 BlockFile Disk::create(const std::string& name) {

@@ -17,7 +17,6 @@
 #include "base/types.h"
 #include "pdm/disk_params.h"
 #include "pdm/file_backend.h"
-#include "pdm/io_executor.h"
 #include "pdm/io_stats.h"
 
 namespace paladin::fault {
@@ -58,11 +57,10 @@ class BlockFile {
   /// Appends at the current end of file.
   void append(std::span<const u8> data) { write_at(size_bytes(), data); }
 
-  /// Raw handle for the overlapped-I/O paths: jobs queued on the disk's
-  /// IoExecutor move bytes through it without accounting; the submitting
-  /// reader/writer charges the transfer via Disk::account at the logical
-  /// point where the synchronous path would have performed it.  The handle
-  /// address is stable across BlockFile moves.
+  /// Raw handle: moves bytes with no accounting, no cost charge and no
+  /// fault check.  Only for passes that charge nothing by design (the
+  /// fused pipeline's data pass, core/pipeline.h).  The handle address is
+  /// stable across BlockFile moves.
   FileHandle* raw_handle() const { return handle_.get(); }
 
   Disk& disk() const { return *disk_; }
@@ -119,30 +117,19 @@ class Disk {
     cost_sink_ = std::move(sink);
   }
 
-  /// Internal: account `bytes` moved as `blocks` block transfers.
-  void account(u64 blocks, ByteCount bytes, bool is_write);
-
-  /// The disk's background I/O worker, or nullptr when transfers are
-  /// synchronous (IoMode::kSync, or kAuto on an in-memory backend).
-  /// Started lazily so sync-only disks never spawn a thread.
-  IoExecutor* executor();
-
-  /// The executor if one was already spawned, else nullptr.  Never spawns
-  /// the worker — safe for read-only inspection (counter harvest).
-  const IoExecutor* executor_peek() const { return executor_.get(); }
-
-  /// Attach the node's fault injector (nullptr detaches).  With an active
-  /// disk fault plan this also forces synchronous I/O: overlapped transfers
-  /// run on the executor thread, where fault charges could not land on the
-  /// submitting stream's clock deterministically.
-  void set_fault_injector(fault::FaultInjector* injector);
-  fault::FaultInjector* fault_injector() const { return fault_; }
+  /// Attach the node's fault injector (nullptr detaches).
+  void set_fault_injector(fault::FaultInjector* injector) {
+    fault_ = injector;
+  }
 
   /// Whether BlockFile transfers must take the fault-checked slow path.
   bool disk_faults_active() const;
 
  private:
   friend class BlockFile;
+
+  /// Account `bytes` moved as `blocks` block transfers.
+  void account(u64 blocks, ByteCount bytes, bool is_write);
 
   /// Fault-checked transfer paths; only reached when disk_faults_active().
   u64 faulted_read(FileHandle& handle, u64 name_hash, u64 offset,
@@ -162,8 +149,6 @@ class Disk {
   DiskParams params_;
   IoStats stats_;
   std::function<void(double)> cost_sink_;
-  bool overlap_enabled_ = false;
-  std::unique_ptr<IoExecutor> executor_;
   fault::FaultInjector* fault_ = nullptr;
   /// Shadow block fingerprints for corruption detection, keyed by file-name
   /// hash then block index.  Maintained only while corrupt_prob > 0.

@@ -9,28 +9,6 @@
 
 namespace paladin::pdm {
 
-/// How typed readers/writers schedule their block transfers.
-///
-///  * kAuto       — overlapped on disks backed by real files, synchronous
-///                  on in-memory disks (whose "transfers" are memcpys with
-///                  nothing to hide behind).
-///  * kSync       — every transfer completes before the call returns.
-///  * kOverlapped — double-buffered read-ahead / write-behind through the
-///                  disk's IoExecutor.  I/O accounting is unchanged: blocks
-///                  are charged on the consuming thread at the synchronous
-///                  path's logical points, so IoStats and virtual time are
-///                  bit-identical to kSync (DESIGN.md §7).
-enum class IoMode : u8 { kAuto = 0, kSync, kOverlapped };
-
-inline const char* to_string(IoMode m) {
-  switch (m) {
-    case IoMode::kAuto: return "auto";
-    case IoMode::kSync: return "sync";
-    case IoMode::kOverlapped: return "overlapped";
-  }
-  PALADIN_UNREACHABLE();
-}
-
 struct DiskParams {
   /// Block transfer size in bytes (PDM's B, here in bytes; typed readers
   /// derive records-per-block).  The paper's experiments use 32 KiB
@@ -44,10 +22,6 @@ struct DiskParams {
 
   /// Sustained transfer rate.  ~20 MB/s matches the paper's SCSI drives.
   double transfer_bytes_per_second = 20.0e6;
-
-  /// Transfer scheduling (see IoMode).  Purely a wall-clock knob: both
-  /// modes produce identical IoStats and identical virtual-time charges.
-  IoMode io_mode = IoMode::kAuto;
 
   /// Simulated cost of transferring one block.
   double block_cost_seconds() const {

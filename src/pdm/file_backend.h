@@ -50,11 +50,6 @@ class FileBackend {
   /// Total bytes currently stored across all files — the live footprint,
   /// used to verify the linear-space property of the sorting algorithms.
   virtual u64 total_bytes() const = 0;
-
-  /// Whether this backend moves bytes through real files.  Gates
-  /// IoMode::kAuto: overlapped I/O only pays off (and is only thread-safe
-  /// against live_bytes() sampling) when transfers leave process memory.
-  virtual bool real_files() const { return false; }
 };
 
 /// Real files in a directory.
@@ -68,7 +63,6 @@ class PosixBackend final : public FileBackend {
   void remove(const std::string& name) override;
   u64 file_size(const std::string& name) const override;
   u64 total_bytes() const override;
-  bool real_files() const override { return true; }
 
   const std::filesystem::path& dir() const { return dir_; }
 

@@ -18,6 +18,8 @@ struct IoStats {
   u64 total_block_ios() const { return blocks_read + blocks_written; }
   ByteCount total_bytes() const { return bytes_read + bytes_written; }
 
+  bool operator==(const IoStats&) const = default;
+
   IoStats& operator+=(const IoStats& o) {
     blocks_read += o.blocks_read;
     blocks_written += o.blocks_written;

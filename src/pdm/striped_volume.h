@@ -6,11 +6,12 @@
 // exposes that cost (the max over per-disk costs).
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "base/contracts.h"
-#include "base/math_util.h"
 #include "base/types.h"
 #include "pdm/disk.h"
 #include "pdm/typed_io.h"
@@ -77,9 +78,7 @@ class StripedVolume {
 
 /// Writes a record stream striped across the volume's disks, one block per
 /// disk in round-robin order.  push_span moves whole blocks straight from
-/// the caller's span, and on disks with an IoExecutor the block writes run
-/// behind the caller (write-behind), with each transfer charged to its disk
-/// at submission — the synchronous path's logical point.
+/// the caller's span.
 template <Record T>
 class StripedWriter {
  public:
@@ -91,35 +90,18 @@ class StripedWriter {
             volume.disk(0).params().records_per_block(sizeof(T))) {
     const u64 d = volume.disk_count();
     files_.reserve(d);
-    execs_.reserve(d);
     for (u64 i = 0; i < d; ++i) {
       files_.push_back(
           volume.disk(i).create(StripedVolume::stripe_name(name, i)));
-      execs_.push_back(volume.disk(i).executor());
     }
     cursor_bytes_.assign(d, 0);
-    last_ticket_.assign(d, 0);
     buffer_.reserve(records_per_block_);
-  }
-
-  StripedWriter(StripedWriter&&) = default;
-  StripedWriter& operator=(StripedWriter&&) = default;
-
-  ~StripedWriter() {
-    // In-flight writes target our file handles; wait them out (data loss
-    // of an unflushed tail matches the synchronous writer's behaviour).
-    if (!files_.empty()) {
-      try {
-        wait_pending();
-      } catch (...) {
-      }
-    }
   }
 
   void push(const T& record) {
     buffer_.push_back(record);
     ++records_written_;
-    if (buffer_.size() == records_per_block_) flush_block();
+    if (buffer_.size() == records_per_block_) flush();
   }
 
   void push_span(std::span<const T> records) {
@@ -130,7 +112,7 @@ class StripedWriter {
       buffer_.insert(buffer_.end(), records.begin(),
                      records.begin() + static_cast<std::ptrdiff_t>(take));
       records = records.subspan(take);
-      if (buffer_.size() == records_per_block_) flush_block();
+      if (buffer_.size() == records_per_block_) flush();
     }
     while (records.size() >= records_per_block_) {
       write_block(records.first(records_per_block_));
@@ -139,73 +121,40 @@ class StripedWriter {
     buffer_.insert(buffer_.end(), records.begin(), records.end());
   }
 
-  /// Writes the buffered partial block and waits until every stripe write
-  /// has reached its file.
+  /// Writes the buffered partial block.
   void flush() {
-    if (!buffer_.empty()) flush_block();
-    wait_pending();
+    if (buffer_.empty()) return;
+    write_block(buffer_);
+    buffer_.clear();
   }
 
   u64 records_written() const { return records_written_; }
 
  private:
-  void flush_block() {
-    write_block(std::span<const T>(buffer_.data(), buffer_.size()));
-    buffer_.clear();
-  }
-
   /// Appends one (possibly partial) block to the current stripe and
   /// rotates to the next disk.
   void write_block(std::span<const T> records) {
-    BlockFile& f = files_[next_disk_];
     const u64 bytes = records.size() * sizeof(T);
-    IoExecutor* ex = execs_[next_disk_];
-    if (ex != nullptr) {
-      f.disk().account(
-          ceil_div(bytes, f.disk().params().block_bytes), bytes,
-          /*is_write=*/true);
-      auto data =
-          std::make_shared<std::vector<T>>(records.begin(), records.end());
-      FileHandle* h = f.raw_handle();
-      const u64 off = cursor_bytes_[next_disk_];
-      last_ticket_[next_disk_] = ex->submit([h, off, data] {
-        h->write_at(off, std::span<const u8>(
-                             reinterpret_cast<const u8*>(data->data()),
-                             data->size() * sizeof(T)));
-      });
-    } else {
-      f.write_at(cursor_bytes_[next_disk_],
-                 std::span<const u8>(
-                     reinterpret_cast<const u8*>(records.data()), bytes));
-    }
+    files_[next_disk_].write_at(
+        cursor_bytes_[next_disk_],
+        std::span<const u8>(reinterpret_cast<const u8*>(records.data()),
+                            bytes));
     cursor_bytes_[next_disk_] += bytes;
     next_disk_ = (next_disk_ + 1) % files_.size();
-  }
-
-  void wait_pending() {
-    for (u64 i = 0; i < execs_.size(); ++i) {
-      if (execs_[i] != nullptr && last_ticket_[i] != 0) {
-        execs_[i]->wait(last_ticket_[i]);
-        last_ticket_[i] = 0;
-      }
-    }
   }
 
   StripedVolume* volume_;
   u64 records_per_block_;
   std::vector<BlockFile> files_;
-  std::vector<IoExecutor*> execs_;
   std::vector<u64> cursor_bytes_;
-  std::vector<IoExecutor::Ticket> last_ticket_;
   std::vector<T> buffer_;
   u64 next_disk_ = 0;
   u64 records_written_ = 0;
 };
 
 /// Reads a striped record stream back in logical order.  Delegates to the
-/// current stripe's BlockReader (which supplies the read-ahead under
-/// overlapped I/O) and exposes buffered()/advance_n so merges can drain it
-/// block-at-a-time.
+/// current stripe's BlockReader and exposes buffered()/advance_n so merges
+/// can drain it block-at-a-time.
 template <Record T>
 class StripedReader {
  public:

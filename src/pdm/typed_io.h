@@ -9,41 +9,32 @@
 // single-record calls (push, next, peek/advance) go through the same block
 // buffer, so mixing them with the span calls never changes what is
 // charged: a transfer of k record-blocks is k block transfers, each
-// charged separately to the cost sink (DESIGN.md §7).
-//
-// Overlapped I/O (DiskParams::io_mode) adds double-buffered read-ahead and
-// write-behind through the disk's IoExecutor, so compute overlaps real file
-// I/O.  The worker moves bytes only; transfers are charged on this thread
-// at the synchronous path's logical points (buffer adoption for reads,
-// flush for writes), so IoStats and virtual time do not depend on the mode.
+// charged separately to the cost sink (DESIGN.md §7).  Every transfer
+// runs on the calling thread.
 #pragma once
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "base/contracts.h"
-#include "base/math_util.h"
-#include "base/prefetch.h"
 #include "base/types.h"
 #include "pdm/disk.h"
 
 namespace paladin::pdm {
 
-/// Largest number of whole record-blocks a single bulk transfer may batch.
-/// Bounds the staging copy of overlapped writes; 64 blocks of the default
-/// 32 KiB keeps one transfer at 2 MiB.
+/// Largest number of whole record-blocks a single bulk transfer may batch;
+/// 64 blocks of the default 32 KiB keeps one transfer at 2 MiB.
 inline constexpr u64 kMaxBulkBlocks = 64;
 
 /// Sequential block-buffered writer of records of type T.
 ///
-/// Buffers up to one block of records and issues whole-block write_at calls
-/// (write-behind through the disk's IoExecutor when overlapped I/O is on).
+/// Buffers up to one block of records and issues whole-block write_at calls.
 /// Call flush() (or let the destructor do it) to push the final partial
-/// block and wait out any in-flight writes.  The file must not be accessed
-/// through other handles while a writer is attached.
+/// block.  The file must not be accessed through other handles while a
+/// writer is attached.
 template <Record T>
 class BlockWriter {
  public:
@@ -51,8 +42,7 @@ class BlockWriter {
   explicit BlockWriter(BlockFile& file, bool append = false)
       : file_(&file),
         records_per_block_(file.disk().params().records_per_block(sizeof(T))),
-        cursor_bytes_(append ? file.size_bytes() : 0),
-        exec_(file.disk().executor()) {
+        cursor_bytes_(append ? file.size_bytes() : 0) {
     buffer_.reserve(records_per_block_);
   }
 
@@ -64,7 +54,7 @@ class BlockWriter {
     // normal operation; the destructor flush is a best-effort backstop —
     // if the device fails here (e.g. mid-unwind after an I/O error) the
     // buffered tail is dropped rather than terminating the program.
-    if (file_ != nullptr && (!buffer_.empty() || last_ticket_ != 0)) {
+    if (file_ != nullptr && !buffer_.empty()) {
       try {
         flush();
       } catch (...) {
@@ -76,7 +66,7 @@ class BlockWriter {
   void push(const T& record) {
     buffer_.push_back(record);
     ++records_written_;
-    if (buffer_.size() == records_per_block_) spill();
+    if (buffer_.size() == records_per_block_) flush();
   }
 
   void push_span(std::span<const T> records) {
@@ -88,7 +78,7 @@ class BlockWriter {
       buffer_.insert(buffer_.end(), records.begin(),
                      records.begin() + static_cast<std::ptrdiff_t>(take));
       records = records.subspan(take);
-      if (buffer_.size() == records_per_block_) spill();
+      if (buffer_.size() == records_per_block_) flush();
     }
     // Whole record-blocks bypass the staging buffer entirely.
     while (records.size() >= records_per_block_) {
@@ -103,15 +93,12 @@ class BlockWriter {
   }
 
   /// Writes buffered records to the file (a partial block costs one block
-  /// transfer, as in PDM) and, under overlapped I/O, waits until every
-  /// queued write has reached the file — after flush() returns the file
-  /// contents are complete and readable through other handles.
+  /// transfer, as in PDM); afterwards the file is readable through other
+  /// handles.
   void flush() {
-    spill();
-    if (exec_ != nullptr && last_ticket_ != 0) {
-      exec_->wait(last_ticket_);
-      last_ticket_ = 0;
-    }
+    if (buffer_.empty()) return;
+    write_direct(buffer_);
+    buffer_.clear();
   }
 
   u64 records_written() const { return records_written_; }
@@ -127,57 +114,13 @@ class BlockWriter {
                                                            : 1;
   }
 
-  /// Writes the staging buffer at the cursor (without the completion
-  /// barrier flush() adds).
-  void spill() {
-    if (buffer_.empty()) return;
-    const u64 bytes = buffer_.size() * sizeof(T);
-    if (exec_ != nullptr) {
-      // Charge at the synchronous path's logical point, then hand the
-      // bytes to the worker.  The job owns the buffer, so the writer may
-      // move or die while the write is in flight.
-      file_->disk().account(ceil_div(bytes, block_bytes()), bytes,
-                            /*is_write=*/true);
-      auto data = std::make_shared<std::vector<T>>(std::move(buffer_));
-      buffer_ = {};
-      buffer_.reserve(records_per_block_);
-      FileHandle* h = file_->raw_handle();
-      const u64 off = cursor_bytes_;
-      last_ticket_ = exec_->submit([h, off, data] {
-        h->write_at(off, std::span<const u8>(
-                             reinterpret_cast<const u8*>(data->data()),
-                             data->size() * sizeof(T)));
-      });
-    } else {
-      file_->write_at(cursor_bytes_,
-                      std::span<const u8>(
-                          reinterpret_cast<const u8*>(buffer_.data()),
-                          bytes));
-      buffer_.clear();
-    }
-    cursor_bytes_ += bytes;
-  }
-
-  /// Writes whole record-blocks straight from the caller's span.
+  /// Writes `records` at the cursor: the staging buffer, or whole
+  /// record-blocks straight from the caller's span.
   void write_direct(std::span<const T> records) {
     const u64 bytes = records.size() * sizeof(T);
-    if (exec_ != nullptr) {
-      file_->disk().account(ceil_div(bytes, block_bytes()), bytes,
-                            /*is_write=*/true);
-      auto data =
-          std::make_shared<std::vector<T>>(records.begin(), records.end());
-      FileHandle* h = file_->raw_handle();
-      const u64 off = cursor_bytes_;
-      last_ticket_ = exec_->submit([h, off, data] {
-        h->write_at(off, std::span<const u8>(
-                             reinterpret_cast<const u8*>(data->data()),
-                             data->size() * sizeof(T)));
-      });
-    } else {
-      file_->write_at(cursor_bytes_,
-                      std::span<const u8>(
-                          reinterpret_cast<const u8*>(records.data()), bytes));
-    }
+    file_->write_at(cursor_bytes_,
+                    std::span<const u8>(
+                        reinterpret_cast<const u8*>(records.data()), bytes));
     cursor_bytes_ += bytes;
   }
 
@@ -185,8 +128,6 @@ class BlockWriter {
   u64 records_per_block_;
   u64 cursor_bytes_ = 0;
   u64 records_written_ = 0;
-  IoExecutor* exec_ = nullptr;  ///< nullptr => synchronous transfers
-  IoExecutor::Ticket last_ticket_ = 0;
   std::vector<T> buffer_;
 };
 
@@ -198,26 +139,11 @@ class BlockReader {
  public:
   explicit BlockReader(BlockFile& file)
       : file_(&file),
-        records_per_block_(file.disk().params().records_per_block(sizeof(T))),
-        exec_(file.disk().executor()) {
+        records_per_block_(file.disk().params().records_per_block(sizeof(T))) {
     const u64 bytes = file.size_bytes();
     PALADIN_EXPECTS_MSG(bytes % sizeof(T) == 0,
                         "file does not hold whole records");
     size_records_ = bytes / sizeof(T);
-  }
-
-  BlockReader(BlockReader&&) = default;
-  BlockReader& operator=(BlockReader&&) = default;
-
-  ~BlockReader() {
-    // An in-flight prefetch targets our file handle; it must not outlive
-    // the reader (the handle may be closed right after we go).
-    if (exec_ != nullptr && prefetch_ != nullptr) {
-      try {
-        discard_prefetch();
-      } catch (...) {
-      }
-    }
   }
 
   u64 size_records() const { return size_records_; }
@@ -246,7 +172,6 @@ class BlockReader {
     PALADIN_EXPECTS(!done());
     ensure_buffered();
     ++next_record_;
-    hint_next_block();
   }
 
   /// Fused advance()+peek() for the merge hot loop: consumes the current
@@ -259,11 +184,7 @@ class BlockReader {
                     next_record_ < buffer_first_ + buffer_.size());
     ++next_record_;
     const u64 off = next_record_ - buffer_first_;
-    if (off + kPrefetchTailRecords < buffer_.size()) [[likely]] {
-      return &buffer_[off];
-    }
-    hint_next_block();
-    if (off < buffer_.size()) return &buffer_[off];
+    if (off < buffer_.size()) [[likely]] return &buffer_[off];
     if (done()) return nullptr;
     ensure_buffered();
     return &buffer_[next_record_ - buffer_first_];
@@ -286,7 +207,6 @@ class BlockReader {
     PALADIN_EXPECTS(next_record_ >= buffer_first_ &&
                     next_record_ + n <= buffer_first_ + buffer_.size());
     next_record_ += n;
-    hint_next_block();
   }
 
   /// Repositions to absolute record index `idx` (0-based).  A subsequent
@@ -296,8 +216,6 @@ class BlockReader {
     next_record_ = idx;
     buffer_.clear();
     buffer_first_ = 0;
-    expected_next_ = kNoBlock;
-    if (exec_ != nullptr) discard_prefetch();
   }
 
   /// Bulk read of up to out.size() records; returns records read.
@@ -316,10 +234,8 @@ class BlockReader {
         continue;
       }
       const u64 left = want - n;
-      const bool aligned = next_record_ % records_per_block_ == 0;
-      const bool prefetched =
-          prefetch_ != nullptr && prefetch_first_ == next_record_;
-      if (aligned && left >= records_per_block_ && !prefetched) {
+      if (next_record_ % records_per_block_ == 0 &&
+          left >= records_per_block_) {
         // Block-aligned tail: read whole record-blocks straight into the
         // caller's buffer, batching where the accounting stays exact.
         const u64 blocks = std::min<u64>(left / records_per_block_,
@@ -328,36 +244,13 @@ class BlockReader {
         n += blocks * records_per_block_;
         continue;
       }
-      // Unaligned head, partial tail, or an in-flight prefetch covering
-      // this block: go through the block buffer (adopting the prefetch).
+      // Unaligned head or partial tail: go through the block buffer.
       ensure_buffered();
     }
     return n;
   }
 
  private:
-  static constexpr u64 kNoBlock = ~u64{0};
-  /// advance/advance_n issue a software prefetch of the read-ahead block's
-  /// head once the cursor is this close to the buffer end, so the first
-  /// touches after adoption don't stall on a cold line.
-  static constexpr u64 kPrefetchTailRecords = 8;
-
-  struct Prefetch {
-    std::vector<T> data;
-    u64 got_bytes = 0;  ///< written by the worker, read after wait()
-  };
-
-  /// Warm the head of the in-flight read-ahead block as the cursor nears
-  /// the end of the current one.  The worker may still be filling that
-  /// buffer — a prefetch is not a language-level access (base/prefetch.h),
-  /// so this is safe; the pointer itself is only written on this thread.
-  void hint_next_block() {
-    if (prefetch_ != nullptr &&
-        buffer_first_ + buffer_.size() - next_record_ <= kPrefetchTailRecords) {
-      base::prefetch_read(prefetch_->data.data());
-    }
-  }
-
   ByteCount block_bytes() const { return file_->disk().params().block_bytes; }
 
   u64 max_direct_blocks() const {
@@ -375,28 +268,6 @@ class BlockReader {
         (next_record_ / records_per_block_) * records_per_block_;
     const u64 count =
         std::min(records_per_block_, size_records_ - block_first);
-    const bool sequential = block_first == expected_next_;
-    expected_next_ = block_first + records_per_block_;
-    bool adopted = false;
-    if (exec_ != nullptr && prefetch_ != nullptr) {
-      if (prefetch_first_ == block_first) {
-        adopt_prefetch(block_first, count);
-        adopted = true;
-      } else {
-        discard_prefetch();
-      }
-    }
-    if (!adopted) fetch_sync(block_first, count);
-    // Keep the read-ahead chain going only while the access pattern is
-    // sequential; a seeking reader (the sampling loop) would otherwise
-    // stall on useless prefetches.
-    if (exec_ != nullptr && (sequential || adopted) &&
-        expected_next_ < size_records_) {
-      start_prefetch(expected_next_);
-    }
-  }
-
-  void fetch_sync(u64 block_first, u64 count) {
     buffer_.resize(count);
     const u64 got = file_->read_at(
         block_first * sizeof(T),
@@ -406,56 +277,15 @@ class BlockReader {
     buffer_first_ = block_first;
   }
 
-  /// Takes ownership of the prefetched block and charges its transfer —
-  /// the same logical point, count and bytes as the synchronous fetch.
-  void adopt_prefetch(u64 block_first, u64 count) {
-    exec_->wait(prefetch_ticket_);
-    PALADIN_ASSERT(prefetch_->got_bytes == count * sizeof(T));
-    buffer_ = std::move(prefetch_->data);
-    buffer_.resize(count);
-    buffer_first_ = block_first;
-    file_->disk().account(ceil_div(count * sizeof(T), block_bytes()),
-                          count * sizeof(T), /*is_write=*/false);
-    prefetch_.reset();
-  }
-
-  /// Abandons an in-flight prefetch (bytes moved but never charged — the
-  /// synchronous path would not have read them either).
-  void discard_prefetch() {
-    if (prefetch_ == nullptr) return;
-    exec_->wait(prefetch_ticket_);
-    prefetch_.reset();
-  }
-
-  void start_prefetch(u64 block_first) {
-    const u64 count =
-        std::min(records_per_block_, size_records_ - block_first);
-    prefetch_ = std::make_shared<Prefetch>();
-    prefetch_->data.resize(count);
-    FileHandle* h = file_->raw_handle();
-    auto pf = prefetch_;
-    const u64 off = block_first * sizeof(T);
-    prefetch_ticket_ = exec_->submit([h, off, pf] {
-      pf->got_bytes = h->read_at(
-          off, std::span<u8>(reinterpret_cast<u8*>(pf->data.data()),
-                             pf->data.size() * sizeof(T)));
-    });
-    prefetch_first_ = block_first;
-  }
-
   /// Reads whole record-blocks at the (block-aligned) cursor straight into
-  /// `out`.  Only called with no prefetch in flight for these blocks.
+  /// `out`.
   void read_direct(std::span<T> out) {
-    if (exec_ != nullptr) discard_prefetch();
     const u64 bytes = out.size() * sizeof(T);
     const u64 got = file_->read_at(
         next_record_ * sizeof(T),
         std::span<u8>(reinterpret_cast<u8*>(out.data()), bytes));
     PALADIN_ASSERT(got == bytes);
     next_record_ += out.size();
-    // The stream is still sequential: the block after the batch is the
-    // natural prefetch/fetch successor.
-    expected_next_ = next_record_;
   }
 
   BlockFile* file_;
@@ -463,11 +293,6 @@ class BlockReader {
   u64 size_records_ = 0;
   u64 next_record_ = 0;
   u64 buffer_first_ = 0;
-  u64 expected_next_ = kNoBlock;  ///< block that continues the stream
-  IoExecutor* exec_ = nullptr;  ///< nullptr => synchronous transfers
-  IoExecutor::Ticket prefetch_ticket_ = 0;
-  u64 prefetch_first_ = kNoBlock;
-  std::shared_ptr<Prefetch> prefetch_;
   std::vector<T> buffer_;
 };
 

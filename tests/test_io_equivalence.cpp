@@ -1,10 +1,9 @@
-// Equivalence of the transfer schedules (DESIGN.md §7): overlapped I/O
-// (read-ahead / write-behind on real files) must be *exactly* synchronous
-// I/O on an in-memory disk as far as the model can see — byte-identical
-// output files, identical IoStats block/byte counts, identical metered
-// comparisons and moves, and bit-identical accumulated cost-sink seconds
-// (charge order matters under floating-point addition).  Only wall-clock
-// time may differ.
+// Equivalence of the storage backends (DESIGN.md §6): a sort on real files
+// (PosixBackend) must be *exactly* the same sort on an in-memory disk as
+// far as the model can see — byte-identical output files, identical
+// IoStats block/byte counts, identical metered comparisons and moves, and
+// bit-identical accumulated cost-sink seconds (charge order matters under
+// floating-point addition).  Only wall-clock time may differ.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -52,16 +51,14 @@ std::vector<u32> make_input(Dist dist, u64 n, u64 seed) {
   return all;
 }
 
-/// One transfer-scheduling configuration under test.
-struct IoModeCase {
+/// One storage backend under test.
+struct BackendCase {
   const char* label;
-  bool posix;  ///< real files (required for overlapped I/O)
-  pdm::IoMode io_mode;
+  bool posix;  ///< real files instead of an in-memory disk
 };
 
-constexpr IoModeCase kBaseline{"sync-mem", false, pdm::IoMode::kSync};
-constexpr IoModeCase kOverlappedPosix{"overlapped-posix", true,
-                                      pdm::IoMode::kOverlapped};
+constexpr BackendCase kBaseline{"mem", false};
+constexpr BackendCase kPosix{"posix", true};
 
 /// Everything the simulation model observes about one run.
 struct Observed {
@@ -112,11 +109,10 @@ class ScratchDir {
   fs::path path_;
 };
 
-pdm::Disk make_disk(const IoModeCase& mode, pdm::DiskParams params,
+pdm::Disk make_disk(const BackendCase& backend, pdm::DiskParams params,
                     const ScratchDir& dir) {
-  params.io_mode = mode.io_mode;
-  return mode.posix ? pdm::Disk::posix(dir.path(), params)
-                    : pdm::Disk::in_memory(params);
+  return backend.posix ? pdm::Disk::posix(dir.path(), params)
+                       : pdm::Disk::in_memory(params);
 }
 
 // ---------------------------------------------------------------------
@@ -134,11 +130,11 @@ void PrintTo(const SeqEqCase& c, std::ostream* os) {
   *os << workload::to_string(c.dist) << "_" << seq::to_string(c.strategy);
 }
 
-Observed run_seq(const SeqEqCase& c, const IoModeCase& mode,
+Observed run_seq(const SeqEqCase& c, const BackendCase& backend,
                  pdm::DiskParams params, const std::vector<u32>& input) {
   ScratchDir dir(std::string("seq_") + workload::to_string(c.dist) + "_" +
-                 seq::to_string(c.strategy) + "_" + mode.label);
-  pdm::Disk disk = make_disk(mode, params, dir);
+                 seq::to_string(c.strategy) + "_" + backend.label);
+  pdm::Disk disk = make_disk(backend, params, dir);
   pdm::write_file<u32>(disk, "in", std::span<const u32>(input));
 
   Observed obs;
@@ -162,7 +158,7 @@ Observed run_seq(const SeqEqCase& c, const IoModeCase& mode,
 
 class SeqIoEquivalence : public ::testing::TestWithParam<SeqEqCase> {};
 
-TEST_P(SeqIoEquivalence, AllModesObservationallyIdentical) {
+TEST_P(SeqIoEquivalence, BothBackendsObservationallyIdentical) {
   const SeqEqCase& c = GetParam();
   pdm::DiskParams params;
   params.block_bytes = 128;  // 32 records/block, exact fit
@@ -172,8 +168,7 @@ TEST_P(SeqIoEquivalence, AllModesObservationallyIdentical) {
   // Sanity: the baseline really sorted.
   EXPECT_TRUE(std::is_sorted(base.output.begin(), base.output.end()));
   EXPECT_EQ(base.output.size(), input.size());
-  expect_identical(base, run_seq(c, kOverlappedPosix, params, input),
-                   kOverlappedPosix.label);
+  expect_identical(base, run_seq(c, kPosix, params, input), kPosix.label);
 }
 
 std::vector<SeqEqCase> seq_eq_cases(seq::RunFormation run_formation) {
@@ -207,23 +202,21 @@ TEST(SeqIoEquivalenceEdge, InexactRecordBlockFit) {
   const SeqEqCase c{Dist::kUniform, seq::SortStrategy::kPolyphase};
 
   const Observed base = run_seq(c, kBaseline, params, input);
-  expect_identical(base, run_seq(c, kOverlappedPosix, params, input),
-                   kOverlappedPosix.label);
+  expect_identical(base, run_seq(c, kPosix, params, input), kPosix.label);
 }
 
 // ---------------------------------------------------------------------
 // Striped D-disk sort
 // ---------------------------------------------------------------------
 
-Observed run_striped(Dist dist, const IoModeCase& mode,
+Observed run_striped(Dist dist, const BackendCase& backend,
                      pdm::DiskParams params, const std::vector<u32>& input) {
-  params.io_mode = mode.io_mode;
   const u64 d = 3;
   ScratchDir dir(std::string("striped_") + workload::to_string(dist) + "_" +
-                 mode.label);
+                 backend.label);
   std::vector<pdm::Disk> disks;
   for (u64 i = 0; i < d; ++i) {
-    if (mode.posix) {
+    if (backend.posix) {
       const fs::path sub = dir.path() / ("d" + std::to_string(i));
       fs::create_directories(sub);
       disks.push_back(pdm::Disk::posix(sub, params));
@@ -260,7 +253,7 @@ Observed run_striped(Dist dist, const IoModeCase& mode,
 
 class StripedIoEquivalence : public ::testing::TestWithParam<Dist> {};
 
-TEST_P(StripedIoEquivalence, AllModesObservationallyIdentical) {
+TEST_P(StripedIoEquivalence, BothBackendsObservationallyIdentical) {
   const Dist dist = GetParam();
   pdm::DiskParams params;
   params.block_bytes = 128;
@@ -269,9 +262,8 @@ TEST_P(StripedIoEquivalence, AllModesObservationallyIdentical) {
   const Observed base = run_striped(dist, kBaseline, params, input);
   EXPECT_TRUE(std::is_sorted(base.output.begin(), base.output.end()));
   EXPECT_EQ(base.output.size(), input.size());
-  expect_identical(base,
-                   run_striped(dist, kOverlappedPosix, params, input),
-                   kOverlappedPosix.label);
+  expect_identical(base, run_striped(dist, kPosix, params, input),
+                   kPosix.label);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, StripedIoEquivalence,
@@ -279,7 +271,7 @@ INSTANTIATE_TEST_SUITE_P(AllDistributions, StripedIoEquivalence,
 
 // ---------------------------------------------------------------------
 // Full parallel pipeline: virtual makespan is a pure function of
-// (seed, config), independent of the transfer scheduling knobs.
+// (seed, config), independent of the storage backend.
 // ---------------------------------------------------------------------
 
 struct PipelineRun {
@@ -287,17 +279,16 @@ struct PipelineRun {
   double makespan = 0.0;
 };
 
-PipelineRun run_pipeline(Dist dist, const IoModeCase& mode) {
+PipelineRun run_pipeline(Dist dist, const BackendCase& backend) {
   PerfVector perf({4, 4, 1, 1});
   const u64 n = perf.round_up_admissible(12000);
 
   ScratchDir dir(std::string("pipeline_") + workload::to_string(dist) + "_" +
-                 mode.label);
+                 backend.label);
   ClusterConfig config;
   config.perf = {4, 4, 1, 1};
   config.disk.block_bytes = 256;
-  config.disk.io_mode = mode.io_mode;
-  if (mode.posix) config.workdir = dir.path();
+  if (backend.posix) config.workdir = dir.path();
   Cluster cluster(config);
 
   const auto input = make_input(dist, n, 4321);
@@ -321,13 +312,13 @@ PipelineRun run_pipeline(Dist dist, const IoModeCase& mode) {
 
 class PipelineIoEquivalence : public ::testing::TestWithParam<Dist> {};
 
-TEST_P(PipelineIoEquivalence, MakespanIndependentOfTransferScheduling) {
+TEST_P(PipelineIoEquivalence, MakespanIndependentOfBackend) {
   const Dist dist = GetParam();
   const PipelineRun base = run_pipeline(dist, kBaseline);
-  const PipelineRun overlapped = run_pipeline(dist, kOverlappedPosix);
-  EXPECT_EQ(base.output, overlapped.output);
+  const PipelineRun posix = run_pipeline(dist, kPosix);
+  EXPECT_EQ(base.output, posix.output);
   // Bit-identical simulated execution time.
-  EXPECT_EQ(base.makespan, overlapped.makespan);
+  EXPECT_EQ(base.makespan, posix.makespan);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, PipelineIoEquivalence,

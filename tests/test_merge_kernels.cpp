@@ -9,11 +9,11 @@
 //     gallop drains, and both the encodable (u32, std::less) fast path and
 //     the comparator fallback (100-byte Datamation records, memcmp order).
 //  2. Codec level: KeyCodec encodings are strictly order-preserving.
-//  3. Disk level: merge_run_group on the synchronous in-memory disk vs the
-//     overlapped (read-ahead / write-behind) posix disk — byte-identical
-//     output files, identical IoStats, and a bit-identical *event sequence*
-//     (every meter batch and every cost-sink charge, in order), which
-//     subsumes virtual-clock equality under floating-point addition.
+//  3. Disk level: merge_run_group on the in-memory disk vs the real-file
+//     posix disk — byte-identical output files, identical IoStats, and a
+//     bit-identical *event sequence* (every meter batch and every
+//     cost-sink charge, in order), which subsumes virtual-clock equality
+//     under floating-point addition.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -454,7 +454,7 @@ TEST(MergeKernels, SingleSourceAndAllEmptyEdgeCases) {
 }
 
 // ---------------------------------------------------------------------
-// Disk level: synchronous vs overlapped I/O engine
+// Disk level: in-memory vs posix backend
 // ---------------------------------------------------------------------
 
 /// A scratch directory for posix-backed cases, removed on destruction.
@@ -488,7 +488,6 @@ struct DiskObserved {
 struct DiskMergeCase {
   const char* label;
   bool posix;
-  pdm::IoMode io_mode;
 };
 
 void expect_disk_identical(const DiskObserved& base, const DiskObserved& got,
@@ -513,8 +512,7 @@ void expect_disk_identical(const DiskObserved& base, const DiskObserved& got,
 DiskObserved run_disk_merge(Dist dist, u64 n, u32 k,
                             const DiskMergeCase& mode) {
   ScratchDir dir(std::string("d") + std::to_string(static_cast<int>(dist)));
-  pdm::DiskParams params = pdm::DiskParams::fast();
-  params.io_mode = mode.io_mode;
+  const pdm::DiskParams params = pdm::DiskParams::fast();
   pdm::Disk disk = mode.posix ? pdm::Disk::posix(dir.path(), params)
                               : pdm::Disk::in_memory(params);
 
@@ -557,27 +555,24 @@ DiskObserved run_disk_merge(Dist dist, u64 n, u32 k,
   return obs;
 }
 
-// The overlapped engine moves physical transfers onto a worker thread but
-// charges them at the synchronous path's logical points, so the merge's
-// whole event sequence must not depend on which engine ran it.
-TEST(MergeKernels, DiskMergeChargesIndependentOfIoEngine) {
+// Disk accounting happens above the backend, so the merge's whole event
+// sequence must not depend on whether real files or memory hold the bytes.
+TEST(MergeKernels, DiskMergeChargesIndependentOfBackend) {
   constexpr u64 kRecords = 12000;
   constexpr u32 kPieces = 6;
-  const DiskMergeCase sync{"sync-mem", false, pdm::IoMode::kSync};
-  const DiskMergeCase overlapped{"overlapped-posix", true,
-                                 pdm::IoMode::kOverlapped};
+  const DiskMergeCase mem{"mem", false};
+  const DiskMergeCase posix{"posix", true};
   const Dist kDists[] = {Dist::kUniform, Dist::kZero, Dist::kZipf,
                          Dist::kSorted, Dist::kStaggered};
   for (Dist dist : kDists) {
     const std::string what = workload::to_string(dist);
     SCOPED_TRACE(what);
-    const DiskObserved base = run_disk_merge(dist, kRecords, kPieces, sync);
+    const DiskObserved base = run_disk_merge(dist, kRecords, kPieces, mem);
     ASSERT_EQ(base.merged, kRecords) << what;
     ASSERT_TRUE(std::is_sorted(base.output.begin(), base.output.end()))
         << what;
-    expect_disk_identical(
-        base, run_disk_merge(dist, kRecords, kPieces, overlapped),
-        what + "/" + overlapped.label);
+    expect_disk_identical(base, run_disk_merge(dist, kRecords, kPieces, posix),
+                          what + "/" + posix.label);
   }
 }
 

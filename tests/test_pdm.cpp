@@ -229,14 +229,13 @@ TEST(IoAccounting, CostSinkChargedPerBlock) {
 /// records costs one transfer per record-block, ⌈n / records_per_block⌉,
 /// in each direction, and the cost sink is called once per block.
 template <typename T>
-void expect_mixed_transfers_match_formula(u64 block_bytes, bool overlapped) {
+void expect_mixed_transfers_match_formula(u64 block_bytes, bool posix) {
   DiskParams params;
   params.block_bytes = block_bytes;
-  params.io_mode = overlapped ? IoMode::kOverlapped : IoMode::kSync;
   std::optional<ScopedTempDir> dir;
-  if (overlapped) dir.emplace("pdm-accounting");
-  Disk disk = overlapped ? Disk::posix(dir->path(), params)
-                         : Disk::in_memory(params);
+  if (posix) dir.emplace("pdm-accounting");
+  Disk disk =
+      posix ? Disk::posix(dir->path(), params) : Disk::in_memory(params);
   u64 sink_calls = 0;
   disk.set_cost_sink([&](double) { ++sink_calls; });
 
@@ -289,16 +288,16 @@ void expect_mixed_transfers_match_formula(u64 block_bytes, bool overlapped) {
   EXPECT_EQ(sink_calls, 2 * blocks);
 }
 
-/// (block bytes, record bytes, overlapped on real files or sync in memory).
+/// (block bytes, record bytes, real files or in memory).
 class MixedTransferAccounting
     : public ::testing::TestWithParam<std::tuple<u64, u64, bool>> {};
 
 TEST_P(MixedTransferAccounting, BlocksBytesAndSinkCallsMatchFormula) {
-  const auto [block_bytes, record_bytes, overlapped] = GetParam();
+  const auto [block_bytes, record_bytes, posix] = GetParam();
   if (record_bytes == sizeof(u32)) {
-    expect_mixed_transfers_match_formula<u32>(block_bytes, overlapped);
+    expect_mixed_transfers_match_formula<u32>(block_bytes, posix);
   } else {
-    expect_mixed_transfers_match_formula<u64>(block_bytes, overlapped);
+    expect_mixed_transfers_match_formula<u64>(block_bytes, posix);
   }
 }
 

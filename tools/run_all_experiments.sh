@@ -11,8 +11,10 @@ if [[ "$SCALE_FLAG" == "--full" ]]; then
   SUFFIX="full"
 fi
 
-cmake -B build -G Ninja
-cmake --build build
+# The preset names no generator, so it reuses whichever one configured
+# build/ before (a plain `cmake -B build -S .` picks Unix Makefiles).
+cmake --preset release
+cmake --build --preset release -j "$(nproc)"
 
 echo "== tests =="
 ctest --test-dir build --output-on-failure
@@ -28,7 +30,7 @@ for bench in table2_seqsort table3_parallel msgsize_sweep io_bound \
 done
 
 echo "== bench_micro (wall-time kernels) =="
-./build/bench/bench_micro --benchmark_min_time=0.05s \
+./build/bench/bench_micro --benchmark_min_time=0.05 \
     | tee "bench_results/micro_${SUFFIX}.txt"
 
 echo
