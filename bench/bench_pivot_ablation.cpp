@@ -93,8 +93,9 @@ double overpartition_expansion(const PerfVector& perf, u64 n, Dist dist,
 }
 
 /// Expansion of one DeWitt-style probabilistic-splitting run, approximated
-/// in-core: random-sample pivots on unsorted data (oversample 16), then a
-/// direct partition count.
+/// in-core: random-sample pivots on unsorted data
+/// (core::kOverpartitionOversample per node), then a direct partition
+/// count.
 double dewitt_expansion(const PerfVector& perf, u64 n, Dist dist, u64 seed) {
   // s = 1 overpartitioning with one sublist per node IS probabilistic
   // splitting with greedy assignment disabled; emulate by s=1.
@@ -272,7 +273,7 @@ int run(const BenchOptions& opt) {
       // Regular sampling is calibrated only when the stride divides the
       // shares exactly (the paper's admissibility condition); round n up
       // to a multiple of p·Σperf·2 so both the flat (oversample 1) and
-      // the tree (tree_oversample 2) paths sample without truncation.
+      // the tree (kTreeLeafOversample 2) paths sample without truncation.
       const u64 n =
           round_up(base_n, static_cast<u64>(p) * perf.sum() * 2);
       for (Dist dist : {Dist::kUniform, Dist::kZipf}) {

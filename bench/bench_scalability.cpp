@@ -150,12 +150,12 @@ SelectMeasured measure_select(const BenchOptions& opt, const PerfVector& perf,
       const double t0 = ctx.clock().now();
       std::vector<u32> pivots;
       if (core::splitter_uses_tree(splitter, p)) {
-        const u64 o_total = splitter.tree_oversample;
+        const u64 o_total = core::kTreeLeafOversample;
         const u64 off = perf.sample_stride_clamped(n, o_total);
         pivots = core::tree_select_pivots<u32>(
             ctx, perf,
             core::draw_regular_sample<u32>(std::span<const u32>(local), off),
-            o_total, splitter, 0);
+            o_total, 0);
       } else {
         const u64 off = perf.sample_stride(n);
         std::vector<u32> samples = core::draw_regular_sample<u32>(

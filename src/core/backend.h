@@ -34,6 +34,7 @@
 #include "base/types.h"
 #include "core/scatter_gather.h"
 #include "core/splitter_tree.h"
+#include "core/wire_tags.h"
 #include "hetero/drift.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
@@ -295,8 +296,8 @@ std::vector<T> select_sample_splitters(const BackendContext& bc,
   if (weights == nullptr && cuts > 0 &&
       splitter_uses_tree(bc.common().splitter, bc.p())) {
     return tree_select_sample_splitters<T, Less>(
-        bc.node(), bc.common().splitter, std::move(local_sample), cuts, perf,
-        unique_splitters, /*root=*/0, less);
+        bc.node(), std::move(local_sample), cuts, perf, unique_splitters,
+        /*root=*/0, less);
   }
   net::Communicator& comm = bc.comm();
   std::vector<T> splitters;
@@ -402,8 +403,6 @@ u64 collect_sorted_output(net::NodeContext& ctx, const BackendConfig& config,
 
   net::Communicator& comm = ctx.comm();
   const u32 rank = comm.rank();
-  constexpr int kTagHeader = 54;
-  constexpr int kTagData = 55;
 
   std::vector<u64> owned = report.owned_buckets;
   std::sort(owned.begin(), owned.end());
@@ -428,18 +427,20 @@ u64 collect_sorted_output(net::NodeContext& ctx, const BackendConfig& config,
       pdm::BlockFile f =
           ctx.disk().open(bucket_file_name(config.output, b));
       pdm::BlockReader<T> reader(f);
-      comm.send_value<u64>(root, kTagHeader, reader.size_records());
+      comm.send_value<u64>(root, kTagCollectHeader, reader.size_records());
       std::vector<T> chunk;
       chunk.reserve(config.message_records);
       T v;
       while (reader.next(v)) {
         chunk.push_back(v);
         if (chunk.size() == config.message_records) {
-          comm.template send_records<T>(root, kTagData, chunk);
+          comm.template send_records<T>(root, kTagCollectData, chunk);
           chunk.clear();
         }
       }
-      if (!chunk.empty()) comm.template send_records<T>(root, kTagData, chunk);
+      if (!chunk.empty()) {
+        comm.template send_records<T>(root, kTagCollectData, chunk);
+      }
     }
     return total;
   }
@@ -470,10 +471,11 @@ u64 collect_sorted_output(net::NodeContext& ctx, const BackendConfig& config,
       ctx.on_moves(copied);
       continue;
     }
-    const u64 expected = comm.recv_value<u64>(who, kTagHeader);
+    const u64 expected = comm.recv_value<u64>(who, kTagCollectHeader);
     u64 got = 0;
     while (got < expected) {
-      std::vector<T> data = comm.template recv_records<T>(who, kTagData);
+      std::vector<T> data =
+          comm.template recv_records<T>(who, kTagCollectData);
       PALADIN_ASSERT(!data.empty());
       writer.push_span(std::span<const T>(data));
       got += data.size();

@@ -38,14 +38,12 @@
 
 namespace paladin::core {
 
-/// Knobs specific to this backend (the common core is BackendConfig).
-struct ExtDistributionOptions {
-  /// Random samples drawn per unit of perf (node i draws
-  /// oversample·p·perf[i]).
-  u32 oversample = 16;
-};
+/// Random samples drawn per unit of perf: node i draws
+/// kDistributionOversample·p·perf[i].
+inline constexpr u64 kDistributionOversample = 16;
 
-struct ExtDistributionConfig : BackendConfig, ExtDistributionOptions {};
+/// This backend has no knobs of its own beyond the BackendConfig core.
+struct ExtDistributionConfig : BackendConfig {};
 
 struct ExtDistributionReport : BackendReport {};
 
@@ -80,7 +78,7 @@ ExtDistributionReport ext_distribution_sort(
   // ---- 1. Probabilistic splitting -------------------------------------
   const u64 want = std::min<u64>(
       report.local_records,
-      static_cast<u64>(config.oversample) * p * perf[rank]);
+      kDistributionOversample * p * perf[rank]);
   // At large p, BackendConfig::splitter can route this through the
   // multi-level sample tree (core/splitter_tree.h) instead of the flat
   // gather-and-sort at node 0.

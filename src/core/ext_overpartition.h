@@ -40,10 +40,9 @@ namespace paladin::core {
 
 /// Knobs specific to this backend (the common core is BackendConfig).
 struct ExtOverpartitionOptions {
-  /// Overpartitioning factor: p·s buckets.
+  /// Overpartitioning factor: p·s buckets, each sampled by
+  /// kOverpartitionOversample candidate pivots.
   u32 s = 4;
-  /// Candidate pivots sampled per bucket.
-  u32 oversample = 8;
 };
 
 struct ExtOverpartitionConfig : BackendConfig, ExtOverpartitionOptions {};
@@ -74,7 +73,7 @@ ExtOverpartitionReport ext_overpartition_sort(
   // what the LPT schedule below consumes; perf enters at assignment time.
   const u64 want = std::min<u64>(
       report.local_records,
-      static_cast<u64>(config.s) * config.oversample);
+      static_cast<u64>(config.s) * kOverpartitionOversample);
   // Selection strategy (flat vs the core/splitter_tree.h tree) comes from
   // BackendConfig::splitter; with s·p buckets the sample volume here grows
   // even faster with p than PSRS Step 2, so the tree pays off sooner.

@@ -175,8 +175,7 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
     if (adapt_weights.empty() && splitter_uses_tree(config.splitter, p)) {
       // Multi-level path (core/splitter_tree.h): densified leaf sample,
       // group-tree digest reduction, flat pivot formulas at the root.
-      const u64 o_total =
-          config.sampling_oversample * config.splitter.tree_oversample;
+      const u64 o_total = config.sampling_oversample * kTreeLeafOversample;
       const u64 off = perf.sample_stride_clamped(n, o_total);
       std::vector<T> samples;
       {
@@ -186,8 +185,8 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
       }
       report.samples_contributed = samples.size();
       pivots = tree_select_pivots<T, Less>(ctx, perf, std::move(samples),
-                                           o_total, config.splitter,
-                                           config.designated_node, less);
+                                           o_total, config.designated_node,
+                                           less);
     } else {
       // Once weights apply, densify the regular sample: the oversample-1
       // sample only offers cut points at the static perf quantiles, which

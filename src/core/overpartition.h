@@ -28,11 +28,13 @@
 
 namespace paladin::core {
 
+/// Candidate pivots drawn per sublist, here and in the external variant
+/// (core/ext_overpartition.h).
+inline constexpr u64 kOverpartitionOversample = 8;
+
 struct OverpartitionConfig {
   /// Overpartitioning factor: p·s sublists are created (Li–Sevcik's s).
   u32 s = 4;
-  /// Oversampling: candidate pivots drawn per sublist.
-  u32 oversample = 8;
 };
 
 struct OverpartitionReport {
@@ -106,7 +108,7 @@ std::vector<std::vector<T>> overpartition_sort(
   std::vector<T> pivots;
   {
     const u64 want = std::min<u64>(
-        local.size(), static_cast<u64>(config.s) * config.oversample);
+        local.size(), static_cast<u64>(config.s) * kOverpartitionOversample);
     std::vector<T> sample;
     sample.reserve(want);
     for (u64 i = 0; i < want; ++i) {

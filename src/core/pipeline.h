@@ -69,6 +69,7 @@
 #include "base/prefetch.h"
 #include "base/types.h"
 #include "core/partition_file.h"
+#include "core/wire_tags.h"
 #include "net/cluster.h"
 #include "net/virtual_clock.h"
 #include "obs/trace.h"
@@ -76,13 +77,6 @@
 #include "seq/loser_tree.h"
 
 namespace paladin::core {
-
-inline constexpr int kTagPipelineData = 50;
-inline constexpr int kTagPipelineAck = 51;
-/// The data pass's uncharged traffic.  A peer's pricing pass may start while
-/// this node's data pass still runs, so the passes share no tag.
-inline constexpr int kTagPipelineHostData = 52;
-inline constexpr int kTagPipelineHostAck = 53;
 
 /// What the fused steps 3–5 produced on this node.
 struct PipelineOutcome {

@@ -58,12 +58,12 @@ std::vector<T> psrs_incore_sort(net::NodeContext& ctx,
   const double t_sample0 = ctx.clock().now();
   std::vector<T> pivots;
   if (splitter_uses_tree(splitter, p)) {
-    const u64 o_total = oversample * splitter.tree_oversample;
+    const u64 o_total = oversample * kTreeLeafOversample;
     const u64 off = perf.sample_stride_clamped(n, o_total);
     std::vector<T> samples =
         draw_regular_sample<T>(std::span<const T>(local), off);
     pivots = tree_select_pivots<T, Less>(ctx, perf, std::move(samples),
-                                         o_total, splitter, 0, less);
+                                         o_total, 0, less);
   } else {
     const u64 off = perf.sample_stride(n, oversample);
     std::vector<T> samples =

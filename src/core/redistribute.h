@@ -43,6 +43,7 @@
 #include "base/contracts.h"
 #include "base/math_util.h"
 #include "base/types.h"
+#include "core/wire_tags.h"
 #include "net/cluster.h"
 #include "pdm/typed_io.h"
 #include "seq/kway_merge.h"
@@ -86,9 +87,6 @@ RedistributeResult redistribute_pieces(
     u64 message_records, u64 window_chunks = kDefaultFlowWindow) {
   PALADIN_EXPECTS(message_records >= 1);
   PALADIN_EXPECTS(window_chunks >= 1);
-  constexpr int kTagHeader = 40;
-  constexpr int kTagData = 41;
-  constexpr int kTagAck = 42;
 
   net::Communicator& comm = ctx.comm();
   pdm::Disk& disk = ctx.disk();
@@ -116,9 +114,9 @@ RedistributeResult redistribute_pieces(
       result.sent_records[dst] += piece.len;
       send_chunks += ceil_div(piece.len, message_records);
     }
-    comm.send_records<u64>(dst, kTagHeader, send_lengths);
+    comm.send_records<u64>(dst, kTagRedistributeHeader, send_lengths);
     const std::vector<u64> recv_lengths =
-        comm.recv_records<u64>(src, kTagHeader);
+        comm.recv_records<u64>(src, kTagRedistributeHeader);
     u64 recv_chunks = 0;
     for (const u64 len : recv_lengths) {
       recv_chunks += ceil_div(len, message_records);
@@ -159,7 +157,7 @@ RedistributeResult redistribute_pieces(
       if (k < send_chunks) {
         if (k >= window_chunks) {
           // Credit: dst has consumed chunk k−W.
-          comm.recv_packet(dst, kTagAck);
+          comm.recv_packet(dst, kTagRedistributeAck);
           if (tr) tr->counters().add("redistribute.acks_consumed", 1);
         }
         while (send_left == 0) {
@@ -178,18 +176,18 @@ RedistributeResult redistribute_pieces(
         chunk.resize(take);
         const u64 read = reader->read_span(std::span<T>(chunk));
         PALADIN_ASSERT(read == take);
-        comm.send_records<T>(dst, kTagData, chunk);
+        comm.send_records<T>(dst, kTagRedistributeData, chunk);
         ++result.messages;
         send_left -= take;
         if (tr) tr->counters().add("redistribute.chunks_sent", 1);
       }
       if (k < recv_chunks) {
         while (recv_left == 0) land_next();
-        std::vector<T> data = comm.recv_records<T>(src, kTagData);
+        std::vector<T> data = comm.recv_records<T>(src, kTagRedistributeData);
         PALADIN_ASSERT(!data.empty() && data.size() <= recv_left);
         writer->push_span(std::span<const T>(data));
         recv_left -= data.size();
-        comm.send_value<u8>(src, kTagAck, 0);
+        comm.send_value<u8>(src, kTagRedistributeAck, 0);
         if (tr) tr->counters().add("redistribute.acks_sent", 1);
       }
     }

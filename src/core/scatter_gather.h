@@ -11,6 +11,7 @@
 
 #include "base/contracts.h"
 #include "base/types.h"
+#include "core/wire_tags.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
 #include "pdm/typed_io.h"
@@ -29,8 +30,6 @@ u64 scatter_shares(net::NodeContext& ctx, const hetero::PerfVector& perf,
   net::Communicator& comm = ctx.comm();
   const u32 p = comm.size();
   const u32 rank = comm.rank();
-  constexpr int kTagHeader = 50;
-  constexpr int kTagData = 51;
 
   if (rank == root) {
     const u64 n = ctx.disk().file_records<T>(source);
@@ -60,7 +59,7 @@ u64 scatter_shares(net::NodeContext& ctx, const hetero::PerfVector& perf,
         my_share = share;
         continue;
       }
-      comm.send_value<u64>(i, kTagHeader, share);
+      comm.send_value<u64>(i, kTagScatterHeader, share);
       u64 sent = 0;
       while (sent < share) {
         chunk.clear();
@@ -69,7 +68,7 @@ u64 scatter_shares(net::NodeContext& ctx, const hetero::PerfVector& perf,
                reader.next(v)) {
           chunk.push_back(v);
         }
-        comm.send_records<T>(i, kTagData, chunk);
+        comm.send_records<T>(i, kTagScatterData, chunk);
         sent += chunk.size();
       }
     }
@@ -77,12 +76,12 @@ u64 scatter_shares(net::NodeContext& ctx, const hetero::PerfVector& perf,
   }
 
   comm.allreduce_sum(u64{0});
-  const u64 share = comm.recv_value<u64>(root, kTagHeader);
+  const u64 share = comm.recv_value<u64>(root, kTagScatterHeader);
   pdm::BlockFile out = ctx.disk().create(dest);
   pdm::BlockWriter<T> writer(out);
   u64 got = 0;
   while (got < share) {
-    std::vector<T> data = comm.recv_records<T>(root, kTagData);
+    std::vector<T> data = comm.recv_records<T>(root, kTagScatterData);
     PALADIN_ASSERT(!data.empty());
     writer.push_span(std::span<const T>(data));
     got += data.size();
@@ -103,14 +102,12 @@ u64 gather_shares(net::NodeContext& ctx, const std::string& source,
   net::Communicator& comm = ctx.comm();
   const u32 p = comm.size();
   const u32 rank = comm.rank();
-  constexpr int kTagHeader = 52;
-  constexpr int kTagData = 53;
 
   const u64 mine = ctx.disk().file_records<T>(source);
   const u64 total = comm.allreduce_sum(mine);
 
   if (rank != root) {
-    comm.send_value<u64>(root, kTagHeader, mine);
+    comm.send_value<u64>(root, kTagGatherHeader, mine);
     pdm::BlockFile f = ctx.disk().open(source);
     pdm::BlockReader<T> reader(f);
     std::vector<T> chunk;
@@ -119,11 +116,11 @@ u64 gather_shares(net::NodeContext& ctx, const std::string& source,
     while (reader.next(v)) {
       chunk.push_back(v);
       if (chunk.size() == message_records) {
-        comm.send_records<T>(root, kTagData, chunk);
+        comm.send_records<T>(root, kTagGatherData, chunk);
         chunk.clear();
       }
     }
-    if (!chunk.empty()) comm.send_records<T>(root, kTagData, chunk);
+    if (!chunk.empty()) comm.send_records<T>(root, kTagGatherData, chunk);
     return total;
   }
 
@@ -137,10 +134,10 @@ u64 gather_shares(net::NodeContext& ctx, const std::string& source,
       while (reader.next(v)) writer.push(v);
       continue;
     }
-    const u64 expected = comm.recv_value<u64>(i, kTagHeader);
+    const u64 expected = comm.recv_value<u64>(i, kTagGatherHeader);
     u64 got = 0;
     while (got < expected) {
-      std::vector<T> data = comm.recv_records<T>(i, kTagData);
+      std::vector<T> data = comm.recv_records<T>(i, kTagGatherData);
       PALADIN_ASSERT(!data.empty());
       writer.push_span(std::span<const T>(data));
       got += data.size();

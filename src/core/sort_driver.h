@@ -82,13 +82,12 @@ inline const char* to_string(ParallelSortAlgorithm a) {
   PALADIN_UNREACHABLE();
 }
 
-/// Driver-level configuration: the shared BackendConfig core plus one
-/// option struct per backend (only the selected backend's options are
-/// read).
+/// Driver-level configuration: the shared BackendConfig core plus the
+/// option struct of each backend that has one (only the selected
+/// backend's options are read).
 struct ParallelSortConfig : BackendConfig {
   ParallelSortAlgorithm algorithm = ParallelSortAlgorithm::kExtPsrs;
   ExtPsrsOptions psrs;
-  ExtDistributionOptions distribution;
   ExtOverpartitionOptions overpartition;
   ExtMultiwayOptions multiway;
 };
@@ -111,11 +110,11 @@ inline u64 minimum_input(const ParallelSortConfig& config,
       }
       return perf.round_up_admissible(2 * p);
     case ParallelSortAlgorithm::kExtOverpartition: {
-      // Node i samples min(l_i, s·oversample) of its l_i = u·perf[i]
-      // records, and p·s − 1 bucket splitters need p·s samples; u = s
-      // always suffices.
+      // Node i samples min(l_i, s·kOverpartitionOversample) of its
+      // l_i = u·perf[i] records, and p·s − 1 bucket splitters need p·s
+      // samples; u = s always suffices.
       const u64 s = config.overpartition.s;
-      const u64 cap = s * config.overpartition.oversample;
+      const u64 cap = s * kOverpartitionOversample;
       for (u64 u = 1; u < s; ++u) {
         u64 samples = 0;
         for (u32 i = 0; i < perf.node_count(); ++i) {
@@ -166,11 +165,11 @@ ParallelSortReport parallel_external_sort(net::NodeContext& ctx,
           config, config.psrs, [&](const ExtPsrsConfig& c) {
             return ext_psrs_sort<T, Less>(ctx, perf, c, less);
           });
-    case ParallelSortAlgorithm::kExtDistribution:
-      return detail::run_backend<ExtDistributionConfig>(
-          config, config.distribution, [&](const ExtDistributionConfig& c) {
-            return ext_distribution_sort<T, Less>(ctx, perf, c, less);
-          });
+    case ParallelSortAlgorithm::kExtDistribution: {
+      ExtDistributionConfig c;
+      static_cast<BackendConfig&>(c) = config;
+      return ext_distribution_sort<T, Less>(ctx, perf, c, less);
+    }
     case ParallelSortAlgorithm::kExtOverpartition:
       return detail::run_backend<ExtOverpartitionConfig>(
           config, config.overpartition, [&](const ExtOverpartitionConfig& c) {

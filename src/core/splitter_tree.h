@@ -25,11 +25,13 @@
 // arithmetic; *Optimal Round and Sample-Size Complexity for Partitioning
 // in Parallel Sorting*, PAPERS.md, gives the general schedule).
 //
-// Degenerate configurations reproduce the flat path *exactly*: with a
-// single group (fanout ≥ p) and re-sampling disabled (budget ≥ total) the
-// root digest is the fully merged sample multiset, and weighted_select
-// with the flat formulas picks bit-identical splitters — the
-// flat≡tree equivalence tests in tests/test_splitter_tree.cpp pin this.
+// The geometry is a function of p alone (fanout ⌈√p⌉ clamped to [2, 32])
+// and the budget of p and Σperf; neither is a setting.  A degenerate
+// gather — one group (fanout ≥ p) and no re-sampling (budget ≥ total) —
+// reproduces the flat path *exactly*: the root digest is the fully merged
+// sample multiset, and weighted_select with the flat formulas picks
+// bit-identical splitters (tests/test_splitter_tree.cpp pins this by
+// calling splitter_tree_gather with those arguments).
 #pragma once
 
 #include <algorithm>
@@ -41,6 +43,7 @@
 #include "base/math_util.h"
 #include "base/types.h"
 #include "core/sampling.h"
+#include "core/wire_tags.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
 #include "obs/trace.h"
@@ -78,26 +81,18 @@ inline const char* to_string(SplitterStrategy s) {
   PALADIN_UNREACHABLE();
 }
 
-/// Knobs of the multi-level selection; lives in BackendConfig so every
-/// backend inherits the same seam.  The defaults are the auto heuristic:
-/// flat below 32 nodes (bit-identical to the paper's path), √p-ary tree
-/// above.
+/// Splitter selection for every backend; lives in BackendConfig.  The
+/// default auto heuristic keeps the paper-scale runs flat (bit-identical
+/// to the paper's path) and uses the √p-ary tree from kTreeThreshold up.
 struct SplitterConfig {
   SplitterStrategy strategy = SplitterStrategy::kAuto;
-  /// Group size per level; 0 = auto (⌈√p⌉ clamped to [2, 32]).
-  u32 fanout = 0;
-  /// Extra leaf-sampling densification on the tree path (multiplies the
-  /// backend's own oversample).  2 halves the leaf quantisation error,
-  /// buying the slack the digest re-sampling spends — see the bound
-  /// arithmetic in docs/ALGORITHM.md.
-  u64 tree_oversample = 2;
-  /// Max digest points a node forwards per level; 0 = auto
-  /// (max(4p, 2·levels·Σperf)).  kNoDigest disables re-sampling entirely
-  /// (every merged point forwarded — the degenerate exact mode).
-  u64 digest_per_node = 0;
-
-  static constexpr u64 kNoDigest = ~u64{0};
 };
+
+/// Extra leaf-sampling densification on the tree path (multiplies the
+/// backend's own oversample).  2 halves the leaf quantisation error,
+/// buying the slack the digest re-sampling spends — see the bound
+/// arithmetic in docs/ALGORITHM.md.
+inline constexpr u64 kTreeLeafOversample = 2;
 
 /// Whether this configuration routes splitter selection through the tree.
 inline bool splitter_uses_tree(const SplitterConfig& cfg, u32 p) {
@@ -110,9 +105,8 @@ inline bool splitter_uses_tree(const SplitterConfig& cfg, u32 p) {
   PALADIN_UNREACHABLE();
 }
 
-/// Resolved group size: explicit, or ⌈√p⌉ clamped to [2, 32].
-inline u32 splitter_fanout(const SplitterConfig& cfg, u32 p) {
-  if (cfg.fanout >= 2) return cfg.fanout;
+/// Group size per level: ⌈√p⌉ clamped to [2, 32].
+inline u32 splitter_fanout(u32 p) {
   u32 g = 1;
   while (static_cast<u64>(g) * g < p) ++g;
   return std::clamp<u32>(g, 2, 32);
@@ -130,10 +124,8 @@ inline u32 splitter_levels(u32 p, u32 fanout) {
   return levels;
 }
 
-/// Resolved per-node digest budget (see SplitterConfig::digest_per_node).
-inline u64 splitter_digest_budget(const SplitterConfig& cfg, u32 p,
-                                  u32 levels, u64 sum_perf) {
-  if (cfg.digest_per_node != 0) return cfg.digest_per_node;
+/// Max digest points a node forwards per level: max(4p, 2·levels·Σperf).
+inline u64 splitter_digest_budget(u32 p, u32 levels, u64 sum_perf) {
   return std::max<u64>(4 * static_cast<u64>(p),
                        2 * static_cast<u64>(levels) * sum_perf);
 }
@@ -156,9 +148,6 @@ struct SplitterTreeStats {
   /// Points this node popped through its level merges (leaders only).
   u64 merged_points = 0;
 };
-
-/// Message tag of the digest sends (54/55 collect, 70–72 multiway taken).
-inline constexpr int kTagSplitterDigest = 80;
 
 /// Merges `runs` (each sorted by value) with a loser tree charged to
 /// `meter` and re-samples the merged stream into at most `digest_budget`
@@ -362,21 +351,20 @@ inline void record_tree_counters(obs::Tracer* tr,
 
 /// Tree-path Step 2 for the PSRS backends: every node passes its regular
 /// sample (drawn with the *clamped* stride at the combined oversample
-/// `oversample` = backend oversample × cfg.tree_oversample); returns the
+/// `oversample` = backend oversample × kTreeLeafOversample); returns the
 /// p−1 perf-weighted pivots on every node.  The pivot targets are the flat
-/// select_pivots ranks (psrs_pivot_targets), so the degenerate tree
-/// configuration reproduces the flat pivots bit-for-bit.
+/// select_pivots ranks (psrs_pivot_targets), so a degenerate gather
+/// reproduces the flat pivots bit-for-bit.
 template <Record T, typename Less = std::less<T>>
 std::vector<T> tree_select_pivots(net::NodeContext& ctx,
                                   const hetero::PerfVector& perf,
                                   std::vector<T> samples, u64 oversample,
-                                  const SplitterConfig& cfg, u32 root,
-                                  Less less = {},
+                                  u32 root, Less less = {},
                                   SplitterTreeStats* stats_out = nullptr) {
   const u32 p = ctx.node_count();
-  const u32 fanout = splitter_fanout(cfg, p);
-  const u64 budget = splitter_digest_budget(
-      cfg, p, splitter_levels(p, fanout), perf.sum());
+  const u32 fanout = splitter_fanout(p);
+  const u64 budget =
+      splitter_digest_budget(p, splitter_levels(p, fanout), perf.sum());
   SplitterTreeStats stats;
   std::vector<WeightedSample<T>> digest = splitter_tree_gather<T, Less>(
       ctx, root, fanout, budget, /*merge_equal=*/false,
@@ -401,20 +389,18 @@ std::vector<T> tree_select_pivots(net::NodeContext& ctx,
 /// sample, reduces it up the tree, and applies the flat quantile-cut
 /// formulas to the root digest.  With `unique_splitters` the reduction
 /// runs in unique-value space (local dedup + merge_equal folds), matching
-/// the flat dedup-then-cut exactly in the degenerate configuration.
+/// the flat dedup-then-cut exactly in a degenerate gather.
 template <Record T, typename Less = std::less<T>>
 std::vector<T> tree_select_sample_splitters(
-    net::NodeContext& ctx, const SplitterConfig& cfg,
-    std::vector<T> local_sample, u64 cuts, const hetero::PerfVector* perf,
-    bool unique_splitters, u32 root, Less less = {},
-    SplitterTreeStats* stats_out = nullptr) {
+    net::NodeContext& ctx, std::vector<T> local_sample, u64 cuts,
+    const hetero::PerfVector* perf, bool unique_splitters, u32 root,
+    Less less = {}, SplitterTreeStats* stats_out = nullptr) {
   const u32 p = ctx.node_count();
-  const u32 fanout = splitter_fanout(cfg, p);
+  const u32 fanout = splitter_fanout(p);
   // Budget in sample units; Σperf only parameterises the perf-weighted
   // path, the uniform one scales with p alone.
   const u64 budget = splitter_digest_budget(
-      cfg, p, splitter_levels(p, fanout),
-      perf != nullptr ? perf->sum() : p);
+      p, splitter_levels(p, fanout), perf != nullptr ? perf->sum() : p);
 
   seq::metered_sort(std::span<T>(local_sample), ctx, less);
   std::vector<WeightedSample<T>> mine;

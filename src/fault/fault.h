@@ -21,17 +21,8 @@
 // are bitwise-reproducible.  An empty plan never reaches a decision
 // function: the hooks test FaultPlan::*_active() first, so the empty-plan
 // code path is byte-for-byte the pre-fault code path.
-//
-// Compile-time kill switch: -DPALADIN_FAULT_ENABLED=0 folds
-// NodeContext::fault() to a constant nullptr and the hooks disappear, like
-// PALADIN_OBS_ENABLED does for tracing.
 #pragma once
 
-#ifndef PALADIN_FAULT_ENABLED
-#define PALADIN_FAULT_ENABLED 1
-#endif
-
-#include <functional>
 #include <string_view>
 
 #include "base/checksum.h"
@@ -40,9 +31,6 @@
 #include "base/types.h"
 
 namespace paladin::fault {
-
-/// Whether the fault hooks are compiled in at all.
-inline constexpr bool kCompiledIn = PALADIN_FAULT_ENABLED != 0;
 
 /// Disk-side fault rates.  Probabilities are per *operation attempt*; a
 /// faulty attempt is retried, and max_consecutive_faults caps how many
@@ -216,22 +204,6 @@ class FaultInjector {
            static_cast<double>(u64{1} << (k < 16 ? k : 16));
   }
 
-  /// Optional per-event sink for retry/retransmit instants, wired to the
-  /// node's tracer when ClusterConfig::trace_fault_events is set.  A
-  /// negative timestamp means "the node clock now" (used by the disk
-  /// hooks, which only see the clock through the cost sink); net hooks
-  /// pass the charged stream clock explicitly.  Event values/timestamps
-  /// are deterministic; inside the dual-clock pipeline the *recording
-  /// order* of send- vs merge-stream events may vary between runs, which
-  /// is why this is opt-in (docs/ROBUSTNESS.md).
-  void set_event_recorder(
-      std::function<void(std::string_view, double)> recorder) {
-    recorder_ = std::move(recorder);
-  }
-  void note_event(std::string_view name, double t) const {
-    if (recorder_) recorder_(name, t);
-  }
-
  private:
   /// Uniform fraction in [0, 1) from a decision-point identity.
   double fraction(Op op, u64 a, u64 b, u64 attempt) const {
@@ -263,7 +235,6 @@ class FaultInjector {
   FaultPlan plan_;
   u32 rank_;
   FaultCounters counters_;
-  std::function<void(std::string_view, double)> recorder_;
 };
 
 }  // namespace paladin::fault

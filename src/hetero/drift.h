@@ -16,18 +16,10 @@
 // cost funnel keeps its original, value-captured divisor — so the
 // empty-plan code path is byte-for-byte the pre-drift code path.
 //
-// Compile-time kill switch: -DPALADIN_DRIFT_ENABLED=0 folds
-// NodeContext::drift() to a constant nullptr and the hooks disappear, like
-// PALADIN_FAULT_ENABLED does for fault injection.
-//
 // AdaptiveConfig lives here too: it is the sort-side response to drift
 // (re-estimate effective speeds from an observed probe span, re-split the
 // partition targets between steps 3–5), consumed by core/backend.h.
 #pragma once
-
-#ifndef PALADIN_DRIFT_ENABLED
-#define PALADIN_DRIFT_ENABLED 1
-#endif
 
 #include <algorithm>
 #include <charconv>
@@ -44,9 +36,6 @@
 #include "base/types.h"
 
 namespace paladin::hetero {
-
-/// Whether the drift hooks are compiled in at all.
-inline constexpr bool kDriftCompiledIn = PALADIN_DRIFT_ENABLED != 0;
 
 /// The random half of a plan: each node draws, per *regime* (a block of
 /// `regime_epochs` consecutive epochs), whether it runs degraded.  A

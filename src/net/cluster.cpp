@@ -37,23 +37,17 @@ NodeContext::NodeContext(const ClusterConfig& config, Fabric& fabric, u32 rank,
 }
 
 void NodeContext::init_node(const ClusterConfig& config, u32 rank) {
-  if (hetero::kDriftCompiledIn && config.drift_plan.active()) {
+  if (config.drift_plan.active()) {
     drift_ = std::make_unique<hetero::DriftOracle>(config.drift_plan, rank);
   }
   install_disk_cost_sink();
-  if (obs::kCompiledIn && config.observe) {
+  if (config.observe) {
     tracer_ = std::make_unique<obs::Tracer>(this);
   }
-  if (fault::kCompiledIn && config.fault_plan.active()) {
+  if (config.fault_plan.active()) {
     fault_ = std::make_unique<fault::FaultInjector>(config.fault_plan, rank);
     disk_.set_fault_injector(fault_.get());
     comm_.set_fault_injector(fault_.get());
-    if (tracer_ != nullptr && config.trace_fault_events) {
-      obs::Tracer* tr = tracer_.get();
-      fault_->set_event_recorder([this, tr](std::string_view name, double t) {
-        tr->instant_at(std::string(name), "fault", t < 0.0 ? clock_.now() : t);
-      });
-    }
   }
 }
 

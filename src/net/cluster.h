@@ -37,9 +37,6 @@ struct ClusterConfig {
   NetworkModel network = NetworkModel::fast_ethernet();
   pdm::DiskParams disk = pdm::DiskParams::scsi_2002();
   CostModel cost = CostModel::alpha_2002();
-  /// Collective algorithm family (linear = 2002 default; binomial trees
-  /// cut the latency terms to O(log p)).
-  CollectiveAlgo collectives = CollectiveAlgo::kLinear;
 
   /// When empty (every bench's default), nodes get in-memory disks.  When
   /// set, node i's disk lives in workdir/"node<i>" as real files.
@@ -68,13 +65,6 @@ struct ClusterConfig {
   /// funnel keeps its original value-captured divisor, so makespans,
   /// digests, IoStats and traces are bit-identical to a pre-drift build.
   hetero::DriftPlan drift_plan;
-
-  /// With observe, also record per-event fault instants (retries,
-  /// retransmissions) into the trace.  Off by default: inside the fused
-  /// pipeline the *recording order* of send- vs merge-stream events
-  /// depends on thread scheduling even though their timestamps do not, so
-  /// golden-trace comparisons must keep this off.
-  bool trace_fault_events = false;
 
   u32 node_count() const { return static_cast<u32>(perf.size()); }
 
@@ -124,26 +114,15 @@ class NodeContext final : public Meter, public obs::TimeSource {
   /// obs::TimeSource: the node clock, in virtual seconds.
   double now() const override { return clock_.now(); }
 
-  /// The node's tracer, or nullptr when ClusterConfig::observe is off (or
-  /// observability is compiled out) — all obs helpers no-op on nullptr.
-  obs::Tracer* obs() {
-    if constexpr (obs::kCompiledIn) return tracer_.get();
-    return nullptr;
-  }
+  /// The node's tracer, or nullptr when ClusterConfig::observe is off —
+  /// all obs helpers no-op on nullptr.
+  obs::Tracer* obs() { return tracer_.get(); }
 
-  /// The node's fault injector, or nullptr when the plan is empty (or the
-  /// fault layer is compiled out with -DPALADIN_FAULT_ENABLED=0).
-  fault::FaultInjector* fault() {
-    if constexpr (fault::kCompiledIn) return fault_.get();
-    return nullptr;
-  }
+  /// The node's fault injector, or nullptr when the plan is empty.
+  fault::FaultInjector* fault() { return fault_.get(); }
 
-  /// The node's drift oracle, or nullptr when the drift plan is empty (or
-  /// the drift layer is compiled out with -DPALADIN_DRIFT_ENABLED=0).
-  const hetero::DriftOracle* drift() const {
-    if constexpr (hetero::kDriftCompiledIn) return drift_.get();
-    return nullptr;
-  }
+  /// The node's drift oracle, or nullptr when the drift plan is empty.
+  const hetero::DriftOracle* drift() const { return drift_.get(); }
 
   /// Effective speed at virtual time `t`: the static perf factor divided
   /// by the drift slowdown in force at `t`.  Without an active drift plan
@@ -236,7 +215,7 @@ class Cluster {
                   "node body must return a value; return a placeholder int "
                   "if there is nothing to report");
     const u32 p = config_.node_count();
-    Fabric fabric(p, config_.network, config_.collectives);
+    Fabric fabric(p, config_.network);
 
     // A raw array, not std::vector<R>: node threads write their own slot
     // concurrently, and vector<bool> packs elements into shared words —

@@ -28,9 +28,7 @@ u64 frame_seq(const Packet& p) {
 
 void Communicator::set_fault_injector(fault::FaultInjector* injector) {
   fault_ = injector;
-  if constexpr (fault::kCompiledIn) {
-    net_faults_ = fault_ != nullptr && fault_->plan().net_active();
-  }
+  net_faults_ = fault_ != nullptr && fault_->plan().net_active();
 }
 
 void Communicator::send_bytes(u32 dst, int tag, std::span<const u8> bytes) {
@@ -70,55 +68,52 @@ void Communicator::deliver_payload(VirtualClock& clk, u32 dst, int tag,
   const NetworkModel& net = fabric_->model();
   const double wire =
       static_cast<double>(p.payload.size()) / net.bandwidth_bytes_per_second;
-  if constexpr (fault::kCompiledIn) {
-    if (net_faults_) {
-      const auto& spec = fault_->plan().net;
-      fault::FaultCounters& c = fault_->counters();
-      const u64 seq = send_seq_[stream_key(dst_g, wire_tag)]++;
-      // Drops are sensed at the sender (the simulation stands in for the
-      // ack timeout): each lost copy costs the timeout wait plus a full
-      // retransmission before the surviving copy goes out below.
-      const u32 drops = fault_->frame_drops(dst_g, wire_tag, seq);
-      for (u32 k = 0; k < drops; ++k) {
-        ++c.net_frames_dropped;
-        ++c.net_retransmits;
-        clk.advance(spec.retransmit_timeout_seconds +
-                    net.per_message_overhead_seconds + wire);
-        fault_->note_event("fault.net.retransmit", clk.now());
-      }
-      double delay = 0.0;
-      if (fault_->frame_delayed(dst_g, wire_tag, seq)) {
-        ++c.net_frames_delayed;
-        delay = spec.delay_seconds;
-      }
-      // Duplicates model a spurious retransmission: only on non-empty
-      // logical payloads, because empty frames (pipelined EOS markers and
-      // tail acks) may legitimately never be consumed, and an unconsumed
-      // duplicate would never meet its discarding receiver.
-      const bool dup = !p.payload.empty() &&
-                       fault_->frame_duplicated(dst_g, wire_tag, seq);
-      frame_payload(p.payload, seq);
+  if (net_faults_) {
+    const auto& spec = fault_->plan().net;
+    fault::FaultCounters& c = fault_->counters();
+    const u64 seq = send_seq_[stream_key(dst_g, wire_tag)]++;
+    // Drops are sensed at the sender (the simulation stands in for the
+    // ack timeout): each lost copy costs the timeout wait plus a full
+    // retransmission before the surviving copy goes out below.
+    const u32 drops = fault_->frame_drops(dst_g, wire_tag, seq);
+    for (u32 k = 0; k < drops; ++k) {
+      ++c.net_frames_dropped;
+      ++c.net_retransmits;
+      clk.advance(spec.retransmit_timeout_seconds +
+                  net.per_message_overhead_seconds + wire);
+    }
+    double delay = 0.0;
+    if (fault_->frame_delayed(dst_g, wire_tag, seq)) {
+      ++c.net_frames_delayed;
+      delay = spec.delay_seconds;
+    }
+    // Duplicates model a spurious retransmission: only on non-empty
+    // logical payloads, because empty frames (pipelined EOS markers and
+    // tail acks) may legitimately never be consumed, and an unconsumed
+    // duplicate would never meet its discarding receiver.
+    const bool dup = !p.payload.empty() &&
+                     fault_->frame_duplicated(dst_g, wire_tag, seq);
+    frame_payload(p.payload, seq);
+    clk.advance(net.per_message_overhead_seconds + wire);
+    p.arrival_time = clk.now() + net.latency_seconds + delay;
+    if (dup) {
+      ++c.net_frames_duplicated;
+      Packet copy;
+      copy.source = p.source;
+      copy.tag = p.tag;
+      copy.payload = p.payload;
+      // The spurious resend occupies the wire like the original and
+      // lands right behind it (same stream, FIFO mailbox).  Both copies
+      // are enqueued in one critical section so the receiver cannot
+      // consume the original and finish before the duplicate exists.
       clk.advance(net.per_message_overhead_seconds + wire);
-      p.arrival_time = clk.now() + net.latency_seconds + delay;
-      if (dup) {
-        ++c.net_frames_duplicated;
-        Packet copy;
-        copy.source = p.source;
-        copy.tag = p.tag;
-        copy.payload = p.payload;
-        // The spurious resend occupies the wire like the original and
-        // lands right behind it (same stream, FIFO mailbox).  Both copies
-        // are enqueued in one critical section so the receiver cannot
-        // consume the original and finish before the duplicate exists.
-        clk.advance(net.per_message_overhead_seconds + wire);
-        copy.arrival_time = clk.now() + net.latency_seconds + delay;
-        fabric_->mailbox(dst_g).deliver_with_duplicate(std::move(p),
-                                                       std::move(copy));
-        return;
-      }
-      fabric_->mailbox(dst_g).deliver(std::move(p));
+      copy.arrival_time = clk.now() + net.latency_seconds + delay;
+      fabric_->mailbox(dst_g).deliver_with_duplicate(std::move(p),
+                                                     std::move(copy));
       return;
     }
+    fabric_->mailbox(dst_g).deliver(std::move(p));
+    return;
   }
   // Sender pays the per-message software overhead plus the wire
   // occupancy; the packet lands one latency after it left.
@@ -186,7 +181,6 @@ bool Communicator::unframe_accept(Packet& p) {
 }
 
 u64 Communicator::drain_discard_dups() {
-  if constexpr (!fault::kCompiledIn) return 0;
   if (!net_faults_) return 0;
   u64 discarded = 0;
   // Anything still queued is either an unconsumed original (a tail ack or
@@ -223,9 +217,7 @@ Packet Communicator::recv_packet_on(VirtualClock& clk, u32 src, int tag) {
     Packet p = fabric_->mailbox(to_global(rank_))
                    .receive(static_cast<int>(to_global(src)),
                             to_wire_tag(tag));
-    if constexpr (fault::kCompiledIn) {
-      if (net_faults_ && !unframe_accept(p)) continue;
-    }
+    if (net_faults_ && !unframe_accept(p)) continue;
     charge_receive(clk, p);
     localize_packet(p);
     return p;
@@ -240,9 +232,7 @@ std::optional<Packet> Communicator::try_recv_packet_on(VirtualClock& clk,
         fabric_->mailbox(to_global(rank_))
             .try_receive(static_cast<int>(to_global(src)), to_wire_tag(tag));
     if (!p.has_value()) return std::nullopt;
-    if constexpr (fault::kCompiledIn) {
-      if (net_faults_ && !unframe_accept(*p)) continue;
-    }
+    if (net_faults_ && !unframe_accept(*p)) continue;
     charge_receive(clk, *p);
     localize_packet(*p);
     return p;
@@ -250,99 +240,45 @@ std::optional<Packet> Communicator::try_recv_packet_on(VirtualClock& clk,
 }
 
 void Communicator::barrier() {
-  if (fabric_->collectives() == CollectiveAlgo::kBinomial) {
-    allreduce_binomial<u8>(0, [](u8 a, u8 b) { return a | b; });
-    return;
-  }
-  // Linear: everyone reports to rank 0 (rank 0's clock becomes the max),
-  // then rank 0 releases everyone; the release carries the max time.
+  // Everyone reports to rank 0 (rank 0's clock becomes the max), then
+  // rank 0 releases everyone; the release carries the max time.
   constexpr u32 root = 0;
   const u8 token = 0;
   if (rank_ == root) {
     for (u32 i = 1; i < size(); ++i) {
-      recv_internal(i, kTagBarrier);
+      recv_packet(i, kTagBarrier);
     }
     for (u32 i = 1; i < size(); ++i) {
       send_internal(i, kTagBarrier, std::span<const u8>(&token, 1));
     }
   } else {
     send_internal(root, kTagBarrier, std::span<const u8>(&token, 1));
-    recv_internal(root, kTagBarrier);
+    recv_packet(root, kTagBarrier);
   }
 }
 
-Packet Communicator::recv_internal(u32 src, int tag) {
-  for (;;) {
-    Packet p = fabric_->mailbox(to_global(rank_))
-                   .receive(static_cast<int>(to_global(src)),
-                            to_wire_tag(tag));
-    if constexpr (fault::kCompiledIn) {
-      if (net_faults_ && !unframe_accept(p)) continue;
+template <Record V, typename Op>
+V Communicator::allreduce(V value, Op op) {
+  constexpr u32 root = 0;
+  if (rank_ == root) {
+    for (u32 i = 1; i < size(); ++i) {
+      value = op(value, value_of<V>(recv_packet(i, kTagReduce)));
     }
-    charge_receive(*clock_, p);
-    localize_packet(p);
-    return p;
+    for (u32 i = 1; i < size(); ++i) {
+      send_internal(i, kTagReduce, bytes_of<V>({&value, 1}));
+    }
+    return value;
   }
+  send_internal(root, kTagReduce, bytes_of<V>({&value, 1}));
+  return value_of<V>(recv_packet(root, kTagReduce));
 }
 
 double Communicator::allreduce_max(double value) {
-  if (fabric_->collectives() == CollectiveAlgo::kBinomial) {
-    return allreduce_binomial<double>(
-        value, [](double a, double b) { return std::max(a, b); });
-  }
-  constexpr u32 root = 0;
-  if (rank_ == root) {
-    for (u32 i = 1; i < size(); ++i) {
-      Packet p = recv_internal(i, kTagReduce);
-      double v;
-      PALADIN_ASSERT(p.payload.size() == sizeof(double));
-      std::memcpy(&v, p.payload.data(), sizeof(double));
-      value = std::max(value, v);
-    }
-    for (u32 i = 1; i < size(); ++i) {
-      send_internal(i, kTagReduce,
-                    std::span<const u8>(reinterpret_cast<const u8*>(&value),
-                                        sizeof(double)));
-    }
-    return value;
-  }
-  send_internal(root, kTagReduce,
-                std::span<const u8>(reinterpret_cast<const u8*>(&value),
-                                    sizeof(double)));
-  Packet p = recv_internal(root, kTagReduce);
-  double out;
-  std::memcpy(&out, p.payload.data(), sizeof(double));
-  return out;
+  return allreduce(value, [](double a, double b) { return std::max(a, b); });
 }
 
 u64 Communicator::allreduce_sum(u64 value) {
-  if (fabric_->collectives() == CollectiveAlgo::kBinomial) {
-    return allreduce_binomial<u64>(value,
-                                   [](u64 a, u64 b) { return a + b; });
-  }
-  constexpr u32 root = 0;
-  if (rank_ == root) {
-    for (u32 i = 1; i < size(); ++i) {
-      Packet p = recv_internal(i, kTagReduce);
-      u64 v;
-      PALADIN_ASSERT(p.payload.size() == sizeof(u64));
-      std::memcpy(&v, p.payload.data(), sizeof(u64));
-      value += v;
-    }
-    for (u32 i = 1; i < size(); ++i) {
-      send_internal(i, kTagReduce,
-                    std::span<const u8>(reinterpret_cast<const u8*>(&value),
-                                        sizeof(u64)));
-    }
-    return value;
-  }
-  send_internal(root, kTagReduce,
-                std::span<const u8>(reinterpret_cast<const u8*>(&value),
-                                    sizeof(u64)));
-  Packet p = recv_internal(root, kTagReduce);
-  u64 out;
-  std::memcpy(&out, p.payload.data(), sizeof(u64));
-  return out;
+  return allreduce(value, [](u64 a, u64 b) { return a + b; });
 }
 
 }  // namespace paladin::net

@@ -32,20 +32,10 @@ class FaultInjector;
 
 namespace paladin::net {
 
-/// Algorithm family for the collectives.  Linear is the 2002-MPI-naive
-/// default; binomial trees cut the latency terms from O(p) to O(log p),
-/// which bench_scalability quantifies at p = 16.
-enum class CollectiveAlgo : u8 {
-  kLinear,
-  kBinomial,
-};
-
 /// Shared transport state: one mailbox per node plus the link model.
 class Fabric {
  public:
-  Fabric(u32 node_count, NetworkModel model,
-         CollectiveAlgo collectives = CollectiveAlgo::kLinear)
-      : model_(model), collectives_(collectives) {
+  Fabric(u32 node_count, NetworkModel model) : model_(model) {
     PALADIN_EXPECTS(node_count > 0);
     boxes_.reserve(node_count);
     for (u32 i = 0; i < node_count; ++i) {
@@ -55,7 +45,6 @@ class Fabric {
 
   u32 size() const { return static_cast<u32>(boxes_.size()); }
   const NetworkModel& model() const { return model_; }
-  CollectiveAlgo collectives() const { return collectives_; }
   Mailbox& mailbox(u32 rank) { return *boxes_.at(rank); }
   BufferPool& pool() { return pool_; }
 
@@ -68,7 +57,6 @@ class Fabric {
  private:
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   NetworkModel model_;
-  CollectiveAlgo collectives_;
   BufferPool pool_;
 };
 
@@ -219,40 +207,25 @@ class Communicator {
 
   template <Record T>
   void send_value(u32 dst, int tag, const T& value) {
-    send_bytes(dst, tag,
-               std::span<const u8>(reinterpret_cast<const u8*>(&value),
-                                   sizeof(T)));
+    send_bytes(dst, tag, bytes_of<T>({&value, 1}));
   }
 
   template <Record T>
   T recv_value(u32 src, int tag) {
-    Packet p = recv_packet(src, tag);
-    PALADIN_ASSERT(p.payload.size() == sizeof(T));
-    T out;
-    std::memcpy(&out, p.payload.data(), sizeof(T));
-    return out;
+    return value_of<T>(recv_packet(src, tag));
   }
 
   template <Record T>
   void send_records(u32 dst, int tag, std::span<const T> records) {
-    send_bytes(dst, tag,
-               std::span<const u8>(reinterpret_cast<const u8*>(records.data()),
-                                   records.size_bytes()));
+    send_bytes(dst, tag, bytes_of(records));
   }
 
   template <Record T>
   std::vector<T> recv_records(u32 src, int tag) {
-    Packet p = recv_packet(src, tag);
-    PALADIN_ASSERT(p.payload.size() % sizeof(T) == 0);
-    std::vector<T> out(p.payload.size() / sizeof(T));
-    // An empty payload's data() may be null, and memcpy from null is UB.
-    if (!out.empty()) {
-      std::memcpy(out.data(), p.payload.data(), p.payload.size());
-    }
-    return out;
+    return records_of<T>(recv_packet(src, tag));
   }
 
-  // -- Collectives (linear algorithms; cluster sizes here are small). ----
+  // -- Collectives (linear algorithms rooted at one node). ---------------
 
   /// All nodes wait; on return every clock equals the max participant
   /// clock plus the synchronisation cost.
@@ -261,34 +234,21 @@ class Communicator {
   /// Root's value is returned on every node.
   template <Record T>
   T bcast_value(T value, u32 root) {
-    if (fabric_->collectives() == CollectiveAlgo::kBinomial) {
-      std::vector<T> one;
-      if (rank_ == root) one.push_back(value);
-      one = bcast_records_binomial<T>(std::move(one), root);
-      return one.at(0);
-    }
-    if (rank_ == root) {
-      for (u32 i = 0; i < size(); ++i) {
-        if (i != root) send_value_internal<T>(i, kTagBcast, value);
-      }
-      return value;
-    }
-    return recv_value_internal<T>(root, kTagBcast);
+    return bcast_records<T>({value}, root).at(0);
   }
 
   /// Root's records are returned on every node.
   template <Record T>
   std::vector<T> bcast_records(std::vector<T> records, u32 root) {
-    if (fabric_->collectives() == CollectiveAlgo::kBinomial) {
-      return bcast_records_binomial<T>(std::move(records), root);
-    }
     if (rank_ == root) {
       for (u32 i = 0; i < size(); ++i) {
-        if (i != root) send_records_internal<T>(i, kTagBcast, records);
+        if (i != root) {
+          send_internal(i, kTagBcast, bytes_of(std::span<const T>(records)));
+        }
       }
       return records;
     }
-    return recv_records_internal<T>(root, kTagBcast);
+    return records_of<T>(recv_packet(root, kTagBcast));
   }
 
   /// Concatenates every node's records at the root, in rank order.  Returns
@@ -296,7 +256,7 @@ class Communicator {
   template <Record T>
   std::vector<T> gather_records(std::span<const T> mine, u32 root) {
     if (rank_ != root) {
-      send_records_internal<T>(root, kTagGather, mine);
+      send_internal(root, kTagGather, bytes_of(mine));
       return {};
     }
     std::vector<T> all;
@@ -304,7 +264,7 @@ class Communicator {
       if (i == root) {
         all.insert(all.end(), mine.begin(), mine.end());
       } else {
-        std::vector<T> part = recv_records_internal<T>(i, kTagGather);
+        std::vector<T> part = records_of<T>(recv_packet(i, kTagGather));
         all.insert(all.end(), part.begin(), part.end());
       }
     }
@@ -318,12 +278,17 @@ class Communicator {
       std::vector<std::vector<T>> outgoing) {
     PALADIN_EXPECTS(outgoing.size() == size());
     for (u32 i = 0; i < size(); ++i) {
-      if (i != rank_) send_records_internal<T>(i, kTagAllToAll, outgoing[i]);
+      if (i != rank_) {
+        send_internal(i, kTagAllToAll,
+                      bytes_of(std::span<const T>(outgoing[i])));
+      }
     }
     std::vector<std::vector<T>> incoming(size());
     incoming[rank_] = std::move(outgoing[rank_]);
     for (u32 i = 0; i < size(); ++i) {
-      if (i != rank_) incoming[i] = recv_records_internal<T>(i, kTagAllToAll);
+      if (i != rank_) {
+        incoming[i] = records_of<T>(recv_packet(i, kTagAllToAll));
+      }
     }
     return incoming;
   }
@@ -382,9 +347,40 @@ class Communicator {
     p.tag = to_logical_tag(p.tag);
   }
 
-  // Internal point-to-point used by collectives (reserved negative tags).
+  /// send_bytes without the user-tag check: the collectives send on the
+  /// reserved negative tags.  (Receives need no twin: recv_packet accepts
+  /// any tag.)
   void send_internal(u32 dst, int tag, std::span<const u8> bytes);
-  Packet recv_internal(u32 src, int tag);
+
+  /// Linear allreduce through rank 0: everyone reports, rank 0 folds in
+  /// rank order with `op`, then sends the result back to everyone.
+  template <Record V, typename Op>
+  V allreduce(V value, Op op);
+
+  template <Record T>
+  static std::span<const u8> bytes_of(std::span<const T> records) {
+    return {reinterpret_cast<const u8*>(records.data()),
+            records.size_bytes()};
+  }
+
+  template <Record T>
+  static T value_of(const Packet& p) {
+    PALADIN_ASSERT(p.payload.size() == sizeof(T));
+    T out;
+    std::memcpy(&out, p.payload.data(), sizeof(T));
+    return out;
+  }
+
+  template <Record T>
+  static std::vector<T> records_of(const Packet& p) {
+    PALADIN_ASSERT(p.payload.size() % sizeof(T) == 0);
+    std::vector<T> out(p.payload.size() / sizeof(T));
+    // An empty payload's data() may be null, and memcpy from null is UB.
+    if (!out.empty()) {
+      std::memcpy(out.data(), p.payload.data(), p.payload.size());
+    }
+    return out;
+  }
 
   /// Core send: stamps and delivers an already-materialised payload,
   /// charging the given clock.  All send paths funnel through here so the
@@ -402,94 +398,6 @@ class Communicator {
   /// true for a logical message, or counts-and-returns false for a
   /// duplicate frame (payload left as-is, caller discards the packet).
   bool unframe_accept(Packet& p);
-
-  template <Record T>
-  void send_value_internal(u32 dst, int tag, const T& value) {
-    send_internal(dst, tag,
-                  std::span<const u8>(reinterpret_cast<const u8*>(&value),
-                                      sizeof(T)));
-  }
-
-  template <Record T>
-  T recv_value_internal(u32 src, int tag) {
-    Packet p = recv_internal(src, tag);
-    PALADIN_ASSERT(p.payload.size() == sizeof(T));
-    T out;
-    std::memcpy(&out, p.payload.data(), sizeof(T));
-    return out;
-  }
-
-  template <Record T>
-  void send_records_internal(u32 dst, int tag, std::span<const T> records) {
-    send_internal(dst, tag,
-                  std::span<const u8>(
-                      reinterpret_cast<const u8*>(records.data()),
-                      records.size_bytes()));
-  }
-
-  template <Record T>
-  std::vector<T> recv_records_internal(u32 src, int tag) {
-    Packet p = recv_internal(src, tag);
-    PALADIN_ASSERT(p.payload.size() % sizeof(T) == 0);
-    std::vector<T> out(p.payload.size() / sizeof(T));
-    // An empty payload's data() may be null, and memcpy from null is UB.
-    if (!out.empty()) {
-      std::memcpy(out.data(), p.payload.data(), p.payload.size());
-    }
-    return out;
-  }
-
-  /// Binomial-tree broadcast: ⌈log2 p⌉ latency steps instead of p−1.
-  template <Record T>
-  std::vector<T> bcast_records_binomial(std::vector<T> records, u32 root) {
-    const u32 p = size();
-    const u32 vrank = (rank_ + p - root) % p;
-    u32 mask = 1;
-    while (mask < p) {
-      if (vrank & mask) {
-        const u32 src = ((vrank - mask) + root) % p;
-        records = recv_records_internal<T>(src, kTagBcast);
-        break;
-      }
-      mask <<= 1;
-    }
-    // After the loop, mask sits below vrank's lowest set bit (or spans
-    // the whole tree for the root): forward down the tree.
-    mask >>= 1;
-    while (mask > 0) {
-      if (vrank + mask < p) {
-        const u32 dst = ((vrank + mask) + root) % p;
-        send_records_internal<T>(dst, kTagBcast, records);
-      }
-      mask >>= 1;
-    }
-    return records;
-  }
-
-  /// Binomial-tree allreduce rooted at 0: reduce up, broadcast down —
-  /// 2·⌈log2 p⌉ latency steps.
-  template <Record V, typename Op>
-  V allreduce_binomial(V value, Op op) {
-    const u32 p = size();
-    const u32 vrank = rank_;
-    u32 mask = 1;
-    while (mask < p) {
-      if (vrank & mask) {
-        send_value_internal<V>(vrank ^ mask, kTagReduce, value);
-        break;
-      }
-      if (vrank + mask < p) {
-        const V other = recv_value_internal<V>(vrank + mask, kTagReduce);
-        // Integer promotion makes op() return int for sub-int V types.
-        value = static_cast<V>(op(value, other));
-      }
-      mask <<= 1;
-    }
-    std::vector<V> one;
-    if (rank_ == 0) one.push_back(value);
-    one = bcast_records_binomial<V>(std::move(one), 0);
-    return one.at(0);
-  }
 
   Fabric* fabric_;
   u32 rank_;

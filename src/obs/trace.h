@@ -15,14 +15,7 @@
 //
 // Disabling: all call sites hold a `Tracer*` that is null unless
 // ClusterConfig::observe is set, and every helper here is a no-op on null.
-// Compiling with -DPALADIN_OBS_ENABLED=0 turns NodeContext::obs() into a
-// constant nullptr, so the branches fold away entirely — the promised
-// compile-time no-op sink.
 #pragma once
-
-#ifndef PALADIN_OBS_ENABLED
-#define PALADIN_OBS_ENABLED 1
-#endif
 
 #include <string>
 #include <utility>
@@ -33,9 +26,6 @@
 #include "obs/counter_registry.h"
 
 namespace paladin::obs {
-
-/// Whether observability calls are compiled in at all.
-inline constexpr bool kCompiledIn = PALADIN_OBS_ENABLED != 0;
 
 /// Reads "now" in virtual seconds; NodeContext adapts its VirtualClock.
 class TimeSource {

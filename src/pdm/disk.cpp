@@ -7,10 +7,8 @@ namespace paladin::pdm {
 
 u64 BlockFile::read_at(u64 offset, std::span<u8> out) {
   PALADIN_EXPECTS(valid());
-  if constexpr (fault::kCompiledIn) {
-    if (disk_->disk_faults_active()) {
-      return disk_->faulted_read(*handle_, name_hash_, offset, out);
-    }
+  if (disk_->disk_faults_active()) {
+    return disk_->faulted_read(*handle_, name_hash_, offset, out);
   }
   const u64 n = handle_->read_at(offset, out);
   if (n > 0) {
@@ -23,11 +21,9 @@ u64 BlockFile::read_at(u64 offset, std::span<u8> out) {
 void BlockFile::write_at(u64 offset, std::span<const u8> data) {
   PALADIN_EXPECTS(valid());
   if (data.empty()) return;
-  if constexpr (fault::kCompiledIn) {
-    if (disk_->disk_faults_active()) {
-      disk_->faulted_write(*handle_, name_hash_, offset, data);
-      return;
-    }
+  if (disk_->disk_faults_active()) {
+    disk_->faulted_write(*handle_, name_hash_, offset, data);
+    return;
   }
   handle_->write_at(offset, data);
   disk_->account(ceil_div(data.size(), disk_->params().block_bytes),
@@ -48,7 +44,6 @@ Disk::Disk(std::unique_ptr<FileBackend> backend, DiskParams params)
 }
 
 bool Disk::disk_faults_active() const {
-  if constexpr (!fault::kCompiledIn) return false;
   return fault_ != nullptr && fault_->plan().disk_active();
 }
 
@@ -62,7 +57,6 @@ u64 Disk::faulted_read(FileHandle& handle, u64 name_hash, u64 offset,
     ++c.disk_read_faults;
     ++c.disk_read_retries;
     charge_fault(fault_->backoff_seconds(k));
-    fault_->note_event("fault.disk.read_retry", -1.0);
   }
   const u64 n = handle.read_at(offset, out);
   // Read-path corruption, detectable only on blocks with a shadow
@@ -87,7 +81,6 @@ u64 Disk::faulted_read(FileHandle& handle, u64 name_hash, u64 offset,
             handle.read_at(offset, out.subspan(0, block_bytes));
             ++c.disk_rereads;
             charge_fault(params_.block_cost_seconds());
-            fault_->note_event("fault.disk.reread", -1.0);
           }
           ++attempt;
         }
@@ -109,7 +102,6 @@ void Disk::faulted_write(FileHandle& handle, u64 name_hash, u64 offset,
     ++c.disk_write_faults;
     ++c.disk_write_retries;
     charge_fault(fault_->backoff_seconds(k));
-    fault_->note_event("fault.disk.write_retry", -1.0);
   }
   handle.write_at(offset, data);
   note_write_fingerprints(name_hash, offset, data);
@@ -139,12 +131,10 @@ void Disk::note_write_fingerprints(u64 name_hash, u64 offset,
 BlockFile Disk::create(const std::string& name) {
   auto handle = backend_->create(name);
   ++stats_.files_created;
-  if constexpr (fault::kCompiledIn) {
-    // create() truncates: any fingerprints of the old content are stale.
-    if (!fingerprints_.empty()) {
-      fingerprints_.erase(hash_bytes_fnv1a(
-          reinterpret_cast<const u8*>(name.data()), name.size()));
-    }
+  // create() truncates: any fingerprints of the old content are stale.
+  if (!fingerprints_.empty()) {
+    fingerprints_.erase(hash_bytes_fnv1a(
+        reinterpret_cast<const u8*>(name.data()), name.size()));
   }
   return BlockFile(this, name, std::move(handle));
 }
@@ -156,11 +146,9 @@ BlockFile Disk::open(const std::string& name) {
 void Disk::remove(const std::string& name) {
   backend_->remove(name);
   ++stats_.files_removed;
-  if constexpr (fault::kCompiledIn) {
-    if (!fingerprints_.empty()) {
-      fingerprints_.erase(hash_bytes_fnv1a(
-          reinterpret_cast<const u8*>(name.data()), name.size()));
-    }
+  if (!fingerprints_.empty()) {
+    fingerprints_.erase(hash_bytes_fnv1a(
+        reinterpret_cast<const u8*>(name.data()), name.size()));
   }
 }
 

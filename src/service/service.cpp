@@ -413,7 +413,6 @@ net::ClusterConfig job_cluster_config(const ServiceConfig& svc,
   cfg.network = svc.cluster.network;
   cfg.disk = svc.cluster.disk;
   cfg.cost = svc.cluster.cost;
-  cfg.collectives = svc.cluster.collectives;
   if (!svc.cluster.workdir.empty()) {
     cfg.workdir = svc.cluster.workdir / ("job" + std::to_string(job.id));
   }
@@ -553,7 +552,7 @@ ServiceReport SortService::run(std::vector<JobSpec> jobs) {
   // One Fabric for the whole run: every job's traffic flows through the
   // same per-node mailboxes and the same BufferPool, separated only by
   // the per-dispatch wire-tag namespaces — the shared-cluster premise.
-  net::Fabric fabric(p, config_.cluster.network, config_.cluster.collectives);
+  net::Fabric fabric(p, config_.cluster.network);
 
   // avail[g] = physical node g's virtual clock after its last job — the
   // shared-clock state that arbitrates disk and CPU between jobs.

@@ -30,11 +30,13 @@
 // the same (config, seed) (tests/test_service.cpp proves it).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "base/contracts.h"
 #include "base/types.h"
 #include "core/sort_driver.h"
+#include "core/wire_tags.h"
 #include "net/cluster.h"
 #include "service/job.h"
 #include "service/report.h"
@@ -42,13 +44,14 @@
 namespace paladin::service {
 
 /// Wire-tag spacing between concurrent jobs: wider than any logical tag
-/// an algorithm uses (user tags live in [0, 80], reserved collective tags
-/// in [-6, -2]).
+/// an algorithm uses (the user tags of core/wire_tags.h, and the reserved
+/// collective tags in [-6, -2]).
 inline constexpr int kJobTagStride = 1024;
+static_assert(std::ranges::max(core::kWireTags) < kJobTagStride);
 
 struct ServiceConfig {
   /// The physical shared cluster: perf, network, disk, cost model,
-  /// collectives, observe flag, and the workdir root (per-job subtrees
+  /// observe flag, and the workdir root (per-job subtrees
   /// are created beneath it).  The fault plan must be empty — fault
   /// injection composes with single-job runs only.
   net::ClusterConfig cluster;

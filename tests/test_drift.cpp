@@ -442,7 +442,6 @@ TEST(Drift, EmptyPlanIsProvablyNoOp) {
 // A drifted run is a pure function of (seed, plan, config): re-running
 // replays bitwise, trace bytes included — with and without adaptive.
 TEST(Drift, DriftedRunsAreBitwiseDeterministic) {
-  if (!hetero::kDriftCompiledIn) GTEST_SKIP() << "drift layer compiled out";
   for (const bool adaptive : {false, true}) {
     DriftRunOptions opt;
     opt.plan = lively_plan(/*seed=*/99);
@@ -496,7 +495,6 @@ TEST(Drift, AdaptiveDeclinesWithoutDrift) {
 // concatenated input (subsuming record conservation) — across all
 // distributions and p ∈ {2, 4, 16}.
 void check_drifted_matrix(ParallelSortAlgorithm algo) {
-  if (!hetero::kDriftCompiledIn) GTEST_SKIP() << "drift layer compiled out";
   const std::vector<std::vector<u32>> perf_sets = {
       {2, 1},
       {4, 2, 1, 1},
@@ -605,7 +603,6 @@ PsrsDriftResult run_psrs_under(const DriftPlan& plan, bool adaptive,
 // repartitioning can shift work away.  Adaptive must come in at or below
 // the static-perf makespan, and both drifted runs above the baseline.
 TEST(Drift, AdaptiveRecoversMakespanUnderForcedSlowdown) {
-  if (!hetero::kDriftCompiledIn) GTEST_SKIP() << "drift layer compiled out";
   constexpr u64 kRecords = 2048;
 
   const PsrsDriftResult baseline =

@@ -123,7 +123,6 @@ TEST(FaultInjector, EmptyPlanIsInactive) {
 // ---------------------------------------------------------------------
 
 TEST(FaultDisk, TransientFaultsAreRetriedDataIntactIoStatsUnchanged) {
-  if (!kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   auto roundtrip = [](const FaultPlan& plan) {
     ClusterConfig config = ClusterConfig::homogeneous(1);
     config.disk = test_params::tiny_blocks();
@@ -166,7 +165,6 @@ TEST(FaultDisk, TransientFaultsAreRetriedDataIntactIoStatsUnchanged) {
 }
 
 TEST(FaultDisk, CorruptionIsDetectedAndRereadRestoresTheBlock) {
-  if (!kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   ClusterConfig config = ClusterConfig::homogeneous(1);
   config.disk = test_params::tiny_blocks();
   config.fault_plan = disk_plan(3, /*fail=*/0.0, /*corrupt=*/0.4);
@@ -194,7 +192,6 @@ TEST(FaultDisk, CorruptionIsDetectedAndRereadRestoresTheBlock) {
 // ---------------------------------------------------------------------
 
 TEST(FaultNet, DropsAreRetransmittedStreamsStayIntactAndFifo) {
-  if (!kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   auto exchange = [](const FaultPlan& plan) {
     ClusterConfig config = ClusterConfig::homogeneous(2);
     config.fault_plan = plan;
@@ -229,7 +226,6 @@ TEST(FaultNet, DropsAreRetransmittedStreamsStayIntactAndFifo) {
 }
 
 TEST(FaultNet, DuplicatesAreDiscardedByTheSequenceCheck) {
-  if (!kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   ClusterConfig config = ClusterConfig::homogeneous(2);
   config.fault_plan = net_plan(5, /*drop=*/0.0, /*dup=*/0.3);
   Cluster cluster(config);
@@ -256,7 +252,6 @@ TEST(FaultNet, DuplicatesAreDiscardedByTheSequenceCheck) {
 }
 
 TEST(FaultNet, DelaysPushArrivalTimes) {
-  if (!kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   auto receiver_time = [](const FaultPlan& plan) {
     ClusterConfig config = ClusterConfig::homogeneous(2);
     config.fault_plan = plan;
@@ -280,7 +275,6 @@ TEST(FaultNet, DelaysPushArrivalTimes) {
 }
 
 TEST(FaultNet, CreditWindowExchangeSurvivesMixedFaults) {
-  if (!kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   // The manual credit-window protocol from the flow-control stress test,
   // under drops, duplicates and delays at once: every chunk must arrive
   // exactly once, in order, with every ack consumed.
@@ -421,7 +415,6 @@ TEST(FaultEndToEnd, EmptyPlanIsBitwiseNoOp) {
 }
 
 TEST(FaultEndToEnd, FaultedPipelinedSortIsBitwiseDeterministic) {
-  if (!kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   const std::vector<u32> perf = {4, 4, 1, 1};
   FaultPlan plan = disk_plan(17, 0.15, 0.15);
   plan.net.drop_prob = 0.1;
@@ -445,7 +438,6 @@ TEST(FaultEndToEnd, FaultedPipelinedSortIsBitwiseDeterministic) {
 }
 
 TEST(FaultEndToEnd, DiskFaultsLeaveOutputAndIoStatsUntouched) {
-  if (!kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   const std::vector<u32> perf = {2, 1};
   const FaultPlan plan = disk_plan(23, 0.2, 0.2);
   const SortOutcome clean = run_faulted_sort(perf, FaultPlan{});
@@ -472,7 +464,6 @@ TEST(FaultEndToEnd, DiskFaultsLeaveOutputAndIoStatsUntouched) {
 }
 
 TEST(FaultEndToEnd, PhasedModeSurvivesFaultsToo) {
-  if (!kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   FaultPlan plan = disk_plan(29, 0.15);
   plan.net.drop_prob = 0.15;
   plan.net.duplicate_prob = 0.15;
@@ -487,7 +478,6 @@ TEST(FaultEndToEnd, PhasedModeSurvivesFaultsToo) {
 }
 
 TEST(FaultEndToEnd, FaultCountersSurfaceInTheTraceRegistry) {
-  if (!kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   FaultPlan plan = disk_plan(41, 0.25);
   const SortOutcome observed =
       run_faulted_sort({2, 1}, plan, true, /*observe=*/true);

@@ -182,22 +182,16 @@ TEST(ObsGolden, RunReportMatchesFixtureByteExact) {
 }
 
 TEST(ObsGolden, DriftRunReportMatchesFixtureByteExact) {
-  // The drifted fixture only exists where the drift layer does: the
-  // compiled-out CI job would otherwise produce the drift-free report.
-  if (!hetero::kDriftCompiledIn) GTEST_SKIP() << "drift layer compiled out";
   const ClusterTrace trace = golden_drift_run();
   check_against_golden(run_report_json(trace), "obs_drift.report.json");
 }
 
 TEST(ObsGolden, FaultsChromeTraceMatchesFixtureByteExact) {
-  // The faulted fixtures only exist where the fault layer does.
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   const ClusterTrace trace = golden_faults_run();
   check_against_golden(chrome_trace_json(trace), "obs_faults.trace.json");
 }
 
 TEST(ObsGolden, FaultsRunReportMatchesFixtureByteExact) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault layer compiled out";
   const ClusterTrace trace = golden_faults_run();
   check_against_golden(run_report_json(trace), "obs_faults.report.json");
 }

@@ -266,6 +266,36 @@ TEST(ScatterGather, NonzeroRootWorks) {
   EXPECT_EQ(outcome.results[1], 10u);
 }
 
+TEST(ScatterGather, ScatterAfterASortInTheSameRun) {
+  // The fused pipeline leaves its last acks queued by design.  Staging
+  // sends on its own wire tags (core/wire_tags.h), so a scatter later in
+  // the same run never receives one of those acks as a data chunk.
+  PerfVector perf({1, 1});
+  const u64 n = u64{1} << 14;
+  Cluster cluster(ClusterConfig::homogeneous(2));
+  const auto input = make_input(Dist::kUniform, n, 2024);
+
+  auto outcome = cluster.run([&](NodeContext& ctx) -> std::vector<u32> {
+    if (ctx.rank() == 0) {
+      pdm::write_file<u32>(ctx.disk(), "all.in",
+                           std::span<const u32>(input));
+    }
+    core::scatter_shares<u32>(ctx, perf, "all.in", "input", 0, 256);
+    core::ExtPsrsConfig psrs;
+    psrs.sequential.memory_records = 1024;
+    psrs.sequential.allow_in_memory = false;
+    psrs.message_records = 256;
+    core::ext_psrs_sort<u32>(ctx, perf, psrs);
+    core::scatter_shares<u32>(ctx, perf, "all.in", "again", 0, 256);
+    return pdm::read_file<u32>(ctx.disk(), "again");
+  });
+
+  std::vector<u32> rescattered = outcome.results[0];
+  rescattered.insert(rescattered.end(), outcome.results[1].begin(),
+                     outcome.results[1].end());
+  EXPECT_EQ(rescattered, input);
+}
+
 
 // ---------------------------------------------------------------------
 // Cross-implementation agreement: the external algorithm and the in-core

@@ -140,6 +140,10 @@ struct RunFormationCase {
   u64 memory;
 };
 
+void PrintTo(const RunFormationCase& c, std::ostream* os) {
+  *os << to_string(c.strategy) << "_n" << c.records << "_m" << c.memory;
+}
+
 class RunFormationTest : public ::testing::TestWithParam<RunFormationCase> {};
 
 TEST_P(RunFormationTest, RunsAreSortedAndCoverInput) {
@@ -297,6 +301,11 @@ struct SortCase {
   u64 memory;
   u32 tapes;
 };
+
+void PrintTo(const SortCase& c, std::ostream* os) {
+  *os << to_string(c.strategy) << "_" << to_string(c.run_formation) << "_n"
+      << c.records << "_m" << c.memory << "_t" << c.tapes;
+}
 
 class ExternalSortSweep : public ::testing::TestWithParam<SortCase> {};
 

@@ -333,7 +333,6 @@ TEST(ServiceScheduler, SingleJobBitIdenticalToDirectRun) {
   EXPECT_EQ(jr.finish_s, outcome.makespan);  // exact double equality
 
   // Byte-identical observability: same spans, counters, IoStats.
-  if (!obs::kCompiledIn) return;
   obs::ClusterTrace via_service;
   via_service.makespan = jr.finish_s;
   for (const net::NodeReport& n : jr.node_reports) {
@@ -544,7 +543,6 @@ TEST(ServiceReportJson, CarriesJobsAndRejections) {
 }
 
 TEST(ServiceObs, PerJobTraceCollects) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   ServiceConfig sc = tiny_service({2, 1}, SchedulePolicy::kFifo);
   sc.cluster.observe = true;
   SortService svc(sc);

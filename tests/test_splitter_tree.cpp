@@ -4,8 +4,8 @@
 //    (+ duplicate slack, §3.1) holds for the tree strategy over every
 //    distribution in kAllDists × p ∈ {4, 16, 64, 256}, including the
 //    zipf / all-duplicates adversaries;
-//  * flat≡tree equivalence — the degenerate tree configuration (single
-//    group, re-sampling disabled) reproduces the flat path bit-for-bit,
+//  * flat≡tree equivalence — a degenerate gather (single group,
+//    re-sampling disabled) selects the flat path's pivots bit-for-bit,
 //    and the kAuto heuristic below kTreeThreshold IS the flat path
 //    (so the golden traces cannot churn);
 //  * bitwise determinism — external tree-strategy runs replay to
@@ -59,15 +59,14 @@ TEST(SplitterTree, AutoHeuristicAndGeometry) {
   cfg.strategy = SplitterStrategy::kFlat;
   EXPECT_FALSE(splitter_uses_tree(cfg, 1024));
 
-  // Auto fanout is ceil(sqrt(p)) clamped to [2, 32].
-  cfg = SplitterConfig{};
-  EXPECT_EQ(splitter_fanout(cfg, 4), 2u);
-  EXPECT_EQ(splitter_fanout(cfg, 64), 8u);
-  EXPECT_EQ(splitter_fanout(cfg, 100), 10u);
-  EXPECT_EQ(splitter_fanout(cfg, 1024), 32u);
-  EXPECT_EQ(splitter_fanout(cfg, 4096), 32u);  // clamp
-  cfg.fanout = 5;
-  EXPECT_EQ(splitter_fanout(cfg, 1024), 5u);
+  // The fanout is ceil(sqrt(p)) clamped to [2, 32].
+  EXPECT_EQ(splitter_fanout(2), 2u);
+  EXPECT_EQ(splitter_fanout(4), 2u);
+  EXPECT_EQ(splitter_fanout(8), 3u);
+  EXPECT_EQ(splitter_fanout(64), 8u);
+  EXPECT_EQ(splitter_fanout(100), 10u);
+  EXPECT_EQ(splitter_fanout(1024), 32u);
+  EXPECT_EQ(splitter_fanout(4096), 32u);  // clamp
 
   EXPECT_EQ(splitter_levels(1, 2), 0u);
   EXPECT_EQ(splitter_levels(4, 2), 2u);
@@ -77,6 +76,9 @@ TEST(SplitterTree, AutoHeuristicAndGeometry) {
 
 // ---------------------------------------------------------------------
 // The stratified digest reduction in isolation.
+
+/// A digest budget no merge reaches: every merged point is kept.
+constexpr u64 kUnbounded = ~u64{0};
 
 TEST(SplitterTree, DigestConservesWeightAndRespectsBudget) {
   using WS = WeightedSample<u32>;
@@ -110,7 +112,7 @@ TEST(SplitterTree, DigestConservesWeightAndRespectsBudget) {
   auto copy = runs;
   CountingMeter meter;
   const std::vector<WS> exact = merge_weighted_runs<u32>(
-      meter, copy, SplitterConfig::kNoDigest, /*merge_equal=*/false);
+      meter, copy, kUnbounded, /*merge_equal=*/false);
   EXPECT_EQ(exact.size(), 9u);
   EXPECT_EQ(exact.front().value, 0u);
   EXPECT_EQ(exact.back().value, 30u);
@@ -126,7 +128,7 @@ TEST(SplitterTree, MergeEqualFoldsDuplicatesInUniqueValueSpace) {
   };
   CountingMeter meter;
   const std::vector<WS> digest = merge_weighted_runs<u32>(
-      meter, runs, SplitterConfig::kNoDigest, /*merge_equal=*/true);
+      meter, runs, kUnbounded, /*merge_equal=*/true);
   ASSERT_EQ(digest.size(), 4u);  // unique values 1, 5, 9, 11
   for (const WS& ws : digest) EXPECT_EQ(ws.weight, 1u);
 }
@@ -196,7 +198,6 @@ TEST(SplitterTree, TreePathSortsInputTooSmallForFlatSampling) {
         perf.share(ctx.rank(), n));
     SplitterConfig splitter;
     splitter.strategy = SplitterStrategy::kTree;
-    splitter.fanout = 2;
     return psrs_incore_sort<DefaultKey>(ctx, perf, std::move(local), nullptr,
                                         {}, 1, splitter);
   });
@@ -316,31 +317,60 @@ TEST(SplitterTree, ExpansionBoundAcrossDistsAndScales) {
 // flat ≡ tree equivalence.
 
 TEST(SplitterTree, DegenerateTreeReproducesFlatExactly) {
-  // Single group (fanout >= p) + re-sampling disabled: the root digest is
-  // the fully merged sample multiset, so the selected pivots — and hence
-  // every node's output slice — must match the flat path bit-for-bit.
-  SplitterConfig degenerate;
-  degenerate.strategy = SplitterStrategy::kTree;
-  degenerate.fanout = 64;
-  degenerate.tree_oversample = 1;  // identical leaf sample
-  degenerate.digest_per_node = SplitterConfig::kNoDigest;
-  SplitterConfig flat;
-  flat.strategy = SplitterStrategy::kFlat;
-
+  // One group (fanout = p) and an unbounded budget: the root digest is the
+  // fully merged sample multiset, so weighted selection at the flat pivot
+  // ranks must pick exactly the pivots select_pivots picks from the
+  // gathered sample.
   for (const std::vector<u32>& perf_values :
        {std::vector<u32>{1, 1}, std::vector<u32>{4, 2, 1, 1},
         std::vector<u32>{3, 1, 2, 1, 1, 2, 1, 1}}) {
     const PerfVector perf(perf_values);
-    const u64 n = perf.round_up_admissible(
-        4 * perf.node_count() * perf.sum());
+    const u32 p = perf.node_count();
+    const u64 n = perf.round_up_admissible(4 * p * perf.sum());
     for (const Dist dist : {Dist::kUniform, Dist::kZipf, Dist::kZero,
                             Dist::kStaggered}) {
-      SCOPED_TRACE(std::string("p=") + std::to_string(perf.node_count()) +
+      SCOPED_TRACE(std::string("p=") + std::to_string(p) +
                    " dist=" + workload::to_string(dist));
-      const InCoreRun a = run_incore(perf_values, dist, n, flat);
-      const InCoreRun b = run_incore(perf_values, dist, n, degenerate);
-      EXPECT_EQ(a.slices, b.slices);
-      EXPECT_EQ(a.final_sizes, b.final_sizes);
+      ClusterConfig config;
+      config.perf = perf_values;
+      Cluster cluster(config);
+      WorkloadSpec spec;
+      spec.dist = dist;
+      spec.total_records = n;
+      spec.node_count = p;
+      spec.seed = 42 ^ 0x5eed;
+
+      struct RootPivots {
+        std::vector<DefaultKey> flat;
+        std::vector<DefaultKey> tree;
+      };
+      auto outcome = cluster.run([&](NodeContext& ctx) -> RootPivots {
+        std::vector<DefaultKey> local = workload::generate_share(
+            spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
+            perf.share(ctx.rank(), n));
+        std::sort(local.begin(), local.end());
+        std::vector<DefaultKey> samples = draw_regular_sample<DefaultKey>(
+            std::span<const DefaultKey>(local), perf.sample_stride(n));
+        std::vector<DefaultKey> gathered =
+            ctx.comm().gather_records<DefaultKey>(
+                std::span<const DefaultKey>(samples), 0);
+        const std::vector<WeightedSample<DefaultKey>> digest =
+            splitter_tree_gather<DefaultKey>(
+                ctx, /*root=*/0, /*fanout=*/p, kUnbounded,
+                /*merge_equal=*/false,
+                detail::unit_weights<DefaultKey>(std::move(samples)));
+        RootPivots out;
+        if (ctx.rank() == 0) {
+          out.flat = select_pivots<DefaultKey>(gathered, perf, ctx);
+          out.tree = weighted_select<DefaultKey>(
+              std::span<const WeightedSample<DefaultKey>>(digest),
+              psrs_pivot_targets(perf));
+        }
+        return out;
+      });
+      const RootPivots& root = outcome.results[0];
+      ASSERT_EQ(root.flat.size(), p - 1);
+      EXPECT_EQ(root.flat, root.tree);
     }
   }
 }
@@ -415,8 +445,7 @@ ExternalRun run_external(const std::vector<u32>& perf_values, Dist dist,
 TEST(SplitterTree, ExternalTreeRunsReplayBitwise) {
   const std::vector<u32> perf_values = {3, 1, 2, 1, 1, 2, 1, 1};
   SplitterConfig splitter;
-  splitter.strategy = SplitterStrategy::kTree;
-  splitter.fanout = 3;  // two real levels at p = 8
+  splitter.strategy = SplitterStrategy::kTree;  // fanout 3: two levels
   const ExternalRun a = run_external(perf_values, Dist::kZipf, 20, splitter);
   const ExternalRun b = run_external(perf_values, Dist::kZipf, 20, splitter);
   EXPECT_TRUE(a.sorted_ok);
