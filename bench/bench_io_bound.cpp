@@ -1,8 +1,10 @@
 // Validates the PDM side of the paper (§2): measured block I/Os of the
 // sequential external sorts against the Aggarwal–Vitter bound
-// Sort(N) = Θ((n/D)·log_m n) (Theorem 1), across problem size, memory
-// size and disk count D (striped volumes), and compares polyphase against
-// the balanced k-way baseline and both run-formation strategies.
+// Sort(N) = Θ((n/D)·log_m n) (Theorem 1) at D = 1, across problem size
+// and memory size, and compares polyphase against the balanced k-way
+// baseline and both run-formation strategies.  The paper's algorithm needs
+// only the D = 1 building blocks per node: each node sorts its share on
+// its own disk, so the bench measures no D > 1 layout.
 #include <iostream>
 
 #include "base/meter.h"
@@ -10,10 +12,8 @@
 #include "bench/bench_common.h"
 #include "metrics/table.h"
 #include "pdm/pdm_math.h"
-#include "pdm/striped_volume.h"
 #include "pdm/typed_io.h"
 #include "seq/external_sort.h"
-#include "seq/striped_sort.h"
 
 namespace paladin::bench {
 namespace {
@@ -87,68 +87,6 @@ int run(const BenchOptions& opt) {
   note("polyphase pays one distribution pass over the balanced merge but "
        "needs no run redistribution between phases; replacement selection "
        "halves the initial run count (runs ~2M on random input)");
-
-  heading("PDM D disks: parallel I/O scales as ceil(n/D) (striped writes)");
-  metrics::TextTable dtable({"D", "blocks written", "parallel steps",
-                             "ideal n/D", "efficiency"});
-  const u64 stream_records = (opt.full ? 4096u : 512u) * rpb;
-  for (u64 d : {u64{1}, u64{2}, u64{4}, u64{8}}) {
-    pdm::StripedVolume vol = pdm::StripedVolume::in_memory(d, params);
-    pdm::StripedWriter<u32> w(vol, "s");
-    Xoshiro256 rng(7);
-    for (u64 i = 0; i < stream_records; ++i) {
-      w.push(static_cast<u32>(rng.next()));
-    }
-    w.flush();
-    const u64 blocks = vol.total_stats().blocks_written;
-    const u64 steps = vol.parallel_block_ios();
-    const u64 ideal = ceil_div(blocks, d);
-    dtable.add_row({std::to_string(d), std::to_string(blocks),
-                    std::to_string(steps), std::to_string(ideal),
-                    metrics::TextTable::fmt(
-                        static_cast<double>(ideal) / static_cast<double>(steps),
-                        3)});
-  }
-  dtable.print(std::cout);
-  note("the paper's algorithm needs only the D=1 building blocks per node "
-       "(disks are used independently); striping shows the D>1 headroom of "
-       "the model");
-
-  heading("Striped external sort: full sort on D disks (extension)");
-  metrics::TextTable stable({"D", "N (records)", "runs", "passes",
-                             "total IOs", "max per-disk IOs",
-                             "D=1 IOs / D", "parallel speedup"});
-  const u64 sn = opt.full ? (u64{1} << 23) : (u64{1} << 19);
-  const u64 sm = sn / 32;
-  u64 d1_ios = 0;
-  for (u64 d : {u64{1}, u64{2}, u64{4}, u64{8}}) {
-    pdm::StripedVolume vol = pdm::StripedVolume::in_memory(d, params);
-    {
-      pdm::StripedWriter<u32> w(vol, "in");
-      Xoshiro256 rng(21);
-      for (u64 i = 0; i < sn; ++i) w.push(static_cast<u32>(rng.next()));
-      w.flush();
-    }
-    vol.reset_stats();
-    NullMeter meter;
-    const auto result = seq::striped_sort<u32>(vol, "in", "out", sm, meter);
-    const u64 total = vol.total_stats().total_block_ios();
-    const u64 per_disk = vol.parallel_block_ios();
-    if (d == 1) d1_ios = per_disk;
-    stable.add_row(
-        {std::to_string(d), std::to_string(sn),
-         std::to_string(result.initial_runs),
-         std::to_string(result.merge_passes), std::to_string(total),
-         std::to_string(per_disk), std::to_string(ceil_div(d1_ios, d)),
-         metrics::TextTable::fmt(
-             static_cast<double>(d1_ios) / static_cast<double>(per_disk),
-             2)});
-  }
-  stable.print(std::cout);
-  note("per-disk (parallel) I/O falls ~linearly in D, as Theorem 1's n/D "
-       "term predicts; the striped-cursor memory cost reduces the fan-in, "
-       "so very large D can add a merge pass");
-
   return 0;
 }
 

@@ -1,9 +1,10 @@
 // Key normalization for the merge hot path.  A KeyCodec maps a record to a
 // u64 "radix prefix" whose unsigned order agrees with the record's natural
-// order, so the loser tree can cache one machine word per source and replay
-// with branch-free u64 compares instead of pointer chases through the
-// comparator (Rahn/Sanders/Singler, *Scalable Distributed-Memory External
-// Sorting*: tournament trees win or lose on exactly this).
+// order.  When that image fits 32 bits the loser tree packs it with the
+// source index into one machine word per node and replays with branch-free
+// u64 compares instead of pointer chases through the comparator
+// (Rahn/Sanders/Singler, *Scalable Distributed-Memory External Sorting*:
+// tournament trees win or lose on exactly this).
 //
 // Two independent capabilities:
 //
@@ -13,8 +14,8 @@
 //    Enough to *replace* the comparator outright when the comparator is
 //    std::less<T> (a custom comparator may order the same bytes
 //    differently): key_codec_replaces_less() is that one test, and the
-//    key-cached loser tree and metered_sort's radix path are both gated
-//    on it.
+//    loser tree's packed mode (with key_codec_packs32()) and
+//    metered_sort's radix path are both gated on it.
 //
 // The primary template is the comparator fallback: not encodable, so every
 // consumer keeps calling Less.  Integral specializations are provided;

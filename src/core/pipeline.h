@@ -88,35 +88,31 @@ struct PipelineOutcome {
 };
 
 /// Meter pricing compares/moves/seconds like NodeContext but onto an
-/// explicit stream clock instead of the node clock.  Under an active
-/// drift plan the divisor is the node's effective speed at the stream's
-/// current instant; otherwise it is the cached static factor — the exact
-/// pre-drift arithmetic.
+/// explicit stream clock instead of the node clock.  The divisor is the
+/// node's effective speed at the stream's current instant (speed() when
+/// no drift plan is active), the same expression as the node meter's.
 class StreamMeter final : public Meter {
  public:
   StreamMeter(net::VirtualClock& clock, const net::CostModel& cost,
               const net::NodeContext& node)
-      : clock_(&clock), cost_(&cost), node_(&node), speed_(node.speed()) {}
+      : clock_(&clock), cost_(&cost), node_(&node) {}
 
   void on_compares(u64 n) override {
     clock_->advance(static_cast<double>(n) * cost_->per_compare_seconds /
-                    speed_now());
+                    node_->speed_at(clock_->now()));
   }
   void on_moves(u64 n) override {
     clock_->advance(static_cast<double>(n) * cost_->per_move_seconds /
-                    speed_now());
+                    node_->speed_at(clock_->now()));
   }
-  void on_seconds(double s) override { clock_->advance(s / speed_now()); }
+  void on_seconds(double s) override {
+    clock_->advance(s / node_->speed_at(clock_->now()));
+  }
 
  private:
-  double speed_now() const {
-    return node_->drift() != nullptr ? node_->speed_at(clock_->now()) : speed_;
-  }
-
   net::VirtualClock* clock_;
   const net::CostModel* cost_;
   const net::NodeContext* node_;
-  double speed_;
 };
 
 /// One merge-stream charge as the data pass met it.
@@ -418,20 +414,12 @@ PipelineOutcome pipelined_exchange_merge(net::NodeContext& ctx,
 
   // Disk charges: the sorted-file reads land on the send clock through the
   // sink; the logged output writes replay onto the merge clock through the
-  // same expression.  Under drift the divisor is the effective speed at
-  // the charged stream's instant; otherwise the original value-captured
-  // divisor (bit-identical path).  The node-clock sink NodeContext
-  // installed is restored via install_disk_cost_sink() at the end.
+  // same expression.  The divisor is the effective speed at the charged
+  // stream's instant, as in the node-clock sink NodeContext installed,
+  // which install_disk_cost_sink() restores at the end.
   const bool scale = ctx.config().cost.scale_disk_with_speed;
-  const bool drifting = ctx.drift() != nullptr;
-  const double divisor = scale ? ctx.speed() : 1.0;
-  auto charge_disk = [&ctx, scale, drifting, divisor](net::VirtualClock& clk,
-                                                      double s) {
-    if (drifting) {
-      clk.advance(s / (scale ? ctx.speed_at(clk.now()) : 1.0));
-    } else {
-      clk.advance(s / divisor);
-    }
+  auto charge_disk = [&ctx, scale](net::VirtualClock& clk, double s) {
+    clk.advance(s / (scale ? ctx.speed_at(clk.now()) : 1.0));
   };
   ctx.disk().set_cost_sink(
       [&charge_disk, &send_clock](double s) { charge_disk(send_clock, s); });

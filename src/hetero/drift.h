@@ -12,9 +12,9 @@
 // are bitwise-reproducible per (seed, plan, config).
 //
 // Determinism contract (docs/ROBUSTNESS.md §Speed drift): an empty plan
-// never reaches the oracle — NodeContext::drift() stays nullptr and every
-// cost funnel keeps its original, value-captured divisor — so the
-// empty-plan code path is byte-for-byte the pre-drift code path.
+// never reaches the oracle — NodeContext::drift() stays nullptr, so every
+// cost funnel's divisor NodeContext::speed_at(t) is the static speed() —
+// and the empty-plan arithmetic is bit-for-bit the pre-drift arithmetic.
 //
 // AdaptiveConfig lives here too: it is the sort-side response to drift
 // (re-estimate effective speeds from an observed probe span, re-split the

@@ -53,21 +53,13 @@ void NodeContext::init_node(const ClusterConfig& config, u32 rank) {
 
 void NodeContext::install_disk_cost_sink() {
   // Disk transfer time is charged to this node's clock, optionally scaled
-  // by the node speed (see CostModel::scale_disk_with_speed).
+  // by the node's effective speed when the transfer happens (see
+  // CostModel::scale_disk_with_speed), so under drift disk time inflates
+  // inside degraded epochs.  With no drift plan speed_at() is speed().
   const bool scale = config_->cost.scale_disk_with_speed;
-  if (drift() != nullptr) {
-    // Under drift the divisor is the effective speed when the transfer
-    // happens, so disk time inflates inside degraded epochs.
-    disk_.set_cost_sink([this, scale](double seconds) {
-      clock_.advance(seconds / (scale ? speed_at(clock_.now()) : 1.0));
-    });
-    return;
-  }
-  // No drift: the original value-captured divisor, byte-for-byte the
-  // pre-drift sink (the empty-plan no-op contract in hetero/drift.h).
-  const double divisor = scale ? speed() : 1.0;
-  disk_.set_cost_sink(
-      [this, divisor](double seconds) { clock_.advance(seconds / divisor); });
+  disk_.set_cost_sink([this, scale](double seconds) {
+    clock_.advance(seconds / (scale ? speed_at(clock_.now()) : 1.0));
+  });
 }
 
 void NodeContext::fold_counters_into_tracer() {

@@ -61,8 +61,8 @@ struct ClusterConfig {
   /// Seeded speed-drift adversary (docs/ROBUSTNESS.md §Speed drift): the
   /// node's effective speed is divided by a per-epoch factor that is a
   /// pure hash of (seed, rank, epoch).  The default (inactive) plan is
-  /// provably a no-op: NodeContext::drift() stays nullptr and every cost
-  /// funnel keeps its original value-captured divisor, so makespans,
+  /// provably a no-op: NodeContext::drift() stays nullptr, so every cost
+  /// funnel's divisor speed_at(t) is the static speed(), and makespans,
   /// digests, IoStats and traces are bit-identical to a pre-drift build.
   hetero::DriftPlan drift_plan;
 
@@ -125,8 +125,9 @@ class NodeContext final : public Meter, public obs::TimeSource {
   const hetero::DriftOracle* drift() const { return drift_.get(); }
 
   /// Effective speed at virtual time `t`: the static perf factor divided
-  /// by the drift slowdown in force at `t`.  Without an active drift plan
-  /// this returns speed() through the identical expression, so the
+  /// by the drift slowdown in force at `t`.  Every cost funnel (the meter
+  /// below, the disk cost sink, the pipeline's stream meters) divides by
+  /// it.  Without an active drift plan it returns speed() itself, so the
   /// no-drift cost arithmetic is bit-for-bit the pre-drift arithmetic.
   double speed_at(double t) const {
     if (const hetero::DriftOracle* d = drift()) {

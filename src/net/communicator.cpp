@@ -208,17 +208,13 @@ u64 Communicator::drain_discard_dups() {
 }
 
 Packet Communicator::recv_packet(u32 src, int tag) {
-  return recv_packet_on(*clock_, src, tag);
-}
-
-Packet Communicator::recv_packet_on(VirtualClock& clk, u32 src, int tag) {
   PALADIN_EXPECTS(src < size());
   for (;;) {
     Packet p = fabric_->mailbox(to_global(rank_))
                    .receive(static_cast<int>(to_global(src)),
                             to_wire_tag(tag));
     if (net_faults_ && !unframe_accept(p)) continue;
-    charge_receive(clk, p);
+    charge_receive(*clock_, p);
     localize_packet(p);
     return p;
   }

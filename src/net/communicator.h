@@ -121,28 +121,27 @@ class Communicator {
   /// occupancy and stamps the packet with its simulated arrival time.
   void send_bytes(u32 dst, int tag, std::span<const u8> bytes);
 
-  /// Blocking receive from a specific source; merges arrival time.
+  /// Blocking receive from a specific source: merges the arrival
+  /// timestamp into the node clock and adds the per-message receive
+  /// overhead (skipped for self-delivery).
   Packet recv_packet(u32 src, int tag);
 
-  // -- Pipelined-mode primitives (explicit clock, zero-copy payloads). ---
+  // -- Charged primitives on an explicit clock (zero-copy payloads). ----
   //
-  // The fused partition→send→merge pipeline models its overlap with two
-  // logical clocks per node (one for the send stream, one for the merge
-  // stream), so every transport call below takes the clock to charge
-  // instead of using the node clock.  Payloads move by vector, not by
-  // copy, so pooled buffers travel through the mailbox allocation-free.
+  // The pipeline's pricing pass (core/pipeline.h) charges its send stream
+  // and its merge stream to two logical clocks per node, so the calls
+  // below take the clock to charge instead of using the node clock.
+  // Payloads move by vector, not by copy, so pooled buffers travel through
+  // the mailbox allocation-free.
 
   /// Non-blocking isend: moves `payload` into the receiver's mailbox,
   /// charging overhead + wire occupancy to `clk` (self-sends free).
   void isend_payload(VirtualClock& clk, u32 dst, int tag,
                      std::vector<u8>&& payload);
 
-  /// Blocking receive charging `clk`: merges the arrival timestamp and
-  /// adds the per-message receive overhead (skipped for self-delivery).
-  Packet recv_packet_on(VirtualClock& clk, u32 src, int tag);
-
   /// Non-blocking irecv probe: returns the packet (charging `clk` exactly
-  /// like recv_packet_on) when one is queued, std::nullopt otherwise.
+  /// as recv_packet charges the node clock) when one is queued,
+  /// std::nullopt otherwise.
   std::optional<Packet> try_recv_packet_on(VirtualClock& clk, u32 src,
                                            int tag);
 
@@ -200,10 +199,6 @@ class Communicator {
   /// dropped uncounted.  Returns the number of duplicates discarded.
   /// Call only after the run completed (all sends done, no poison).
   u64 drain_discard_dups();
-
-  std::vector<u8> recv_bytes(u32 src, int tag) {
-    return recv_packet(src, tag).payload;
-  }
 
   template <Record T>
   void send_value(u32 dst, int tag, const T& value) {

@@ -23,7 +23,6 @@
 #include "pdm/file_backend.h"
 #include "pdm/io_stats.h"
 #include "pdm/pdm_math.h"
-#include "pdm/striped_volume.h"
 #include "pdm/typed_io.h"
 
 // net — the simulated cluster runtime
@@ -42,7 +41,6 @@
 #include "seq/loser_tree.h"
 #include "seq/polyphase.h"
 #include "seq/run_formation.h"
-#include "seq/striped_sort.h"
 
 // hetero — perf vectors and calibration
 #include "hetero/calibration.h"

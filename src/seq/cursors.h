@@ -1,5 +1,6 @@
-// Cursor types feeding the loser tree.  A cursor exposes peek()/advance()
-// over a sorted sequence: in memory (MemCursor), a whole file
+// Cursor types feeding the loser tree.  A cursor meets the tree's source
+// contract (seq::MergeSource in loser_tree.h: peek, advance_peek, buffered,
+// advance_n) over a sorted sequence: in memory (MemCursor), a whole file
 // (pdm::BlockReader already matches), or a length-limited segment of a
 // file (RunCursor — one run on a polyphase tape, or one merge piece).
 #pragma once

@@ -4,21 +4,25 @@
 // by source index, which makes every merge stable with respect to source
 // order and, more importantly, deterministic.
 //
-// Engineering (see docs/ALGORITHM.md, "Merge kernel engineering"): each
-// internal node caches its loser's head record inline — a u64 radix-prefix
-// key (base/key_codec.h) plus the head pointer and source index — so a
-// replay is one contiguous-array walk of conditional-move updates instead
-// of two pointer chases and a branchy comparator call per level.  When the
-// encoded key fits 32 bits (u32/i32 and narrower — DefaultKey's case) the
-// node shrinks further to a single u64 packing (key << 32 | source index):
-// a replay level is then ONE unsigned compare — the index bits break ties
-// toward the lower source automatically — and the winner record is decoded
-// straight from the key, so the hot loop touches no record memory at all.
-// When the codec is not exact for (T, Less) the same walk runs with
-// comparator calls on the cached head pointers.  Comparison *counts* and
-// the points where sources are peeked/refilled are identical in all
-// modes, and identical to the classic two-pointer formulation, so metered
-// virtual time does not depend on which mode ran.
+// Engineering (see docs/ALGORITHM.md, "Merge kernel engineering"): every
+// internal node caches its loser inline, so a replay is one walk up a
+// contiguous array instead of two pointer chases per level.  The tree has
+// two node modes:
+//
+//  * Packed — the key codec (base/key_codec.h) replaces Less and its image
+//    fits 32 bits (u32/i32 and narrower: DefaultKey's case).  A node is a
+//    single u64 packing (key << 32 | source index), so a replay level is
+//    ONE unsigned compare (the index bits break ties toward the lower
+//    source), the winner record is decoded straight from the key, and each
+//    live leaf caches its source's buffered span: the hot loop touches no
+//    record memory at all.
+//  * Comparator — every other (T, Less): 64-bit keys, wide records, custom
+//    orders.  A node holds its loser's head pointer and source index, and
+//    each level with two live contenders makes one comparator call.
+//
+// Comparison *counts* and the points where sources are peeked/refilled are
+// identical in both modes, and identical to the classic two-pointer
+// formulation, so metered virtual time does not depend on which mode ran.
 #pragma once
 
 #include <algorithm>
@@ -37,32 +41,33 @@
 
 namespace paladin::seq {
 
-/// Source must expose `const T* peek()` (nullptr when exhausted) and
-/// `void advance()`.
+/// What the tree needs from a source: `peek()`, the head record (nullptr
+/// when exhausted); `advance_peek()`, which consumes the head and returns
+/// the next one; `buffered()`, the records already in memory from the head
+/// on; and `advance_n(n)`, which consumes n of those.  MemCursor,
+/// RunCursor, pdm::BlockReader and core::NetworkRunSource all qualify.
+template <typename S, typename T>
+concept MergeSource = requires(S& s, u64 n) {
+  { s.peek() } -> std::same_as<const T*>;
+  { s.advance_peek() } -> std::same_as<const T*>;
+  { s.buffered() } -> std::convertible_to<std::span<const T>>;
+  s.advance_n(n);
+};
+
 template <Record T, typename Source, typename Less = std::less<T>>
 class LoserTree {
+  static_assert(MergeSource<Source, T>);
+
  public:
-  /// The cached-key fast mode: sound exactly when the u64 image reproduces
-  /// the comparator's order *and* equality.
-  static constexpr bool kKeyCached = base::key_codec_replaces_less<T, Less>();
-
-  /// The single-u64 node layout: exact codec whose image fits 32 bits.
-  static constexpr bool kPacked = kKeyCached && base::key_codec_packs32<T>();
-
-  /// Source exposes a buffered span plus bulk skip (the cursor family,
-  /// BlockReader, StripedReader, NetworkRunSource all do).
-  static constexpr bool kSpanSources = requires(Source s) {
-    { s.buffered() } -> std::convertible_to<std::span<const T>>;
-    s.advance_n(u64{});
-  };
-
-  /// Leaf span cache: each live leaf holds direct pos/end pointers into its
-  /// source's buffered records, and the source is advanced lazily — one
-  /// advance_n per drained span rather than one virtual hop chain per
-  /// record.  Refills land at the same logical record (the first touch past
-  /// the buffered stretch) as the per-record advance-then-peek sequence, so
-  /// IoStats, charge points and comparison counts are unchanged.
-  static constexpr bool kLeafCached = kPacked && kSpanSources;
+  /// Packed mode: the codec replaces Less and its image fits 32 bits.
+  /// Each live leaf then also caches its source's buffered span (direct
+  /// pos/end pointers) and advances the source lazily, one advance_n per
+  /// drained span.  Refills land at the same logical record (the first
+  /// touch past the buffered stretch) as the per-record advance-then-peek
+  /// sequence, so IoStats, charge points and comparison counts are those
+  /// of comparator mode.
+  static constexpr bool kPacked = base::key_codec_replaces_less<T, Less>() &&
+                                  base::key_codec_packs32<T>();
 
   /// Sources are referenced, not owned; they must outlive the tree.
   explicit LoserTree(std::vector<Source*> sources, Less less = {},
@@ -75,7 +80,7 @@ class LoserTree {
     while (k_ < sources_.size()) k_ *= 2;
     if constexpr (kPacked) {
       depth_ = static_cast<u32>(std::bit_width(k_) - 1);
-      if constexpr (kLeafCached) leaves_.assign(sources_.size(), LeafSpan{});
+      leaves_.assign(sources_.size(), LeafSpan{});
       packed_.assign(k_, kExhausted);
       set_winner_packed(build_packed(1));
     } else {
@@ -83,7 +88,6 @@ class LoserTree {
       const Node w = build(1);
       winner_ = w.idx;
       cur_head_ = w.head;
-      cur_key_ = w.key;
     }
     flush_meter();
   }
@@ -100,9 +104,6 @@ class LoserTree {
 
   /// Current minimum across all sources, nullptr when all are exhausted.
   const T* peek() const { return cur_head_; }
-
-  /// Index of the source holding the current minimum.
-  std::size_t winner_index() const { return winner_; }
 
   /// Removes and returns the minimum.  Precondition: peek() != nullptr.
   T pop() {
@@ -126,8 +127,7 @@ class LoserTree {
   /// have cost one comparison per live loser on the path and changed
   /// nothing.  The final record of each batch goes through a real replay,
   /// which also lands any block refill of the winner's source at exactly
-  /// the point the per-record path would.  Requires sources with
-  /// buffered()/advance_n (cursors.h, BlockReader, StripedReader).
+  /// the point the per-record path would.
   template <typename Sink>
   u64 pop_run_into(Sink& sink, u64 limit = ~u64{0}) {
     u64 emitted = 0;
@@ -145,9 +145,9 @@ class LoserTree {
           // Stage the stretch locally (records are <= 4 bytes in packed
           // mode) and hand it over in one push_span: the sink sees the
           // same records crossing the same block boundaries, and block
-          // costs are uniform per the parallel-merge design contract, so
-          // IoStats and the virtual clock are unchanged — only the
-          // per-record push call and its buffer bookkeeping disappear.
+          // costs are uniform, so IoStats and the virtual clock are
+          // unchanged — only the per-record push call and its buffer
+          // bookkeeping disappear.
           T staged[kFallbackStretch];
           u64 n = 0;
           while (n < todo && cur_head_ != nullptr) {
@@ -169,7 +169,7 @@ class LoserTree {
         continue;
       }
       std::span<const T> tail;
-      if constexpr (kLeafCached) {
+      if constexpr (kPacked) {
         const LeafSpan& ls = leaves_[winner_];
         tail = {ls.pos, static_cast<std::size_t>(ls.end - ls.pos)};
       } else {
@@ -200,31 +200,18 @@ class LoserTree {
           const Node& nd = nodes_[node];
           if (nd.head == nullptr) continue;
           ++live_losers;
-          if constexpr (kKeyCached) {
-            const u64 loser_key = nd.key;
-            if (nd.idx < winner_) {
-              n = gallop(n, [&](u64 j) {
-                return base::KeyCodec<T>::encode(tail[j]) < loser_key;
-              });
-            } else {
-              n = gallop(n, [&](u64 j) {
-                return base::KeyCodec<T>::encode(tail[j]) <= loser_key;
-              });
-            }
+          const T* head = nd.head;
+          if (nd.idx < winner_) {
+            n = gallop(n, [&](u64 j) { return less_(tail[j], *head); });
           } else {
-            const T* head = nd.head;
-            if (nd.idx < winner_) {
-              n = gallop(n, [&](u64 j) { return less_(tail[j], *head); });
-            } else {
-              n = gallop(n, [&](u64 j) { return !less_(*head, tail[j]); });
-            }
+            n = gallop(n, [&](u64 j) { return !less_(*head, tail[j]); });
           }
         }
       }
       PALADIN_ASSERT(n >= 1);  // the current winner beats every path loser
       sink.push_span(tail.first(n));
       compares_ += (n - 1) * live_losers;  // the skipped no-change replays
-      if constexpr (kLeafCached) {
+      if constexpr (kPacked) {
         LeafSpan& ls = leaves_[winner_];
         ls.pos += n;
         apply_head(winner_,
@@ -257,24 +244,13 @@ class LoserTree {
   static constexpr u32 kGallopRetry = 1;
   static constexpr u64 kFallbackStretch = 256;
 
-  /// Loser cached at an internal node.  head == nullptr means the subtree
-  /// loser is exhausted (or a padded pseudo-source); key/idx are then
-  /// meaningless.  In comparator mode `key` is always 0.
+  /// Loser cached at an internal node (comparator mode).  head == nullptr
+  /// means the subtree loser is exhausted (or a padded pseudo-source); idx
+  /// is then meaningless.
   struct Node {
-    u64 key = 0;
     const T* head = nullptr;
     u32 idx = 0;
   };
-
-  static Node make_node(const T* head, std::size_t idx) {
-    Node n;
-    n.head = head;
-    n.idx = static_cast<u32>(idx);
-    if constexpr (kKeyCached) {
-      if (head != nullptr) n.key = base::KeyCodec<T>::encode(*head);
-    }
-    return n;
-  }
 
   /// Builds the tree below internal node `node`; returns the winner of
   /// that subtree and caches losers on the path.  The left subtree holds
@@ -284,7 +260,7 @@ class LoserTree {
     if (node >= k_) {
       const std::size_t idx = node - k_;  // leaf → source (maybe padded)
       const T* head = idx < sources_.size() ? sources_[idx]->peek() : nullptr;
-      return make_node(head, idx);
+      return Node{head, static_cast<u32>(idx)};
     }
     const Node l = build(2 * node);
     const Node r = build(2 * node + 1);
@@ -295,11 +271,7 @@ class LoserTree {
       l_wins = true;
     } else {
       ++compares_;
-      if constexpr (kKeyCached) {
-        l_wins = l.key <= r.key;  // left index is lower: left wins ties
-      } else {
-        l_wins = !less_(*r.head, *l.head);
-      }
+      l_wins = !less_(*r.head, *l.head);  // left index is lower: wins ties
     }
     nodes_[node] = l_wins ? r : l;
     return l_wins ? l : r;
@@ -341,12 +313,7 @@ class LoserTree {
       ++exhausted_leaves_;  // padded pseudo-source
       return kExhausted;
     }
-    const T* head;
-    if constexpr (kLeafCached) {
-      head = acquire_span(idx);
-    } else {
-      head = sources_[idx]->peek();
-    }
+    const T* head = acquire_span(idx);
     if (head == nullptr) {
       ++exhausted_leaves_;  // empty from the start
       return kExhausted;
@@ -359,7 +326,7 @@ class LoserTree {
   /// stream) only refill inside peek(), so an empty span falls back to one
   /// peek — the same call, at the same record, the classic path makes.
   const T* acquire_span(std::size_t idx)
-    requires kLeafCached
+    requires kPacked
   {
     Source& src = *sources_[idx];
     std::span<const T> s = src.buffered();
@@ -378,7 +345,7 @@ class LoserTree {
   /// Span drained: reports the consumed records to the cursor in one
   /// advance_n and acquires the next stretch.
   const T* resync_span(std::size_t idx)
-    requires kLeafCached
+    requires kPacked
   {
     LeafSpan& ls = leaves_[idx];
     sources_[idx]->advance_n(static_cast<u64>(ls.end - ls.begin));
@@ -403,7 +370,6 @@ class LoserTree {
   /// (bit-identical — the codec is exact and invertible), so peek() serves
   /// it from the tree without touching the source's buffer again.
   void set_winner_packed(u64 w) {
-    cur_packed_ = w;
     winner_ = static_cast<std::size_t>(w & 0xffffffffu);
     if (w != kExhausted) {
       cur_rec_ = base::KeyCodec<T>::decode(w >> 32);
@@ -413,17 +379,11 @@ class LoserTree {
     }
   }
 
-  /// True when Source offers the fused advance_peek() (BlockReader and the
-  /// cursor family do); other sources fall back to advance-then-peek.
-  static constexpr bool kFusedAdvance = requires(Source s) {
-    { s.advance_peek() } -> std::same_as<const T*>;
-  };
-
   /// Consumes `source`'s head and replays with its successor.  The fused
-  /// call reaches the same record, and lands any refill at the same
+  /// advance_peek reaches the same record, and lands any refill at the same
   /// logical point, as the advance-then-peek sequence it replaces.
   void advance_update(std::size_t source) {
-    if constexpr (kLeafCached) {
+    if constexpr (kPacked) {
       LeafSpan& ls = leaves_[source];
       const T* p = ls.pos + 1;
       if (p != ls.end) [[likely]] {
@@ -432,16 +392,9 @@ class LoserTree {
       } else {
         apply_head(source, resync_span(source));
       }
-      return;
-    }
-    const T* head;
-    if constexpr (kFusedAdvance) {
-      head = sources_[source]->advance_peek();
     } else {
-      sources_[source]->advance();
-      head = sources_[source]->peek();
+      apply_head(source, sources_[source]->advance_peek());
     }
-    apply_head(source, head);
   }
 
   /// Re-peeks `source` (landing any refill at exactly the point the
@@ -501,52 +454,27 @@ class LoserTree {
   void replay(std::size_t source, const T* head) {
     u32 cur_idx = static_cast<u32>(source);
     const T* cur_head = head;
-    u64 cur_key = 0;
-    if constexpr (kKeyCached) {
-      if (head != nullptr) cur_key = base::KeyCodec<T>::encode(*head);
-    }
     for (std::size_t node = (k_ + source) / 2; node >= 1; node /= 2) {
       Node& nd = nodes_[node];
-      if constexpr (kKeyCached) {
-        const bool n_live = nd.head != nullptr;
-        const bool c_live = cur_head != nullptr;
-        compares_ += static_cast<u64>(n_live && c_live);
-        // The node's cached loser takes over when it sorts strictly before
-        // the carried contender, or ties with a lower source index.
-        const bool take =
-            n_live && (!c_live || nd.key < cur_key ||
-                       (nd.key == cur_key && nd.idx < cur_idx));
-        const u64 nk = nd.key;
-        const T* nh = nd.head;
-        const u32 ni = nd.idx;
-        nd.key = take ? cur_key : nk;
-        nd.head = take ? cur_head : nh;
-        nd.idx = take ? cur_idx : ni;
-        cur_key = take ? nk : cur_key;
-        cur_head = take ? nh : cur_head;
-        cur_idx = take ? ni : cur_idx;
+      if (nd.head == nullptr) continue;
+      bool take;
+      if (cur_head == nullptr) {
+        take = true;
       } else {
-        if (nd.head == nullptr) continue;
-        bool take;
-        if (cur_head == nullptr) {
-          take = true;
-        } else {
-          ++compares_;
-          // One comparison resolves order-with-stable-ties: when the node's
-          // loser precedes the contender it also wins ties, so it takes
-          // over iff !(cur < node); symmetrically otherwise.
-          take = nd.idx < cur_idx ? !less_(*cur_head, *nd.head)
-                                  : less_(*nd.head, *cur_head);
-        }
-        if (take) {
-          std::swap(cur_head, nd.head);
-          std::swap(cur_idx, nd.idx);
-        }
+        ++compares_;
+        // One comparison resolves order-with-stable-ties: when the node's
+        // loser precedes the contender it also wins ties, so it takes over
+        // iff !(cur < node); symmetrically otherwise.
+        take = nd.idx < cur_idx ? !less_(*cur_head, *nd.head)
+                                : less_(*nd.head, *cur_head);
+      }
+      if (take) {
+        std::swap(cur_head, nd.head);
+        std::swap(cur_idx, nd.idx);
       }
     }
     winner_ = cur_idx;
     cur_head_ = cur_head;
-    cur_key_ = cur_key;
   }
 
   void flush_meter() {
@@ -560,17 +488,15 @@ class LoserTree {
   Less less_;
   Meter* meter_;
   std::size_t k_ = 0;
-  std::vector<Node> nodes_;  ///< cached loser at each internal node
+  std::vector<Node> nodes_;  ///< cached losers (comparator mode only)
   std::vector<u64> packed_;  ///< single-u64 nodes (kPacked mode only)
   std::size_t winner_ = 0;
   const T* cur_head_ = nullptr;  ///< cached head of the current winner
-  u64 cur_key_ = 0;              ///< its encoded key (kKeyCached only)
-  u64 cur_packed_ = kExhausted;  ///< the winner's packing (kPacked only)
   T cur_rec_{};                  ///< decoded winner record (kPacked only)
   u32 depth_ = 0;             ///< root-path length log2(k_) (kPacked only)
   u32 exhausted_leaves_ = 0;  ///< padded + dried-up leaves (kPacked only)
 
-  /// Cached buffered stretch of one source (kLeafCached).  `pos` is the
+  /// Cached buffered stretch of one source (kPacked).  `pos` is the
   /// source's current head; records in [begin, pos) are consumed but not
   /// yet reported to the cursor; pos == nullptr marks exhaustion.
   struct LeafSpan {
@@ -578,7 +504,7 @@ class LoserTree {
     const T* pos = nullptr;
     const T* end = nullptr;
   };
-  std::vector<LeafSpan> leaves_;  ///< indexed by source (kLeafCached only)
+  std::vector<LeafSpan> leaves_;  ///< indexed by source (kPacked only)
   u64 compares_ = 0;
   u64 reported_ = 0;
 };

@@ -1,6 +1,6 @@
 // Tests of the extensions beyond the paper's baseline algorithm:
-// sampling oversampling (denser regular samples), exact splitter selection
-// by distributed bisection, and the D-disk striped external sort.
+// sampling oversampling (denser regular samples) and exact splitter
+// selection by distributed bisection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +14,6 @@
 #include "hetero/perf_vector.h"
 #include "metrics/expansion.h"
 #include "net/cluster.h"
-#include "pdm/striped_volume.h"
-#include "seq/striped_sort.h"
 #include "workload/generators.h"
 
 namespace paladin {
@@ -236,98 +234,6 @@ TEST(ExactSplitters, CostsManyMoreMessageRoundsThanOneStepSampling) {
     return outcome.makespan;
   };
   EXPECT_GT(time_of(true), time_of(false));
-}
-
-// ---------------------------------------------------------------------
-// Striped external sort (D disks)
-// ---------------------------------------------------------------------
-
-class StripedSortTest : public ::testing::TestWithParam<u64> {};
-
-TEST_P(StripedSortTest, SortsAcrossDDisks) {
-  const u64 d = GetParam();
-  pdm::DiskParams params;
-  params.block_bytes = 64;  // 16 u32/block
-  pdm::StripedVolume vol = pdm::StripedVolume::in_memory(d, params);
-
-  Xoshiro256 rng(11 + d);
-  std::vector<u32> input(5000);
-  for (auto& x : input) x = static_cast<u32>(rng.next());
-  {
-    pdm::StripedWriter<u32> w(vol, "in");
-    w.push_span(std::span<const u32>(input));
-    w.flush();
-  }
-
-  NullMeter meter;
-  const auto result = seq::striped_sort<u32>(vol, "in", "out", 256, meter);
-  EXPECT_EQ(result.records, input.size());
-  EXPECT_EQ(result.initial_runs, ceil_div(input.size(), 256));
-
-  pdm::StripedReader<u32> r(vol, "out");
-  std::vector<u32> output;
-  u32 v;
-  while (r.next(v)) output.push_back(v);
-  auto expected = input;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(output, expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(DiskCounts, StripedSortTest,
-                         ::testing::Values(1, 2, 3, 4, 8));
-
-TEST(StripedSort, EmptyAndSingleRunInputs) {
-  pdm::DiskParams params;
-  params.block_bytes = 64;
-  pdm::StripedVolume vol = pdm::StripedVolume::in_memory(3, params);
-  {
-    pdm::StripedWriter<u32> w(vol, "in");
-    w.flush();
-  }
-  NullMeter meter;
-  auto result = seq::striped_sort<u32>(vol, "in", "out", 128, meter);
-  EXPECT_EQ(result.records, 0u);
-  pdm::StripedReader<u32> r0(vol, "out");
-  EXPECT_EQ(r0.size_records(), 0u);
-
-  // Single run (fits in memory): one formation pass + one "merge".
-  std::vector<u32> small = {5, 3, 1, 2, 4};
-  {
-    pdm::StripedWriter<u32> w(vol, "in2");
-    w.push_span(std::span<const u32>(small));
-    w.flush();
-  }
-  result = seq::striped_sort<u32>(vol, "in2", "out2", 128, meter);
-  EXPECT_EQ(result.initial_runs, 1u);
-  pdm::StripedReader<u32> r(vol, "out2");
-  std::vector<u32> out;
-  u32 v;
-  while (r.next(v)) out.push_back(v);
-  EXPECT_EQ(out, (std::vector<u32>{1, 2, 3, 4, 5}));
-}
-
-TEST(StripedSort, ParallelIosApproachBoundOverD) {
-  // With D disks the max-per-disk block count should be ~total/D.
-  pdm::DiskParams params;
-  params.block_bytes = 64;
-  for (u64 d : {u64{2}, u64{4}}) {
-    pdm::StripedVolume vol = pdm::StripedVolume::in_memory(d, params);
-    Xoshiro256 rng(3);
-    {
-      pdm::StripedWriter<u32> w(vol, "in");
-      for (u64 i = 0; i < 20000; ++i) w.push(static_cast<u32>(rng.next()));
-      w.flush();
-    }
-    vol.reset_stats();
-    NullMeter meter;
-    seq::striped_sort<u32>(vol, "in", "out", 512, meter);
-    const u64 total = vol.total_stats().total_block_ios();
-    const u64 parallel = vol.parallel_block_ios();
-    // Per-disk share within 40% of ideal total/D.
-    EXPECT_LT(static_cast<double>(parallel),
-              1.4 * static_cast<double>(total) / static_cast<double>(d))
-        << "d=" << d;
-  }
 }
 
 }  // namespace

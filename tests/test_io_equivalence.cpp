@@ -15,14 +15,15 @@
 #include <vector>
 
 #include "base/meter.h"
+#include "core/backend.h"
 #include "core/ext_psrs.h"
 #include "core/scatter_gather.h"
+#include "core/sort_driver.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
-#include "pdm/striped_volume.h"
 #include "pdm/typed_io.h"
 #include "seq/external_sort.h"
-#include "seq/striped_sort.h"
+#include "test_params.h"
 #include "workload/generators.h"
 
 namespace paladin {
@@ -206,68 +207,105 @@ TEST(SeqIoEquivalenceEdge, InexactRecordBlockFit) {
 }
 
 // ---------------------------------------------------------------------
-// Striped D-disk sort
+// Spill exchange: every backend's exchange lands the pieces it receives on
+// disk (core/redistribute.h appends them to landing files, some of which
+// already hold earlier pieces) and merges them back, so on real files it
+// must collect the same output, with the same per-node IoStats and the
+// same virtual makespan, as on in-memory disks.
 // ---------------------------------------------------------------------
 
-Observed run_striped(Dist dist, const BackendCase& backend,
-                     pdm::DiskParams params, const std::vector<u32>& input) {
-  const u64 d = 3;
-  ScratchDir dir(std::string("striped_") + workload::to_string(dist) + "_" +
-                 backend.label);
-  std::vector<pdm::Disk> disks;
-  for (u64 i = 0; i < d; ++i) {
-    if (backend.posix) {
-      const fs::path sub = dir.path() / ("d" + std::to_string(i));
-      fs::create_directories(sub);
-      disks.push_back(pdm::Disk::posix(sub, params));
-    } else {
-      disks.push_back(pdm::Disk::in_memory(params));
+struct ExchangeRun {
+  std::vector<DefaultKey> output;  ///< collect_sorted_output at rank 0
+  std::vector<pdm::IoStats> io;    ///< per node, after the sort
+  double makespan = 0.0;
+};
+
+ExchangeRun run_exchange(core::ParallelSortAlgorithm algorithm, Dist dist,
+                         const BackendCase& backend) {
+  const PerfVector perf({4, 4, 1, 1});
+  core::ParallelSortConfig psc;
+  psc.algorithm = algorithm;
+  psc.psrs.pipelined = false;  // ext-psrs runs its phased exchange
+  psc.sequential.memory_records = test_params::kMemoryRecords;
+  psc.sequential.tape_count = test_params::kTapeCount;
+  psc.sequential.allow_in_memory = false;
+  psc.message_records = test_params::kMessageRecords;
+  const u64 n = perf.round_up_admissible(
+      std::max<u64>(12000, core::minimum_input(psc, perf)));
+
+  ScratchDir dir(std::string("exchange_") + core::to_string(algorithm) + "_" +
+                 workload::to_string(dist) + "_" + backend.label);
+  ClusterConfig config;
+  config.perf = {4, 4, 1, 1};
+  config.disk.block_bytes = 256;
+  if (backend.posix) config.workdir = dir.path();
+  Cluster cluster(config);
+
+  WorkloadSpec spec;
+  spec.dist = dist;
+  spec.total_records = n;
+  spec.node_count = perf.node_count();
+  spec.seed = 2718;
+
+  struct NodeResult {
+    pdm::IoStats io;
+    std::vector<DefaultKey> collected;  // rank 0 only
+  };
+  auto outcome = cluster.run([&](NodeContext& ctx) -> NodeResult {
+    workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
+                          perf.share(ctx.rank(), n), ctx.disk(), "input");
+    const core::ParallelSortReport report =
+        core::parallel_external_sort<DefaultKey>(ctx, perf, psc);
+    NodeResult r;
+    r.io = ctx.disk().stats();
+    core::collect_sorted_output<DefaultKey>(ctx, psc, report, "all.out", 0);
+    if (ctx.rank() == 0) {
+      r.collected = pdm::read_file<DefaultKey>(ctx.disk(), "all.out");
     }
-  }
-  pdm::StripedVolume vol(std::move(disks));
-  {
-    pdm::StripedWriter<u32> w(vol, "in");
-    w.push_span(std::span<const u32>(input));
-    w.flush();
-  }
+    return r;
+  });
 
-  Observed obs;
-  vol.reset_stats();
-  for (u64 i = 0; i < vol.disk_count(); ++i) {
-    vol.disk(i).set_cost_sink([&obs](double s) { obs.sink_seconds += s; });
-  }
-  CountingMeter meter;
-  seq::striped_sort<u32>(vol, "in", "out", 512, meter);
-
-  for (u64 i = 0; i < vol.disk_count(); ++i) {
-    vol.disk(i).set_cost_sink(nullptr);
-  }
-  obs.stats = vol.total_stats();
-  obs.compares = meter.compares;
-  obs.moves = meter.moves;
-  pdm::StripedReader<u32> r(vol, "out");
-  u32 v;
-  while (r.next(v)) obs.output.push_back(v);
-  return obs;
+  ExchangeRun run;
+  run.makespan = outcome.makespan;
+  for (NodeResult& r : outcome.results) run.io.push_back(r.io);
+  run.output = std::move(outcome.results[0].collected);
+  return run;
 }
 
-class StripedIoEquivalence : public ::testing::TestWithParam<Dist> {};
-
-TEST_P(StripedIoEquivalence, BothBackendsObservationallyIdentical) {
-  const Dist dist = GetParam();
-  pdm::DiskParams params;
-  params.block_bytes = 128;
-  const auto input = make_input(dist, 6144, 31);
-
-  const Observed base = run_striped(dist, kBaseline, params, input);
-  EXPECT_TRUE(std::is_sorted(base.output.begin(), base.output.end()));
-  EXPECT_EQ(base.output.size(), input.size());
-  expect_identical(base, run_striped(dist, kPosix, params, input),
-                   kPosix.label);
+void check_exchange(core::ParallelSortAlgorithm algorithm, Dist dist) {
+  const ExchangeRun base = run_exchange(algorithm, dist, kBaseline);
+  ASSERT_TRUE(std::is_sorted(base.output.begin(), base.output.end()));
+  const ExchangeRun posix = run_exchange(algorithm, dist, kPosix);
+  EXPECT_EQ(base.output, posix.output);
+  ASSERT_EQ(base.io.size(), posix.io.size());
+  for (std::size_t i = 0; i < base.io.size(); ++i) {
+    EXPECT_EQ(base.io[i], posix.io[i]) << "node " << i;
+  }
+  // Bit-identical simulated execution time.
+  EXPECT_EQ(base.makespan, posix.makespan);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllDistributions, StripedIoEquivalence,
-                         ::testing::ValuesIn(workload::kAllDists));
+class ExchangeIoEquivalence : public ::testing::TestWithParam<Dist> {};
+
+TEST_P(ExchangeIoEquivalence, PhasedExtPsrs) {
+  check_exchange(core::ParallelSortAlgorithm::kExtPsrs, GetParam());
+}
+
+TEST_P(ExchangeIoEquivalence, ExtMultiway) {
+  check_exchange(core::ParallelSortAlgorithm::kExtMultiway, GetParam());
+}
+
+TEST_P(ExchangeIoEquivalence, ExtDistribution) {
+  check_exchange(core::ParallelSortAlgorithm::kExtDistribution, GetParam());
+}
+
+TEST_P(ExchangeIoEquivalence, ExtOverpartition) {
+  check_exchange(core::ParallelSortAlgorithm::kExtOverpartition, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDistributions, ExchangeIoEquivalence,
+                         ::testing::ValuesIn(workload::kAllDists),
+                         test_params::dist_name);
 
 // ---------------------------------------------------------------------
 // Full parallel pipeline: virtual makespan is a pure function of
@@ -322,7 +360,8 @@ TEST_P(PipelineIoEquivalence, MakespanIndependentOfBackend) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, PipelineIoEquivalence,
-                         ::testing::ValuesIn(workload::kAllDists));
+                         ::testing::ValuesIn(workload::kAllDists),
+                         test_params::dist_name);
 
 }  // namespace
 }  // namespace paladin

@@ -2,12 +2,13 @@
 // "Merge kernel engineering").  Three layers are checked against their
 // pre-optimization references:
 //
-//  1. Tree level: the key-cached branchless LoserTree vs a verbatim copy of
-//     the classic pointer-chasing tree (ClassicLoserTree below) — identical
-//     output, identical comparison counts, and identical meter batch
-//     sequences, across every workload distribution, fan-in, per-record vs
-//     gallop drains, and both the encodable (u32, std::less) fast path and
-//     the comparator fallback (100-byte Datamation records, memcmp order).
+//  1. Tree level: the optimized LoserTree vs a verbatim copy of the classic
+//     pointer-chasing tree (ClassicLoserTree below) — identical output,
+//     identical comparison counts, and identical meter batch sequences,
+//     across every workload distribution, fan-in, per-record vs gallop
+//     drains, and both node modes: packed (u32 under std::less) and
+//     comparator (u64 under std::less, and 100-byte Datamation records in
+//     memcmp order).
 //  2. Codec level: KeyCodec encodings are strictly order-preserving.
 //  3. Disk level: merge_run_group on the in-memory disk vs the real-file
 //     posix disk — byte-identical output files, identical IoStats, and a
@@ -216,16 +217,19 @@ class ClassicLoserTree {
 // Shared scaffolding
 // ---------------------------------------------------------------------
 
-// The optimized tree must take the key-cached fast path for u32/std::less
-// and fall back to the comparator for non-encodable records.
-static_assert(seq::LoserTree<u32, seq::MemCursor<u32>>::kKeyCached);
-static_assert(seq::LoserTree<u64, seq::MemCursor<u64>>::kKeyCached);
+// The optimized tree packs its nodes for u32/std::less and uses the
+// comparator for keys whose image does not fit 32 bits and for records the
+// codec cannot encode.
+static_assert(seq::LoserTree<u32, seq::MemCursor<u32>>::kPacked);
+static_assert(seq::LoserTree<i32, seq::MemCursor<i32>>::kPacked);
+static_assert(!seq::LoserTree<u64, seq::MemCursor<u64>>::kPacked);
+static_assert(!seq::LoserTree<i64, seq::MemCursor<i64>>::kPacked);
 static_assert(!seq::LoserTree<DatamationRecord, seq::MemCursor<DatamationRecord>,
-                              DatamationLess>::kKeyCached);
-// A custom comparator on an encodable type must also disable the cache —
-// the radix order only matches std::less.
+                              DatamationLess>::kPacked);
+// A custom comparator on an encodable type must also select the comparator
+// — the radix order only matches std::less.
 static_assert(
-    !seq::LoserTree<u32, seq::MemCursor<u32>, std::greater<u32>>::kKeyCached);
+    !seq::LoserTree<u32, seq::MemCursor<u32>, std::greater<u32>>::kPacked);
 static_assert(!base::KeyCodec<float>::kEncodable);
 static_assert(!base::KeyCodec<double>::kEncodable);
 
@@ -429,10 +433,21 @@ TEST(MergeKernels, OptimizedTreeMatchesClassicOnAllDistributions) {
       SCOPED_TRACE(what);
       const auto runs = make_runs(keys, k);
 
-      // Fast path: u32 keys under std::less (key-cached, branchless).
+      // Packed mode: u32 keys under std::less.
       check_tree_matrix<u32>(runs, std::less<u32>{}, what + "/u32");
 
-      // Fallback path: wide records under a memcmp comparator, with ids
+      // Comparator mode on 64-bit keys: the u32 key moves to the high half
+      // (order and ties unchanged) and its complement fills the low half,
+      // so the values span all 64 bits.
+      std::vector<std::vector<u64>> wide64(runs.size());
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        for (u32 key : runs[i]) {
+          wide64[i].push_back((u64{key} << 32) | u64{~key});
+        }
+      }
+      check_tree_matrix<u64>(wide64, std::less<u64>{}, what + "/u64");
+
+      // Comparator mode on wide records under memcmp order, with ids
       // in the payload so stability divergences change the output bytes.
       std::vector<std::vector<DatamationRecord>> wide(runs.size());
       u64 uid = 0;

@@ -4,8 +4,14 @@
 // between files.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
+
 #include "base/types.h"
 #include "pdm/disk_params.h"
+#include "workload/generators.h"
 
 namespace paladin::test_params {
 
@@ -35,4 +41,25 @@ inline constexpr u64 kFlowWindow = 3;
 inline constexpr int kFlowDataTag = 11;
 inline constexpr int kFlowAckTag = 12;
 
+/// Test-name generator for suites instantiated over workload::kAllDists:
+/// names each case after its distribution ("zipf", "bucket_sorted")
+/// instead of its index.  gtest allows only alphanumerics and '_' in a
+/// name.
+inline std::string dist_name(
+    const ::testing::TestParamInfo<workload::Dist>& info) {
+  std::string name = workload::to_string(info.param);
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
 }  // namespace paladin::test_params
+
+namespace paladin::workload {
+
+/// gtest prints a Dist parameter by name rather than as raw bytes; ctest
+/// names carry that printed value, so they read the same in every build.
+inline void PrintTo(Dist dist, std::ostream* os) { *os << to_string(dist); }
+
+}  // namespace paladin::workload

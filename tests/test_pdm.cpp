@@ -1,5 +1,5 @@
 // Tests of the Parallel Disk Model substrate: backends, block accounting,
-// typed buffered I/O, striped volumes and the PDM bound arithmetic.
+// typed buffered I/O and the PDM bound arithmetic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "base/temp_dir.h"
 #include "pdm/disk.h"
 #include "pdm/pdm_math.h"
-#include "pdm/striped_volume.h"
 #include "pdm/typed_io.h"
 
 namespace paladin::pdm {
@@ -393,58 +392,6 @@ TEST(TypedIo, LargeRecordsSpanningBlocks) {
   u64 i = 0;
   while (r.next(v)) EXPECT_EQ(v.a, i++);
   EXPECT_EQ(i, 10u);
-}
-
-// ---------------------------------------------------------------------
-// StripedVolume (PDM D > 1)
-// ---------------------------------------------------------------------
-
-class StripedTest : public ::testing::TestWithParam<u64> {};
-
-TEST_P(StripedTest, RoundTripsInLogicalOrder) {
-  const u64 d = GetParam();
-  StripedVolume vol = StripedVolume::in_memory(d, tiny_blocks());
-  std::vector<u32> data(1000);
-  Xoshiro256 rng(3);
-  for (auto& x : data) x = static_cast<u32>(rng.next());
-
-  StripedWriter<u32> w(vol, "f");
-  w.push_span(std::span<const u32>(data));
-  w.flush();
-
-  StripedReader<u32> r(vol, "f");
-  EXPECT_EQ(r.size_records(), data.size());
-  std::vector<u32> out;
-  u32 v;
-  while (r.next(v)) out.push_back(v);
-  EXPECT_EQ(out, data);
-}
-
-TEST_P(StripedTest, ParallelIosScaleWithD) {
-  const u64 d = GetParam();
-  StripedVolume vol = StripedVolume::in_memory(d, tiny_blocks());
-  std::vector<u32> data(16 * 64);  // 64 blocks of 16 records
-  StripedWriter<u32> w(vol, "f");
-  w.push_span(std::span<const u32>(data));
-  w.flush();
-  // With D disks, 64 striped block writes take ceil(64/D) parallel steps.
-  EXPECT_EQ(vol.parallel_block_ios(), ceil_div(64, d));
-  EXPECT_EQ(vol.total_stats().blocks_written, 64u);
-}
-
-INSTANTIATE_TEST_SUITE_P(DiskCounts, StripedTest,
-                         ::testing::Values(1, 2, 3, 4, 8));
-
-TEST(StripedVolume, RemoveDeletesAllStripes) {
-  StripedVolume vol = StripedVolume::in_memory(3, tiny_blocks());
-  std::vector<u32> data(100);
-  StripedWriter<u32> w(vol, "f");
-  w.push_span(std::span<const u32>(data));
-  w.flush();
-  vol.remove("f");
-  for (u64 i = 0; i < 3; ++i) {
-    EXPECT_FALSE(vol.disk(i).exists(StripedVolume::stripe_name("f", i)));
-  }
 }
 
 // ---------------------------------------------------------------------

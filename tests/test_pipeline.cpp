@@ -148,13 +148,7 @@ TEST_P(PipelineVsPhased, OutputBitIdenticalAndIoBounded) {
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, PipelineVsPhased,
                          ::testing::ValuesIn(workload::kAllDists),
-                         [](const auto& info) {
-                           std::string name = workload::to_string(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         test_params::dist_name);
 
 // kZero routes every record to partition 0 (ties go low), so partitions
 // 1..p−1 are empty on every node — the zero-size-partition edge case rides

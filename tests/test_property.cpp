@@ -1,7 +1,7 @@
 // Property tests: every sort in the library, against the std::sort oracle,
 // across every input generator — sequential external sorts (both
-// strategies × both run formations), the striped D-disk sort, and the full
-// scatter → parallel-sort → gather round trip.
+// strategies × both run formations) and the full scatter → parallel-sort →
+// gather round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +14,9 @@
 #include "core/scatter_gather.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
-#include "pdm/striped_volume.h"
 #include "pdm/typed_io.h"
 #include "seq/external_sort.h"
-#include "seq/striped_sort.h"
+#include "test_params.h"
 #include "workload/generators.h"
 
 namespace paladin {
@@ -103,59 +102,6 @@ INSTANTIATE_TEST_SUITE_P(AllDistributions, SeqOracle,
                          ::testing::ValuesIn(seq_cases()));
 
 // ---------------------------------------------------------------------
-// Striped D-disk sort vs oracle
-// ---------------------------------------------------------------------
-
-struct StripedCase {
-  Dist dist;
-  u64 d;
-};
-
-void PrintTo(const StripedCase& c, std::ostream* os) {
-  *os << workload::to_string(c.dist) << "_d" << c.d;
-}
-
-class StripedOracle : public ::testing::TestWithParam<StripedCase> {};
-
-TEST_P(StripedOracle, MatchesStdSort) {
-  const StripedCase& param = GetParam();
-  pdm::DiskParams params;
-  params.block_bytes = 128;
-  pdm::StripedVolume vol = pdm::StripedVolume::in_memory(param.d, params);
-
-  const auto input = make_input(param.dist, 8192, 77);
-  {
-    pdm::StripedWriter<u32> w(vol, "in");
-    w.push_span(std::span<const u32>(input));
-    w.flush();
-  }
-  NullMeter meter;
-  seq::striped_sort<u32>(vol, "in", "out", 512, meter);
-
-  std::vector<u32> output;
-  pdm::StripedReader<u32> r(vol, "out");
-  u32 v;
-  while (r.next(v)) output.push_back(v);
-
-  auto expected = input;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(output, expected);
-}
-
-std::vector<StripedCase> striped_cases() {
-  std::vector<StripedCase> out;
-  for (Dist dist : workload::kAllDists) {
-    out.push_back(StripedCase{dist, 3});
-  }
-  out.push_back(StripedCase{Dist::kUniform, 1});
-  out.push_back(StripedCase{Dist::kUniform, 8});
-  return out;
-}
-
-INSTANTIATE_TEST_SUITE_P(AllDistributions, StripedOracle,
-                         ::testing::ValuesIn(striped_cases()));
-
-// ---------------------------------------------------------------------
 // Scatter → parallel external PSRS → gather, vs oracle
 // ---------------------------------------------------------------------
 
@@ -198,7 +144,8 @@ TEST_P(EndToEndOracle, ScatterSortGatherEqualsStdSort) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, EndToEndOracle,
-                         ::testing::ValuesIn(workload::kAllDists));
+                         ::testing::ValuesIn(workload::kAllDists),
+                         test_params::dist_name);
 
 // ---------------------------------------------------------------------
 // Scatter/gather unit behaviour
@@ -341,7 +288,8 @@ TEST_P(ExternalInCoreAgreement, IdenticalPerNodeSlices) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, ExternalInCoreAgreement,
-                         ::testing::ValuesIn(workload::kAllDists));
+                         ::testing::ValuesIn(workload::kAllDists),
+                         test_params::dist_name);
 
 // ---------------------------------------------------------------------
 // Pipelined path: randomized (seed, p, perf, B, m) sweep.  Each drawn

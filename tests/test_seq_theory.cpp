@@ -21,6 +21,7 @@
 #include "seq/external_sort.h"
 #include "seq/loser_tree.h"
 #include "seq/polyphase.h"
+#include "test_params.h"
 #include "workload/datamation.h"
 #include "workload/generators.h"
 
@@ -191,13 +192,7 @@ TEST_P(MeteredSortModel, ChargeEqualsTheModelAtEverySize) {
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, MeteredSortModel,
                          ::testing::ValuesIn(workload::kAllDists),
-                         [](const auto& info) {
-                           std::string name = workload::to_string(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         test_params::dist_name);
 
 TEST(Metering, MeteredSortChargeIgnoresInputOrder) {
   workload::WorkloadSpec spec;
