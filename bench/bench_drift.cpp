@@ -72,10 +72,6 @@ DriftRunResult run_psrs(const BenchOptions& opt,
     pc.sequential.allow_in_memory = false;
     pc.message_records = 8192;
     pc.adaptive.enabled = adaptive;
-    // Phased steps 3–5: in the fused pipeline the slow node's critical
-    // path is its slice-independent send pass, which repartitioning
-    // cannot shrink — the phased merge is where the re-split pays.
-    pc.pipelined = false;
     const core::ExtPsrsReport report =
         core::ext_psrs_sort<DefaultKey>(ctx, perf, pc);
     struct R {

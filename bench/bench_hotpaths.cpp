@@ -23,7 +23,6 @@
 // seq::metered_sort's choice between its radix and counting kernels.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -36,11 +35,7 @@
 #include "base/meter.h"
 #include "base/rng.h"
 #include "bench/bench_common.h"
-#include "core/merge_files.h"
-#include "core/partition_file.h"
-#include "core/pipeline.h"
 #include "metrics/table.h"
-#include "net/communicator.h"
 #include "pdm/typed_io.h"
 #include "seq/cursors.h"
 #include "seq/kway_merge.h"
@@ -179,22 +174,6 @@ struct RepResult {
   u64 compares = 0;
 };
 
-/// Persistent network state for the net-merge kernels: the fabric (and its
-/// shared buffer pool) lives across repetitions so payload buffers are
-/// recycled instead of re-allocated per rep — the allocation noise used to
-/// dominate rep-to-rep variance.
-struct NetState {
-  net::Fabric fabric;
-  net::VirtualClock clock;
-  std::vector<net::Communicator> comms;
-
-  explicit NetState(u64 k)
-      : fabric(static_cast<u32>(k + 1), net::NetworkModel::infinite()) {
-    comms.reserve(k + 1);
-    for (u32 r = 0; r < k + 1; ++r) comms.emplace_back(fabric, r, clock);
-  }
-};
-
 int run(const BenchOptions& opt) {
   const u64 n = opt.full ? (u64{1} << 22) : (u64{1} << 20);
   const u64 k = 8;
@@ -306,104 +285,6 @@ int run(const BenchOptions& opt) {
     kernels.push_back({"merge-random-k" + std::to_string(fan),
                        merge_kernel(sweep_inputs.back().get())});
   }
-
-  // Pipeline kernels: the two halves the fused steps 3–5 are made of.
-  // chunk-emit streams a sorted file through the PartitionStream into
-  // block-multiple payload chunks (the send half, minus the wire);
-  // net-merge feeds a LoserTree straight from a mailbox full of chunk
-  // streams and writes only the final output (the data pass's receive
-  // half).
-  constexpr u64 kChunkRecords = 8192;
-  // p−1 evenly spaced pivots over the presorted input.
-  std::vector<u32> pivots;
-  for (u64 j = 1; j < k; ++j) {
-    pivots.push_back(presorted.records[j * (n / k)]);
-  }
-  kernels.push_back(
-      {"chunk-emit", [&](const Mode& m) -> RepResult {
-         pdm::Disk disk = disk_for(m);
-         pdm::write_file<u32>(disk, "sorted",
-                              std::span<const u32>(presorted.records));
-         disk.reset_stats();
-         CountingMeter meter;
-         u64 emitted = 0;
-         const double s = time_seconds([&] {
-           pdm::BlockFile f = disk.open("sorted");
-           pdm::BlockReader<u32> reader(f);
-           core::PartitionStream<u32> stream(reader,
-                                             std::span<const u32>(pivots),
-                                             kChunkRecords, meter);
-           std::vector<u8> payload;
-           using EventKind = core::PartitionStream<u32>::EventKind;
-           for (;;) {
-             const auto ev = stream.next(payload);
-             if (ev.kind == EventKind::kDone) break;
-             emitted += ev.records;
-           }
-         });
-         PALADIN_ASSERT(emitted == n);
-         const u64 ios = disk.stats().total_block_ios();
-         disk.remove("sorted");
-         return {s, ios, meter.compares};
-       },
-       /*has_per_record=*/false});
-  // One fabric per net-merge kernel, k sender ranks + rank 0 as the
-  // merging receiver, alive across all modes and reps (see NetState).
-  // All chunks are pre-delivered (free wire: the kernel times the
-  // adopt→merge→write machinery, not the simulated link).
-  auto net_merge_kernel = [&](const MergeInput* in,
-                              std::shared_ptr<NetState> st) {
-    return [&, in, st](const Mode& m) -> RepResult {
-      const u64 per_run = n / k;
-      for (u64 run = 0; run < k; ++run) {
-        const u32* base = in->records.data() + run * per_run;
-        for (u64 off = 0; off < per_run; off += kChunkRecords) {
-          const u64 take = std::min<u64>(kChunkRecords, per_run - off);
-          // Recycled from the fabric pool: the merge released last rep's
-          // payloads there as it consumed them.
-          std::vector<u8> payload = st->comms[run + 1].pool().acquire();
-          payload.resize(take * sizeof(u32));
-          std::memcpy(payload.data(), base + off, payload.size());
-          st->comms[run + 1].host_send(0, 1, std::move(payload));
-        }
-        st->comms[run + 1].host_send(0, 1, {});  // EOS
-      }
-      pdm::Disk disk = disk_for(m);
-      disk.reset_stats();
-      CountingMeter meter;
-      u64 merged = 0;
-      const double s = time_seconds([&] {
-        std::vector<core::NetworkRunSource<u32>> net_sources;
-        net_sources.reserve(k);
-        for (u32 r = 0; r < k; ++r) {
-          net_sources.emplace_back(st->comms[0], r + 1, 1, 2, nullptr);
-        }
-        std::vector<core::NetworkRunSource<u32>*> sources;
-        for (auto& src : net_sources) sources.push_back(&src);
-        pdm::BlockFile out = disk.create("merged");
-        pdm::BlockWriter<u32> writer(out);
-        seq::LoserTree<u32, core::NetworkRunSource<u32>> tree(
-            std::move(sources), std::less<u32>(), &meter);
-        merged = m.per_record ? merge_per_record(tree, writer)
-                              : tree.pop_run_into(writer);
-        writer.flush();
-      });
-      PALADIN_ASSERT(merged == in->layout.total_records);
-      // Drain the per-chunk acks out of the sender mailboxes so they do
-      // not accumulate across reps.
-      for (u64 run = 0; run < k; ++run) {
-        while (st->comms[run + 1].host_try_recv(0, 2)) {
-        }
-      }
-      const u64 ios = disk.stats().total_block_ios();
-      disk.remove("merged");
-      return {s, ios, meter.compares};
-    };
-  };
-  kernels.push_back(
-      {"net-merge", net_merge_kernel(&interleaved, std::make_shared<NetState>(k))});
-  kernels.push_back(
-      {"net-merge-zipf", net_merge_kernel(&zipf, std::make_shared<NetState>(k))});
 
   // Run formation: load-sort-store at M = 2^17, so every run is one
   // in-memory seq::metered_sort; the compares are that sort's model

@@ -25,49 +25,43 @@ int run(const BenchOptions& opt) {
                 : "scaled: 2^17 integers (run with --full for paper scale)");
 
   metrics::TextTable table({"requested (ints)", "effective (ints)",
-                            "message bytes", "phased (s)", "deviation",
-                            "pipelined (s)", "messages/node", "paper (s)"});
+                            "message bytes", "exe time (s)", "deviation",
+                            "messages/node", "paper (s)"});
 
   const u64 sizes[] = {8, 64, 512, 2048, 8192, 32768, 262144};
   for (u64 message_records : sizes) {
-    RunningStats time_phased;
-    RunningStats time_pipelined;
+    RunningStats time;
     u64 messages = 0;
     u64 effective = 0;
     for (u32 rep = 0; rep < opt.reps; ++rep) {
-      for (const bool pipelined : {false, true}) {
-        net::ClusterConfig config = paper_cluster(opt);
-        config.perf = {1, 1, 1, 1};  // the paper ran this homogeneous
-        config.seed = 500 + rep;
-        net::Cluster cluster(config);
+      net::ClusterConfig config = paper_cluster(opt);
+      config.perf = {1, 1, 1, 1};  // the paper ran this homogeneous
+      config.seed = 500 + rep;
+      net::Cluster cluster(config);
 
-        workload::WorkloadSpec spec;
-        spec.dist = workload::Dist::kUniform;
-        spec.total_records = n;
-        spec.node_count = 4;
-        spec.seed = config.seed;
+      workload::WorkloadSpec spec;
+      spec.dist = workload::Dist::kUniform;
+      spec.total_records = n;
+      spec.node_count = 4;
+      spec.seed = config.seed;
 
-        auto outcome =
-            cluster.run([&](net::NodeContext& ctx) -> core::ExtPsrsReport {
-              workload::write_share(spec, ctx.rank(),
-                                    perf.share_offset(ctx.rank(), n),
-                                    perf.share(ctx.rank(), n), ctx.disk(),
-                                    "input");
-              core::ExtPsrsConfig psrs;
-              psrs.sequential.memory_records = memory;
-              psrs.sequential.tape_count = 15;
-              psrs.sequential.allow_in_memory = false;
-              psrs.message_records = message_records;
-              psrs.pipelined = pipelined;
-              ctx.clock().reset();
-              return core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
-            });
-        (pipelined ? time_pipelined : time_phased).add(outcome.makespan);
-        if (!pipelined) {
-          messages = outcome.results[0].messages_sent;
-          effective = outcome.results[0].effective_message_records;
-        }
-      }
+      auto outcome =
+          cluster.run([&](net::NodeContext& ctx) -> core::ExtPsrsReport {
+            workload::write_share(spec, ctx.rank(),
+                                  perf.share_offset(ctx.rank(), n),
+                                  perf.share(ctx.rank(), n), ctx.disk(),
+                                  "input");
+            core::ExtPsrsConfig psrs;
+            psrs.sequential.memory_records = memory;
+            psrs.sequential.tape_count = 15;
+            psrs.sequential.allow_in_memory = false;
+            psrs.message_records = message_records;
+            ctx.clock().reset();
+            return core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
+          });
+      time.add(outcome.makespan);
+      messages = outcome.results[0].messages_sent;
+      effective = outcome.results[0].effective_message_records;
     }
     std::string paper = "-";
     if (message_records == 8) paper = "133.61*";
@@ -75,9 +69,7 @@ int run(const BenchOptions& opt) {
     table.add_row({std::to_string(message_records),
                    std::to_string(effective),
                    std::to_string(effective * sizeof(DefaultKey)),
-                   fmt_seconds(time_phased.mean()),
-                   fmt_seconds(time_phased.stddev()),
-                   fmt_seconds(time_pipelined.mean()),
+                   fmt_seconds(time.mean()), fmt_seconds(time.stddev()),
                    std::to_string(messages), paper});
   }
   table.print(std::cout);

@@ -97,148 +97,124 @@ int run(const BenchOptions& opt) {
        1.093},
   };
 
-  metrics::TextTable table({"configuration", "mode", "input size",
-                            "exe time (s)", "deviation", "mean", "max",
-                            "S(max)", "S(all)", "paper t (s)",
-                            "paper S(max)"});
+  metrics::TextTable table({"configuration", "input size", "exe time (s)",
+                            "deviation", "mean", "max", "S(max)", "S(all)",
+                            "paper t (s)", "paper S(max)"});
 
-  // Per-node state the phased/pipelined comparison checks for equality:
-  // multiset digest of the output plus the sortedness verdict.
-  struct ModeOutcome {
-    RowResult acc;
-    std::vector<u64> digests;  ///< per-node output digest, first rep
-    bool all_sorted = true;
-  };
-
-  std::vector<double> measured_times;           // phased, per config
-  std::vector<double> measured_times_pipelined;  // pipelined, per config
+  std::vector<double> measured_times;  // per config
   for (const ConfigRow& row : rows) {
     PerfVector algo_perf(row.perf);
     const u64 n =
         algo_perf.homogeneous() ? n_homo : algo_perf.round_up_admissible(n_hetero);
 
     // With --obs-out=PREFIX the paper's headline configuration — hetero
-    // perf {4,4,1,1} on Fast-Ethernet, pipelined, first repetition — is
-    // traced and exported (PREFIX.trace.json + PREFIX.report.json).
+    // perf {4,4,1,1} on Fast-Ethernet, first repetition — is traced and
+    // exported (PREFIX.trace.json + PREFIX.report.json).
     const bool obs_row = !opt.obs_out.empty() && row.perf == std::vector<u32>{4, 4, 1, 1} &&
                          row.network.name == net::NetworkModel::fast_ethernet().name;
 
-    auto run_mode = [&](bool pipelined) -> ModeOutcome {
-      ModeOutcome mode_out;
-      for (u32 rep = 0; rep < opt.reps; ++rep) {
-        net::ClusterConfig config = base;  // true machine speeds {4,4,1,1}
-        config.network = row.network;
-        config.seed = 7100 + rep;
-        config.observe = obs_row && pipelined && rep == 0;
-        net::Cluster cluster(config);
+    RowResult acc;
+    for (u32 rep = 0; rep < opt.reps; ++rep) {
+      net::ClusterConfig config = base;  // true machine speeds {4,4,1,1}
+      config.network = row.network;
+      config.seed = 7100 + rep;
+      config.observe = obs_row && rep == 0;
+      net::Cluster cluster(config);
 
-        workload::WorkloadSpec spec;
-        spec.dist = workload::Dist::kUniform;
-        spec.total_records = n;
-        spec.node_count = 4;
-        spec.seed = config.seed;
+      workload::WorkloadSpec spec;
+      spec.dist = workload::Dist::kUniform;
+      spec.total_records = n;
+      spec.node_count = 4;
+      spec.seed = config.seed;
 
-        struct NodeOut {
-          ExtPsrsReport report;
-          u64 digest = 0;
-          bool sorted = false;
-        };
-        auto outcome = cluster.run([&](net::NodeContext& ctx) -> NodeOut {
-          workload::write_share(spec, ctx.rank(),
-                                algo_perf.share_offset(ctx.rank(), n),
-                                algo_perf.share(ctx.rank(), n), ctx.disk(),
-                                "input");
-          ExtPsrsConfig psrs;
-          psrs.sequential.memory_records = memory;
-          psrs.sequential.tape_count = 15;
-          psrs.sequential.allow_in_memory = false;
-          psrs.message_records = 8192;  // 32 KB of 4-byte integers
-          psrs.pipelined = pipelined;
-          ctx.clock().reset();          // time the sort, not data generation
-          NodeOut out;
-          out.report = core::ext_psrs_sort<DefaultKey>(ctx, algo_perf, psrs);
-          out.digest =
-              core::file_checksum<DefaultKey>(ctx.disk(), "sorted").digest();
-          out.sorted = core::verify_global_order<DefaultKey>(ctx, "sorted");
-          return out;
-        });
+      struct NodeOut {
+        ExtPsrsReport report;
+        MultisetChecksum input;   ///< the node's share
+        MultisetChecksum output;  ///< the node's final slice
+        bool sorted = false;
+      };
+      auto outcome = cluster.run([&](net::NodeContext& ctx) -> NodeOut {
+        workload::write_share(spec, ctx.rank(),
+                              algo_perf.share_offset(ctx.rank(), n),
+                              algo_perf.share(ctx.rank(), n), ctx.disk(),
+                              "input");
+        ExtPsrsConfig psrs;
+        psrs.sequential.memory_records = memory;
+        psrs.sequential.tape_count = 15;
+        psrs.sequential.allow_in_memory = false;
+        psrs.message_records = 8192;  // 32 KB of 4-byte integers
+        NodeOut out;
+        out.input = core::file_checksum<DefaultKey>(ctx.disk(), "input");
+        ctx.clock().reset();  // time the sort, not data generation
+        out.report = core::ext_psrs_sort<DefaultKey>(ctx, algo_perf, psrs);
+        out.output = core::file_checksum<DefaultKey>(ctx.disk(), "sorted");
+        out.sorted = core::verify_global_order<DefaultKey>(ctx, "sorted");
+        return out;
+      });
 
-        if (config.observe) {
-          obs::ClusterTrace trace = core::collect_cluster_trace(outcome);
-          trace.set_meta("tool", "bench_table3_parallel");
-          trace.set_meta("configuration", row.label);
-          trace.set_meta("mode", "pipelined");
-          trace.set_meta("records", std::to_string(n));
-          trace.set_meta("seed", std::to_string(config.seed));
-          if (core::write_obs_outputs(trace, opt.obs_out)) {
-            note("wrote " + opt.obs_out + ".trace.json and " + opt.obs_out +
-                 ".report.json");
-          } else {
-            std::cerr << "warning: failed to write --obs-out files under "
-                      << opt.obs_out << "\n";
-          }
+      if (config.observe) {
+        obs::ClusterTrace trace = core::collect_cluster_trace(outcome);
+        trace.set_meta("tool", "bench_table3_parallel");
+        trace.set_meta("configuration", row.label);
+        trace.set_meta("records", std::to_string(n));
+        trace.set_meta("seed", std::to_string(config.seed));
+        if (core::write_obs_outputs(trace, opt.obs_out)) {
+          note("wrote " + opt.obs_out + ".trace.json and " + opt.obs_out +
+               ".report.json");
+        } else {
+          std::cerr << "warning: failed to write --obs-out files under "
+                    << opt.obs_out << "\n";
         }
-
-        RowResult& acc = mode_out.acc;
-        acc.time.add(outcome.makespan);
-        // The paper's "Mean"/"Max"/"S(max)" columns are over the fastest
-        // nodes in the heterogeneous rows, all nodes in the homogeneous
-        // row.
-        std::vector<u64> finals;
-        for (const auto& r : outcome.results) {
-          finals.push_back(r.report.final_records);
-          mode_out.all_sorted = mode_out.all_sorted && r.sorted;
-          if (rep == 0) mode_out.digests.push_back(r.digest);
-        }
-        u64 fast_sum = 0, fast_count = 0, fast_max = 0;
-        for (u32 i = 0; i < 4; ++i) {
-          if (algo_perf[i] == algo_perf[0]) {  // the fastest class
-            fast_sum += finals[i];
-            fast_max = std::max(fast_max, finals[i]);
-            ++fast_count;
-          }
-        }
-        const double fast_opt =
-            static_cast<double>(n) * algo_perf[0] /
-            static_cast<double>(algo_perf.sum());
-        acc.mean_fast_partition.add(static_cast<double>(fast_sum) /
-                                    static_cast<double>(fast_count));
-        acc.expansion_fast.add(static_cast<double>(fast_max) / fast_opt);
-        acc.expansion_all.add(metrics::sublist_expansion(finals, algo_perf));
-        acc.max_partition = std::max(acc.max_partition, fast_max);
       }
-      return mode_out;
-    };
 
-    const ModeOutcome phased = run_mode(false);
-    const ModeOutcome pipelined = run_mode(true);
-    // Identical verification across modes: same sortedness verdict and the
-    // same per-node multiset digests.
-    PALADIN_ASSERT(phased.all_sorted && pipelined.all_sorted);
-    PALADIN_ASSERT(phased.digests == pipelined.digests);
-
-    for (const auto* m : {&phased, &pipelined}) {
-      const RowResult& acc = m->acc;
-      table.add_row({row.label, m == &phased ? "phased" : "pipelined",
-                     std::to_string(n), fmt_seconds(acc.time.mean()),
-                     fmt_seconds(acc.time.stddev()),
-                     metrics::TextTable::fmt(acc.mean_fast_partition.mean(), 1),
-                     std::to_string(acc.max_partition),
-                     metrics::TextTable::fmt(acc.expansion_fast.mean(), 4),
-                     metrics::TextTable::fmt(acc.expansion_all.mean(), 4),
-                     fmt_seconds(row.paper_time),
-                     metrics::TextTable::fmt(row.paper_expansion, 4)});
+      acc.time.add(outcome.makespan);
+      // The paper's "Mean"/"Max"/"S(max)" columns are over the fastest
+      // nodes in the heterogeneous rows, all nodes in the homogeneous
+      // row.
+      // Every slice sorted, and the cluster's output the multiset of its
+      // input.
+      std::vector<u64> finals;
+      MultisetChecksum in, out;
+      for (const auto& r : outcome.results) {
+        PALADIN_ASSERT(r.sorted);
+        in.merge(r.input);
+        out.merge(r.output);
+        finals.push_back(r.report.final_records);
+      }
+      PALADIN_ASSERT(in == out);
+      u64 fast_sum = 0, fast_count = 0, fast_max = 0;
+      for (u32 i = 0; i < 4; ++i) {
+        if (algo_perf[i] == algo_perf[0]) {  // the fastest class
+          fast_sum += finals[i];
+          fast_max = std::max(fast_max, finals[i]);
+          ++fast_count;
+        }
+      }
+      const double fast_opt =
+          static_cast<double>(n) * algo_perf[0] /
+          static_cast<double>(algo_perf.sum());
+      acc.mean_fast_partition.add(static_cast<double>(fast_sum) /
+                                  static_cast<double>(fast_count));
+      acc.expansion_fast.add(static_cast<double>(fast_max) / fast_opt);
+      acc.expansion_all.add(metrics::sublist_expansion(finals, algo_perf));
+      acc.max_partition = std::max(acc.max_partition, fast_max);
     }
-    measured_times.push_back(phased.acc.time.mean());
-    measured_times_pipelined.push_back(pipelined.acc.time.mean());
+
+    table.add_row({row.label, std::to_string(n), fmt_seconds(acc.time.mean()),
+                   fmt_seconds(acc.time.stddev()),
+                   metrics::TextTable::fmt(acc.mean_fast_partition.mean(), 1),
+                   std::to_string(acc.max_partition),
+                   metrics::TextTable::fmt(acc.expansion_fast.mean(), 4),
+                   metrics::TextTable::fmt(acc.expansion_all.mean(), 4),
+                   fmt_seconds(row.paper_time),
+                   metrics::TextTable::fmt(row.paper_expansion, 4)});
+    measured_times.push_back(acc.time.mean());
   }
   table.print(std::cout);
   if (!opt.full) {
     note("paper columns refer to the 16x larger --full size; compare "
          "ratios and shapes");
   }
-  note("pipelined rows fuse steps 3-5 (partition->send->merge overlap); "
-       "per-node output digests verified identical to phased");
 
   heading("Shape checks (paper section 5)");
   note("hetero/homo speedup: " +
@@ -248,12 +224,6 @@ int run(const BenchOptions& opt) {
        metrics::TextTable::fmt(measured_times[2] / measured_times[1], 3) +
        "   — paper: " + metrics::TextTable::fmt(155.43 / 155.41, 3) +
        " (no improvement: the sort is communication-light)");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    note(rows[i].label + " pipelined/phased: " +
-         metrics::TextTable::fmt(
-             measured_times_pipelined[i] / measured_times[i], 3) +
-         "x virtual time");
-  }
   return 0;
 }
 

@@ -55,10 +55,10 @@ int main() {
     finals.push_back(r.final_records);
     std::cout << "  node " << finals.size() - 1 << ": share "
               << r.local_records << " -> final " << r.final_records
-              << " (seq " << r.t_seq_sort << " s, steps 3-5 "
-              << r.t_partition + r.t_redistribute + r.t_final_merge +
-                     r.t_pipeline
-              << " s)\n";
+              << " (seq sort " << r.t_seq_sort << " s, sampling "
+              << r.t_sampling << " s, partition " << r.t_partition
+              << " s, exchange " << r.t_redistribute << " s, merge "
+              << r.t_final_merge << " s)\n";
   }
   std::cout << "sublist expansion: "
             << metrics::sublist_expansion(std::span<const u64>(finals), perf)

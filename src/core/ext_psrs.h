@@ -11,10 +11,7 @@
 //   Step 4  redistribution — partition j travels to node j straight from
 //           the sorted file, in block-multiple messages;
 //   Step 5  final merge of the node's own partition with the p−1 received
-//           runs.
-//
-// By default steps 3–5 run fused instead (core/pipeline.h), with the same
-// output.
+//           runs, freeing each run behind the merge (core/merge_files.h).
 //
 // The PSRS theorem (and its heterogeneous extension, ref. [29] of the
 // paper) bounds node i's final partition by 2·l_i (+d with d duplicates of
@@ -32,7 +29,6 @@
 #include "core/backend.h"
 #include "core/partition_file.h"
 #include "core/merge_files.h"
-#include "core/pipeline.h"
 #include "core/redistribute.h"
 #include "core/sampling.h"
 #include "hetero/perf_vector.h"
@@ -49,19 +45,15 @@ struct ExtPsrsOptions {
   /// Larger values shrink the pivot quantisation error — the slow nodes'
   /// balance improves at the cost of a larger gathered sample.
   u64 sampling_oversample = 1;
-  /// Node that sorts the samples and selects pivots.
-  u32 designated_node = 0;
-  /// Fuse steps 3–5 into the overlapped partition→send→merge pipeline,
-  /// which reads the sorted file once and writes only the merged output,
-  /// instead of the phased cut → exchange → merge, which lands each
-  /// received partition on disk and merges it back.  Output is
-  /// bit-identical either way, and the virtual makespans within about 2%
-  /// (EXPERIMENTS.md Table 3): phased finishes sooner at 2^20 and 2^24
-  /// records on the Table 3 clusters, pipelined at 2^17.
-  bool pipelined = true;
-  /// Per-destination credit window in pipelined mode and in the phased
-  /// exchange: at most this many un-acknowledged chunks in flight.
-  u64 flow_window_chunks = kDefaultFlowWindow;
+  /// Node that sorts the samples and selects pivots.  A constant that
+  /// perfbench's composed run reads; it goes with that run.
+  static constexpr u32 designated_node = 0;
+  /// Steps 3–5 always run phased; perfbench's composed run checks this
+  /// flag, and it goes with that run.
+  static constexpr bool pipelined = true;
+  /// Per-destination credit window of the Step 4 exchange.  A constant that
+  /// perfbench's composed run reads; it goes with that run.
+  static constexpr u64 flow_window_chunks = kDefaultFlowWindow;
 };
 
 struct ExtPsrsConfig : BackendConfig, ExtPsrsOptions {};
@@ -80,7 +72,9 @@ struct ExtPsrsReport : BackendReport {
   double t_partition = 0.0;
   double t_redistribute = 0.0;
   double t_final_merge = 0.0;
-  double t_pipeline = 0.0;  ///< fused steps 3–5 (pipelined mode only)
+  /// Always 0: perfbench's composed run adds it to the Steps 3–5 total,
+  /// and it goes with that run.
+  static constexpr double t_pipeline = 0.0;
 
   // Block I/O per step (this node's disk).
   u64 io_seq_sort = 0;
@@ -88,7 +82,6 @@ struct ExtPsrsReport : BackendReport {
   u64 io_partition = 0;
   u64 io_redistribute = 0;
   u64 io_final_merge = 0;
-  u64 io_pipeline = 0;  ///< fused steps 3–5 (pipelined mode only)
 };
 
 /// SPMD body: sorts the cluster-wide dataset whose share on this node is
@@ -99,10 +92,10 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
                             const hetero::PerfVector& perf,
                             const ExtPsrsConfig& config, Less less = {}) {
   PALADIN_EXPECTS(perf.node_count() == ctx.node_count());
-  PALADIN_EXPECTS(config.designated_node < ctx.node_count());
   net::Communicator& comm = ctx.comm();
   const u32 p = comm.size();
   const u32 rank = comm.rank();
+  constexpr u32 root = ExtPsrsOptions::designated_node;
 
   ExtPsrsReport report;
   report.local_records = ctx.disk().file_records<T>(config.input);
@@ -162,8 +155,8 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   std::vector<double> adapt_weights;
   if (config.adaptive.enabled) {
     obs::ScopedSpan span(tr, "psrs.adapt", "drift");
-    const AdaptiveOutcome ad = adaptive_reestimate(
-        bc, report.local_records, config.designated_node);
+    const AdaptiveOutcome ad =
+        adaptive_reestimate(bc, report.local_records, root);
     if (ad.applied) adapt_weights = ad.weights;
   }
 
@@ -185,8 +178,7 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
       }
       report.samples_contributed = samples.size();
       pivots = tree_select_pivots<T, Less>(ctx, perf, std::move(samples),
-                                           o_total, config.designated_node,
-                                           less);
+                                           o_total, root, less);
     } else {
       // Once weights apply, densify the regular sample: the oversample-1
       // sample only offers cut points at the static perf quantiles, which
@@ -216,8 +208,8 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
       report.samples_contributed = samples.size();
 
       std::vector<T> gathered = comm.template gather_records<T>(
-          std::span<const T>(samples), config.designated_node);
-      if (rank == config.designated_node) {
+          std::span<const T>(samples), root);
+      if (rank == root) {
         // Adaptive weights replace the static perf quantiles; the tree
         // path is bypassed under adaptation (its digests reduce integer
         // perf masses only — see docs/ALGORITHM.md §Adaptive re-split).
@@ -228,49 +220,13 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
                                                        adapt_weights, ctx,
                                                        less);
       }
-      pivots = comm.template bcast_records<T>(std::move(pivots),
-                                              config.designated_node);
+      pivots = comm.template bcast_records<T>(std::move(pivots), root);
       PALADIN_ASSERT(pivots.size() == p - 1);
     }
   }
   if (tr) tr->counters().set("psrs.samples", report.samples_contributed);
   sampling.finish(report.t_sampling, report.io_sampling, "psrs.io.sampling",
                   "step2.sampling");
-
-  if (config.pipelined) {
-    // ---- Steps 3–5, fused: overlapped partition→send→merge ------------
-    const PhaseTimer phase(bc);
-    const u64 msg =
-        clamped_message_records<T>(ctx.disk(), config.message_records);
-    report.effective_message_records = msg;
-    obs::ScopedSpan span(tr, "psrs.steps3-5.pipeline", "psrs");
-    const PipelineOutcome piped = pipelined_exchange_merge<T, Less>(
-        ctx, sorted_local, config.output, std::span<const T>(pivots), msg,
-        config.flow_window_chunks, less);
-    ctx.disk().remove(sorted_local);
-    span.end();
-    report.final_records = piped.merged;
-    report.messages_sent = piped.data_messages;
-    if (tr) {
-      tr->counters().set("psrs.records_out", report.final_records);
-      tr->counters().set("psrs.messages_sent", report.messages_sent);
-      tr->counters().set("psrs.effective_message_records",
-                         report.effective_message_records);
-    }
-    phase.finish(report.t_pipeline, report.io_pipeline, "psrs.io.pipeline",
-                 "steps3-5.pipeline");
-    span.arg("blocks", report.io_pipeline);
-    span.arg("records", report.final_records);
-    // The fused steps touch the disk once on each side — read the sorted
-    // file (l_i records), write the final partition — which is the
-    // ≈ Q/B + l_i/B bound the pipeline exists to meet.
-    const u64 rpb = ctx.disk().params().records_per_block(sizeof(T));
-    const u64 bound = ceil_div(report.local_records, rpb) +
-                      ceil_div(report.final_records, rpb);
-    PALADIN_ENSURES(report.io_pipeline <= bound + 2);
-    report.t_total = total.seconds();
-    return report;
-  }
 
   // ---- Step 3: cut the sorted file at the pivots ----------------------
   // Partition j is records [cuts[j], cuts[j+1]) of the sorted file, which
@@ -305,7 +261,7 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
     exchanged = redistribute_pieces<T>(
         ctx, outgoing,
         [&](u32 src, u64) { return received_name(recv_prefix, src); },
-        config.message_records, config.flow_window_chunks);
+        config.message_records);
     report.messages_sent = exchanged.messages;
     report.effective_message_records = exchanged.effective_message_records;
     span.end();
@@ -358,6 +314,59 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   }
   report.t_total = total.seconds();
   return report;
+}
+
+/// What pipelined_exchange_merge produced on this node.
+struct PipelineOutcome {
+  u64 merged = 0;  ///< records in the final output file
+};
+
+/// Steps 3–5 of ext_psrs_sort as one call, for perfbench's composed run,
+/// which stamps host time around each step; it goes with that run.  Cuts
+/// `sorted_file` at the pivots, ships the pieces with the Step 4 exchange
+/// and merges them into `output` in one pass, exactly as ext_psrs_sort
+/// does whenever p ≤ M/B − 1.  Removes the landing files but not
+/// `sorted_file`, which the caller removes.  `window_chunks` must be the
+/// exchange's one credit window, kDefaultFlowWindow.
+template <Record T, typename Less = std::less<T>>
+PipelineOutcome pipelined_exchange_merge(net::NodeContext& ctx,
+                                         const std::string& sorted_file,
+                                         const std::string& output,
+                                         std::span<const T> pivots,
+                                         u64 message_records, u64 window_chunks,
+                                         Less less = {}) {
+  PALADIN_EXPECTS(window_chunks == kDefaultFlowWindow);
+  const u32 p = ctx.comm().size();
+  const u32 rank = ctx.comm().rank();
+  const std::vector<u64> cuts = file_partition_cuts<T, Less>(
+      ctx.disk(), sorted_file, pivots, ctx, less);
+  const auto piece = [&](u32 j) {
+    return seq::MergePiece{sorted_file, cuts[j], cuts[j + 1] - cuts[j]};
+  };
+  std::vector<std::vector<seq::MergePiece>> outgoing(p);
+  for (u32 j = 0; j < p; ++j) {
+    if (j != rank) outgoing[j].push_back(piece(j));
+  }
+  const std::string recv_prefix = output + ".step4";
+  const RedistributeResult exchanged = redistribute_pieces<T>(
+      ctx, outgoing,
+      [&](u32 src, u64) { return received_name(recv_prefix, src); },
+      message_records);
+  std::vector<seq::MergePiece> runs;
+  for (u32 j = 0; j < p; ++j) {
+    runs.push_back(j == rank ? piece(j) : exchanged.received[j].front());
+  }
+  // A block buffer per run plus one for the output: always one pass.
+  const u64 one_pass_memory =
+      (u64{p} + 1) * ctx.disk().params().records_per_block(sizeof(T));
+  PipelineOutcome out;
+  out.merged = merge_sorted_pieces<T, Less>(ctx.disk(), runs, output,
+                                            one_pass_memory, ctx, less)
+                   .merged;
+  for (u32 j = 0; j < p; ++j) {
+    if (j != rank) ctx.disk().remove(runs[j].file);
+  }
+  return out;
 }
 
 }  // namespace paladin::core

@@ -3,6 +3,8 @@
 // cursor per piece) when the memory budget admits the fan-in — always true
 // for the p ≤ m−1 clusters the paper targets — otherwise the pieces are
 // concatenated as runs and merged with the balanced multi-pass machinery.
+// The single pass frees each piece behind its reader, so on an in-memory
+// disk a node does not hold its received data twice while it merges.
 #pragma once
 
 #include <algorithm>
@@ -90,6 +92,15 @@ struct MergeOutcome {
 /// buffer per piece (M/B − 1 of them; always true for the p ≤ m−1
 /// clusters the paper targets), otherwise the pieces are concatenated as
 /// runs and merged with the balanced multi-pass machinery.
+///
+/// The one pass consumes its pieces: each reader releases
+/// (pdm::BlockFile::release) the whole blocks of its piece it has passed,
+/// so an in-memory disk frees every 1 MiB chunk wholly inside them while
+/// the output grows.  Pieces that share a file never free a block their
+/// neighbour reads, but no piece may be read again; callers remove them.
+/// The release is not a transfer, so IoStats, virtual time and fault
+/// draws are those of a merge that frees nothing.  The fallback frees
+/// nothing.
 template <Record T, typename Less = std::less<T>>
 MergeOutcome merge_sorted_pieces(pdm::Disk& disk,
                                  const std::vector<seq::MergePiece>& pieces,
@@ -101,7 +112,8 @@ MergeOutcome merge_sorted_pieces(pdm::Disk& disk,
     pdm::BlockFile out_file = disk.create(output);
     pdm::BlockWriter<T> writer(out_file);
     const seq::MergeResult r =
-        seq::merge_pieces<T, Less>(disk, pieces, writer, meter, less);
+        seq::merge_pieces<T, Less>(disk, pieces, writer, meter, less,
+                                   /*release_behind=*/true);
     writer.flush();
     if (!pieces.empty()) {
       meter.on_moves(r.merged);

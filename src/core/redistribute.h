@@ -50,8 +50,8 @@
 
 namespace paladin::core {
 
-/// Default per-pair credit window (un-acknowledged chunks in flight), used
-/// by the spill exchange and the fused pipeline.
+/// Per-pair credit window of the spill exchange: a sender ships chunk k
+/// only once its peer has acknowledged chunk k − kDefaultFlowWindow.
 inline constexpr u64 kDefaultFlowWindow = 4;
 
 /// The paper requires messages to be whole multiples of the disk block.
@@ -84,9 +84,8 @@ template <Record T, typename LandFn>
 RedistributeResult redistribute_pieces(
     net::NodeContext& ctx,
     const std::vector<std::vector<seq::MergePiece>>& outgoing, LandFn&& land,
-    u64 message_records, u64 window_chunks = kDefaultFlowWindow) {
+    u64 message_records) {
   PALADIN_EXPECTS(message_records >= 1);
-  PALADIN_EXPECTS(window_chunks >= 1);
 
   net::Communicator& comm = ctx.comm();
   pdm::Disk& disk = ctx.disk();
@@ -155,7 +154,7 @@ RedistributeResult redistribute_pieces(
     const u64 rounds = std::max(send_chunks, recv_chunks);
     for (u64 k = 0; k < rounds; ++k) {
       if (k < send_chunks) {
-        if (k >= window_chunks) {
+        if (k >= kDefaultFlowWindow) {
           // Credit: dst has consumed chunk k−W.
           comm.recv_packet(dst, kTagRedistributeAck);
           if (tr) tr->counters().add("redistribute.acks_consumed", 1);

@@ -1,10 +1,9 @@
 // Every user message tag the sort algorithms send on, in one table.
 //
 // A tag names one message stream between two nodes.  Streams that can
-// meet within one Cluster::run must not share a number: a protocol may
-// finish with packets still queued (the fused pipeline leaves up to a
-// window of acks unconsumed by design), and a later protocol on the same
-// tag would receive them as its own.  The Communicator reserves the
+// meet within one Cluster::run must not share a number: a protocol that
+// finished with packets still queued would hand them to a later protocol
+// on the same tag as its own.  The Communicator reserves the
 // negative tags for its collectives, so user tags are non-negative.
 //
 // The numbers are part of a faulted run's result: the fault injector
@@ -22,13 +21,6 @@ namespace paladin::core {
 inline constexpr int kTagRedistributeHeader = 40;
 inline constexpr int kTagRedistributeData = 41;
 inline constexpr int kTagRedistributeAck = 42;
-// Fused steps 3–5 (core/pipeline.h): the charged protocol, then the data
-// pass's uncharged traffic.  A peer's pricing pass may start while this
-// node's data pass still runs, so the passes share no tag.
-inline constexpr int kTagPipelineData = 50;
-inline constexpr int kTagPipelineAck = 51;
-inline constexpr int kTagPipelineHostData = 52;
-inline constexpr int kTagPipelineHostAck = 53;
 // Bucket-layout output collection (core/backend.h).
 inline constexpr int kTagCollectHeader = 54;
 inline constexpr int kTagCollectData = 55;
@@ -43,10 +35,9 @@ inline constexpr int kTagSplitterDigest = 80;
 /// Every tag above; a new tag joins this list so the check below sees it.
 inline constexpr int kWireTags[] = {
     kTagRedistributeHeader, kTagRedistributeData, kTagRedistributeAck,
-    kTagPipelineData,       kTagPipelineAck,      kTagPipelineHostData,
-    kTagPipelineHostAck,    kTagCollectHeader,    kTagCollectData,
-    kTagScatterHeader,      kTagScatterData,      kTagGatherHeader,
-    kTagGatherData,         kTagSplitterDigest,
+    kTagCollectHeader,      kTagCollectData,      kTagScatterHeader,
+    kTagScatterData,        kTagGatherHeader,     kTagGatherData,
+    kTagSplitterDigest,
 };
 
 static_assert(

@@ -40,7 +40,14 @@ void NodeContext::init_node(const ClusterConfig& config, u32 rank) {
   if (config.drift_plan.active()) {
     drift_ = std::make_unique<hetero::DriftOracle>(config.drift_plan, rank);
   }
-  install_disk_cost_sink();
+  // Disk transfer time is charged to this node's clock, optionally scaled
+  // by the node's effective speed when the transfer happens (see
+  // CostModel::scale_disk_with_speed), so under drift disk time inflates
+  // inside degraded epochs.  With no drift plan speed_at() is speed().
+  const bool scale = config.cost.scale_disk_with_speed;
+  disk_.set_cost_sink([this, scale](double seconds) {
+    clock_.advance(seconds / (scale ? speed_at(clock_.now()) : 1.0));
+  });
   if (config.observe) {
     tracer_ = std::make_unique<obs::Tracer>(this);
   }
@@ -49,17 +56,6 @@ void NodeContext::init_node(const ClusterConfig& config, u32 rank) {
     disk_.set_fault_injector(fault_.get());
     comm_.set_fault_injector(fault_.get());
   }
-}
-
-void NodeContext::install_disk_cost_sink() {
-  // Disk transfer time is charged to this node's clock, optionally scaled
-  // by the node's effective speed when the transfer happens (see
-  // CostModel::scale_disk_with_speed), so under drift disk time inflates
-  // inside degraded epochs.  With no drift plan speed_at() is speed().
-  const bool scale = config_->cost.scale_disk_with_speed;
-  disk_.set_cost_sink([this, scale](double seconds) {
-    clock_.advance(seconds / (scale ? speed_at(clock_.now()) : 1.0));
-  });
 }
 
 void NodeContext::fold_counters_into_tracer() {
@@ -79,10 +75,10 @@ void NodeContext::fold_counters_into_tracer() {
   c.set("net.messages_received", net.messages_received);
   c.set("net.bytes_received", net.bytes_received);
   c.set("net.self_deliveries", net.self_deliveries);
-  // Inbox occupancy (Mailbox::deliveries / max_pending_bytes) is deliberately
-  // NOT folded in: how many packets sit queued at once depends on physical
+  // Inbox occupancy (Mailbox::max_pending_bytes) is deliberately NOT
+  // folded in: how many packets sit queued at once depends on physical
   // thread scheduling, and traces must stay bitwise-identical per
-  // (seed, config).  Those remain reachable via Communicator for diagnostics.
+  // (seed, config).  It remains reachable via Communicator for diagnostics.
   c.set("pdm.block_bytes", disk_.params().block_bytes);
   if (fault::FaultInjector* fi = fault()) {
     // Fault/recovery tallies (docs/ROBUSTNESS.md).  Registered only when a

@@ -6,8 +6,10 @@
 // execution times.
 #pragma once
 
+#include <exception>
 #include <filesystem>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "hetero/drift.h"
 #include "net/communicator.h"
 #include "net/cost_model.h"
+#include "net/mailbox.h"
 #include "net/network_model.h"
 #include "net/virtual_clock.h"
 #include "obs/trace.h"
@@ -125,21 +128,16 @@ class NodeContext final : public Meter, public obs::TimeSource {
   const hetero::DriftOracle* drift() const { return drift_.get(); }
 
   /// Effective speed at virtual time `t`: the static perf factor divided
-  /// by the drift slowdown in force at `t`.  Every cost funnel (the meter
-  /// below, the disk cost sink, the pipeline's stream meters) divides by
-  /// it.  Without an active drift plan it returns speed() itself, so the
-  /// no-drift cost arithmetic is bit-for-bit the pre-drift arithmetic.
+  /// by the drift slowdown in force at `t`.  Both cost funnels (the meter
+  /// below and the disk cost sink) divide by it.  Without an active drift
+  /// plan it returns speed() itself, so the no-drift cost arithmetic is
+  /// bit-for-bit the pre-drift arithmetic.
   double speed_at(double t) const {
     if (const hetero::DriftOracle* d = drift()) {
       return speed() / d->factor_at(t);
     }
     return speed();
   }
-
-  /// (Re)installs the node-clock disk cost sink.  Called by the
-  /// constructor; also the restore hook for code (core/pipeline.h) that
-  /// temporarily reroutes disk charges to a stream clock.
-  void install_disk_cost_sink();
 
   /// Folds the node's scattered accounting (IoStats, CommStats, block
   /// geometry, fault and drift tallies) into the tracer's counter registry
@@ -208,7 +206,8 @@ class Cluster {
 
   /// Runs `body(NodeContext&)` on every node concurrently and returns all
   /// results plus the simulated makespan.  If any node throws, all peers
-  /// are woken (poisoned mailboxes) and the first exception is rethrown.
+  /// are woken (poisoned mailboxes) and the lowest rank's exception is
+  /// rethrown, passing over MailboxPoisoned while any other type is there.
   template <typename F>
   auto run(F&& body) {
     using R = std::invoke_result_t<F&, NodeContext&>;
@@ -226,12 +225,19 @@ class Cluster {
     std::vector<std::exception_ptr> errors(p);
     std::vector<std::thread> threads;
     threads.reserve(p);
+    // A node's body may return while a peer still sends to it (the last
+    // acks of an exchange, which no one receives), so no node sweeps its
+    // inbox before every body has returned.
+    std::latch bodies_done(p);
 
     for (u32 i = 0; i < p; ++i) {
       threads.emplace_back([&, i] {
+        bool arrived = false;
         try {
           NodeContext ctx(config_, fabric, i);
           results[i] = body(ctx);
+          arrived = true;
+          bodies_done.arrive_and_wait();
           if (fault::FaultInjector* fi = ctx.fault()) {
             // Duplicate frames trailing the last consumed message on their
             // stream are still queued (both copies of a dup are delivered
@@ -250,14 +256,26 @@ class Cluster {
         } catch (...) {
           errors[i] = std::current_exception();
           fabric.abort_all();
+          if (!arrived) bodies_done.count_down();
         }
       });
     }
     for (auto& t : threads) t.join();
 
-    for (u32 i = 0; i < p; ++i) {
-      if (errors[i]) std::rethrow_exception(errors[i]);
+    // Rethrows the first error that is not MailboxPoisoned: the try block
+    // lets any other type escape.  A poisoned mailbox only echoes a peer's
+    // failure (a blocked receive, or the harvest sweep after the latch),
+    // so it surfaces only when every error is one.
+    std::exception_ptr first;
+    for (const std::exception_ptr& e : errors) {
+      if (!e) continue;
+      try {
+        std::rethrow_exception(e);
+      } catch (const MailboxPoisoned&) {
+        if (!first) first = e;
+      }
     }
+    if (first) std::rethrow_exception(first);
 
     RunOutcome<R> out;
     out.results.reserve(p);

@@ -39,11 +39,10 @@ void Communicator::send_bytes(u32 dst, int tag, std::span<const u8> bytes) {
 
 void Communicator::send_internal(u32 dst, int tag,
                                  std::span<const u8> bytes) {
-  deliver_payload(*clock_, dst, tag, std::vector<u8>(bytes.begin(),
-                                                     bytes.end()));
+  deliver_payload(dst, tag, std::vector<u8>(bytes.begin(), bytes.end()));
 }
 
-void Communicator::deliver_payload(VirtualClock& clk, u32 dst, int tag,
+void Communicator::deliver_payload(u32 dst, int tag,
                                    std::vector<u8>&& payload) {
   // Mailbox contents live in physical/wire space: source is the sender's
   // fabric rank and the tag carries the group's tag_base shift, so two
@@ -61,7 +60,7 @@ void Communicator::deliver_payload(VirtualClock& clk, u32 dst, int tag,
     // Self-delivery: no wire, no cost — and no framing; the fault layer
     // exempts self-sends (a thread cannot lose a message to itself).
     ++stats_.self_deliveries;
-    p.arrival_time = clk.now();
+    p.arrival_time = clock_->now();
     fabric_->mailbox(dst_g).deliver(std::move(p));
     return;
   }
@@ -79,8 +78,8 @@ void Communicator::deliver_payload(VirtualClock& clk, u32 dst, int tag,
     for (u32 k = 0; k < drops; ++k) {
       ++c.net_frames_dropped;
       ++c.net_retransmits;
-      clk.advance(spec.retransmit_timeout_seconds +
-                  net.per_message_overhead_seconds + wire);
+      clock_->advance(spec.retransmit_timeout_seconds +
+                      net.per_message_overhead_seconds + wire);
     }
     double delay = 0.0;
     if (fault_->frame_delayed(dst_g, wire_tag, seq)) {
@@ -88,14 +87,14 @@ void Communicator::deliver_payload(VirtualClock& clk, u32 dst, int tag,
       delay = spec.delay_seconds;
     }
     // Duplicates model a spurious retransmission: only on non-empty
-    // logical payloads, because empty frames (pipelined EOS markers and
-    // tail acks) may legitimately never be consumed, and an unconsumed
-    // duplicate would never meet its discarding receiver.
+    // logical payloads, because an empty frame may legitimately never be
+    // consumed, and an unconsumed duplicate would never meet its
+    // discarding receiver.
     const bool dup = !p.payload.empty() &&
                      fault_->frame_duplicated(dst_g, wire_tag, seq);
     frame_payload(p.payload, seq);
-    clk.advance(net.per_message_overhead_seconds + wire);
-    p.arrival_time = clk.now() + net.latency_seconds + delay;
+    clock_->advance(net.per_message_overhead_seconds + wire);
+    p.arrival_time = clock_->now() + net.latency_seconds + delay;
     if (dup) {
       ++c.net_frames_duplicated;
       Packet copy;
@@ -106,8 +105,8 @@ void Communicator::deliver_payload(VirtualClock& clk, u32 dst, int tag,
       // lands right behind it (same stream, FIFO mailbox).  Both copies
       // are enqueued in one critical section so the receiver cannot
       // consume the original and finish before the duplicate exists.
-      clk.advance(net.per_message_overhead_seconds + wire);
-      copy.arrival_time = clk.now() + net.latency_seconds + delay;
+      clock_->advance(net.per_message_overhead_seconds + wire);
+      copy.arrival_time = clock_->now() + net.latency_seconds + delay;
       fabric_->mailbox(dst_g).deliver_with_duplicate(std::move(p),
                                                      std::move(copy));
       return;
@@ -117,44 +116,18 @@ void Communicator::deliver_payload(VirtualClock& clk, u32 dst, int tag,
   }
   // Sender pays the per-message software overhead plus the wire
   // occupancy; the packet lands one latency after it left.
-  clk.advance(net.per_message_overhead_seconds + wire);
-  p.arrival_time = clk.now() + net.latency_seconds;
+  clock_->advance(net.per_message_overhead_seconds + wire);
+  p.arrival_time = clock_->now() + net.latency_seconds;
   fabric_->mailbox(dst_g).deliver(std::move(p));
 }
 
-void Communicator::isend_payload(VirtualClock& clk, u32 dst, int tag,
-                                 std::vector<u8>&& payload) {
-  PALADIN_EXPECTS(dst < size());
-  PALADIN_EXPECTS_MSG(tag >= 0, "negative tags are reserved for collectives");
-  deliver_payload(clk, dst, tag, std::move(payload));
-}
-
-void Communicator::host_send(u32 dst, int tag, std::vector<u8>&& payload) {
-  PALADIN_EXPECTS(dst < size());
-  PALADIN_EXPECTS_MSG(tag >= 0, "negative tags are reserved for collectives");
-  Packet p;
-  p.source = static_cast<int>(to_global(rank_));
-  p.tag = to_wire_tag(tag);
-  p.payload = std::move(payload);
-  fabric_->mailbox(to_global(dst)).deliver(std::move(p));
-}
-
-std::optional<std::vector<u8>> Communicator::host_try_recv(u32 src, int tag) {
-  PALADIN_EXPECTS(src < size());
-  std::optional<Packet> p =
-      fabric_->mailbox(to_global(rank_))
-          .try_receive(static_cast<int>(to_global(src)), to_wire_tag(tag));
-  if (!p.has_value()) return std::nullopt;
-  return std::move(p->payload);
-}
-
-void Communicator::charge_receive(VirtualClock& clk, const Packet& p) {
+void Communicator::charge_receive(const Packet& p) {
   // Runs on packets still in wire space: p.source is a fabric rank.
   ++stats_.messages_received;
   stats_.bytes_received += p.payload.size();
-  clk.merge(p.arrival_time);
+  clock_->merge(p.arrival_time);
   if (p.source != static_cast<int>(to_global(rank_))) {
-    clk.advance(fabric_->model().per_message_overhead_seconds);
+    clock_->advance(fabric_->model().per_message_overhead_seconds);
   }
 }
 
@@ -183,9 +156,9 @@ bool Communicator::unframe_accept(Packet& p) {
 u64 Communicator::drain_discard_dups() {
   if (!net_faults_) return 0;
   u64 discarded = 0;
-  // Anything still queued is either an unconsumed original (a tail ack or
-  // a trailing message the algorithm deliberately never received) or a
-  // duplicate queued behind its original.  Both copies of a duplicated
+  // Anything still queued is either an unconsumed original (a trailing
+  // message the algorithm deliberately never received) or a duplicate
+  // queued behind its original.  Both copies of a duplicated
   // frame are delivered back-to-back in deliver_payload and the mailbox
   // pops in delivery order, so an original always drains before its dup;
   // treating the drain of an original as its consumption (advancing the
@@ -214,23 +187,8 @@ Packet Communicator::recv_packet(u32 src, int tag) {
                    .receive(static_cast<int>(to_global(src)),
                             to_wire_tag(tag));
     if (net_faults_ && !unframe_accept(p)) continue;
-    charge_receive(*clock_, p);
+    charge_receive(p);
     localize_packet(p);
-    return p;
-  }
-}
-
-std::optional<Packet> Communicator::try_recv_packet_on(VirtualClock& clk,
-                                                       u32 src, int tag) {
-  PALADIN_EXPECTS(src < size());
-  for (;;) {
-    std::optional<Packet> p =
-        fabric_->mailbox(to_global(rank_))
-            .try_receive(static_cast<int>(to_global(src)), to_wire_tag(tag));
-    if (!p.has_value()) return std::nullopt;
-    if (net_faults_ && !unframe_accept(*p)) continue;
-    charge_receive(clk, *p);
-    localize_packet(*p);
     return p;
   }
 }

@@ -21,7 +21,6 @@
 
 #include "base/contracts.h"
 #include "base/types.h"
-#include "net/buffer_pool.h"
 #include "net/mailbox.h"
 #include "net/network_model.h"
 #include "net/virtual_clock.h"
@@ -46,7 +45,6 @@ class Fabric {
   u32 size() const { return static_cast<u32>(boxes_.size()); }
   const NetworkModel& model() const { return model_; }
   Mailbox& mailbox(u32 rank) { return *boxes_.at(rank); }
-  BufferPool& pool() { return pool_; }
 
   /// Poisons every mailbox; called when any node throws so that peers
   /// blocked in receive() fail with MailboxPoisoned instead of hanging.
@@ -57,7 +55,6 @@ class Fabric {
  private:
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   NetworkModel model_;
-  BufferPool pool_;
 };
 
 /// A rank/tag namespace over a subset of a Fabric's mailboxes — the unit
@@ -126,57 +123,11 @@ class Communicator {
   /// overhead (skipped for self-delivery).
   Packet recv_packet(u32 src, int tag);
 
-  // -- Charged primitives on an explicit clock (zero-copy payloads). ----
-  //
-  // The pipeline's pricing pass (core/pipeline.h) charges its send stream
-  // and its merge stream to two logical clocks per node, so the calls
-  // below take the clock to charge instead of using the node clock.
-  // Payloads move by vector, not by copy, so pooled buffers travel through
-  // the mailbox allocation-free.
-
-  /// Non-blocking isend: moves `payload` into the receiver's mailbox,
-  /// charging overhead + wire occupancy to `clk` (self-sends free).
-  void isend_payload(VirtualClock& clk, u32 dst, int tag,
-                     std::vector<u8>&& payload);
-
-  /// Non-blocking irecv probe: returns the packet (charging `clk` exactly
-  /// as recv_packet charges the node clock) when one is queued,
-  /// std::nullopt otherwise.
-  std::optional<Packet> try_recv_packet_on(VirtualClock& clk, u32 src,
-                                           int tag);
-
-  // -- Host-only primitives (no simulated cost at all). ------------------
-  //
-  // The pipeline's data pass (core/pipeline.h) moves the real records
-  // through these before its pricing pass replays the charged protocol, so
-  // they touch no clock, no CommStats and no fault framing: a run's
-  // virtual times, traffic totals and fault counters are exactly those of
-  // the charged calls above.  Use distinct tags from charged traffic that
-  // may share the mailbox.
-
-  /// Moves `payload` into `dst`'s mailbox.
-  void host_send(u32 dst, int tag, std::vector<u8>&& payload);
-
-  /// Takes the oldest queued packet from (src, tag), std::nullopt if none.
-  std::optional<std::vector<u8>> host_try_recv(u32 src, int tag);
-
-  /// Delivery counter of this rank's inbox; pair with
-  /// wait_any_delivery_beyond() for a sleep-until-anything-arrives wait.
-  u64 inbox_deliveries() const {
-    return fabric_->mailbox(to_global(rank_)).deliveries();
-  }
-  void wait_any_delivery_beyond(u64 seen) {
-    fabric_->mailbox(to_global(rank_)).wait_deliveries_beyond(seen);
-  }
-
   /// High-water mark of payload bytes queued in this rank's inbox — the
   /// observable the flow-control stress test pins.
   u64 inbox_peak_bytes() const {
     return fabric_->mailbox(to_global(rank_)).max_pending_bytes();
   }
-
-  /// Shared payload-buffer pool of the fabric.
-  BufferPool& pool() { return fabric_->pool(); }
 
   /// Cumulative traffic totals for this rank (sends + receives).  Always
   /// counts *logical* messages and payload bytes: fault-injected
@@ -194,10 +145,9 @@ class Communicator {
 
   /// Harvest-time sweep of this rank's inbox: discards (and counts) any
   /// duplicate frames still queued behind the last message the algorithm
-  /// consumed on their stream.  Leftover non-duplicates (the pipelined
-  /// tail acks, which are empty and therefore never duplicated) are
-  /// dropped uncounted.  Returns the number of duplicates discarded.
-  /// Call only after the run completed (all sends done, no poison).
+  /// consumed on their stream.  Leftover non-duplicates are dropped
+  /// uncounted.  Returns the number of duplicates discarded.  Call only
+  /// after the run completed (all sends done, no poison).
   u64 drain_discard_dups();
 
   template <Record T>
@@ -378,12 +328,11 @@ class Communicator {
   }
 
   /// Core send: stamps and delivers an already-materialised payload,
-  /// charging the given clock.  All send paths funnel through here so the
+  /// charging the node clock.  All send paths funnel through here so the
   /// cost arithmetic cannot diverge between them.
-  void deliver_payload(VirtualClock& clk, u32 dst, int tag,
-                       std::vector<u8>&& payload);
-  /// Core receive-side accounting shared by the blocking and probing paths.
-  void charge_receive(VirtualClock& clk, const Packet& p);
+  void deliver_payload(u32 dst, int tag, std::vector<u8>&& payload);
+  /// Core receive-side accounting: merges the arrival into the node clock.
+  void charge_receive(const Packet& p);
 
   /// Stable key for one directed (peer, tag) message stream.
   static u64 stream_key(u32 peer, int tag) {

@@ -44,7 +44,6 @@ class Mailbox {
       std::lock_guard lock(mutex_);
       pending_bytes_ += packet.payload.size();
       max_pending_bytes_ = std::max(max_pending_bytes_, pending_bytes_);
-      ++deliveries_;
       queue_.push_back(std::move(packet));
     }
     cv_.notify_all();
@@ -61,7 +60,6 @@ class Mailbox {
       std::lock_guard lock(mutex_);
       pending_bytes_ += packet.payload.size() + duplicate.payload.size();
       max_pending_bytes_ = std::max(max_pending_bytes_, pending_bytes_);
-      deliveries_ += 2;
       queue_.push_back(std::move(packet));
       queue_.push_back(std::move(duplicate));
     }
@@ -90,26 +88,6 @@ class Mailbox {
     if (std::optional<Packet> p = take_matching(source, tag)) return p;
     if (poisoned_) throw MailboxPoisoned();
     return std::nullopt;
-  }
-
-  /// Monotonic count of packets ever delivered to this box.  Snapshot it
-  /// before a batch of try_receive calls, then wait_deliveries_beyond() to
-  /// sleep until anything new arrives (no lost-wakeup window).
-  u64 deliveries() const {
-    std::lock_guard lock(mutex_);
-    return deliveries_;
-  }
-
-  /// Blocks until the delivery count exceeds `seen` (or poison).  The
-  /// cooperative pipeline driver parks here when neither its send nor its
-  /// merge half can progress; any new packet (data, EOS or ack) wakes it.
-  void wait_deliveries_beyond(u64 seen) {
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      if (deliveries_ > seen) return;
-      if (poisoned_) throw MailboxPoisoned();
-      cv_.wait(lock);
-    }
   }
 
   /// Wakes every blocked receiver with MailboxPoisoned and makes all
@@ -161,7 +139,6 @@ class Mailbox {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Packet> queue_;
-  u64 deliveries_ = 0;
   u64 pending_bytes_ = 0;
   u64 max_pending_bytes_ = 0;
   bool poisoned_ = false;

@@ -2,10 +2,9 @@
 //
 //  * chrome_trace_json() — Chrome trace_event JSON (the object form with a
 //    "traceEvents" array).  Load it in Perfetto (ui.perfetto.dev) or
-//    chrome://tracing: each node renders as a process, the node/send/merge
-//    clock tracks as threads, spans as "X" slices in virtual microseconds,
-//    chunk emissions as instants, and per-phase counter snapshots as "C"
-//    counter tracks.
+//    chrome://tracing: each node renders as a process with one lane, spans
+//    as "X" slices in virtual microseconds, and per-phase counter
+//    snapshots as "C" counter tracks.
 //  * run_report_json() — the machine-readable RunReport: config metadata,
 //    makespan, and per node the finished spans, final counters and phase
 //    snapshots.  CI uploads one per run; tests and the tools/ scripts can
@@ -124,36 +123,13 @@ inline std::string chrome_trace_json(const ClusterTrace& trace) {
 
   for (const NodeTrace& node : trace.nodes) {
     const std::string pid = std::to_string(node.rank);
-    // Process + thread naming metadata; one thread lane per clock track.
-    {
-      std::string m = "{\"ph\":\"M\",\"pid\":" + pid +
-                      ",\"name\":\"process_name\",\"args\":{\"name\":"
-                      "\"node" +
-                      std::to_string(node.rank) + "\"}}";
-      event(m);
-    }
-    bool track_used[3] = {false, false, false};
+    // Process naming metadata; the node's spans share one lane.
+    event("{\"ph\":\"M\",\"pid\":" + pid +
+          ",\"name\":\"process_name\",\"args\":{\"name\":\"node" + pid +
+          "\"}}");
     for (const SpanRecord& s : node.spans) {
-      track_used[static_cast<int>(s.track)] = true;
-    }
-    for (const InstantRecord& i : node.instants) {
-      track_used[static_cast<int>(i.track)] = true;
-    }
-    for (int t = 0; t < 3; ++t) {
-      if (!track_used[t]) continue;
-      std::string m = "{\"ph\":\"M\",\"pid\":" + pid +
-                      ",\"tid\":" + std::to_string(t) +
-                      ",\"name\":\"thread_name\",\"args\":{\"name\":";
-      append_str(m, std::string("clock/") +
-                        to_string(static_cast<Track>(t)));
-      m += "}}";
-      event(m);
-    }
-
-    for (const SpanRecord& s : node.spans) {
-      std::string e = "{\"ph\":\"X\",\"pid\":" + pid + ",\"tid\":" +
-                      std::to_string(static_cast<int>(s.track)) +
-                      ",\"name\":";
+      std::string e =
+          "{\"ph\":\"X\",\"pid\":" + pid + ",\"tid\":0,\"name\":";
       append_str(e, s.name);
       e += ",\"cat\":";
       append_str(e, s.category);
@@ -163,19 +139,6 @@ inline std::string chrome_trace_json(const ClusterTrace& trace) {
       append_us(e, s.end - s.begin);
       e += ",\"args\":";
       append_args(e, s.args);
-      e += '}';
-      event(e);
-    }
-    for (const InstantRecord& i : node.instants) {
-      std::string e = "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" + pid +
-                      ",\"tid\":" +
-                      std::to_string(static_cast<int>(i.track)) +
-                      ",\"name\":";
-      append_str(e, i.name);
-      e += ",\"cat\":";
-      append_str(e, i.category);
-      e += ",\"ts\":";
-      append_us(e, i.at);
       e += '}';
       event(e);
     }
@@ -226,8 +189,6 @@ inline std::string run_report_json(const ClusterTrace& trace) {
       append_str(out, s.name);
       out += ",\"cat\":";
       append_str(out, s.category);
-      out += ",\"track\":";
-      append_str(out, to_string(s.track));
       out += ",\"depth\":" + std::to_string(s.depth) + ",\"begin_s\":";
       append_seconds(out, s.begin);
       out += ",\"end_s\":";

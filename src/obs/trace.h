@@ -1,17 +1,10 @@
 // Phase-span tracing over virtual time.  A Tracer lives on one node (one
-// thread); spans are stamped with the node's VirtualClock — or, inside the
-// fused steps 3–5 pipeline, with the send/merge stream clocks — so a trace
-// is a pure function of (seed, config): bitwise-identical across runs, like
-// the makespans themselves (DESIGN.md §8).  Spans never charge time; they
-// only read clocks, so enabling observability cannot perturb a simulated
-// measurement.
-//
-// Tracks: virtual time on one node is not one line once the pipeline forks
-// its dual stream clocks, so every span/instant carries a track id.  Track
-// kMain follows the node clock; kSend/kMerge follow the pipeline's stream
-// clocks.  Span nesting is stack-disciplined *per track* (enforced in
-// test_obs.cpp), which is also what lets the Chrome-trace exporter lay each
-// track out as its own thread lane.
+// thread); spans are stamped with the node's VirtualClock, so a trace is a
+// pure function of (seed, config): bitwise-identical across runs, like the
+// makespans themselves (DESIGN.md §8).  Spans never charge time; they only
+// read the clock, so enabling observability cannot perturb a simulated
+// measurement.  Span nesting is stack-disciplined (enforced in
+// test_obs.cpp).
 //
 // Disabling: all call sites hold a `Tracer*` that is null unless
 // ClusterConfig::observe is set, and every helper here is a no-op on null.
@@ -34,44 +27,19 @@ class TimeSource {
   virtual double now() const = 0;
 };
 
-/// Which logical clock a span's timestamps came from.
-enum class Track : u8 {
-  kMain = 0,   ///< the node clock
-  kSend = 1,   ///< pipeline send-stream clock
-  kMerge = 2,  ///< pipeline merge-stream clock
-};
-
-inline const char* to_string(Track t) {
-  switch (t) {
-    case Track::kMain: return "main";
-    case Track::kSend: return "send";
-    case Track::kMerge: return "merge";
-  }
-  PALADIN_UNREACHABLE();
-}
-
 struct SpanRecord {
   std::string name;
   std::string category;
-  Track track = Track::kMain;
-  u32 depth = 0;  ///< nesting depth within the track at open
+  u32 depth = 0;  ///< nesting depth at open
   double begin = 0.0;
   double end = 0.0;
   std::vector<std::pair<std::string, u64>> args;
-};
-
-struct InstantRecord {
-  std::string name;
-  std::string category;
-  Track track = Track::kMain;
-  double at = 0.0;
 };
 
 /// Everything one node recorded, harvested after its SPMD body returns.
 struct NodeTrace {
   u32 rank = 0;
   std::vector<SpanRecord> spans;  ///< in open order
-  std::vector<InstantRecord> instants;
   std::vector<std::pair<std::string, u64>> counters;
   std::vector<CounterSnapshot> snapshots;
 };
@@ -80,22 +48,20 @@ class Tracer {
  public:
   using SpanId = u32;
 
-  /// `time` provides default timestamps (the node clock); spans on the
-  /// pipeline's stream clocks use the explicit *_at overloads instead.
+  /// `time` provides default timestamps (the node clock); the explicit
+  /// *_at overloads take the timestamp instead.
   explicit Tracer(const TimeSource* time = nullptr) : time_(time) {}
 
-  SpanId open_at(std::string name, std::string category, double t,
-                 Track track = Track::kMain) {
+  SpanId open_at(std::string name, std::string category, double t) {
     SpanRecord s;
     s.name = std::move(name);
     s.category = std::move(category);
-    s.track = track;
-    s.depth = static_cast<u32>(stack_[static_cast<int>(track)].size());
+    s.depth = static_cast<u32>(stack_.size());
     s.begin = t;
     s.end = t;  // patched at close; an unclosed span reads as zero-length
     const SpanId id = static_cast<SpanId>(spans_.size());
     spans_.push_back(std::move(s));
-    stack_[static_cast<int>(track)].push_back(id);
+    stack_.push_back(id);
     return id;
   }
 
@@ -107,10 +73,9 @@ class Tracer {
   void close_at(SpanId id, double t) {
     PALADIN_EXPECTS(id < spans_.size());
     SpanRecord& s = spans_[id];
-    auto& stack = stack_[static_cast<int>(s.track)];
-    PALADIN_EXPECTS_MSG(!stack.empty() && stack.back() == id,
-                        "span close out of stack order on its track");
-    stack.pop_back();
+    PALADIN_EXPECTS_MSG(!stack_.empty() && stack_.back() == id,
+                        "span close out of stack order");
+    stack_.pop_back();
     PALADIN_EXPECTS(t >= s.begin);
     s.end = t;
   }
@@ -124,12 +89,6 @@ class Tracer {
   void arg(SpanId id, std::string key, u64 value) {
     PALADIN_EXPECTS(id < spans_.size());
     spans_[id].args.emplace_back(std::move(key), value);
-  }
-
-  void instant_at(std::string name, std::string category, double t,
-                  Track track = Track::kMain) {
-    instants_.push_back(
-        {std::move(name), std::move(category), track, t});
   }
 
   CounterRegistry& counters() { return counters_; }
@@ -149,7 +108,6 @@ class Tracer {
     NodeTrace t;
     t.rank = rank;
     t.spans = std::move(spans_);
-    t.instants = std::move(instants_);
     t.counters = counters_.entries();
     t.snapshots = std::move(snapshots_);
     return t;
@@ -158,8 +116,7 @@ class Tracer {
  private:
   const TimeSource* time_;
   std::vector<SpanRecord> spans_;
-  std::vector<InstantRecord> instants_;
-  std::vector<SpanId> stack_[3];  ///< open-span stack per track
+  std::vector<SpanId> stack_;  ///< open spans, innermost last
   CounterRegistry counters_;
   std::vector<CounterSnapshot> snapshots_;
 };

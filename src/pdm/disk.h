@@ -57,11 +57,10 @@ class BlockFile {
   /// Appends at the current end of file.
   void append(std::span<const u8> data) { write_at(size_bytes(), data); }
 
-  /// Raw handle: moves bytes with no accounting, no cost charge and no
-  /// fault check.  Only for passes that charge nothing by design (the
-  /// fused pipeline's data pass, core/pipeline.h).  The handle address is
-  /// stable across BlockFile moves.
-  FileHandle* raw_handle() const { return handle_.get(); }
+  /// Marks bytes [offset, offset + len) as never read again
+  /// (FileHandle::release).  Not a transfer: nothing is counted, charged
+  /// or drawn from the fault plan.
+  void release(u64 offset, u64 len) { handle_->release(offset, len); }
 
   Disk& disk() const { return *disk_; }
 

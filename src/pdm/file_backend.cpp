@@ -24,15 +24,30 @@ struct MemFile {
     }
   }
 
+  /// Frees the chunks wholly inside [offset, offset + len).  Releases of
+  /// one region grow from a fixed start (FileHandle::release), so the walk
+  /// goes down from the end and stops at the first chunk already freed: a
+  /// sequential pass frees each chunk once instead of rescanning its region.
+  void release(u64 offset, u64 len) {
+    const u64 first = (offset + kChunkBytes - 1) / kChunkBytes;
+    const u64 last = std::min<u64>((offset + len) / kChunkBytes, chunks.size());
+    for (u64 i = last; i > first && chunks[i - 1] != nullptr; --i) {
+      chunks[i - 1].reset();
+    }
+  }
+
   /// Calls f(chunk bytes, bytes done so far, length) once per chunk that
-  /// [offset, offset + len) touches, in order.  The range must be backed.
+  /// [offset, offset + len) touches, in order.  The range must be backed
+  /// and must not touch a released chunk.
   template <typename F>
   void for_each_segment(u64 offset, u64 len, F&& f) {
     for (u64 done = 0; done < len;) {
       const u64 pos = offset + done;
       const u64 in_chunk = pos % kChunkBytes;
       const u64 take = std::min(len - done, kChunkBytes - in_chunk);
-      f(chunks[pos / kChunkBytes].get() + in_chunk, done, take);
+      u8* const chunk = chunks[pos / kChunkBytes].get();
+      PALADIN_EXPECTS_MSG(chunk != nullptr, "access to a released range");
+      f(chunk + in_chunk, done, take);
       done += take;
     }
   }
@@ -104,6 +119,8 @@ class MemFileHandle final : public FileHandle {
   }
 
   u64 size_bytes() const override { return file_->size; }
+
+  void release(u64 offset, u64 len) override { file_->release(offset, len); }
 
  private:
   std::shared_ptr<MemFile> file_;

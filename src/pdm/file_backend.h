@@ -31,6 +31,14 @@ class FileHandle {
   virtual void write_at(u64 offset, std::span<const u8> data) = 0;
 
   virtual u64 size_bytes() const = 0;
+
+  /// Marks bytes [offset, offset + len) as never read again.  A backend may
+  /// free the storage wholly inside the range, after which a read or write
+  /// that touches it fails a contract; real files keep their bytes.  A
+  /// region is released by one sequential reader, each call covering the
+  /// previous one's range and more, so a backend need only free what the
+  /// previous call left.
+  virtual void release(u64 /*offset*/, u64 /*len*/) {}
 };
 
 class FileBackend {
@@ -78,7 +86,8 @@ struct MemFile;
 /// size: chunks are allocated uninitialised and never reallocated, so a
 /// growing file costs one allocation per MiB and no copy, and only the gap
 /// a write past EOF leaves is zeroed.  Sizes are logical, never the
-/// allocated capacity.
+/// allocated capacity.  release() frees the chunks wholly inside its range
+/// and leaves the logical size alone.
 class MemBackend final : public FileBackend {
  public:
   std::unique_ptr<FileHandle> create(const std::string& name) override;

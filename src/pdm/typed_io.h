@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "base/contracts.h"
+#include "base/math_util.h"
 #include "base/types.h"
 #include "pdm/disk.h"
 
@@ -209,6 +210,18 @@ class BlockReader {
     next_record_ += n;
   }
 
+  /// Frees what the reader leaves behind it: from here on, each block
+  /// fetch releases (BlockFile::release) the whole blocks from the current
+  /// position up to the fetched block.  For a sequential pass only.  The
+  /// release starts at the first block boundary at or after the current
+  /// position: the block that holds it may also hold the tail of a
+  /// neighbouring piece, whose reader fetches that whole block, so it is
+  /// left alone, as are the records before it.
+  void release_behind() {
+    releasing_ = true;
+    release_from_ = round_up(next_record_, records_per_block_);
+  }
+
   /// Repositions to absolute record index `idx` (0-based).  A subsequent
   /// read re-fetches the containing block, modelling a seek.
   void seek_record(u64 idx) {
@@ -275,6 +288,10 @@ class BlockReader {
                       count * sizeof(T)));
     PALADIN_ASSERT(got == count * sizeof(T));
     buffer_first_ = block_first;
+    if (releasing_ && block_first > release_from_) {
+      file_->release(release_from_ * sizeof(T),
+                     (block_first - release_from_) * sizeof(T));
+    }
   }
 
   /// Reads whole record-blocks at the (block-aligned) cursor straight into
@@ -294,6 +311,8 @@ class BlockReader {
   u64 next_record_ = 0;
   u64 buffer_first_ = 0;
   std::vector<T> buffer_;
+  bool releasing_ = false;
+  u64 release_from_ = 0;
 };
 
 /// Streams up to `limit` records from `in` to `out` in block-granular

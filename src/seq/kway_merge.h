@@ -42,10 +42,12 @@ struct MergeResult {
 /// through the returned MergeResult so the caller can keep its historical
 /// meter order: push charges, then on_moves(merged), then
 /// on_compares(tail_compares) — identical to the inlined tree it replaces.
+/// With `release_behind`, each piece's reader frees the piece behind it
+/// (pdm::BlockReader::release_behind), which consumes the pieces.
 template <Record T, typename Less = std::less<T>>
 MergeResult merge_pieces(pdm::Disk& disk, const std::vector<MergePiece>& pieces,
-                         pdm::BlockWriter<T>& out, Meter& meter,
-                         Less less = {}) {
+                         pdm::BlockWriter<T>& out, Meter& meter, Less less = {},
+                         bool release_behind = false) {
   MergeResult result;
   if (pieces.empty()) return result;
 
@@ -59,6 +61,7 @@ MergeResult merge_pieces(pdm::Disk& disk, const std::vector<MergePiece>& pieces,
     files.push_back(disk.open(p.file));
     readers.emplace_back(files.back());
     readers.back().seek_record(p.offset);
+    if (release_behind) readers.back().release_behind();
     cursors.emplace_back(&readers.back(), p.len);
   }
   std::vector<RunCursor<T>*> sources;

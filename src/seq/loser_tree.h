@@ -45,7 +45,7 @@ namespace paladin::seq {
 /// when exhausted); `advance_peek()`, which consumes the head and returns
 /// the next one; `buffered()`, the records already in memory from the head
 /// on; and `advance_n(n)`, which consumes n of those.  MemCursor,
-/// RunCursor, pdm::BlockReader and core::NetworkRunSource all qualify.
+/// RunCursor and pdm::BlockReader all qualify.
 template <typename S, typename T>
 concept MergeSource = requires(S& s, u64 n) {
   { s.peek() } -> std::same_as<const T*>;

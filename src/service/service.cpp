@@ -550,8 +550,8 @@ ServiceReport SortService::run(std::vector<JobSpec> jobs) {
   if (admitted.empty()) return out;
 
   // One Fabric for the whole run: every job's traffic flows through the
-  // same per-node mailboxes and the same BufferPool, separated only by
-  // the per-dispatch wire-tag namespaces — the shared-cluster premise.
+  // same per-node mailboxes, separated only by the per-dispatch wire-tag
+  // namespaces — the shared-cluster premise.
   net::Fabric fabric(p, config_.cluster.network);
 
   // avail[g] = physical node g's virtual clock after its last job — the

@@ -20,9 +20,10 @@
 //    disk bandwidth is arbitrated by time-division: a node's disk charges
 //    its node clock, and the availability clock serialises the jobs that
 //    share that node;
-//  * buffer credits — pipelined exchanges draw from the shared Fabric's
-//    BufferPool; per-job message_records caps bound any one job's credit
-//    footprint (the fair-share bench caps the pathological job).
+//  * mailbox credits — an exchange keeps at most a window of
+//    un-acknowledged chunks per node pair queued in the shared mailboxes;
+//    per-job message_records caps bound any one job's share of them (the
+//    fair-share bench caps the pathological job).
 //
 // One job = one backend run: the job body writes the share, runs
 // core::parallel_external_sort, verifies layout-aware, digests the

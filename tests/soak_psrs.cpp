@@ -1,6 +1,6 @@
 // Property-based soak tier (ctest label `soak`, docs/ROBUSTNESS.md): a
 // seeded sweep over (cluster shape, perf vector, distribution, message
-// size, fault plan, drift plan) cases running the pipelined external PSRS
+// size, fault plan, drift plan) cases running the external PSRS
 // (and, on ~25% of cases, the multiway backend; another ~25% force the
 // multi-level splitter tree, whose fanout is 2 at every p the sweep draws;
 // another ~25% run under a seeded speed-drift plan) end to end.
@@ -210,7 +210,6 @@ SoakResult run_case(const SoakCase& c) {
       psrs.sequential.tape_count = test_params::kTapeCount;
       psrs.sequential.allow_in_memory = false;
       psrs.message_records = c.message_records;
-      psrs.pipelined = true;
       psrs.splitter = splitter;
       core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
     }

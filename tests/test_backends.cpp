@@ -214,11 +214,7 @@ TEST(Backends, ExtMultiwayToleratesNonAdmissibleShares) {
 
 // Every exchange runs under the credit window.  In every backend's spill
 // exchange no peer can queue more than W un-acknowledged messages plus its
-// piece-length header in a node's inbox, whatever the data volume.  The
-// pipelined default holds at most W chunks per stream, the self-stream
-// included: a node leaves its uncharged data pass only once every chunk it
-// sent there was acked, so its data and pricing passes never both have
-// chunks queued on one stream.
+// piece-length header in a node's inbox, whatever the data volume.
 TEST(Backends, ExchangeInboxStaysWithinCreditWindow) {
   constexpr u32 p = 4;
   constexpr u64 n = u64{1} << 16;
@@ -244,7 +240,6 @@ TEST(Backends, ExchangeInboxStaysWithinCreditWindow) {
         .results;
   };
 
-  psc.psrs.pipelined = false;
   // A header lists one length per piece: at most the p·s buckets a peer
   // can own (overpartitioning), which also covers the l/M = 4 run pieces
   // of the multiway sort.
@@ -263,17 +258,6 @@ TEST(Backends, ExchangeInboxStaysWithinCreditWindow) {
     for (u32 r = 0; r < p; ++r) {
       EXPECT_LE(peaks[r], bound) << "node " << r;
     }
-  }
-
-  SCOPED_TRACE("pipelined ext-psrs");
-  psc.algorithm = ParallelSortAlgorithm::kExtPsrs;
-  psc.psrs.pipelined = true;
-  const u64 pipelined_bound =
-      p * kDefaultFlowWindow * kMessage * sizeof(DefaultKey);
-  const std::vector<u64> peaks = inbox_peaks();
-  for (u32 r = 0; r < p; ++r) {
-    EXPECT_LE(peaks[r], pipelined_bound) << "node " << r;
-    EXPECT_GT(peaks[r], 0u) << "node " << r;
   }
 }
 

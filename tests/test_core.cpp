@@ -256,8 +256,11 @@ TEST(MergeFiles, PiecesAtOffsetsMergeOnlyTheirRanges) {
   for (u32 i = 0; i < 29; ++i) runs.push_back(2 * i + 1);  // [37, 66)
   std::vector<u32> other(50, 999);
   for (u32 i = 0; i < 21; ++i) other[5 + i] = 3 * i;  // [5, 26)
-  pdm::write_file<u32>(disk, "runs", std::span<const u32>(runs));
-  pdm::write_file<u32>(disk, "other", std::span<const u32>(other));
+  // The single pass consumes its pieces, so every merge gets fresh inputs.
+  const auto write_inputs = [&] {
+    pdm::write_file<u32>(disk, "runs", std::span<const u32>(runs));
+    pdm::write_file<u32>(disk, "other", std::span<const u32>(other));
+  };
   const std::vector<seq::MergePiece> pieces = {
       {"runs", 3, 30}, {"runs", 40, 20}, {"other", 5, 21}};
   std::vector<u32> expected(runs.begin() + 3, runs.begin() + 33);
@@ -267,12 +270,14 @@ TEST(MergeFiles, PiecesAtOffsetsMergeOnlyTheirRanges) {
   NullMeter meter;
   const u64 rpb = disk.params().records_per_block(sizeof(u32));
   for (const u64 memory : {u64{1024}, 3 * rpb}) {  // single pass, fallback
+    write_inputs();
     const MergeOutcome m =
         merge_sorted_pieces<u32>(disk, pieces, "out", memory, meter);
     EXPECT_EQ(m.merged, expected.size()) << "memory " << memory;
     EXPECT_EQ(m.passes, memory == 1024 ? 1u : 3u) << "memory " << memory;
     EXPECT_EQ(pdm::read_file<u32>(disk, "out"), expected);
   }
+  write_inputs();
   EXPECT_EQ(merge_sorted_pieces_in_memory<u32>(disk, pieces, "mem", meter),
             expected.size());
   EXPECT_EQ(pdm::read_file<u32>(disk, "mem"), expected);
@@ -310,19 +315,29 @@ TEST(MergeFiles, InMemoryAbsorbMatchesExternalMerge) {
   pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
   const u64 rpb = disk.params().records_per_block(sizeof(u32));
   std::vector<std::string> names;
+  std::vector<std::vector<u32>> runs;
   u64 total_blocks = 0;
   for (u32 f = 0; f < 5; ++f) {  // odd fan-in exercises the carried run
     std::vector<u32> data;
     for (u32 i = 0; i < 40 + 11 * f; ++i) data.push_back(f + 5 * i);
     names.push_back("r" + std::to_string(f));
-    pdm::write_file<u32>(disk, names.back(), std::span<const u32>(data));
     total_blocks += (data.size() + rpb - 1) / rpb;
+    runs.push_back(std::move(data));
   }
+  // The external single pass consumes its pieces, so the absorb merge
+  // gets fresh inputs.
+  const auto write_inputs = [&] {
+    for (u32 f = 0; f < 5; ++f) {
+      pdm::write_file<u32>(disk, names[f], std::span<const u32>(runs[f]));
+    }
+  };
+  write_inputs();
   const std::vector<seq::MergePiece> pieces = whole_files(disk, names);
   NullMeter meter;
   const u64 external =
       merge_sorted_pieces<u32>(disk, pieces, "ext.out", 1024, meter).merged;
 
+  write_inputs();
   disk.reset_stats();
   const u64 absorbed =
       merge_sorted_pieces_in_memory<u32>(disk, pieces, "mem.out", meter);
@@ -487,7 +502,7 @@ TEST(Redistribute, ZeroSizePartitionsExchangeCleanly) {
         RedistributeResult res = redistribute_pieces<u32>(
             ctx, outgoing,
             [](u32 src, u64) { return received_name("rx", src); },
-            /*message_records=*/16, /*window_chunks=*/2);
+            /*message_records=*/16);
         for (u32 src = 0; src < p; ++src) {
           if (src == ctx.rank()) continue;
           EXPECT_EQ(pdm::read_file<u32>(ctx.disk(), received_name("rx", src)),
@@ -848,26 +863,39 @@ TEST(ExtPsrs, SingleNodeClusterDegeneratesToSequentialSort) {
   EXPECT_EQ(outcome.results[0].local_records, n);
 }
 
-TEST(ExtPsrs, NonzeroDesignatedNodeSelectsPivots) {
-  PerfVector perf({2, 1, 1});
+// Step 5 needs a block buffer per run; when p > M/B − 1 the spill merge
+// falls back to the concatenate + balanced multi-pass merge, and the sort
+// stays correct.  The fallback reads and writes the slice more than once,
+// so the step's block I/O exceeds the one-pass count.
+TEST(ExtPsrs, FinalMergeFallsBackWhenRunsOutnumberBuffers) {
+  PerfVector perf({2, 1, 1, 1, 1});
   const u64 n = perf.round_up_admissible(4000);
   ClusterConfig config;
-  config.perf = {2, 1, 1};
+  config.perf = {2, 1, 1, 1, 1};
   config.disk = tiny_blocks();
   Cluster cluster(config);
-  WorkloadSpec spec{Dist::kUniform, n, 3, 6};
-  auto outcome = cluster.run([&](NodeContext& ctx) -> bool {
+  WorkloadSpec spec{Dist::kUniform, n, 5, 6};
+  const u64 rpb = tiny_blocks().records_per_block(sizeof(DefaultKey));
+  auto outcome = cluster.run([&](NodeContext& ctx) -> ExtPsrsReport {
     workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
                           perf.share(ctx.rank(), n), ctx.disk(), "input");
+    const MultisetChecksum before =
+        file_checksum<DefaultKey>(ctx.disk(), "input");
     ExtPsrsConfig psrs;
-    psrs.sequential.memory_records = 256;
-    psrs.sequential.tape_count = 4;
+    psrs.sequential.memory_records = 4 * rpb;  // fan-in 3 < p = 5
+    psrs.sequential.tape_count = 3;
     psrs.sequential.allow_in_memory = false;
-    psrs.designated_node = 2;
-    ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
-    return verify_global_order<DefaultKey>(ctx, "sorted");
+    const ExtPsrsReport r = ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
+    EXPECT_TRUE(verify_global_order<DefaultKey>(ctx, "sorted"));
+    EXPECT_TRUE(verify_global_permutation<DefaultKey>(ctx, before, "sorted"));
+    EXPECT_FALSE(ctx.disk().exists("sorted.cat"));
+    return r;
   });
-  for (bool ok : outcome.results) EXPECT_TRUE(ok);
+  for (u32 i = 0; i < 5; ++i) {
+    const ExtPsrsReport& r = outcome.results[i];
+    EXPECT_GT(r.io_final_merge, 2 * ceil_div(r.final_records, rpb) + 6)
+        << "node " << i;
+  }
 }
 
 }  // namespace

@@ -574,12 +574,9 @@ PsrsDriftResult run_psrs_under(const DriftPlan& plan, bool adaptive,
     pc.sequential.tape_count = test_params::kTapeCount;
     pc.sequential.allow_in_memory = false;
     pc.message_records = test_params::kMessageRecords;
-    pc.adaptive.enabled = adaptive;
-    // Mirror bench_drift: the phased steps 3–5 are where the re-split pays
-    // (the fused pipeline's critical path is the send pass), and the
-    // absorb merge is the adaptive path's cost lever — this test is its
+    // The absorb merge is the adaptive path's cost lever; this test is its
     // end-to-end coverage.
-    pc.pipelined = false;
+    pc.adaptive.enabled = adaptive;
     const ExtPsrsReport report =
         ext_psrs_sort<DefaultKey>(ctx, perf, pc);
     struct R {

@@ -6,8 +6,10 @@
 // bitwise determinism of fully faulted end-to-end sorts.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/checksum.h"
@@ -251,6 +253,39 @@ TEST(FaultNet, DuplicatesAreDiscardedByTheSequenceCheck) {
   EXPECT_EQ(f.net_frames_duplicated, f.net_dups_discarded);
 }
 
+// Rank 0 returns at once; rank 1 then sends it frames nobody receives, as
+// the last acks of an exchange are.  Their duplicates reach rank 0 after
+// its body returned, and the harvest sweep still finds every one.
+TEST(FaultNet, DuplicatesSentAfterTheReceiverReturnedAreSwept) {
+  ClusterConfig config = ClusterConfig::homogeneous(2);
+  config.fault_plan = net_plan(6, /*drop=*/0.0, /*dup=*/1.0);
+  Cluster cluster(config);
+  auto outcome = cluster.run([](NodeContext& ctx) -> int {
+    if (ctx.rank() == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      for (u64 i = 0; i < 8; ++i) ctx.comm().send_value<u64>(0, 3, i);
+    }
+    return 0;
+  });
+  const FaultCounters f = total_faults(outcome.nodes);
+  EXPECT_EQ(f.net_frames_duplicated, 8u);
+  EXPECT_EQ(f.net_dups_discarded, 8u);
+}
+
+// Ranks 0–2 return at once and wait for rank 3, which throws.  Their
+// harvest sweep then meets poisoned mailboxes and fails too, but the run
+// reports rank 3's error, not a lower rank's MailboxPoisoned.
+TEST(FaultNet, FailedRunReportsTheCauseNotAPoisonedPeer) {
+  ClusterConfig config = ClusterConfig::homogeneous(4);
+  config.fault_plan = net_plan(7, /*drop=*/0.0, /*dup=*/0.5);
+  Cluster cluster(config);
+  EXPECT_THROW(cluster.run([](NodeContext& ctx) -> int {
+                 if (ctx.rank() == 3) throw std::logic_error("rank 3 failed");
+                 return 0;
+               }),
+               std::logic_error);
+}
+
 TEST(FaultNet, DelaysPushArrivalTimes) {
   auto receiver_time = [](const FaultPlan& plan) {
     ClusterConfig config = ClusterConfig::homogeneous(2);
@@ -330,8 +365,7 @@ struct SortOutcome {
 /// Sorts on in-memory disks, or on real files under `workdir` when it is
 /// set.
 SortOutcome run_faulted_sort(const std::vector<u32>& perf_values,
-                             const FaultPlan& plan, bool pipelined = true,
-                             bool observe = false,
+                             const FaultPlan& plan, bool observe = false,
                              const std::filesystem::path& workdir = {}) {
   PerfVector perf(perf_values);
   const u64 n = perf.admissible_size(25);
@@ -366,7 +400,6 @@ SortOutcome run_faulted_sort(const std::vector<u32>& perf_values,
     psrs.sequential.tape_count = test_params::kTapeCount;
     psrs.sequential.allow_in_memory = false;
     psrs.message_records = test_params::kMessageRecords;
-    psrs.pipelined = pipelined;
     core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
     NodeResult r;
     r.sorted = core::verify_global_order<DefaultKey>(ctx, "sorted");
@@ -401,10 +434,8 @@ TEST(FaultEndToEnd, EmptyPlanIsBitwiseNoOp) {
   // IoStats, exported traces — is byte-identical.
   FaultPlan zero_rates;
   zero_rates.seed = 987654321;
-  const SortOutcome a =
-      run_faulted_sort(perf, FaultPlan{}, true, /*observe=*/true);
-  const SortOutcome b =
-      run_faulted_sort(perf, zero_rates, true, /*observe=*/true);
+  const SortOutcome a = run_faulted_sort(perf, FaultPlan{}, /*observe=*/true);
+  const SortOutcome b = run_faulted_sort(perf, zero_rates, /*observe=*/true);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.finish_times, b.finish_times);
   EXPECT_EQ(a.outputs, b.outputs);
@@ -414,7 +445,7 @@ TEST(FaultEndToEnd, EmptyPlanIsBitwiseNoOp) {
   EXPECT_EQ(a.report_json, b.report_json);
 }
 
-TEST(FaultEndToEnd, FaultedPipelinedSortIsBitwiseDeterministic) {
+TEST(FaultEndToEnd, FaultedSortIsBitwiseDeterministic) {
   const std::vector<u32> perf = {4, 4, 1, 1};
   FaultPlan plan = disk_plan(17, 0.15, 0.15);
   plan.net.drop_prob = 0.1;
@@ -455,7 +486,7 @@ TEST(FaultEndToEnd, DiskFaultsLeaveOutputAndIoStatsUntouched) {
   // virtual times.
   const ScopedTempDir dir("paladin-fault");
   const SortOutcome on_files =
-      run_faulted_sort(perf, plan, true, /*observe=*/false, dir.path());
+      run_faulted_sort(perf, plan, /*observe=*/false, dir.path());
   EXPECT_EQ(on_files.outputs, faulted.outputs);
   EXPECT_EQ(on_files.makespan, faulted.makespan);
   EXPECT_EQ(on_files.finish_times, faulted.finish_times);
@@ -467,10 +498,8 @@ TEST(FaultEndToEnd, PhasedModeSurvivesFaultsToo) {
   FaultPlan plan = disk_plan(29, 0.15);
   plan.net.drop_prob = 0.15;
   plan.net.duplicate_prob = 0.15;
-  const SortOutcome clean =
-      run_faulted_sort({3, 2, 1}, FaultPlan{}, /*pipelined=*/false);
-  const SortOutcome faulted =
-      run_faulted_sort({3, 2, 1}, plan, /*pipelined=*/false);
+  const SortOutcome clean = run_faulted_sort({3, 2, 1}, FaultPlan{});
+  const SortOutcome faulted = run_faulted_sort({3, 2, 1}, plan);
   EXPECT_GT(faulted.faults.total_injected(), 0u);
   EXPECT_EQ(faulted.outputs, clean.outputs);
   EXPECT_EQ(faulted.faults.net_frames_duplicated,
@@ -480,7 +509,7 @@ TEST(FaultEndToEnd, PhasedModeSurvivesFaultsToo) {
 TEST(FaultEndToEnd, FaultCountersSurfaceInTheTraceRegistry) {
   FaultPlan plan = disk_plan(41, 0.25);
   const SortOutcome observed =
-      run_faulted_sort({2, 1}, plan, true, /*observe=*/true);
+      run_faulted_sort({2, 1}, plan, /*observe=*/true);
   EXPECT_GT(observed.faults.disk_read_faults, 0u);
   // The folded counters appear by name in the RunReport JSON.
   EXPECT_NE(observed.report_json.find("fault.disk.read_faults"),
@@ -489,7 +518,7 @@ TEST(FaultEndToEnd, FaultCountersSurfaceInTheTraceRegistry) {
             std::string::npos);
   // And an unfaulted observed run must not mention them at all.
   const SortOutcome clean =
-      run_faulted_sort({2, 1}, FaultPlan{}, true, /*observe=*/true);
+      run_faulted_sort({2, 1}, FaultPlan{}, /*observe=*/true);
   EXPECT_EQ(clean.report_json.find("fault."), std::string::npos);
 }
 

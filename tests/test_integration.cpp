@@ -77,37 +77,28 @@ TEST(Integration, ScratchFilesAreCleanedUp) {
   config.perf = {2, 1};
   config.disk.block_bytes = 256;
   WorkloadSpec spec{Dist::kUniform, n, 2, 3};
-  std::vector<u64> files_created[2];
-  for (const bool pipelined : {true, false}) {
-    Cluster cluster(config);
-    auto outcome = cluster.run([&](NodeContext& ctx) -> u64 {
-      workload::write_share(spec, ctx.rank(),
-                            perf.share_offset(ctx.rank(), n),
-                            perf.share(ctx.rank(), n), ctx.disk(), "input");
-      ExtPsrsConfig psrs;
-      psrs.sequential.memory_records = 256;
-      psrs.sequential.allow_in_memory = false;
-      psrs.pipelined = pipelined;
-      core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
-      // Only "input" and "sorted" should remain.
-      u64 leftovers = 0;
-      for (const char* name : {"sorted.step1", "sorted.step4.from0",
-                               "sorted.step4.from1", "sorted.step1.runs"}) {
-        if (ctx.disk().exists(name)) ++leftovers;
-      }
-      return leftovers;
-    });
-    for (u64 leftovers : outcome.results) EXPECT_EQ(leftovers, 0u);
-    for (const auto& node : outcome.nodes) {
-      files_created[pipelined].push_back(node.io.files_created);
+  Cluster cluster(config);
+  auto outcome = cluster.run([&](NodeContext& ctx) -> u64 {
+    workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
+                          perf.share(ctx.rank(), n), ctx.disk(), "input");
+    ExtPsrsConfig psrs;
+    psrs.sequential.memory_records = 256;
+    psrs.sequential.allow_in_memory = false;
+    core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
+    // Only "input" and "sorted" should remain: no named scratch file, and
+    // no bytes on the disk beyond those two files.
+    u64 leftovers = 0;
+    for (const char* name : {"sorted.step1", "sorted.step4.from0",
+                             "sorted.step4.from1", "sorted.step1.runs"}) {
+      if (ctx.disk().exists(name)) ++leftovers;
     }
-  }
-  // Phased Step 3 cuts the sorted file in place: beyond what the fused
-  // pipeline creates, a phased node creates only the p − 1 files its
-  // peers' partitions land in.
-  for (u32 i = 0; i < 2; ++i) {
-    EXPECT_EQ(files_created[false][i], files_created[true][i] + 1) << i;
-  }
+    if (ctx.disk().live_bytes() !=
+        ctx.disk().file_bytes("input") + ctx.disk().file_bytes("sorted")) {
+      ++leftovers;
+    }
+    return leftovers;
+  });
+  for (u64 leftovers : outcome.results) EXPECT_EQ(leftovers, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -235,7 +226,6 @@ TEST(Integration, StepTimesAndIosAreConsistent) {
     psrs.sequential.memory_records = 512;
     psrs.sequential.allow_in_memory = false;
     psrs.message_records = 64;
-    psrs.pipelined = false;  // this test pins the phased per-step breakdown
     return core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
   });
 

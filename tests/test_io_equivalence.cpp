@@ -225,7 +225,6 @@ ExchangeRun run_exchange(core::ParallelSortAlgorithm algorithm, Dist dist,
   const PerfVector perf({4, 4, 1, 1});
   core::ParallelSortConfig psc;
   psc.algorithm = algorithm;
-  psc.psrs.pipelined = false;  // ext-psrs runs its phased exchange
   psc.sequential.memory_records = test_params::kMemoryRecords;
   psc.sequential.tape_count = test_params::kTapeCount;
   psc.sequential.allow_in_memory = false;

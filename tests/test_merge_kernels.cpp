@@ -14,7 +14,9 @@
 //     posix disk — byte-identical output files, identical IoStats, and a
 //     bit-identical *event sequence* (every meter batch and every
 //     cost-sink charge, in order), which subsumes virtual-clock equality
-//     under floating-point addition.
+//     under floating-point addition.  The spill merge
+//     (core::merge_sorted_pieces) meets the same bar while it frees the
+//     in-memory pieces behind its readers.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -29,15 +31,18 @@
 #include <string>
 #include <vector>
 
+#include "base/contracts.h"
 #include "base/key_codec.h"
 #include "base/math_util.h"
 #include "base/meter.h"
 #include "base/types.h"
+#include "core/merge_files.h"
 #include "pdm/typed_io.h"
 #include "seq/cursors.h"
 #include "seq/kway_merge.h"
 #include "seq/loser_tree.h"
 #include "seq/run_formation.h"
+#include "test_params.h"
 #include "workload/datamation.h"
 #include "workload/generators.h"
 
@@ -572,7 +577,7 @@ DiskObserved run_disk_merge(Dist dist, u64 n, u32 k,
 
 // Disk accounting happens above the backend, so the merge's whole event
 // sequence must not depend on whether real files or memory hold the bytes.
-TEST(MergeKernels, DiskMergeChargesIndependentOfBackend) {
+TEST(MergeKernels, DiskMergeCostsIndependentOfBackend) {
   constexpr u64 kRecords = 12000;
   constexpr u32 kPieces = 6;
   const DiskMergeCase mem{"mem", false};
@@ -588,6 +593,214 @@ TEST(MergeKernels, DiskMergeChargesIndependentOfBackend) {
         << what;
     expect_disk_identical(base, run_disk_merge(dist, kRecords, kPieces, posix),
                           what + "/" + posix.label);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Spill merge: freeing the pieces behind the readers
+// ---------------------------------------------------------------------
+
+// MemBackend frees storage in whole 1 MiB chunks: 2^18 u32 records.
+constexpr u64 kChunkRecords = (u64{1} << 20) / sizeof(u32);
+// Pieces A = [0, kA) and B = [kA, kA + kB) share "shared", followed by a
+// tail of records in no piece; C = [kHead, kHead + kC) sits in "other"
+// behind a head in no piece.  A ends and C starts inside a chunk, and
+// the pieces hold 5.6 MB in all.
+constexpr u64 kA = 300000;
+constexpr u64 kB = 500000;
+constexpr u64 kTail = 1000;
+constexpr u64 kHead = 1000;
+constexpr u64 kC = 600000;
+constexpr u32 kOutside = 0xfeedbeef;  // the head and tail records
+
+struct SpillMergeInput {
+  std::vector<u32> a, b, c;
+};
+
+SpillMergeInput spill_merge_input(Dist dist) {
+  const std::vector<u32> keys = make_input(dist, kA + kB + kC, 321);
+  SpillMergeInput in;
+  in.a.assign(keys.begin(), keys.begin() + kA);
+  in.b.assign(keys.begin() + kA, keys.begin() + kA + kB);
+  in.c.assign(keys.begin() + kA + kB, keys.end());
+  for (std::vector<u32>* run : {&in.a, &in.b, &in.c}) {
+    std::sort(run->begin(), run->end());
+  }
+  return in;
+}
+
+/// Lays the three pieces out on `disk` and merges them with
+/// core::merge_sorted_pieces, capturing what the model can observe; the
+/// event log starts after setup.
+DiskObserved run_spill_merge(pdm::Disk& disk, const SpillMergeInput& in) {
+  {
+    pdm::BlockFile f = disk.create("shared");
+    pdm::BlockWriter<u32> w(f);
+    w.push_span(std::span<const u32>(in.a));
+    w.push_span(std::span<const u32>(in.b));
+    for (u64 i = 0; i < kTail; ++i) w.push(kOutside);
+    w.flush();
+  }
+  {
+    pdm::BlockFile f = disk.create("other");
+    pdm::BlockWriter<u32> w(f);
+    for (u64 i = 0; i < kHead; ++i) w.push(kOutside);
+    w.push_span(std::span<const u32>(in.c));
+    w.flush();
+  }
+  const std::vector<seq::MergePiece> pieces = {
+      {"shared", 0, kA}, {"shared", kA, kB}, {"other", kHead, kC}};
+
+  DiskObserved obs;
+  disk.set_cost_sink([&obs](double s) {
+    obs.events.push_back({'i', std::bit_cast<u64>(s)});
+  });
+  EventMeter meter(obs.events);
+  const core::MergeOutcome m = core::merge_sorted_pieces<u32>(
+      disk, pieces, "out", /*memory_records=*/u64{1} << 16, meter);
+  EXPECT_EQ(m.passes, 1u);
+  obs.merged = m.merged;
+  obs.stats = disk.stats();
+  disk.set_cost_sink([](double) {});
+  obs.output = pdm::read_file<u32>(disk, "out");
+  return obs;
+}
+
+/// Reads record `index` of `name` straight through the block file.
+u32 record_at(pdm::Disk& disk, const std::string& name, u64 index) {
+  pdm::BlockFile f = disk.open(name);
+  u32 v = 0;
+  f.read_at(index * sizeof(u32),
+            std::span<u8>(reinterpret_cast<u8*>(&v), sizeof(v)));
+  return v;
+}
+
+class SpillMergeFreeBehind : public ::testing::TestWithParam<Dist> {};
+
+// Real files keep every byte, so the in-memory merge, which frees its
+// pieces as it passes them, must match the posix merge in output, IoStats
+// and the whole charge sequence.  Afterwards a chunk that lies wholly
+// inside a piece is gone, and every chunk that a piece shares with
+// another piece or with records outside the pieces still reads.
+TEST_P(SpillMergeFreeBehind, ReleasesOnlyChunksInsideEachPiece) {
+  const SpillMergeInput in = spill_merge_input(GetParam());
+  std::vector<u32> expected = in.a;
+  expected.insert(expected.end(), in.b.begin(), in.b.end());
+  expected.insert(expected.end(), in.c.begin(), in.c.end());
+  std::sort(expected.begin(), expected.end());
+
+  pdm::Disk mem = pdm::Disk::in_memory(pdm::DiskParams::fast());
+  const DiskObserved base = run_spill_merge(mem, in);
+  EXPECT_EQ(base.output, expected);
+  ScratchDir dir("spill");
+  pdm::Disk posix = pdm::Disk::posix(dir.path(), pdm::DiskParams::fast());
+  expect_disk_identical(base, run_spill_merge(posix, in), "posix");
+
+  // Chunks 0 and 2 of "shared" lie inside A and B, chunk 1 of "other"
+  // inside C: released.
+  EXPECT_THROW(record_at(mem, "shared", 0), ContractViolation);
+  EXPECT_THROW(record_at(mem, "shared", 2 * kChunkRecords),
+               ContractViolation);
+  EXPECT_THROW(record_at(mem, "other", kChunkRecords), ContractViolation);
+  // Chunk 1 of "shared" holds A's end and B's start, chunk 3 B's end and
+  // the tail; chunk 0 of "other" holds the head and C's start, chunk 2
+  // C's end.  All still read.
+  for (pdm::Disk* disk : {&mem, &posix}) {
+    EXPECT_EQ(record_at(*disk, "shared", kA - 1), in.a.back());
+    EXPECT_EQ(record_at(*disk, "shared", kA), in.b.front());
+    EXPECT_EQ(record_at(*disk, "shared", kA + kB - 1), in.b.back());
+    EXPECT_EQ(record_at(*disk, "shared", kA + kB), kOutside);
+    EXPECT_EQ(record_at(*disk, "other", 0), kOutside);
+    EXPECT_EQ(record_at(*disk, "other", kHead), in.c.front());
+    EXPECT_EQ(record_at(*disk, "other", kHead + kC - 1), in.c.back());
+  }
+  // The posix files keep every byte.
+  EXPECT_EQ(record_at(posix, "shared", 0), in.a.front());
+  EXPECT_EQ(record_at(posix, "other", kChunkRecords),
+            in.c[kChunkRecords - kHead]);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDistributions, SpillMergeFreeBehind,
+                         ::testing::ValuesIn(workload::kAllDists),
+                         test_params::dist_name);
+
+// A 100-byte record gives 327 records to a 32 KiB block, and a 32,700-byte
+// block does not divide a 1 MiB chunk, so a piece's last block can run
+// over a chunk boundary into the next piece of the same file.  Piece A
+// ends 76 bytes before the boundary at 1 MiB and its last block runs
+// 30,524 bytes past it; piece B, 3 MiB of keys all below A's, drains
+// before A reads that block.  B frees only chunks inside its own whole
+// blocks, so A's last block still reads and the merge matches posix.
+TEST(SpillMergeFreeBehindBlocks, NeighbourBlockOverAChunkBoundaryStillReads) {
+  constexpr u64 kChunkBytes = u64{1} << 20;
+  constexpr u64 kRecordsA = kChunkBytes / sizeof(DatamationRecord);
+  constexpr u64 kRecordsB = 3 * kRecordsA;
+  std::vector<DatamationRecord> a, b;
+  for (u64 i = 0; i < kRecordsB; ++i) b.push_back(widen(static_cast<u32>(i), i));
+  for (u64 i = 0; i < kRecordsA; ++i) {
+    a.push_back(widen(static_cast<u32>(kRecordsB + i), kRecordsB + i));
+  }
+
+  struct Observed {
+    std::vector<DatamationRecord> output;
+    pdm::IoStats stats;
+    std::vector<Event> events;
+  };
+  const auto merge = [&](pdm::Disk& disk) {
+    {
+      pdm::BlockFile f = disk.create("shared");
+      pdm::BlockWriter<DatamationRecord> w(f);
+      w.push_span(std::span<const DatamationRecord>(a));
+      w.push_span(std::span<const DatamationRecord>(b));
+      w.flush();
+    }
+    Observed obs;
+    disk.set_cost_sink([&obs](double s) {
+      obs.events.push_back({'i', std::bit_cast<u64>(s)});
+    });
+    EventMeter meter(obs.events);
+    const core::MergeOutcome m =
+        core::merge_sorted_pieces<DatamationRecord, DatamationLess>(
+            disk, {{"shared", 0, kRecordsA}, {"shared", kRecordsA, kRecordsB}},
+            "out", /*memory_records=*/u64{1} << 12, meter);
+    EXPECT_EQ(m.passes, 1u);
+    EXPECT_EQ(m.merged, kRecordsA + kRecordsB);
+    obs.stats = disk.stats();
+    disk.set_cost_sink([](double) {});
+    obs.output = pdm::read_file<DatamationRecord>(disk, "out");
+    return obs;
+  };
+  const auto key_at = [](pdm::Disk& disk, u64 index) {
+    pdm::BlockFile f = disk.open("shared");
+    DatamationRecord r{};
+    f.read_at(index * sizeof(r),
+              std::span<u8>(reinterpret_cast<u8*>(&r), sizeof(r)));
+    return std::vector<u8>(std::begin(r.key), std::end(r.key));
+  };
+
+  pdm::Disk mem = pdm::Disk::in_memory(pdm::DiskParams::fast());
+  const Observed base = merge(mem);
+  std::vector<DatamationRecord> expected = b;
+  expected.insert(expected.end(), a.begin(), a.end());
+  expect_records_eq(base.output, expected, "memory");
+  ScratchDir dir("spill-blocks");
+  pdm::Disk posix = pdm::Disk::posix(dir.path(), pdm::DiskParams::fast());
+  const Observed got = merge(posix);
+  expect_records_eq(base.output, got.output, "posix");
+  EXPECT_EQ(base.stats.blocks_read, got.stats.blocks_read);
+  EXPECT_EQ(base.stats.blocks_written, got.stats.blocks_written);
+  EXPECT_EQ(base.events, got.events);
+
+  // Chunk 2 lies inside B's whole blocks: released.  Chunk 1 holds A's
+  // last block: it still reads, on both sides of the boundary.
+  EXPECT_THROW(key_at(mem, 2 * kChunkBytes / sizeof(DatamationRecord) + 1),
+               ContractViolation);
+  for (pdm::Disk* disk : {&mem, &posix}) {
+    EXPECT_EQ(key_at(*disk, kRecordsA - 1),
+              std::vector<u8>(std::begin(a.back().key), std::end(a.back().key)));
+    EXPECT_EQ(key_at(*disk, kRecordsA),
+              std::vector<u8>(std::begin(b.front().key),
+                              std::end(b.front().key)));
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests of the observability layer (src/obs/): the counter registry, span
-// stack/monotonicity invariants, harvested cluster traces for both PSRS
-// modes, the registry-vs-IoStats cross-check, the io_pipeline paper bound
-// re-derived from exported counters alone, byte-identical exports across
+// stack/monotonicity invariants, harvested cluster traces of PSRS runs,
+// the registry-vs-IoStats cross-check, the Steps 3–5 I/O bound re-derived
+// from exported counters alone, byte-identical exports across
 // runs with the same (seed, config), and the guarantee that observing a
 // run cannot change its simulated times.
 #include <gtest/gtest.h>
@@ -83,30 +83,35 @@ class FakeTime : public TimeSource {
   double t = 0.0;
 };
 
-TEST(Tracer, SpansNestPerTrackAndKeepDepth) {
+TEST(Tracer, SpansNestAndKeepDepth) {
   FakeTime time;
   Tracer tr(&time);
   const auto outer = tr.open("outer", "t");
   time.t = 1.0;
   const auto inner = tr.open("inner", "t");
-  // A send-track span may interleave freely with main-track nesting.
-  const auto send = tr.open_at("send", "t", 0.5, Track::kSend);
-  tr.close_at(send, 2.0);
+  // An explicitly stamped span nests like any other.
+  const auto stamped = tr.open_at("stamped", "t", 1.5);
+  tr.close_at(stamped, 2.0);
   time.t = 3.0;
   tr.close(inner);
   time.t = 4.0;
   tr.close(outer);
+  const auto next = tr.open("next", "t");  // depth back to 0
+  tr.close(next);
 
   const NodeTrace nt = tr.take(7);
   EXPECT_EQ(nt.rank, 7u);
-  ASSERT_EQ(nt.spans.size(), 3u);
+  ASSERT_EQ(nt.spans.size(), 4u);
   EXPECT_EQ(nt.spans[0].name, "outer");
   EXPECT_EQ(nt.spans[0].depth, 0u);
   EXPECT_EQ(nt.spans[1].name, "inner");
   EXPECT_EQ(nt.spans[1].depth, 1u);
-  EXPECT_EQ(nt.spans[2].name, "send");
-  EXPECT_EQ(nt.spans[2].depth, 0u);  // own track, own stack
-  EXPECT_EQ(nt.spans[2].track, Track::kSend);
+  EXPECT_EQ(nt.spans[2].name, "stamped");
+  EXPECT_EQ(nt.spans[2].depth, 2u);
+  EXPECT_EQ(nt.spans[2].begin, 1.5);
+  EXPECT_EQ(nt.spans[2].end, 2.0);
+  EXPECT_EQ(nt.spans[3].name, "next");
+  EXPECT_EQ(nt.spans[3].depth, 0u);
   for (const SpanRecord& s : nt.spans) EXPECT_LE(s.begin, s.end);
 }
 
@@ -150,8 +155,7 @@ struct ObservedRun {
   ClusterTrace trace;
 };
 
-ObservedRun run_observed(const std::vector<u32>& perf_values, bool pipelined,
-                         bool observe) {
+ObservedRun run_observed(const std::vector<u32>& perf_values, bool observe) {
   PerfVector perf(perf_values);
   const u64 n = perf.admissible_size(25);
 
@@ -177,7 +181,6 @@ ObservedRun run_observed(const std::vector<u32>& perf_values, bool pipelined,
     psrs.sequential.tape_count = 5;
     psrs.sequential.allow_in_memory = false;
     psrs.message_records = 64;
-    psrs.pipelined = pipelined;
     return core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
   });
   run.reports = run.outcome.results;
@@ -194,7 +197,7 @@ u64 counter(const NodeTrace& node, std::string_view name) {
 }
 
 TEST(ObservedRun, HarvestsOneTracePerNodeWithSpans) {
-  const ObservedRun run = run_observed({4, 4, 1, 1}, /*pipelined=*/true, true);
+  const ObservedRun run = run_observed({4, 4, 1, 1}, true);
   ASSERT_EQ(run.trace.nodes.size(), 4u);
   for (u32 i = 0; i < 4; ++i) {
     const NodeTrace& node = run.trace.nodes[i];
@@ -204,38 +207,36 @@ TEST(ObservedRun, HarvestsOneTracePerNodeWithSpans) {
     EXPECT_FALSE(node.snapshots.empty());
 
     // Span names include the headline phases.
-    bool saw_sort = false, saw_pipe_send = false, saw_pipe_merge = false;
+    bool saw_sort = false, saw_exchange = false, saw_merge = false;
     for (const SpanRecord& s : node.spans) {
       if (s.name == "psrs.sort") saw_sort = true;
-      if (s.name == "pipeline.send") saw_pipe_send = true;
-      if (s.name == "pipeline.merge") saw_pipe_merge = true;
+      if (s.name == "psrs.step4.redistribute") saw_exchange = true;
+      if (s.name == "psrs.step5.final_merge") saw_merge = true;
       EXPECT_LE(s.begin, s.end) << s.name;
       EXPECT_GE(s.begin, 0.0) << s.name;
     }
     EXPECT_TRUE(saw_sort);
-    EXPECT_TRUE(saw_pipe_send);
-    EXPECT_TRUE(saw_pipe_merge);
+    EXPECT_TRUE(saw_exchange);
+    EXPECT_TRUE(saw_merge);
 
-    // Within one track, spans nest: each span lies inside every still-open
-    // ancestor, which recorded order + depth lets us re-check here.
-    for (int track = 0; track < 3; ++track) {
-      std::vector<const SpanRecord*> stack;
-      for (const SpanRecord& s : node.spans) {
-        if (static_cast<int>(s.track) != track) continue;
-        while (stack.size() > s.depth) stack.pop_back();
-        ASSERT_EQ(stack.size(), s.depth);
-        if (!stack.empty()) {
-          EXPECT_GE(s.begin, stack.back()->begin) << s.name;
-          EXPECT_LE(s.end, stack.back()->end) << s.name;
-        }
-        stack.push_back(&s);
+    // Spans nest: each span lies inside every still-open ancestor, which
+    // recorded order + depth lets us re-check here.
+    std::vector<const SpanRecord*> stack;
+    for (const SpanRecord& s : node.spans) {
+      while (stack.size() > s.depth) stack.pop_back();
+      ASSERT_EQ(stack.size(), s.depth);
+      if (!stack.empty()) {
+        EXPECT_GE(s.begin, stack.back()->begin) << s.name;
+        EXPECT_LE(s.end, stack.back()->end) << s.name;
       }
+      stack.push_back(&s);
     }
   }
 }
 
 TEST(ObservedRun, RegistryTotalsMatchIoStatsAndReports) {
-  const ObservedRun run = run_observed({4, 4, 1, 1}, /*pipelined=*/true, true);
+  const ObservedRun run = run_observed({4, 4, 1, 1}, true);
+  u64 chunks = 0, acks = 0;
   for (u32 i = 0; i < 4; ++i) {
     const NodeTrace& node = run.trace.nodes[i];
     const pdm::IoStats& io = run.outcome.nodes[i].io;
@@ -249,33 +250,46 @@ TEST(ObservedRun, RegistryTotalsMatchIoStatsAndReports) {
     const ExtPsrsReport& r = run.reports[i];
     EXPECT_EQ(counter(node, "psrs.records_in"), r.local_records);
     EXPECT_EQ(counter(node, "psrs.records_out"), r.final_records);
-    EXPECT_EQ(counter(node, "psrs.io.pipeline"), r.io_pipeline);
-    EXPECT_EQ(counter(node, "pipeline.chunks_sent"), r.messages_sent);
-    EXPECT_EQ(counter(node, "pipeline.records_merged"), r.final_records);
-    // Every stream gets exactly one end-of-stream marker.
-    EXPECT_EQ(counter(node, "pipeline.eos_sent"), 4u);
+    EXPECT_EQ(counter(node, "psrs.io.partition"), r.io_partition);
+    EXPECT_EQ(counter(node, "psrs.messages_sent"), r.messages_sent);
+    EXPECT_EQ(counter(node, "redistribute.chunks_sent"), r.messages_sent);
+    chunks += counter(node, "redistribute.chunks_sent");
+    acks += counter(node, "redistribute.acks_sent");
   }
+  // Every chunk is acked once, by the node it landed on.
+  EXPECT_GT(chunks, 0u);
+  EXPECT_EQ(acks, chunks);
 }
 
-// The acceptance bound of DESIGN.md §8, re-derived from the exported
+// The Steps 3–5 I/O bound of DESIGN.md §8, re-derived from the exported
 // counters alone: observability is a second witness for the paper's I/O
-// claim, independent of the in-code assertion.
-TEST(ObservedRun, PipelineIoBoundHoldsFromCountersAlone) {
-  const ObservedRun run = run_observed({4, 4, 1, 1}, /*pipelined=*/true, true);
+// claim.  Step 3 reads at most ⌈log2(⌈l/B⌉ + 1)⌉ + 1 blocks per pivot;
+// Step 4 reads what the node ships (at most l records, one extra block per
+// piece for an unaligned start) and writes what lands (at most Q); Step 5
+// reads its p runs and writes the Q-record slice once.
+TEST(ObservedRun, StepsThreeToFiveIoBoundHoldsFromCountersAlone) {
+  const ObservedRun run = run_observed({4, 4, 1, 1}, true);
+  const u64 p = 4;
   const u64 rpb = tiny_blocks().records_per_block(sizeof(DefaultKey));
   for (const NodeTrace& node : run.trace.nodes) {
+    SCOPED_TRACE(::testing::Message() << "node " << node.rank);
     EXPECT_EQ(counter(node, "pdm.block_bytes"), tiny_blocks().block_bytes);
-    const u64 bound = ceil_div(counter(node, "psrs.records_in"), rpb) +
-                      ceil_div(counter(node, "psrs.records_out"), rpb);
-    EXPECT_LE(counter(node, "psrs.io.pipeline"), bound + 2)
-        << "node " << node.rank;
-    EXPECT_GT(counter(node, "psrs.io.pipeline"), 0u) << "node " << node.rank;
+    const u64 l_blocks = ceil_div(counter(node, "psrs.records_in"), rpb);
+    const u64 q_blocks = ceil_div(counter(node, "psrs.records_out"), rpb);
+    const u64 partition = counter(node, "psrs.io.partition");
+    const u64 exchange = counter(node, "psrs.io.redistribute");
+    const u64 merge = counter(node, "psrs.io.final_merge");
+    EXPECT_LE(partition, (p - 1) * (ilog2_ceil(l_blocks + 1) + 1));
+    EXPECT_LE(exchange, l_blocks + q_blocks + 2 * (p - 1));
+    EXPECT_LE(merge, 2 * q_blocks + p + 1);
+    EXPECT_GT(partition, 0u);
+    EXPECT_GT(exchange, 0u);
+    EXPECT_GT(merge, 0u);
   }
 }
 
 TEST(ObservedRun, PhasedModeRecordsStepSpansAndCounters) {
-  const ObservedRun run =
-      run_observed({4, 4, 1, 1}, /*pipelined=*/false, true);
+  const ObservedRun run = run_observed({4, 4, 1, 1}, true);
   for (u32 i = 0; i < 4; ++i) {
     const NodeTrace& node = run.trace.nodes[i];
     std::vector<std::string> names;
@@ -298,18 +312,19 @@ TEST(ObservedRun, PhasedModeRecordsStepSpansAndCounters) {
 // ---------------------------------------------------------------------
 
 TEST(ObservedRun, ExportsBitwiseIdenticalAcrossRuns) {
-  const ObservedRun a = run_observed({4, 4, 1, 1}, /*pipelined=*/true, true);
-  const ObservedRun b = run_observed({4, 4, 1, 1}, /*pipelined=*/true, true);
+  const ObservedRun a = run_observed({4, 4, 1, 1}, true);
+  const ObservedRun b = run_observed({4, 4, 1, 1}, true);
   EXPECT_EQ(chrome_trace_json(a.trace), chrome_trace_json(b.trace));
   EXPECT_EQ(run_report_json(a.trace), run_report_json(b.trace));
 }
 
 TEST(ObservedRun, ObservingDoesNotChangeSimulatedTime) {
-  for (const bool pipelined : {false, true}) {
-    const ObservedRun off = run_observed({4, 4, 1, 1}, pipelined, false);
-    const ObservedRun on = run_observed({4, 4, 1, 1}, pipelined, true);
+  for (const std::vector<u32>& perf :
+       {std::vector<u32>{4, 4, 1, 1}, std::vector<u32>{2, 1}}) {
+    const ObservedRun off = run_observed(perf, false);
+    const ObservedRun on = run_observed(perf, true);
     EXPECT_EQ(on.outcome.makespan, off.outcome.makespan);
-    for (u32 i = 0; i < 4; ++i) {
+    for (u32 i = 0; i < perf.size(); ++i) {
       EXPECT_EQ(on.outcome.nodes[i].finish_time,
                 off.outcome.nodes[i].finish_time)
           << "node " << i;
@@ -351,7 +366,7 @@ void expect_balanced_json(const std::string& json) {
 }
 
 TEST(Export, ChromeTraceAndRunReportAreWellFormed) {
-  ObservedRun run = run_observed({4, 4, 1, 1}, /*pipelined=*/true, true);
+  ObservedRun run = run_observed({4, 4, 1, 1}, true);
   run.trace.set_meta("algorithm", "ext-psrs");
   const std::string chrome = chrome_trace_json(run.trace);
   const std::string report = run_report_json(run.trace);
@@ -360,7 +375,7 @@ TEST(Export, ChromeTraceAndRunReportAreWellFormed) {
   EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(chrome.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(chrome.find("pipeline.send"), std::string::npos);
+  EXPECT_NE(chrome.find("psrs.step5.final_merge"), std::string::npos);
   EXPECT_NE(report.find("\"schema\":\"paladin.run_report.v1\""),
             std::string::npos);
   EXPECT_NE(report.find("\"makespan_s\""), std::string::npos);
@@ -374,7 +389,7 @@ TEST(Export, EscapesControlAndQuoteCharacters) {
   trace.set_meta("weird", "a\"b\\c\nd\te\x01" "f");
   NodeTrace node;
   node.rank = 0;
-  node.spans.push_back({"name\"quoted", "cat", Track::kMain, 0, 0.0, 1.0, {}});
+  node.spans.push_back({"name\"quoted", "cat", 0, 0.0, 1.0, {}});
   trace.nodes.push_back(std::move(node));
   const std::string chrome = chrome_trace_json(trace);
   expect_balanced_json(chrome);

@@ -1,5 +1,5 @@
 // Golden-file determinism test for the observability exporters: one fixed
-// observed pipelined PSRS run must serialise byte-for-byte to the
+// observed PSRS run must serialise byte-for-byte to the
 // checked-in fixtures tests/golden/obs_run.trace.json (Chrome trace_event)
 // and tests/golden/obs_run.report.json (paladin.run_report.v1), and the
 // same sort on {4,4,1,1} under a pinned disk + network fault plan to
@@ -32,7 +32,7 @@
 namespace paladin::obs {
 namespace {
 
-/// An observed pipelined ext-psrs sort of n = admissible_size(k) uniform
+/// An observed ext-psrs sort of n = admissible_size(k) uniform
 /// keys drawn with `input_seed`, on `config`'s cluster with tiny blocks.
 /// Everything here is pinned: seeds, block size, message size, metadata
 /// order.  Do not tweak casually — every edit is a fixture regeneration.
@@ -58,7 +58,6 @@ ClusterTrace observed_psrs_run(net::ClusterConfig config, u64 k,
     psrs.sequential.tape_count = test_params::kTapeCount;
     psrs.sequential.allow_in_memory = false;
     psrs.message_records = test_params::kMessageRecords;
-    psrs.pipelined = true;
     core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
     return 0;
   });
@@ -105,10 +104,10 @@ ClusterTrace golden_drift_run() {
   return trace;
 }
 
-/// Pipelined ext-psrs on the paper's {4,4,1,1} under a pinned fault plan:
-/// transient disk read/write failures, read-path corruption, and dropped,
+/// Ext-psrs on the paper's {4,4,1,1} under a pinned fault plan: transient
+/// disk read/write failures, read-path corruption, and dropped,
 /// duplicated and delayed frames.  Pins every faulted makespan, fault
-/// counter and stream-clock stamp, which run-to-run comparisons alone
+/// counter and span stamp, which run-to-run comparisons alone
 /// cannot: a change that moved all of them consistently would still pass.
 ClusterTrace golden_faults_run() {
   net::ClusterConfig config;

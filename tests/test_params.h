@@ -1,4 +1,4 @@
-// One source of truth for the knobs the cluster/pipeline/fault tests keep
+// One source of truth for the knobs the cluster/exchange/fault tests keep
 // in common, so a change to the exercised geometry (block size, credit
 // window, mailbox tags) lands everywhere at once instead of drifting
 // between files.
@@ -29,7 +29,7 @@ inline pdm::DiskParams tiny_blocks() {
 // count small enough that multi-pass merging actually happens.
 inline constexpr u64 kMemoryRecords = 512;
 inline constexpr u32 kTapeCount = 5;
-/// Default pipelined-exchange chunk size (records per message).
+/// Default exchange chunk size (records per message).
 inline constexpr u64 kMessageRecords = 64;
 
 // Manual credit-window exchange used by the flow-control stress test and

@@ -214,9 +214,9 @@ TEST(ScatterGather, NonzeroRootWorks) {
 }
 
 TEST(ScatterGather, ScatterAfterASortInTheSameRun) {
-  // The fused pipeline leaves its last acks queued by design.  Staging
-  // sends on its own wire tags (core/wire_tags.h), so a scatter later in
-  // the same run never receives one of those acks as a data chunk.
+  // Staging sends on its own wire tags (core/wire_tags.h), so a scatter
+  // later in the same run never receives a packet of the sort's exchange
+  // as a data chunk.
   PerfVector perf({1, 1});
   const u64 n = u64{1} << 14;
   Cluster cluster(ClusterConfig::homogeneous(2));
@@ -292,14 +292,15 @@ INSTANTIATE_TEST_SUITE_P(AllDistributions, ExternalInCoreAgreement,
                          test_params::dist_name);
 
 // ---------------------------------------------------------------------
-// Pipelined path: randomized (seed, p, perf, B, m) sweep.  Each drawn
-// configuration runs ext_psrs twice — phased and pipelined — and must
-// (a) match the std::sort oracle on the concatenated output, (b) conserve
-// the input multiset exactly, and (c) produce byte-identical per-node
-// slices in both modes (the pipeline reorders work, never records).
+// Randomized (seed, p, perf, B, m) sweep.  Each drawn configuration runs
+// ext_psrs once and must (a) match the std::sort oracle on the
+// concatenated output, (b) conserve the input multiset exactly, and (c)
+// produce byte-identical per-node slices to the in-core PSRS on the same
+// data: block size and message size move records in different chunks,
+// never to a different node.
 // ---------------------------------------------------------------------
 
-TEST(PipelinedProperty, RandomConfigsMatchOracleAndPhasedDigests) {
+TEST(PsrsProperty, RandomConfigsMatchOracleAndInCoreSlices) {
   SplitMix64 gen(0xfeed'beef'0001ULL);
   for (int trial = 0; trial < 10; ++trial) {
     const u32 p = 2 + static_cast<u32>(gen.next() % 3);
@@ -328,37 +329,33 @@ TEST(PipelinedProperty, RandomConfigsMatchOracleAndPhasedDigests) {
     struct Slice {
       std::vector<u32> input;
       std::vector<u32> output;
+      std::vector<u32> incore;
     };
-    auto run_mode = [&](bool pipelined) {
-      Cluster cluster(config);
-      return cluster.run([&](NodeContext& ctx) -> Slice {
-        workload::write_share(spec, ctx.rank(),
-                              perf.share_offset(ctx.rank(), n),
-                              perf.share(ctx.rank(), n), ctx.disk(), "input");
-        Slice s;
-        s.input = pdm::read_file<u32>(ctx.disk(), "input");
-        core::ExtPsrsConfig psrs;
-        psrs.sequential.memory_records = 512;
-        psrs.sequential.allow_in_memory = false;
-        psrs.message_records = message_records;
-        psrs.pipelined = pipelined;
-        core::ext_psrs_sort<u32>(ctx, perf, psrs);
-        s.output = pdm::read_file<u32>(ctx.disk(), "sorted");
-        return s;
-      });
-    };
-    auto phased = run_mode(false);
-    auto pipelined = run_mode(true);
+    Cluster cluster(config);
+    auto run = cluster.run([&](NodeContext& ctx) -> Slice {
+      workload::write_share(spec, ctx.rank(),
+                            perf.share_offset(ctx.rank(), n),
+                            perf.share(ctx.rank(), n), ctx.disk(), "input");
+      Slice s;
+      s.input = pdm::read_file<u32>(ctx.disk(), "input");
+      core::ExtPsrsConfig psrs;
+      psrs.sequential.memory_records = 512;
+      psrs.sequential.allow_in_memory = false;
+      psrs.message_records = message_records;
+      core::ext_psrs_sort<u32>(ctx, perf, psrs);
+      s.output = pdm::read_file<u32>(ctx.disk(), "sorted");
+      s.incore = core::psrs_incore_sort<u32>(ctx, perf, s.input);
+      return s;
+    });
 
     std::vector<u32> all_in, all_out;
     for (u32 i = 0; i < p; ++i) {
-      // (c) phased vs pipelined digest equality, node by node.
-      EXPECT_EQ(pipelined.results[i].output, phased.results[i].output)
-          << "node " << i;
-      all_in.insert(all_in.end(), pipelined.results[i].input.begin(),
-                    pipelined.results[i].input.end());
-      all_out.insert(all_out.end(), pipelined.results[i].output.begin(),
-                     pipelined.results[i].output.end());
+      // (c) the external and in-core slices agree, node by node.
+      EXPECT_EQ(run.results[i].output, run.results[i].incore) << "node " << i;
+      all_in.insert(all_in.end(), run.results[i].input.begin(),
+                    run.results[i].input.end());
+      all_out.insert(all_out.end(), run.results[i].output.begin(),
+                     run.results[i].output.end());
     }
     // (a) + (b): the concatenated output is exactly the sorted input —
     // ordered, and neither losing nor duplicating a single record.
