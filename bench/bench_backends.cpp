@@ -86,15 +86,8 @@ CellResult run_cell(const BenchOptions& opt, const PerfVector& perf, u64 n,
       ctx.clock().reset();
       NodeOut out;
       out.report = core::parallel_external_sort<T, Less>(ctx, perf, psc);
-      if (out.report.layout == core::OutputLayout::kContiguousSlice) {
-        out.sorted = core::verify_global_order<T, Less>(ctx, psc.output);
-      } else {
-        for (const u64 b : out.report.owned_buckets) {
-          out.sorted = out.sorted &&
-                       core::is_sorted_file<T, Less>(
-                           ctx.disk(), core::bucket_file_name(psc.output, b));
-        }
-      }
+      out.sorted =
+          core::verify_output_order<T, Less>(ctx, psc.output, out.report);
       return out;
     });
 

@@ -64,9 +64,11 @@ DriftRunResult run_psrs(const BenchOptions& opt,
     workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
                           perf.share(ctx.rank(), n), ctx.disk(), "input");
     core::ExtPsrsConfig pc;
-    // A genuinely out-of-core budget (3 blocks): the step-5 merge of p
-    // runs goes multi-pass, so the slice-proportional work the re-split
-    // can shrink dominates the fixed read-partition-send work it cannot.
+    // A genuinely out-of-core budget (3 blocks): p runs outnumber its
+    // M/B − 1 = 2 buffers, so the step-5 merge of a slice larger than M
+    // goes multi-pass, and the slice-proportional work the re-split can
+    // shrink dominates the fixed read-partition-send work it cannot.  A
+    // slice the re-split shrinks below M merges in one pass.
     pc.sequential.memory_records =
         3 * ctx.disk().params().records_per_block(sizeof(DefaultKey));
     pc.sequential.allow_in_memory = false;

@@ -435,19 +435,9 @@ int main(int argc, char** argv) {
 
     out.report = core::parallel_external_sort<u32>(ctx, perf, psc);
 
-    // Verification is layout-aware: a contiguous slice must be globally
-    // ordered against the neighbours; bucket files need only be sorted
-    // individually (bucket order is the global order).
-    if (out.report.layout == core::OutputLayout::kContiguousSlice) {
-      out.ok = core::verify_global_order<u32>(ctx, psc.output);
-    } else {
-      out.ok = true;
-      for (const u64 b : out.report.owned_buckets) {
-        out.ok = out.ok &&
-                 core::is_sorted_file<u32>(
-                     ctx.disk(), core::bucket_file_name(psc.output, b));
-      }
-    }
+    // Layout-aware: contiguous slices and bucket files must each form one
+    // globally sorted sequence.
+    out.ok = core::verify_output_order<u32>(ctx, psc.output, out.report);
 
     core::collect_sorted_output<u32>(ctx, psc, out.report, "all.out", 0);
     if (ctx.rank() == 0) {

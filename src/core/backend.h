@@ -32,6 +32,7 @@
 
 #include "base/contracts.h"
 #include "base/types.h"
+#include "core/sampling.h"
 #include "core/scatter_gather.h"
 #include "core/splitter_tree.h"
 #include "core/wire_tags.h"
@@ -243,28 +244,22 @@ inline AdaptiveOutcome adaptive_reestimate(const BackendContext& bc,
 }
 
 /// Draws `want` records of `file` at uniformly random positions (sampling
-/// with replacement, one seek per sample) — the probabilistic-splitting
-/// sample of DeWitt et al. and the oversampling step of Rahn–Sanders–
-/// Singler.  `want` is clamped to the file size; an empty file yields an
-/// empty sample.
+/// with replacement) — the probabilistic-splitting sample of DeWitt et al.
+/// and the oversampling step of Rahn–Sanders–Singler.  The positions come
+/// from the node RNG and are read in ascending order (read_positions: one
+/// seek per sample, or one pass when the sample outnumbers the blocks), so
+/// the sample is in file order; callers sort it.  `want` is clamped to the
+/// file size; an empty file yields an empty sample.
 template <Record T>
 std::vector<T> draw_random_sample(net::NodeContext& ctx,
                                   const std::string& file, u64 want) {
-  std::vector<T> sample;
   pdm::BlockFile f = ctx.disk().open(file);
   pdm::BlockReader<T> reader(f);
   const u64 size = reader.size_records();
-  if (size == 0) return sample;
-  want = std::min(want, size);
-  sample.reserve(want);
-  for (u64 i = 0; i < want; ++i) {
-    reader.seek_record(ctx.rng().next_below(size));
-    T v;
-    const bool ok = reader.next(v);
-    PALADIN_ASSERT(ok);
-    sample.push_back(v);
-  }
-  return sample;
+  std::vector<u64> positions(std::min(want, size));
+  for (u64& pos : positions) pos = ctx.rng().next_below(size);
+  std::sort(positions.begin(), positions.end());
+  return read_positions(reader, std::span<const u64>(positions));
 }
 
 /// Splitter selection from gathered random samples: gathers every node's

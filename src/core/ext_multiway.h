@@ -14,11 +14,12 @@
 //            Axtmann–Sanders duplicate-robust dedup, see
 //            select_sample_splitters);
 //   Phase 3  one redistribution — every run is cut at the splitters by
-//            binary search *in the runs file* (no partition copy on disk),
-//            and the R run pieces for each peer go through the shared
-//            spill exchange (core/redistribute.h: block-multiple,
-//            credit-windowed messages), landing back to back in one file
-//            per source;
+//            the block search of core/partition_file.h *in the runs file*
+//            (no partition copy on disk; at most ⌈log2(blocks + 1)⌉ + 1
+//            block reads per splitter and run), and the R run pieces for
+//            each peer go through the shared spill exchange
+//            (core/redistribute.h: block-multiple, credit-windowed
+//            messages), landing back to back in one file per source;
 //   Phase 4  one global multiway merge — a single loser-tree pass over all
 //            R·p surviving run pieces (core/merge_files.h's
 //            merge_sorted_pieces) produces the node's contiguous sorted
@@ -27,9 +28,9 @@
 // I/O per node ≈ 2 passes for run formation + 1 read + 1 write around the
 // wire + 1 merge pass — the "just over two scans" shape the ICDE paper
 // targets, versus external PSRS's sort-then-merge profile.  When the
-// memory budget cannot buffer one block per piece (fan-in R·p exceeds
-// max_fan_in at tiny test geometries) merge_sorted_pieces degrades to the
-// balanced multi-pass fallback.
+// memory budget can neither buffer one block per piece (fan-in R·p exceeds
+// max_fan_in at tiny test geometries) nor hold the pieces outright,
+// merge_sorted_pieces degrades to the balanced multi-pass fallback.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +41,7 @@
 #include "base/types.h"
 #include "core/backend.h"
 #include "core/merge_files.h"
+#include "core/partition_file.h"
 #include "core/redistribute.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
@@ -78,37 +80,6 @@ struct ExtMultiwayReport : BackendReport {
   u64 io_exchange = 0;
   u64 io_merge = 0;
 };
-
-namespace detail {
-
-/// First record index in [lo, hi) of `reader`'s file that is not less than
-/// `key` — std::lower_bound over on-disk records, one seek+read per probe.
-/// Together with the upper_bound-over-splitters routing convention this
-/// sends a record equal to splitter j−1 to partition j (ties route above
-/// the splitter), so the file cuts agree exactly with
-/// route_file_by_splitters even when dedup left equal splitters.
-template <Record T, typename Less>
-u64 file_lower_bound(pdm::BlockReader<T>& reader, u64 lo, u64 hi,
-                     const T& key, Meter& meter, Less less) {
-  u64 compares = 0;
-  while (lo < hi) {
-    const u64 mid = lo + (hi - lo) / 2;
-    reader.seek_record(mid);
-    T v;
-    const bool ok = reader.next(v);
-    PALADIN_ASSERT(ok);
-    ++compares;
-    if (less(v, key)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  meter.on_compares(compares);
-  return lo;
-}
-
-}  // namespace detail
 
 /// SPMD body: sorts the cluster-wide dataset whose share on this node is
 /// `config.input`; on return `config.output` holds this node's globally
@@ -225,19 +196,20 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
     const PhaseTimer phase(bc);
     obs::ScopedSpan span(tr, "multiway.phase3.exchange", "multiway");
     {
-      pdm::BlockFile f = ctx.disk().open(runs_file);
-      pdm::BlockReader<T> reader(f);
+      // Cut before the records equal to each splitter (lower_bound): with
+      // the upper_bound routing convention of route_file_by_splitters, a
+      // record equal to splitter j−1 goes to partition j, even where dedup
+      // left fewer splitters than p−1 (the missing partitions are empty).
+      const auto at_or_below = [less](const T& a, const T& b) {
+        return !less(b, a);
+      };
       u64 run_start = 0;
       for (u64 r = 0; r < runs.run_count(); ++r) {
         const u64 run_end = run_start + runs.run_lengths[r];
-        cuts[r].assign(p + 1, run_end);
-        cuts[r][0] = run_start;
-        for (u32 j = 1; j <= splitters.size(); ++j) {
-          // Cuts are monotone in j, so each search starts at the previous
-          // cut instead of the run start.
-          cuts[r][j] = detail::file_lower_bound<T, Less>(
-              reader, cuts[r][j - 1], run_end, splitters[j - 1], ctx, less);
-        }
+        cuts[r] = file_partition_cuts<T>(ctx.disk(), runs_file,
+                                         std::span<const T>(splitters), ctx,
+                                         at_or_below, run_start, run_end);
+        cuts[r].resize(p + 1, run_end);
         run_start = run_end;
       }
     }

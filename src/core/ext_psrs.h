@@ -3,9 +3,12 @@
 // every node of a paladin::net::Cluster:
 //
 //   Step 1  sequential external sort of the node's share (polyphase);
-//   Step 2  regular sampling of the sorted file; a designated node sorts
+//   Step 2  regular sampling of the sorted file — one seek per sample at
+//           the paper's rate, one pass over the file when the samples
+//           outnumber its blocks (core/sampling.h); a designated node sorts
 //           the p·Σperf − p samples and broadcasts the p−1 perf-weighted
-//           pivots;
+//           pivots (under adaptation, pivots at the observed weights from a
+//           denser sample; the draw and the merge stay the same);
 //   Step 3  binary partitioning: the p+1 cut offsets of the sorted file,
 //           found by binary search in place;
 //   Step 4  redistribution — partition j travels to node j straight from
@@ -197,11 +200,7 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
       {
         pdm::BlockFile f = ctx.disk().open(sorted_local);
         pdm::BlockReader<T> reader(f);
-        // The densified draw streams the file once instead of seeking per
-        // sample; the static draw keeps the paper's seek pattern exactly.
-        samples = adapt_weights.empty()
-                      ? draw_regular_sample<T>(reader, off)
-                      : draw_regular_sample_streamed<T>(reader, off);
+        samples = draw_regular_sample<T>(reader, off);
       }
       PALADIN_ASSERT(samples.size() ==
                      perf.sample_count(rank, n, oversample));
@@ -283,27 +282,14 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
     // Runs: the local partition, still in the sorted file, plus the piece
     // from every peer.
     std::vector<seq::MergePiece> runs;
-    u64 slice_records = 0;
     for (u32 j = 0; j < p; ++j) {
       runs.push_back(j == rank ? piece(j) : exchanged.received[j].front());
-      slice_records += runs.back().len;
     }
-    // Adaptive absorb: the re-split often leaves this node a slice that
-    // fits the sequential memory budget outright — merge the runs in one
-    // buffered pass instead of the concatenate + multi-pass external
-    // merge.  Gated on weights having applied, so static and drift-free
-    // runs keep the external merge's exact cost funnel.
-    if (!adapt_weights.empty() &&
-        slice_records <= config.sequential.memory_records) {
-      report.final_records = merge_sorted_pieces_in_memory<T, Less>(
-          ctx.disk(), runs, config.output, ctx, less);
-    } else {
-      report.final_records =
-          merge_sorted_pieces<T, Less>(ctx.disk(), runs, config.output,
-                                       config.sequential.memory_records, ctx,
-                                       less)
-              .merged;
-    }
+    report.final_records =
+        merge_sorted_pieces<T, Less>(ctx.disk(), runs, config.output,
+                                     config.sequential.memory_records, ctx,
+                                     less)
+            .merged;
     for (const seq::MergePiece& run : runs) ctx.disk().remove(run.file);
     span.end();
     if (tr) tr->counters().set("psrs.records_out", report.final_records);

@@ -3,7 +3,8 @@
 // toward lower ranks: upper_bound), which is what bounds the
 // duplicate-induced imbalance by the multiplicity d (§3.1).  Two forms
 // share that rule:
-//  * file_partition_cuts — cut offsets found by binary search in the file,
+//  * file_partition_cuts — cut offsets found by binary search in the file
+//    (or in one sorted run of it, as ext-multiway's Phase 3 cuts its runs),
 //    which stays in place while its pieces travel;
 //  * partition_cuts — cut offsets of an in-memory span.
 #pragma once
@@ -27,26 +28,31 @@ inline std::string partition_name(const std::string& prefix, u32 j) {
   return prefix + ".part" + std::to_string(j);
 }
 
-/// On-disk counterpart of partition_cuts: the p+1 cut offsets of the sorted
-/// file `sorted_file` under the same tie rule, with cuts[0] = 0 and
-/// cuts[p] = its record count.  Nothing is moved or written.  For each
+/// On-disk counterpart of partition_cuts: the p+1 cut offsets of the
+/// sorted records [first, last) of `sorted_file` under the same tie rule,
+/// with cuts[0] = first and cuts[p] = last (the whole file by default;
+/// `last` is clipped to its size).  Nothing is moved or written.  For each
 /// pivot a binary search over the block-start records of [previous cut,
-/// end) — one block read and one comparison per probe — finds the block
+/// last) — one block read and one comparison per probe — finds the block
 /// that holds the cut; one more read of that block and a metered
-/// upper_bound inside it place the cut.  That is at most
-/// ⌈log2(⌈l/B⌉ + 1)⌉ + 1 block reads per pivot.
+/// upper_bound inside it, clipped to the range, place the cut.  That is at
+/// most ⌈log2(blocks + 1)⌉ + 1 block reads per pivot.  Passing the order
+/// !less(b, a) instead of less cuts before the records equal to each
+/// pivot (lower_bound) instead of after them.
 template <Record T, typename Less = std::less<T>>
 std::vector<u64> file_partition_cuts(pdm::Disk& disk,
                                      const std::string& sorted_file,
                                      std::span<const T> pivots, Meter& meter,
-                                     Less less = {}) {
+                                     Less less = {}, u64 first = 0,
+                                     u64 last = ~u64{0}) {
   pdm::BlockFile in = disk.open(sorted_file);
   pdm::BlockReader<T> reader(in);
-  const u64 records = reader.size_records();
-  const u64 rpb = disk.params().records_per_block(sizeof(T));
-  const u64 blocks = ceil_div(records, rpb);
-  std::vector<u64> cuts(pivots.size() + 2, 0);
-  cuts.back() = records;
+  last = std::min(last, reader.size_records());
+  PALADIN_EXPECTS(first <= last);
+  const u64 rpb = reader.records_per_block();
+  const u64 blocks = ceil_div(last, rpb);
+  std::vector<u64> cuts(pivots.size() + 2, first);
+  cuts.back() = last;
   for (std::size_t j = 0; j < pivots.size(); ++j) {
     const u64 from = cuts[j];
     // The first block past the one holding `from` that starts above the
@@ -64,10 +70,12 @@ std::vector<u64> file_partition_cuts(pdm::Disk& disk,
       }
     }
     u64 cut = std::max(from, (lo - 1) * rpb);
-    if (cut < records) {
+    if (cut < last) {
       reader.seek_record(cut);
-      cut += seq::metered_upper_bound(reader.buffered(), pivots[j], meter,
-                                      less);
+      const std::span<const T> block = reader.buffered();
+      cut += seq::metered_upper_bound(
+          block.first(std::min<u64>(block.size(), last - cut)), pivots[j],
+          meter, less);
     }
     cuts[j + 1] = cut;
   }

@@ -3,13 +3,18 @@
 //
 // Node i reads samples at local positions off−1, 2·off−1, … (the paper's
 // fseek/fread loop), where off = n/(p·Σperf) is identical on every node —
-// so every sample "represents" the same number of sorted records.  Node i
+// so every sample "represents" the same number of sorted records.  The
+// draw seeks once per sample while samples are a block or more apart and
+// streams the file once when they are denser (read_positions, which the
+// random draws of the other backends share).  Node i
 // therefore contributes p·perf[i]−1 samples, and the designated node picks
 // pivot j at index p·(perf[0]+…+perf[j]) − 1 of the sorted sample list,
 // giving node j a final partition proportional to perf[j].  The
 // homogeneous case degenerates to classic PSRS pivots.
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,10 +27,38 @@
 
 namespace paladin::core {
 
-/// Reads the regular sample of a sorted local file of `size` records with
-/// stride `off`: positions off−1, 2·off−1, …, while pos ≤ size−off−1.
-/// Mirrors the paper's pivot-selection loop, including its I/O behaviour
-/// (one seek+read per sample).
+/// Reads the records at `positions` (ascending record indices of
+/// `reader`'s file; repeats allowed), in whichever of two forms moves fewer
+/// blocks — every block transfer costs the same (pdm::DiskParams), so
+/// counting them decides.  When the positions outnumber the blocks from
+/// the first position's to the last one's, those blocks stream once;
+/// otherwise each position costs one seek and one block read.  Either way
+/// at most min(positions, ⌈l/B⌉) block reads.
+template <Record T>
+std::vector<T> read_positions(pdm::BlockReader<T>& reader,
+                              std::span<const u64> positions) {
+  std::vector<T> records;
+  if (positions.empty()) return records;
+  PALADIN_EXPECTS(std::is_sorted(positions.begin(), positions.end()));
+  PALADIN_EXPECTS(positions.back() < reader.size_records());
+  records.reserve(positions.size());
+  const u64 rpb = reader.records_per_block();
+  const bool stream =
+      positions.size() > positions.back() / rpb - positions.front() / rpb + 1;
+  if (stream) reader.seek_record(positions.front());
+  for (const u64 pos : positions) {
+    if (!stream) reader.seek_record(pos);
+    while (reader.position() < pos) {
+      reader.advance_n(
+          std::min<u64>(reader.buffered().size(), pos - reader.position()));
+    }
+    records.push_back(*reader.peek());
+  }
+  return records;
+}
+
+/// The paper's regular sample positions in a sorted file of `size`
+/// records with stride `off`: off−1, 2·off−1, …, while pos ≤ size−off−1.
 ///
 /// Degenerate stride: callers compute off = n/(p·Σperf·oversample) with
 /// floor division, which underflows to 0 once p·Σperf outgrows n (huge p,
@@ -34,59 +67,34 @@ namespace paladin::core {
 /// sample, every record — which keeps the selection well-defined at any
 /// scale.  PerfVector::sample_stride_clamped produces the same fallback
 /// at the stride-computation site.
+inline std::vector<u64> regular_sample_positions(u64 size, u64 off) {
+  if (off == 0) off = 1;
+  std::vector<u64> positions;
+  if (size < off) return positions;
+  positions.reserve(size / off);
+  for (u64 i = off - 1; i + off + 1 <= size; i += off) {  // overflow-safe
+    positions.push_back(i);
+  }
+  return positions;
+}
+
+/// Reads the regular sample of a sorted local file with stride `off`
+/// (regular_sample_positions).  At the paper's strides, a block or more
+/// apart, that is its fseek/fread loop; at sub-block strides the file
+/// streams once instead (read_positions).
 template <Record T>
 std::vector<T> draw_regular_sample(pdm::BlockReader<T>& sorted, u64 off) {
-  if (off == 0) off = 1;
-  const u64 size = sorted.size_records();
-  std::vector<T> samples;
-  if (size < off) return samples;
-  samples.reserve(size / off);
-  u64 i = off - 1;
-  while (i + off + 1 <= size) {  // i <= size - off - 1, overflow-safe
-    sorted.seek_record(i);
-    T v;
-    const bool ok = sorted.next(v);
-    PALADIN_ASSERT(ok);
-    samples.push_back(v);
-    i += off;
-  }
-  return samples;
+  const std::vector<u64> positions =
+      regular_sample_positions(sorted.size_records(), off);
+  return read_positions(sorted, std::span<const u64>(positions));
 }
 
-/// Streaming variant for densified draws (hetero::kAdaptResampleOversample):
-/// the seek-per-sample loop above re-reads a block for every pick, which at
-/// sub-block strides touches each block many times — on a freshly slowed
-/// node that I/O storm can cost more than the re-split saves.  One
-/// sequential pass keeps the same sample positions
-/// (off−1, 2·off−1, …, capped at size−off−1) for at most ⌈l/B⌉ block
-/// reads.  The adaptive path is the only caller, so the paper-exact
-/// static path keeps its I/O pattern bit-for-bit.
-template <Record T>
-std::vector<T> draw_regular_sample_streamed(pdm::BlockReader<T>& sorted,
-                                            u64 off) {
-  if (off == 0) off = 1;
-  const u64 size = sorted.size_records();
-  std::vector<T> samples;
-  if (size < off) return samples;
-  samples.reserve(size / off);
-  sorted.seek_record(0);
-  T v;
-  for (u64 i = 0; sorted.next(v); ++i) {
-    if ((i + 1) % off == 0 && i + off + 1 <= size) samples.push_back(v);
-  }
-  return samples;
-}
-
-/// In-memory variant for the in-core algorithm (same off == 0 fallback).
+/// In-memory variant for the in-core algorithm (same positions).
 template <Record T>
 std::vector<T> draw_regular_sample(std::span<const T> sorted, u64 off) {
-  if (off == 0) off = 1;
   std::vector<T> samples;
-  if (sorted.size() < off) return samples;
-  u64 i = off - 1;
-  while (i + off + 1 <= sorted.size()) {
+  for (const u64 i : regular_sample_positions(sorted.size(), off)) {
     samples.push_back(sorted[i]);
-    i += off;
   }
   return samples;
 }

@@ -6,14 +6,17 @@
 // execution times.
 #pragma once
 
+#include <algorithm>
 #include <exception>
 #include <filesystem>
 #include <functional>
 #include <latch>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "base/contracts.h"
@@ -195,6 +198,100 @@ struct RunOutcome {
   double makespan = 0.0;        ///< max finish_time — the "execution time"
 };
 
+/// The node harness of Cluster::run and of the multi-job service
+/// (src/service): runs `body(NodeContext&)` on one thread per node of
+/// `config` over `fabric` — the nodes of `group` when it is non-null (the
+/// service's job slice of a shared fabric), every fabric rank otherwise —
+/// with each node clock starting at `start`, and returns all results plus
+/// the simulated makespan.  If any node throws, all peers are woken
+/// (poisoned mailboxes) and the lowest rank's exception is rethrown,
+/// passing over MailboxPoisoned while any other type is there.
+template <typename F>
+auto run_nodes(const ClusterConfig& config, Fabric& fabric,
+               const CommGroup* group, double start, F&& body) {
+  using R = std::invoke_result_t<F&, NodeContext&>;
+  static_assert(!std::is_void_v<R>,
+                "node body must return a value; return a placeholder int "
+                "if there is nothing to report");
+  const u32 p = config.node_count();
+
+  // A raw array, not std::vector<R>: node threads write their own slot
+  // concurrently, and vector<bool> packs elements into shared words —
+  // an actual data race ThreadSanitizer flagged.
+  std::unique_ptr<R[]> results(new R[p]());
+  std::vector<NodeReport> reports(p);
+  std::vector<std::exception_ptr> errors(p);
+  std::vector<std::thread> threads;
+  threads.reserve(p);
+  // A node's body may return while a peer still sends to it (the last
+  // acks of an exchange, which no one receives), so no node sweeps its
+  // inbox before every body has returned.
+  std::latch bodies_done(p);
+
+  for (u32 i = 0; i < p; ++i) {
+    threads.emplace_back([&, i] {
+      bool arrived = false;
+      try {
+        std::optional<NodeContext> node;
+        if (group != nullptr) {
+          node.emplace(config, fabric, i, *group);
+        } else {
+          node.emplace(config, fabric, i);
+        }
+        NodeContext& ctx = *node;
+        ctx.clock().merge(start);
+        results[i] = body(ctx);
+        arrived = true;
+        bodies_done.arrive_and_wait();
+        if (fault::FaultInjector* fi = ctx.fault()) {
+          // Duplicate frames trailing the last consumed message on their
+          // stream are still queued (both copies of a dup are delivered
+          // back-to-back, before the original could be consumed); sweep
+          // them so dups_discarded matches frames_duplicated cluster-wide.
+          ctx.comm().drain_discard_dups();
+          reports[i].faults = fi->counters();
+        }
+        reports[i].finish_time = ctx.clock().now();
+        reports[i].io = ctx.disk().stats();
+        if (obs::Tracer* tr = ctx.obs()) {
+          ctx.fold_counters_into_tracer();
+          reports[i].trace =
+              std::make_shared<const obs::NodeTrace>(tr->take(i));
+        }
+      } catch (...) {
+        errors[i] = std::current_exception();
+        fabric.abort_all();
+        if (!arrived) bodies_done.count_down();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  // Rethrows the first error that is not MailboxPoisoned: the try block
+  // lets any other type escape.  A poisoned mailbox only echoes a peer's
+  // failure (a blocked receive, or the harvest sweep after the latch),
+  // so it surfaces only when every error is one.
+  std::exception_ptr first;
+  for (const std::exception_ptr& e : errors) {
+    if (!e) continue;
+    try {
+      std::rethrow_exception(e);
+    } catch (const MailboxPoisoned&) {
+      if (!first) first = e;
+    }
+  }
+  if (first) std::rethrow_exception(first);
+
+  RunOutcome<R> out;
+  out.results.reserve(p);
+  for (u32 i = 0; i < p; ++i) out.results.push_back(std::move(results[i]));
+  out.nodes = std::move(reports);
+  for (const NodeReport& r : out.nodes) {
+    out.makespan = std::max(out.makespan, r.finish_time);
+  }
+  return out;
+}
+
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config) : config_(std::move(config)) {
@@ -204,87 +301,12 @@ class Cluster {
 
   const ClusterConfig& config() const { return config_; }
 
-  /// Runs `body(NodeContext&)` on every node concurrently and returns all
-  /// results plus the simulated makespan.  If any node throws, all peers
-  /// are woken (poisoned mailboxes) and the lowest rank's exception is
-  /// rethrown, passing over MailboxPoisoned while any other type is there.
+  /// Runs `body(NodeContext&)` on every node concurrently over a fresh
+  /// fabric (run_nodes, every clock starting at 0).
   template <typename F>
   auto run(F&& body) {
-    using R = std::invoke_result_t<F&, NodeContext&>;
-    static_assert(!std::is_void_v<R>,
-                  "node body must return a value; return a placeholder int "
-                  "if there is nothing to report");
-    const u32 p = config_.node_count();
-    Fabric fabric(p, config_.network);
-
-    // A raw array, not std::vector<R>: node threads write their own slot
-    // concurrently, and vector<bool> packs elements into shared words —
-    // an actual data race ThreadSanitizer flagged.
-    std::unique_ptr<R[]> results(new R[p]());
-    std::vector<NodeReport> reports(p);
-    std::vector<std::exception_ptr> errors(p);
-    std::vector<std::thread> threads;
-    threads.reserve(p);
-    // A node's body may return while a peer still sends to it (the last
-    // acks of an exchange, which no one receives), so no node sweeps its
-    // inbox before every body has returned.
-    std::latch bodies_done(p);
-
-    for (u32 i = 0; i < p; ++i) {
-      threads.emplace_back([&, i] {
-        bool arrived = false;
-        try {
-          NodeContext ctx(config_, fabric, i);
-          results[i] = body(ctx);
-          arrived = true;
-          bodies_done.arrive_and_wait();
-          if (fault::FaultInjector* fi = ctx.fault()) {
-            // Duplicate frames trailing the last consumed message on their
-            // stream are still queued (both copies of a dup are delivered
-            // back-to-back, before the original could be consumed); sweep
-            // them so dups_discarded matches frames_duplicated cluster-wide.
-            ctx.comm().drain_discard_dups();
-            reports[i].faults = fi->counters();
-          }
-          reports[i].finish_time = ctx.clock().now();
-          reports[i].io = ctx.disk().stats();
-          if (obs::Tracer* tr = ctx.obs()) {
-            ctx.fold_counters_into_tracer();
-            reports[i].trace =
-                std::make_shared<const obs::NodeTrace>(tr->take(i));
-          }
-        } catch (...) {
-          errors[i] = std::current_exception();
-          fabric.abort_all();
-          if (!arrived) bodies_done.count_down();
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-
-    // Rethrows the first error that is not MailboxPoisoned: the try block
-    // lets any other type escape.  A poisoned mailbox only echoes a peer's
-    // failure (a blocked receive, or the harvest sweep after the latch),
-    // so it surfaces only when every error is one.
-    std::exception_ptr first;
-    for (const std::exception_ptr& e : errors) {
-      if (!e) continue;
-      try {
-        std::rethrow_exception(e);
-      } catch (const MailboxPoisoned&) {
-        if (!first) first = e;
-      }
-    }
-    if (first) std::rethrow_exception(first);
-
-    RunOutcome<R> out;
-    out.results.reserve(p);
-    for (u32 i = 0; i < p; ++i) out.results.push_back(std::move(results[i]));
-    out.nodes = std::move(reports);
-    for (const NodeReport& r : out.nodes) {
-      out.makespan = std::max(out.makespan, r.finish_time);
-    }
-    return out;
+    Fabric fabric(config_.node_count(), config_.network);
+    return run_nodes(config_, fabric, nullptr, 0.0, std::forward<F>(body));
   }
 
  private:

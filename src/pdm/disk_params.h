@@ -17,7 +17,9 @@ struct DiskParams {
 
   /// Fixed overhead charged per block transfer (average positioning time).
   /// The streams in this library are mostly sequential, so this models the
-  /// per-request overhead of a 2002 SCSI drive doing mixed access.
+  /// per-request overhead of a 2002 SCSI drive doing mixed access.  Every
+  /// transfer pays it, sequential or not, so of two ways to read the same
+  /// records the one with fewer transfers is always the cheaper.
   double access_seconds = 2.0e-3;
 
   /// Sustained transfer rate.  ~20 MB/s matches the paper's SCSI drives.

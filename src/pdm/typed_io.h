@@ -148,6 +148,7 @@ class BlockReader {
   }
 
   u64 size_records() const { return size_records_; }
+  u64 records_per_block() const { return records_per_block_; }
   u64 position() const { return next_record_; }
   bool done() const { return next_record_ >= size_records_; }
   u64 remaining() const { return size_records_ - next_record_; }

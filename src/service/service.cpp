@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <span>
 #include <sstream>
@@ -11,7 +10,6 @@
 #include <string>
 #include <string_view>
 #include <system_error>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -255,7 +253,7 @@ std::vector<JobSpec> open_arrival_workload(const OpenArrivalSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// Per-job dispatch: the service's equivalent of Cluster::run, over a node
+// Per-job dispatch: Cluster::run's harness (net::run_nodes) over a node
 // slice of the shared fabric.
 
 namespace {
@@ -272,75 +270,6 @@ struct JobVerdict {
   u64 digest = 0;
   u8 ok = 0;
 };
-
-/// Layout-aware global-order check + output checksum.  Contiguous slices
-/// reuse core::verify_global_order; the bucket layout gathers per-bucket
-/// boundary summaries at rank 0 and checks the global bucket-order chain
-/// there (verify_global_order assumes one file per node, so it cannot be
-/// reused directly).  Returns the same verdict on every node; `after`
-/// accumulates this node's output checksum(s).
-template <Record T, typename Less>
-bool verify_job_order(net::NodeContext& ctx,
-                      const core::ParallelSortConfig& cfg,
-                      const core::BackendReport& report,
-                      MultisetChecksum& after, Less less) {
-  if (report.layout == core::OutputLayout::kContiguousSlice) {
-    const bool ok = core::verify_global_order<T, Less>(ctx, cfg.output, less);
-    after.merge(core::file_checksum<T>(ctx.disk(), cfg.output));
-    return ok;
-  }
-
-  struct BucketSummary {
-    u64 bucket = 0;
-    T first{};
-    T last{};
-    u64 count = 0;
-    u8 sorted = 1;
-  };
-  std::vector<u64> owned = report.owned_buckets;
-  std::sort(owned.begin(), owned.end());
-  std::vector<BucketSummary> mine;
-  mine.reserve(owned.size());
-  for (u64 b : owned) {
-    const std::string name = core::bucket_file_name(cfg.output, b);
-    BucketSummary s;
-    s.bucket = b;
-    s.sorted = core::is_sorted_file<T, Less>(ctx.disk(), name, less) ? 1 : 0;
-    pdm::BlockFile f = ctx.disk().open(name);
-    pdm::BlockReader<T> reader(f);
-    s.count = reader.size_records();
-    if (s.count > 0) {
-      const bool a = reader.next(s.first);
-      PALADIN_ASSERT(a);
-      reader.seek_record(s.count - 1);
-      const bool z = reader.next(s.last);
-      PALADIN_ASSERT(z);
-    }
-    after.merge(core::file_checksum<T>(ctx.disk(), name));
-    mine.push_back(s);
-  }
-  std::vector<BucketSummary> all =
-      ctx.comm().template gather_records<BucketSummary>(
-          std::span<const BucketSummary>(mine), 0);
-  u8 verdict = 1;
-  if (ctx.comm().rank() == 0) {
-    std::sort(all.begin(), all.end(),
-              [](const BucketSummary& a, const BucketSummary& b) {
-                return a.bucket < b.bucket;
-              });
-    bool have_prev = false;
-    T prev_last{};
-    for (const BucketSummary& s : all) {
-      if (s.sorted == 0) verdict = 0;
-      if (s.count == 0) continue;
-      if (have_prev && less(s.first, prev_last)) verdict = 0;
-      prev_last = s.last;
-      have_prev = true;
-    }
-  }
-  verdict = ctx.comm().template bcast_value<u8>(verdict, 0);
-  return verdict != 0;
-}
 
 /// One node's share of one job, start to finish: write the input share,
 /// run the selected backend, verify order + permutation, agree on the
@@ -371,9 +300,10 @@ NodeOutcome run_node_body(net::NodeContext& ctx, const JobSpec& job,
   NodeOutcome out;
   out.report = core::parallel_external_sort<T, Less>(ctx, perf, cfg, less);
 
-  MultisetChecksum after;
   const bool order_ok =
-      verify_job_order<T, Less>(ctx, cfg, out.report, after, less);
+      core::verify_output_order<T, Less>(ctx, cfg.output, out.report, less);
+  const MultisetChecksum after =
+      core::output_checksum<T>(ctx.disk(), cfg.output, out.report);
 
   // Permutation + digest: merge every node's (input, output) checksums at
   // rank 0 and broadcast one verdict, so the job-wide digest and ok flag
@@ -422,13 +352,11 @@ net::ClusterConfig job_cluster_config(const ServiceConfig& svc,
 }
 
 /// Runs one admitted job on `slice` (physical ranks, ascending) starting
-/// at virtual time `t0`, with its own wire-tag namespace.  Mirrors
-/// Cluster::run: one thread per slice node, poison-on-error, NodeReport
-/// harvest.
+/// at virtual time `t0`, with its own wire-tag namespace, through
+/// Cluster::run's harness (net::run_nodes) on the shared fabric.
 JobReport run_one_job(const ServiceConfig& svc, net::Fabric& fabric,
                       const JobSpec& job, const std::vector<u32>& slice,
                       double t0, int tag_base) {
-  const u32 w = static_cast<u32>(slice.size());
   const net::ClusterConfig cfg = job_cluster_config(svc, job, slice);
   const hetero::PerfVector perf(std::vector<u32>(cfg.perf));
 
@@ -442,45 +370,17 @@ JobReport run_one_job(const ServiceConfig& svc, net::Fabric& fabric,
                              core::minimum_input(sort_cfg, perf));
 
   const net::CommGroup group{slice, tag_base};
-
-  // Cluster::run's harvest pattern: a raw array (threads write their own
-  // slots), per-thread exception slots, poison peers on failure.
-  std::unique_ptr<NodeOutcome[]> results(new NodeOutcome[w]());
-  std::vector<net::NodeReport> reports(w);
-  std::vector<std::exception_ptr> errors(w);
-  std::vector<std::thread> threads;
-  threads.reserve(w);
-  for (u32 i = 0; i < w; ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        net::NodeContext ctx(cfg, fabric, i, group);
-        // The job starts when the scheduler says it does: advance this
-        // node's clock to the dispatch time before any work is charged.
-        ctx.clock().merge(t0);
+  // The job starts when the scheduler says it does: every node clock
+  // starts at the dispatch time.
+  net::RunOutcome<NodeOutcome> run = net::run_nodes(
+      cfg, fabric, &group, t0, [&](net::NodeContext& ctx) {
         if (job.record_bytes == sizeof(DefaultKey)) {
-          results[i] = run_node_body<DefaultKey>(ctx, job, n_eff, sort_cfg,
-                                                 std::less<DefaultKey>{});
-        } else {
-          results[i] = run_node_body<workload::DatamationRecord>(
-              ctx, job, n_eff, sort_cfg, workload::DatamationLess{});
+          return run_node_body<DefaultKey>(ctx, job, n_eff, sort_cfg,
+                                           std::less<DefaultKey>{});
         }
-        reports[i].finish_time = ctx.clock().now();
-        reports[i].io = ctx.disk().stats();
-        if (obs::Tracer* tr = ctx.obs()) {
-          ctx.fold_counters_into_tracer();
-          reports[i].trace =
-              std::make_shared<const obs::NodeTrace>(tr->take(i));
-        }
-      } catch (...) {
-        errors[i] = std::current_exception();
-        fabric.abort_all();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (u32 i = 0; i < w; ++i) {
-    if (errors[i]) std::rethrow_exception(errors[i]);
-  }
+        return run_node_body<workload::DatamationRecord>(
+            ctx, job, n_eff, sort_cfg, workload::DatamationLess{});
+      });
 
   JobReport jr;
   jr.spec = job;
@@ -489,14 +389,14 @@ JobReport run_one_job(const ServiceConfig& svc, net::Fabric& fabric,
   jr.arrival_s = job.arrival_s;
   jr.start_s = t0;
   jr.records = n_eff;
-  jr.ok = results[0].ok != 0;
-  jr.digest = results[0].digest;
-  for (u32 i = 0; i < w; ++i) {
-    jr.t_total_s = std::max(jr.t_total_s, results[i].report.t_total);
-    jr.finish_s = std::max(jr.finish_s, reports[i].finish_time);
-    jr.io += reports[i].io;
+  jr.ok = run.results[0].ok != 0;
+  jr.digest = run.results[0].digest;
+  jr.finish_s = run.makespan;
+  for (u32 i = 0; i < slice.size(); ++i) {
+    jr.t_total_s = std::max(jr.t_total_s, run.results[i].report.t_total);
+    jr.io += run.nodes[i].io;
   }
-  jr.node_reports = std::move(reports);
+  jr.node_reports = std::move(run.nodes);
   return jr;
 }
 

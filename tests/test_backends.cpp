@@ -9,7 +9,9 @@
 //  * determinism — a bit-identical re-run: same output bytes, same virtual
 //    makespan, per (seed, config);
 //  * the parse/name round-trip and the driver's report slice (layout +
-//    owned buckets) that collect_sorted_output consumes.
+//    owned buckets) that collect_sorted_output consumes;
+//  * the layout-aware order check, which reads the order across bucket
+//    files, not only inside each.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,16 +98,10 @@ BackendRun run_backend(ParallelSortAlgorithm algo,
         parallel_external_sort<DefaultKey>(ctx, perf, psc);
 
     // The report's layout slice must describe what is actually on disk.
-    if (report.layout == OutputLayout::kContiguousSlice) {
-      r.layout_ok = report.owned_buckets.empty() &&
-                    is_sorted_file<DefaultKey>(ctx.disk(), psc.output);
-    } else {
-      for (const u64 b : report.owned_buckets) {
-        r.layout_ok = r.layout_ok &&
-                      is_sorted_file<DefaultKey>(
-                          ctx.disk(), bucket_file_name(psc.output, b));
-      }
-    }
+    r.layout_ok =
+        verify_output_order<DefaultKey>(ctx, psc.output, report) &&
+        (report.layout == OutputLayout::kBucketFiles ||
+         report.owned_buckets.empty());
 
     collect_sorted_output<DefaultKey>(ctx, psc, report, "all.out", 0);
     if (ctx.rank() == 0) {
@@ -210,6 +206,37 @@ TEST(Backends, ExtMultiwayToleratesNonAdmissibleShares) {
   }
   std::sort(input.begin(), input.end());
   EXPECT_EQ(output, input);
+}
+
+// The layout-aware order check reads the order across bucket files, not
+// only inside each: node 0 owns the even buckets and node 1 the odd ones,
+// and every verdict must be the same on both nodes.
+TEST(VerifyOutputOrder, BucketFilesMustChainInGlobalOrder) {
+  Cluster cluster(ClusterConfig::homogeneous(2));
+  const auto verdicts =
+      [&](const std::vector<std::vector<DefaultKey>>& buckets) {
+        auto outcome = cluster.run([&](NodeContext& ctx) {
+          BackendReport report;
+          report.layout = OutputLayout::kBucketFiles;
+          for (u64 b = ctx.rank(); b < buckets.size(); b += 2) {
+            pdm::write_file<DefaultKey>(
+                ctx.disk(), bucket_file_name("out", b),
+                std::span<const DefaultKey>(buckets[b]));
+            report.owned_buckets.push_back(b);
+          }
+          return verify_output_order<DefaultKey>(ctx, "out", report);
+        });
+        return outcome.results;
+      };
+  const std::vector<bool> pass = {true, true};
+  const std::vector<bool> fail = {false, false};
+  EXPECT_EQ(verdicts({{1, 2, 3}, {3, 5}, {}, {5, 9}}), pass);
+  // Each bucket sorted, but bucket 1 starts below bucket 0's last key.
+  EXPECT_EQ(verdicts({{1, 2, 3}, {2, 5}, {6}, {7}}), fail);
+  // The same across an empty bucket owned by the other node.
+  EXPECT_EQ(verdicts({{1, 5}, {}, {3, 8}}), fail);
+  // Bucket 3 itself out of order.
+  EXPECT_EQ(verdicts({{1, 2, 3}, {4, 5}, {6}, {8, 7}}), fail);
 }
 
 // Every exchange runs under the credit window.  In every backend's spill

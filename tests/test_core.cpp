@@ -8,7 +8,10 @@
 #include <map>
 
 #include "base/checksum.h"
+#include "base/math_util.h"
 #include "base/meter.h"
+#include "base/rng.h"
+#include "core/backend.h"
 #include "core/ext_psrs.h"
 #include "core/merge_files.h"
 #include "core/partition_file.h"
@@ -19,6 +22,7 @@
 #include "metrics/expansion.h"
 #include "net/cluster.h"
 #include "pdm/typed_io.h"
+#include "test_params.h"
 #include "workload/generators.h"
 
 namespace paladin::core {
@@ -65,20 +69,31 @@ TEST(Sampling, FileAndMemoryVariantsAgree) {
 }
 
 TEST(Sampling, StreamedDrawMatchesSeekDraw) {
-  // The adaptive path's single-pass draw must pick the exact sample
-  // positions of the paper's seek-per-sample loop — only the I/O pattern
-  // may differ (one sequential pass vs one seek+read per sample).
+  // The file draw picks the paper loop's positions whichever way it moves
+  // its blocks: one seek per sample while the samples are at least a block
+  // apart, one pass over the file once they outnumber its blocks — so it
+  // reads min(samples, blocks spanned) blocks.
   pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
+  const u64 rpb = disk.params().records_per_block(sizeof(u32));
   std::vector<u32> sorted(1000);
   for (u32 i = 0; i < 1000; ++i) sorted[i] = 3 * i;
   pdm::write_file<u32>(disk, "f", std::span<const u32>(sorted));
   pdm::BlockFile f = disk.open("f");
   pdm::BlockReader<u32> reader(f);
-  for (u64 off : {0ull, 1ull, 7ull, 50ull, 999ull, 1000ull, 2000ull}) {
-    reader.seek_record(0);
-    const auto seeked = draw_regular_sample<u32>(reader, off);
-    reader.seek_record(0);
-    EXPECT_EQ(draw_regular_sample_streamed<u32>(reader, off), seeked)
+  for (u64 off : {0ull, 1ull, 7ull, 16ull, 50ull, 999ull, 1000ull, 2000ull}) {
+    disk.reset_stats();
+    const auto drawn = draw_regular_sample<u32>(reader, off);
+    EXPECT_EQ(drawn,
+              draw_regular_sample<u32>(std::span<const u32>(sorted), off))
+        << "off=" << off;
+    const std::vector<u64> positions =
+        regular_sample_positions(sorted.size(), off);
+    const u64 spanned =
+        positions.empty()
+            ? 0
+            : positions.back() / rpb - positions.front() / rpb + 1;
+    EXPECT_EQ(disk.stats().blocks_read,
+              std::min<u64>(positions.size(), spanned))
         << "off=" << off;
   }
 }
@@ -129,6 +144,106 @@ TEST(Sampling, SelectPivotsClampsShortSampleLists) {
   NullMeter meter;
   const auto pivots = select_pivots<u32>(samples, perf, meter);
   EXPECT_EQ(pivots, (std::vector<u32>{3, 7, 10}));
+}
+
+// ---------------------------------------------------------------------
+// Reading records at positions
+// ---------------------------------------------------------------------
+
+/// Writes `data` as file "f", reads `positions` (sorted first) with
+/// read_positions and checks the records and the block reads: the fewer
+/// of one per position and one per block from the first position's to the
+/// last one's, so never more than min(positions, ⌈l/B⌉).
+void expect_positions_read(const std::vector<DefaultKey>& data,
+                           std::vector<u64> positions) {
+  std::sort(positions.begin(), positions.end());
+  pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
+  pdm::write_file<DefaultKey>(disk, "f", std::span<const DefaultKey>(data));
+  pdm::BlockFile f = disk.open("f");
+  pdm::BlockReader<DefaultKey> reader(f);
+  const u64 rpb = reader.records_per_block();
+  disk.reset_stats();
+  const std::vector<DefaultKey> got =
+      read_positions(reader, std::span<const u64>(positions));
+  ASSERT_EQ(got.size(), positions.size());
+  for (std::size_t k = 0; k < positions.size(); ++k) {
+    EXPECT_EQ(got[k], data[positions[k]]) << "position " << positions[k];
+  }
+  const u64 spanned =
+      positions.empty() ? 0
+                        : positions.back() / rpb - positions.front() / rpb + 1;
+  EXPECT_EQ(disk.stats().blocks_read,
+            std::min<u64>(positions.size(), spanned));
+  EXPECT_LE(disk.stats().blocks_read,
+            std::min<u64>(positions.size(), ceil_div(data.size(), rpb)));
+}
+
+class ReadPositions : public ::testing::TestWithParam<Dist> {};
+
+TEST_P(ReadPositions, BothFormsReadTheRecordsInTheFewerBlocks) {
+  WorkloadSpec spec;
+  spec.dist = GetParam();
+  spec.total_records = 1000;  // 63 blocks of 16 records
+  const std::vector<DefaultKey> data =
+      workload::generate_share(spec, 0, 0, spec.total_records);
+  Xoshiro256 rng(2511);
+  // Streamed: 259 positions over both ends of the file, repeats included,
+  // read its 63 blocks once.
+  std::vector<u64> dense(256);
+  for (u64& pos : dense) pos = rng.next_below(data.size());
+  dense.insert(dense.end(), {0, data.size() - 1, dense.front()});
+  expect_positions_read(data, dense);
+  // Seeked: 21 positions, one a repeat, read one block each.
+  std::vector<u64> sparse(20);
+  for (u64& pos : sparse) pos = rng.next_below(data.size());
+  sparse.push_back(sparse.back());
+  expect_positions_read(data, sparse);
+  // Repeats inside one block stream it once; no positions read nothing.
+  expect_positions_read(data, {500, 500, 501});
+  expect_positions_read(data, {});
+  // 256 random positions in a 4-block file read at most its 4 blocks
+  // (one seek per sample read 256).
+  const std::vector<DefaultKey> small(data.begin(), data.begin() + 64);
+  std::vector<u64> many(256);
+  for (u64& pos : many) pos = rng.next_below(small.size());
+  expect_positions_read(small, many);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDistributions, ReadPositions,
+                         ::testing::ValuesIn(workload::kAllDists),
+                         test_params::dist_name);
+
+TEST(DrawRandomSample, ReadsTheNodeRngPositionsInFileOrder) {
+  // The draw takes `want` positions from the node RNG, sorts them and reads
+  // them in file order: 64 positions (256 wanted, clamped to the file) in a
+  // 4-block file read at most its 4 blocks.
+  ClusterConfig config = ClusterConfig::homogeneous(1);
+  config.disk = tiny_blocks();
+  config.seed = 2512;
+  std::vector<DefaultKey> data(64);
+  for (u32 i = 0; i < data.size(); ++i) data[i] = 1000 - 7 * i;
+  struct Drawn {
+    std::vector<DefaultKey> sample, expected;
+    u64 blocks_read = 0;
+  };
+  Cluster cluster(config);
+  const auto outcome = cluster.run([&](NodeContext& ctx) {
+    pdm::write_file<DefaultKey>(ctx.disk(), "f",
+                                std::span<const DefaultKey>(data));
+    Drawn d;
+    Xoshiro256 rng = ctx.rng();  // the draws the sample will take
+    std::vector<u64> positions(data.size());
+    for (u64& pos : positions) pos = rng.next_below(data.size());
+    std::sort(positions.begin(), positions.end());
+    for (const u64 pos : positions) d.expected.push_back(data[pos]);
+    const u64 before = ctx.disk().stats().blocks_read;
+    d.sample = draw_random_sample<DefaultKey>(ctx, "f", 256);
+    d.blocks_read = ctx.disk().stats().blocks_read - before;
+    return d;
+  });
+  const Drawn& d = outcome.results[0];
+  EXPECT_EQ(d.sample, d.expected);
+  EXPECT_LE(d.blocks_read, 4u);
 }
 
 // ---------------------------------------------------------------------
@@ -208,6 +323,56 @@ TEST(FilePartitionCuts, MatchInMemoryCutsAcrossDuplicatePlateaus) {
   }
 }
 
+TEST(FilePartitionCuts, RunRangeUnderAtOrBelowCutsAtLowerBounds) {
+  // ext-multiway's Phase 3: three sorted runs back to back in one file
+  // (16 records per block; the runs start and end inside blocks), each cut
+  // over its own record range with the order !less(b, a), must cut at
+  // std::lower_bound of every splitter within the run.  The splitters
+  // include the key that starts block 3 (record 48, inside run 1), a key
+  // whose duplicates straddle the start of block 5 (records 79 and 80),
+  // keys in that block, which straddles run 1's end (records 80–95, the
+  // run ends at 90), keys below and above every run, and repeats.
+  pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
+  const u64 rpb = disk.params().records_per_block(sizeof(u32));
+  const std::vector<u64> lengths = {37, 53, 40};
+  std::vector<u32> file;
+  for (const u64 len : lengths) {
+    for (u32 k = 0; k < len; ++k) file.push_back(10 + 2 * k / 3);
+  }
+  pdm::write_file<u32>(disk, "runs", std::span<const u32>(file));
+  ASSERT_EQ(file[48], file[47] + 1);  // a block starts a new key
+  ASSERT_EQ(file[79], file[80]);      // and one starts inside a key
+  std::vector<u32> splitters = {0,        file[48], file[48],     file[80],
+                                file[85], file[89], file[89] + 1, 1000};
+  std::sort(splitters.begin(), splitters.end());
+  const auto at_or_below = [](u32 a, u32 b) { return !(b < a); };
+  u64 first = 0;
+  for (const u64 len : lengths) {
+    const u64 last = first + len;
+    SCOPED_TRACE("run [" + std::to_string(first) + ", " +
+                 std::to_string(last) + ")");
+    std::vector<u64> expected = {first};
+    for (const u32 key : splitters) {
+      expected.push_back(static_cast<u64>(
+          std::lower_bound(file.begin() + static_cast<std::ptrdiff_t>(first),
+                           file.begin() + static_cast<std::ptrdiff_t>(last),
+                           key) -
+          file.begin()));
+    }
+    expected.push_back(last);
+    disk.reset_stats();
+    NullMeter meter;
+    EXPECT_EQ(file_partition_cuts<u32>(disk, "runs",
+                                       std::span<const u32>(splitters), meter,
+                                       at_or_below, first, last),
+              expected);
+    EXPECT_LE(disk.stats().blocks_read,
+              splitters.size() *
+                  (ilog2_ceil(ceil_div(file.size(), rpb) + 1) + 1));
+    first = last;
+  }
+}
+
 TEST(PartitionCuts, MatchUpperBounds) {
   std::vector<u32> sorted = {1, 2, 5, 5, 5, 7, 9, 12};
   std::vector<u32> pivots = {5, 9};
@@ -277,10 +442,6 @@ TEST(MergeFiles, PiecesAtOffsetsMergeOnlyTheirRanges) {
     EXPECT_EQ(m.passes, memory == 1024 ? 1u : 3u) << "memory " << memory;
     EXPECT_EQ(pdm::read_file<u32>(disk, "out"), expected);
   }
-  write_inputs();
-  EXPECT_EQ(merge_sorted_pieces_in_memory<u32>(disk, pieces, "mem", meter),
-            expected.size());
-  EXPECT_EQ(pdm::read_file<u32>(disk, "mem"), expected);
 }
 
 TEST(MergeFiles, FallsBackToMultiPassOnTinyMemory) {
@@ -307,51 +468,50 @@ TEST(MergeFiles, FallsBackToMultiPassOnTinyMemory) {
   EXPECT_FALSE(disk.exists("out.cat"));
 }
 
-TEST(MergeFiles, InMemoryAbsorbMatchesExternalMerge) {
-  // The adaptive absorb merge must produce the byte-identical output file
-  // of the external machinery at two block I/O passes (one read of the
-  // runs, one write of the output) — the whole point of absorbing a
-  // re-split slice that fits memory.
+TEST(MergeFiles, PiecesThatFitInMemoryMergeInOnePass) {
+  // Six pieces outnumber the M/B − 1 = 4 block buffers of a 5-block
+  // budget, but their 69 records fit in its 80: one loser-tree pass, which
+  // writes the balanced fallback's output (taken at a 4-block budget that
+  // the pieces do not fit) and reads and writes each block once.
   pdm::Disk disk = pdm::Disk::in_memory(tiny_blocks());
   const u64 rpb = disk.params().records_per_block(sizeof(u32));
   std::vector<std::string> names;
   std::vector<std::vector<u32>> runs;
-  u64 total_blocks = 0;
-  for (u32 f = 0; f < 5; ++f) {  // odd fan-in exercises the carried run
+  u64 total = 0;
+  u64 input_blocks = 0;
+  for (u32 f = 0; f < 6; ++f) {
     std::vector<u32> data;
-    for (u32 i = 0; i < 40 + 11 * f; ++i) data.push_back(f + 5 * i);
+    for (u32 i = 0; i < 9 + f; ++i) data.push_back(f + 6 * i);
     names.push_back("r" + std::to_string(f));
-    total_blocks += (data.size() + rpb - 1) / rpb;
+    total += data.size();
+    input_blocks += ceil_div(data.size(), rpb);
     runs.push_back(std::move(data));
   }
-  // The external single pass consumes its pieces, so the absorb merge
-  // gets fresh inputs.
+  ASSERT_EQ(total, 69u);
+  // Each merge consumes its pieces, so each gets fresh inputs.
   const auto write_inputs = [&] {
-    for (u32 f = 0; f < 5; ++f) {
+    for (u32 f = 0; f < 6; ++f) {
       pdm::write_file<u32>(disk, names[f], std::span<const u32>(runs[f]));
     }
   };
-  write_inputs();
-  const std::vector<seq::MergePiece> pieces = whole_files(disk, names);
   NullMeter meter;
-  const u64 external =
-      merge_sorted_pieces<u32>(disk, pieces, "ext.out", 1024, meter).merged;
+  write_inputs();
+  const MergeOutcome fallback = merge_sorted_pieces<u32>(
+      disk, whole_files(disk, names), "fallback.out", 4 * rpb, meter);
+  EXPECT_GT(fallback.passes, 1u);
 
   write_inputs();
   disk.reset_stats();
-  const u64 absorbed =
-      merge_sorted_pieces_in_memory<u32>(disk, pieces, "mem.out", meter);
-  // One read pass over the runs + one write pass of the output (partial
-  // tail blocks round each run up by at most one block).  Snapshot before
-  // the verification reads below touch the disk again.
+  const MergeOutcome one = merge_sorted_pieces<u32>(
+      disk, whole_files(disk, names), "one.out", 5 * rpb, meter);
   const u64 blocks_read = disk.stats().blocks_read;
   const u64 blocks_written = disk.stats().blocks_written;
-  EXPECT_EQ(absorbed, external);
-  EXPECT_EQ(pdm::read_file<u32>(disk, "mem.out"),
-            pdm::read_file<u32>(disk, "ext.out"));
-  EXPECT_LE(blocks_read, total_blocks);
-  const u64 out_blocks = (absorbed + rpb - 1) / rpb;
-  EXPECT_LE(blocks_written, out_blocks + 1);
+  EXPECT_EQ(one.passes, 1u);
+  EXPECT_EQ(one.merged, total);
+  EXPECT_EQ(pdm::read_file<u32>(disk, "one.out"),
+            pdm::read_file<u32>(disk, "fallback.out"));
+  EXPECT_EQ(blocks_read, input_blocks);
+  EXPECT_EQ(blocks_written, ceil_div(total, rpb));
 }
 
 TEST(MergeFiles, EmptyInputsProduceEmptyOutput) {

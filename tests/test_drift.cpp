@@ -351,16 +351,10 @@ DriftRun run_drifted(ParallelSortAlgorithm algo,
         parallel_external_sort<DefaultKey>(ctx, perf, psc);
     r.final_records = report.final_records;
 
-    if (report.layout == OutputLayout::kContiguousSlice) {
-      r.layout_ok = report.owned_buckets.empty() &&
-                    is_sorted_file<DefaultKey>(ctx.disk(), psc.output);
-    } else {
-      for (const u64 b : report.owned_buckets) {
-        r.layout_ok = r.layout_ok &&
-                      is_sorted_file<DefaultKey>(
-                          ctx.disk(), bucket_file_name(psc.output, b));
-      }
-    }
+    r.layout_ok =
+        verify_output_order<DefaultKey>(ctx, psc.output, report) &&
+        (report.layout == OutputLayout::kBucketFiles ||
+         report.owned_buckets.empty());
 
     collect_sorted_output<DefaultKey>(ctx, psc, report, "all.out", 0);
     if (ctx.rank() == 0) {
@@ -574,8 +568,8 @@ PsrsDriftResult run_psrs_under(const DriftPlan& plan, bool adaptive,
     pc.sequential.tape_count = test_params::kTapeCount;
     pc.sequential.allow_in_memory = false;
     pc.message_records = test_params::kMessageRecords;
-    // The absorb merge is the adaptive path's cost lever; this test is its
-    // end-to-end coverage.
+    // The weighted re-split is the adaptive path's cost lever; this test
+    // is its end-to-end coverage.
     pc.adaptive.enabled = adaptive;
     const ExtPsrsReport report =
         ext_psrs_sort<DefaultKey>(ctx, perf, pc);

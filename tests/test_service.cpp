@@ -15,12 +15,16 @@
 //  * admission — rejections carry reasons, widths clamp, sizes round up to
 //    the slice's admissible n and its backend's sampling minimum;
 //  * job specs — every parsed field is whole, in range and finite, or the
-//    spec is rejected with std::invalid_argument / std::out_of_range.
+//    spec is rejected with std::invalid_argument / std::out_of_range;
+//  * failures — a failed job rethrows the failing node's own error, not a
+//    peer's MailboxPoisoned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <random>
 #include <span>
@@ -30,6 +34,7 @@
 #include <vector>
 
 #include "base/enum_names.h"
+#include "base/temp_dir.h"
 #include "core/sort_driver.h"
 #include "core/splitter_tree.h"
 #include "core/verify.h"
@@ -397,6 +402,21 @@ TEST(ServiceScheduler, MixedBackendsAllVerify) {
     EXPECT_NE(j.digest, 0u);
     EXPECT_GT(j.io.blocks_written, 0u);
   }
+}
+
+// A node that fails to start fails the job with its own error.  Node 1's
+// posix disk cannot create its directory, because a regular file sits at
+// that path; node 0 then blocks on a poisoned mailbox.  The service must
+// rethrow node 1's filesystem_error, not node 0's MailboxPoisoned.
+TEST(ServiceScheduler, FailedJobReportsTheCauseNotAPoisonedPeer) {
+  ScopedTempDir dir("paladin-service-failure");
+  ServiceConfig sc = tiny_service({1, 1}, SchedulePolicy::kFifo);
+  sc.cluster.workdir = dir.path();
+  std::filesystem::create_directories(dir.path() / "job0");
+  std::ofstream(dir.path() / "job0" / "node1") << "not a directory\n";
+  SortService svc(sc);
+  EXPECT_THROW(svc.run({small_job(0, 400)}),
+               std::filesystem::filesystem_error);
 }
 
 // A job too small for its backend's sample on its slice is padded to
