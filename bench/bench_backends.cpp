@@ -8,12 +8,12 @@
 // 100-byte Datamation scenario — and each cell is verified (layout-aware
 // sortedness + record conservation) before its makespan is reported.
 //
-// Machine-readable results land in bench_results/BENCH_backends.json; the
-// EXPERIMENTS.md comparison table is generated from this output.
-#include <filesystem>
-#include <fstream>
+// With --json-dir=D the machine-readable results land in
+// D/BENCH_backends.json; the EXPERIMENTS.md comparison table is generated
+// from this output.
 #include <functional>
 #include <iostream>
+#include <sstream>
 #include <vector>
 
 #include "base/stats.h"
@@ -226,13 +226,11 @@ int run(const BenchOptions& opt) {
   note("expansion = max_i sublist_i / (n * perf_i / sum perf): 1.0 is a "
        "perfectly perf-proportional split");
 
-  std::filesystem::create_directories("bench_results");
-  std::ofstream out("bench_results/BENCH_backends.json");
+  std::ostringstream out;
   out << "{\n  \"bench\": \"backends\",\n  \"cluster\": \"4,4,1,1\",\n"
       << "  \"reps\": " << opt.reps << ",\n  \"rows\": [\n"
       << json << "\n  ]\n}\n";
-  out.close();
-  note("wrote bench_results/BENCH_backends.json");
+  write_json(opt, "BENCH_backends.json", out.str());
   return all_ok ? 0 : 1;
 }
 

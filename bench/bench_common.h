@@ -7,9 +7,15 @@
 //   --workdir=P   put node scratch files on a real disk instead of RAM
 //   --obs-out=P   benches that support tracing write P.trace.json and
 //                 P.report.json for one representative configuration
+//   --json-dir=D  benches with a machine-readable result write their
+//                 BENCH_*.json into D (perf_smoke passes
+//                 build/bench_results); without it they write none, so a
+//                 run cannot rewrite the committed baselines
 #pragma once
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -26,6 +32,7 @@ struct BenchOptions {
   u32 reps = 5;
   std::filesystem::path workdir;
   std::string obs_out;
+  std::filesystem::path json_dir;
 
   static BenchOptions parse(int argc, char** argv) {
     BenchOptions opt;
@@ -40,9 +47,11 @@ struct BenchOptions {
         opt.workdir = arg.substr(10);
       } else if (arg.rfind("--obs-out=", 0) == 0) {
         opt.obs_out = arg.substr(10);
+      } else if (arg.rfind("--json-dir=", 0) == 0) {
+        opt.json_dir = arg.substr(11);
       } else if (arg == "--help" || arg == "-h") {
         std::cout << "flags: --full  --reps=N  --workdir=PATH  "
-                     "--obs-out=PREFIX\n";
+                     "--obs-out=PREFIX  --json-dir=DIR\n";
         std::exit(0);
       } else {
         std::cerr << "unknown flag: " << arg << "\n";
@@ -88,6 +97,18 @@ inline void note(const std::string& text) { std::cout << "  " << text << "\n"; }
 
 inline void heading(const std::string& text) {
   std::cout << "\n=== " << text << " ===\n";
+}
+
+/// Writes `body` as `<--json-dir>/<name>` and notes it; without --json-dir
+/// it writes nothing.
+inline void write_json(const BenchOptions& opt, const std::string& name,
+                       const std::string& body) {
+  if (opt.json_dir.empty()) return;
+  std::filesystem::create_directories(opt.json_dir);
+  const std::filesystem::path path = opt.json_dir / name;
+  std::ofstream out(path);
+  out << body;
+  note("wrote " + path.string());
 }
 
 }  // namespace paladin::bench

@@ -11,13 +11,12 @@
 //   (makespan_static − makespan_baseline) / (makespan_adaptive − baseline)
 // and the claim is *asserted*, not just reported: adaptive must recover at
 // least 2× of the damage the slowdown inflicts on static-perf PSRS, and
-// every run must still verify.  Machine-readable results land in
-// bench_results/BENCH_drift.json; tools/check_perf_regression.py --drift
-// gates the recovery factor in CI.
+// every run must still verify.  With --json-dir=D the machine-readable
+// results land in D/BENCH_drift.json; tools/check_perf_regression.py
+// --drift gates the recovery factor in CI.
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -170,8 +169,7 @@ int run(const BenchOptions& opt) {
     ok = false;
   }
 
-  std::filesystem::create_directories("bench_results");
-  std::ofstream out("bench_results/BENCH_drift.json");
+  std::ostringstream out;
   out << "{\n  \"bench\": \"drift\",\n  \"cluster\": \"1,1,1,1\",\n"
       << "  \"records\": " << records << ",\n  \"slow_factor\": "
       << metrics::TextTable::fmt(kSlowFactor, 1) << ",\n"
@@ -184,8 +182,7 @@ int run(const BenchOptions& opt) {
   append_row(json, "static", st.makespan, damage_static, st.ok, false);
   append_row(json, "adaptive", ad.makespan, damage_adaptive, ad.ok, false);
   out << json << "\n  ]\n}\n";
-  out.close();
-  note("wrote bench_results/BENCH_drift.json");
+  write_json(opt, "BENCH_drift.json", out.str());
   return ok ? 0 : 1;
 }
 

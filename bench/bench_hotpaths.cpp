@@ -1,7 +1,7 @@
 // Perf-regression harness for the transfer hot paths: times the read,
-// write and merge kernels in three modes and emits both a text table and a
-// machine-readable bench_results/BENCH_hotpaths.json with the best-of-reps
-// ns/record per (kernel, mode).  The modes:
+// write and merge kernels in three modes and emits a text table and, with
+// --json-dir=D, a machine-readable D/BENCH_hotpaths.json with the
+// best-of-reps ns/record per (kernel, mode).  The modes:
 //
 //  * per-record — the baseline, a loop written here that moves one record
 //    per call (push for writes, next for reads, peek/pop_discard/push for
@@ -24,10 +24,10 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -353,8 +353,7 @@ int run(const BenchOptions& opt) {
        "the metered work (enforced exactly by test_pdm's IoAccounting, "
        "test_io_equivalence and test_merge_kernels)");
 
-  std::filesystem::create_directories("bench_results");
-  std::ofstream json("bench_results/BENCH_hotpaths.json");
+  std::ostringstream json;
   json << "{\n  \"bench\": \"hotpaths\",\n"
        << "  \"records\": " << n << ",\n  \"reps\": " << opt.reps << ",\n"
        << "  \"rows\": [\n";
@@ -367,8 +366,7 @@ int run(const BenchOptions& opt) {
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-  json.close();
-  note("wrote bench_results/BENCH_hotpaths.json");
+  write_json(opt, "BENCH_hotpaths.json", json.str());
 
   std::filesystem::remove_all(scratch);
   return 0;

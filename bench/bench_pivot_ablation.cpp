@@ -7,12 +7,11 @@
 // the initial sort (DeWitt) sits in between, degrading on skewed inputs.
 // The splitter-strategy section compares the flat Step 2 against the
 // multi-level sample tree (core/splitter_tree.h) and the exact bisection,
-// at p = 16/64, and drops machine-readable rows in
-// bench_results/BENCH_splitters.json for the perf_smoke regression gate
+// at p = 16/64, and with --json-dir=D drops machine-readable rows in
+// D/BENCH_splitters.json for the perf_smoke regression gate
 // (tools/check_perf_regression.py --splitters).
-#include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "base/stats.h"
 #include "bench/bench_common.h"
@@ -299,8 +298,7 @@ int run(const BenchOptions& opt) {
          "grows with p; bench_scalability pushes to p = 1024); exact buys "
          "balance 1.0 for ~32 latency-bound rounds");
 
-    std::filesystem::create_directories("bench_results");
-    std::ofstream json("bench_results/BENCH_splitters.json");
+    std::ostringstream json;
     json << "{\n  \"bench\": \"splitters\",\n  \"reps\": " << opt.reps
          << ",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -312,8 +310,7 @@ int run(const BenchOptions& opt) {
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
-    json.close();
-    note("wrote bench_results/BENCH_splitters.json");
+    write_json(opt, "BENCH_splitters.json", json.str());
   }
   return 0;
 }

@@ -148,25 +148,16 @@ SelectMeasured measure_select(const BenchOptions& opt, const PerfVector& perf,
       seq::metered_sort(std::span<u32>(local), ctx);
       ctx.comm().barrier();  // align every node's phase-2 clock
       const double t0 = ctx.clock().now();
-      std::vector<u32> pivots;
-      if (core::splitter_uses_tree(splitter, p)) {
-        const u64 o_total = core::kTreeLeafOversample;
-        const u64 off = perf.sample_stride_clamped(n, o_total);
-        pivots = core::tree_select_pivots<u32>(
-            ctx, perf,
-            core::draw_regular_sample<u32>(std::span<const u32>(local), off),
-            o_total, 0);
-      } else {
-        const u64 off = perf.sample_stride(n);
-        std::vector<u32> samples = core::draw_regular_sample<u32>(
-            std::span<const u32>(local), off);
-        std::vector<u32> gathered = ctx.comm().gather_records<u32>(
-            std::span<const u32>(samples), 0);
-        if (ctx.rank() == 0) {
-          pivots = core::select_pivots<u32>(gathered, perf, ctx);
-        }
-        pivots = ctx.comm().bcast_records<u32>(std::move(pivots), 0);
-      }
+      const bool tree = core::splitter_uses_tree(splitter, p);
+      const core::PsrsSampling density = core::psrs_sampling(perf, n, 1, tree);
+      const std::vector<u32> pivots = core::select_splitters<u32>(
+          ctx,
+          core::draw_regular_sample<u32>(std::span<const u32>(local),
+                                         density.stride),
+          [&](u64) {
+            return core::psrs_pivot_targets(perf, density.oversample);
+          },
+          tree, /*sorted=*/true, /*unique=*/false, perf.sum());
       NodeSel r;
       r.t_select = ctx.clock().now() - t0;
       const std::vector<u64> cuts = core::partition_cuts<u32>(

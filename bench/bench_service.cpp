@@ -8,12 +8,12 @@
 // not just reported: the small-job p99 under fair-share must beat FIFO's,
 // and every job must verify (order + permutation).
 //
-// Machine-readable results land in bench_results/BENCH_service.json; the
-// EXPERIMENTS.md service tables are generated from this output, and
-// tools/check_perf_regression.py --service gates throughput drift in CI.
-#include <filesystem>
-#include <fstream>
+// With --json-dir=D the machine-readable results land in
+// D/BENCH_service.json; the EXPERIMENTS.md service tables are generated
+// from this output, and tools/check_perf_regression.py --service gates
+// throughput drift in CI.
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -164,16 +164,14 @@ int run(const BenchOptions& opt) {
     note("wrote " + opt.obs_out + ".report.json (fair-share service report)");
   }
 
-  std::filesystem::create_directories("bench_results");
-  std::ofstream out("bench_results/BENCH_service.json");
+  std::ostringstream out;
   out << "{\n  \"bench\": \"service\",\n  \"cluster\": \"4,4,1,1\",\n"
       << "  \"job_count\": " << wspec.job_count << ",\n  \"rows\": [\n";
   std::string json;
   append_json(json, r_fifo, true);
   append_json(json, r_fair, false);
   out << json << "\n  ]\n}\n";
-  out.close();
-  note("wrote bench_results/BENCH_service.json");
+  write_json(opt, "BENCH_service.json", out.str());
   return ok ? 0 : 1;
 }
 

@@ -13,11 +13,12 @@
 //    config) the shared phase helpers run against, plus a PhaseTimer that
 //    fills the per-phase time / block-I/O columns every report carries and
 //    the matching trace counter and snapshot;
-//  * shared phase helpers — the sampling / splitter-selection / routing
-//    scaffolding that used to be re-implemented inside each ext_* header,
-//    hoisted here so the backends keep only their genuinely distinct logic
-//    (the spill exchange and spill merge every backend shares live in
-//    core/redistribute.h and core/merge_files.h);
+//  * shared phase helpers — the random draw, the random-sample backends'
+//    rank-rule choice and the routing scaffolding, hoisted here so the
+//    backends keep only their genuinely distinct logic (the splitter
+//    selection every backend shares lives in core/splitter_tree.h, the
+//    spill exchange and spill merge in core/redistribute.h and
+//    core/merge_files.h);
 //  * collect_sorted_output — the layout-aware gather that assembles the
 //    globally sorted sequence at one node whatever the backend's output
 //    layout (contiguous slices or scattered bucket files).
@@ -262,24 +263,17 @@ std::vector<T> draw_random_sample(net::NodeContext& ctx,
   return read_positions(reader, std::span<const u64>(positions));
 }
 
-/// Splitter selection from gathered random samples: gathers every node's
-/// `local_sample` at node 0, sorts there, cuts `cuts` quantiles —
-/// perf-weighted when `perf` is non-null (cut j at rank Σ_{t≤j} perf/Σperf,
-/// as in PSRS pivot selection), uniform otherwise — and broadcasts the cut
-/// keys, so every node returns the same `cuts` splitters in sorted order.
-///
-/// With `unique_splitters` set the sorted sample is deduplicated before
-/// cutting (Axtmann–Sanders robust-sorting style): heavy duplicate mass in
-/// the input cannot collapse several splitters onto one key, which would
-/// funnel the whole duplicate class — and the partitions pinched between
-/// the equal splitters — onto a single node.
-///
-/// `weights`, when non-null, overrides `perf` with adaptive per-node
-/// shares (normalized doubles from adaptive_reestimate): cut j lands at
-/// rank ⌊S·Σ_{t≤j} w_t⌋ of the sorted sample.  Weighted selection always
-/// takes the flat path — the sample tree's bounded digests reduce
-/// integer perf masses, so tree+adaptive falls back to flat (documented
-/// in docs/ALGORITHM.md).
+/// Splitter selection from random samples (distribution, overpartitioning,
+/// multiway): picks the rank rule and hands the unsorted `local_sample` to
+/// select_splitters, which returns the same `cuts` splitters in sorted
+/// order on every node.  The cuts are perf quantiles when `perf` is
+/// non-null (cut j at rank Σ_{t≤j} perf/Σperf, as in PSRS pivot
+/// selection) and even otherwise; `weights`, when non-null, overrides both
+/// with adaptive per-node shares (normalized doubles from
+/// adaptive_reestimate).  Weighted selection always takes the flat path —
+/// the sample tree's bounded digests reduce integer perf masses, so
+/// tree+adaptive falls back to flat (documented in docs/ALGORITHM.md).
+/// `unique_splitters` de-duplicates the pool before the cut.
 template <Record T, typename Less = std::less<T>>
 std::vector<T> select_sample_splitters(const BackendContext& bc,
                                        std::vector<T> local_sample, u64 cuts,
@@ -288,58 +282,18 @@ std::vector<T> select_sample_splitters(const BackendContext& bc,
                                        Less less = {},
                                        const std::vector<double>* weights =
                                            nullptr) {
-  if (weights == nullptr && cuts > 0 &&
-      splitter_uses_tree(bc.common().splitter, bc.p())) {
-    return tree_select_sample_splitters<T, Less>(
-        bc.node(), std::move(local_sample), cuts, perf, unique_splitters,
-        /*root=*/0, less);
-  }
-  net::Communicator& comm = bc.comm();
-  std::vector<T> splitters;
-  std::vector<T> gathered =
-      comm.template gather_records<T>(std::span<const T>(local_sample), 0);
-  if (bc.rank() == 0) {
-    PALADIN_EXPECTS_MSG(gathered.size() > cuts,
-                        "not enough samples for the requested splitters");
-    seq::metered_sort(std::span<T>(gathered), bc.node(), less);
-    if (unique_splitters) {
-      auto equiv = [&less](const T& a, const T& b) {
-        return !less(a, b) && !less(b, a);
-      };
-      gathered.erase(
-          std::unique(gathered.begin(), gathered.end(), equiv),
-          gathered.end());
-    }
-    splitters.reserve(cuts);
-    if (weights != nullptr) {
-      PALADIN_EXPECTS(cuts + 1 == weights->size());
-      double cum = 0.0;
-      for (u64 j = 0; j + 1 < weights->size(); ++j) {
-        cum += (*weights)[j];
-        const u64 idx = std::min<u64>(
-            static_cast<u64>(static_cast<double>(gathered.size()) * cum),
-            gathered.size() - 1);
-        splitters.push_back(gathered[idx]);
-      }
-    } else if (perf != nullptr) {
-      PALADIN_EXPECTS(cuts + 1 == perf->node_count());
-      u64 cum = 0;
-      for (u32 j = 0; j + 1 < perf->node_count(); ++j) {
-        cum += (*perf)[j];
-        const u64 idx = std::min<u64>(gathered.size() * cum / perf->sum(),
-                                      gathered.size() - 1);
-        splitters.push_back(gathered[idx]);
-      }
-    } else {
-      for (u64 j = 1; j <= cuts; ++j) {
-        splitters.push_back(gathered[j * gathered.size() / (cuts + 1)]);
-      }
-    }
-  }
-  splitters = comm.template bcast_records<T>(std::move(splitters), 0);
-  PALADIN_ASSERT(splitters.size() == cuts ||
-                 (unique_splitters && splitters.size() <= cuts) || cuts == 0);
-  return splitters;
+  PALADIN_EXPECTS(perf == nullptr || cuts + 1 == perf->node_count());
+  PALADIN_EXPECTS(weights == nullptr || cuts + 1 == weights->size());
+  const auto ranks = [&](u64 pool) {
+    if (weights != nullptr) return weight_ranks(*weights, pool);
+    if (perf != nullptr) return perf_quantile_ranks(*perf, pool);
+    return even_ranks(cuts, pool);
+  };
+  const bool tree =
+      weights == nullptr && splitter_uses_tree(bc.common().splitter, bc.p());
+  const u64 mass = perf != nullptr ? perf->sum() : bc.p();
+  return select_splitters<T>(bc.node(), std::move(local_sample), ranks, tree,
+                             /*sorted=*/false, unique_splitters, mass, less);
 }
 
 /// One streaming pass of an *unsorted* local file into `splitters.size()+1`

@@ -9,10 +9,10 @@
 //   Phase 1  run formation — one streaming pass turns the local share into
 //            ~l_i/M memory-sized sorted runs (no local merge passes);
 //   Phase 2  oversampled random splitters — each node samples its unsorted
-//            input perf-proportionally; node 0 sorts the pooled sample and
-//            broadcasts p−1 perf-weighted cut keys (with the
-//            Axtmann–Sanders duplicate-robust dedup, see
-//            select_sample_splitters);
+//            input perf-proportionally; node 0 cuts the pooled sample at
+//            the perf quantiles and broadcasts p−1 cut keys, with the
+//            Axtmann–Sanders duplicate-robust dedup (select_sample_splitters
+//            and core::select_splitters' `unique` mode);
 //   Phase 3  one redistribution — every run is cut at the splitters by
 //            the block search of core/partition_file.h *in the runs file*
 //            (no partition copy on disk; at most ⌈log2(blocks + 1)⌉ + 1
@@ -51,13 +51,13 @@
 
 namespace paladin::core {
 
-/// Knobs specific to this backend (the common core is BackendConfig).
+/// This backend's constants (the common core is BackendConfig).
 struct ExtMultiwayOptions {
   /// Random samples drawn per unit of perf (node i draws
   /// oversample·p·perf[i], clamped to its share).  Larger than the
-  /// distribution sort's default: splitters here are final — there is no
+  /// distribution sort's: splitters here are final — there is no
   /// per-owner full sort afterwards to absorb imbalance.
-  u32 oversample = 32;
+  static constexpr u32 oversample = 32;
 };
 
 struct ExtMultiwayConfig : BackendConfig, ExtMultiwayOptions {};

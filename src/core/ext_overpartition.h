@@ -38,11 +38,11 @@
 
 namespace paladin::core {
 
-/// Knobs specific to this backend (the common core is BackendConfig).
+/// This backend's constants (the common core is BackendConfig).
 struct ExtOverpartitionOptions {
   /// Overpartitioning factor: p·s buckets, each sampled by
   /// kOverpartitionOversample candidate pivots.
-  u32 s = 4;
+  static constexpr u32 s = 4;
 };
 
 struct ExtOverpartitionConfig : BackendConfig, ExtOverpartitionOptions {};
@@ -56,7 +56,6 @@ ExtOverpartitionReport ext_overpartition_sort(
     net::NodeContext& ctx, const hetero::PerfVector& perf,
     const ExtOverpartitionConfig& config, Less less = {}) {
   PALADIN_EXPECTS(perf.node_count() == ctx.node_count());
-  PALADIN_EXPECTS(config.s >= 1);
   net::Communicator& comm = ctx.comm();
   const u32 p = comm.size();
   const u32 rank = comm.rank();

@@ -7,8 +7,9 @@
 //           the paper's rate, one pass over the file when the samples
 //           outnumber its blocks (core/sampling.h); a designated node sorts
 //           the p·Σperf − p samples and broadcasts the p−1 perf-weighted
-//           pivots (under adaptation, pivots at the observed weights from a
-//           denser sample; the draw and the merge stay the same);
+//           pivots (core::select_splitters; under adaptation, pivots at the
+//           observed weights from a denser sample; the draw and the merge
+//           stay the same);
 //   Step 3  binary partitioning: the p+1 cut offsets of the sorted file,
 //           found by binary search in place;
 //   Step 4  redistribution — partition j travels to node j straight from
@@ -34,6 +35,7 @@
 #include "core/merge_files.h"
 #include "core/redistribute.h"
 #include "core/sampling.h"
+#include "core/splitter_tree.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
 #include "pdm/typed_io.h"
@@ -168,60 +170,43 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   std::vector<T> pivots;
   {
     obs::ScopedSpan span(tr, "psrs.step2.sampling", "psrs");
-    if (adapt_weights.empty() && splitter_uses_tree(config.splitter, p)) {
-      // Multi-level path (core/splitter_tree.h): densified leaf sample,
-      // group-tree digest reduction, flat pivot formulas at the root.
-      const u64 o_total = config.sampling_oversample * kTreeLeafOversample;
-      const u64 off = perf.sample_stride_clamped(n, o_total);
-      std::vector<T> samples;
-      {
-        pdm::BlockFile f = ctx.disk().open(sorted_local);
-        pdm::BlockReader<T> reader(f);
-        samples = draw_regular_sample<T>(reader, off);
-      }
-      report.samples_contributed = samples.size();
-      pivots = tree_select_pivots<T, Less>(ctx, perf, std::move(samples),
-                                           o_total, root, less);
-    } else {
-      // Once weights apply, densify the regular sample: the oversample-1
-      // sample only offers cut points at the static perf quantiles, which
-      // quantises a weighted cut like 1/13 back to ~1/p and leaves the
-      // re-split a no-op (hetero::kAdaptResampleOversample).
-      u64 oversample = config.sampling_oversample;
-      if (!adapt_weights.empty()) {
-        const u64 cap =
-            std::max<u64>(n / (perf.sum() * static_cast<u64>(p)), 1);
-        oversample = std::min(
-            std::max(oversample, hetero::kAdaptResampleOversample),
-            std::max(cap, oversample));
-      }
-      const u64 off = perf.sample_stride(n, oversample);
-      std::vector<T> samples;
-      {
-        pdm::BlockFile f = ctx.disk().open(sorted_local);
-        pdm::BlockReader<T> reader(f);
-        samples = draw_regular_sample<T>(reader, off);
-      }
-      PALADIN_ASSERT(samples.size() ==
-                     perf.sample_count(rank, n, oversample));
-      report.samples_contributed = samples.size();
-
-      std::vector<T> gathered = comm.template gather_records<T>(
-          std::span<const T>(samples), root);
-      if (rank == root) {
-        // Adaptive weights replace the static perf quantiles; the tree
-        // path is bypassed under adaptation (its digests reduce integer
-        // perf masses only — see docs/ALGORITHM.md §Adaptive re-split).
-        pivots = adapt_weights.empty()
-                     ? select_pivots<T, Less>(gathered, perf, ctx, less,
-                                              config.sampling_oversample)
-                     : select_weighted_pivots<T, Less>(gathered,
-                                                       adapt_weights, ctx,
-                                                       less);
-      }
-      pivots = comm.template bcast_records<T>(std::move(pivots), root);
-      PALADIN_ASSERT(pivots.size() == p - 1);
+    // Adaptive weights replace the static perf quantiles and always take
+    // the flat path (the tree's digests reduce integer perf masses only —
+    // see docs/ALGORITHM.md §Adaptive re-split).  They also densify the
+    // regular sample: the oversample-1 sample only offers cut points at the
+    // static perf quantiles, which quantises a weighted cut like 1/13 back
+    // to ~1/p and leaves the re-split a no-op
+    // (hetero::kAdaptResampleOversample).
+    const bool adapt = !adapt_weights.empty();
+    const bool tree = !adapt && splitter_uses_tree(config.splitter, p);
+    u64 oversample = config.sampling_oversample;
+    if (adapt) {
+      const u64 cap =
+          std::max<u64>(n / (perf.sum() * static_cast<u64>(p)), 1);
+      oversample =
+          std::min(std::max(oversample, hetero::kAdaptResampleOversample),
+                   std::max(cap, oversample));
     }
+    const PsrsSampling density = psrs_sampling(perf, n, oversample, tree);
+    std::vector<T> samples;
+    {
+      pdm::BlockFile f = ctx.disk().open(sorted_local);
+      pdm::BlockReader<T> reader(f);
+      samples = draw_regular_sample<T>(reader, density.stride);
+    }
+    if (!tree) {
+      PALADIN_ASSERT(samples.size() ==
+                     perf.sample_count(rank, n, density.oversample));
+    }
+    report.samples_contributed = samples.size();
+    pivots = select_splitters<T>(
+        ctx, std::move(samples),
+        [&](u64 pool) {
+          return adapt ? weight_ranks(adapt_weights, pool)
+                       : psrs_pivot_targets(perf, density.oversample);
+        },
+        tree, /*sorted=*/true, /*unique=*/false, perf.sum(), less);
+    PALADIN_ASSERT(pivots.size() == p - 1);
   }
   if (tr) tr->counters().set("psrs.samples", report.samples_contributed);
   sampling.finish(report.t_sampling, report.io_sampling, "psrs.io.sampling",

@@ -22,6 +22,7 @@
 #include "base/rng.h"
 #include "base/types.h"
 #include "core/sampling.h"
+#include "core/splitter_tree.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
 #include "seq/counting.h"
@@ -104,7 +105,7 @@ std::vector<std::vector<T>> overpartition_sort(
   const u64 local_records = local.size();
 
   // 1. Random sample of the *unsorted* input; root picks p·s−1 pivots at
-  //    regular positions in the sorted sample.
+  //    even ranks of the sorted sample (always flat).
   std::vector<T> pivots;
   {
     const u64 want = std::min<u64>(
@@ -114,18 +115,10 @@ std::vector<std::vector<T>> overpartition_sort(
     for (u64 i = 0; i < want; ++i) {
       sample.push_back(local[ctx.rng().next_below(local.size())]);
     }
-    std::vector<T> gathered =
-        comm.template gather_records<T>(std::span<const T>(sample), 0);
-    if (rank == 0) {
-      PALADIN_EXPECTS_MSG(gathered.size() >= buckets,
-                          "not enough samples for p*s sublists");
-      seq::metered_sort(std::span<T>(gathered), ctx, less);
-      pivots.reserve(buckets - 1);
-      for (u64 j = 1; j < buckets; ++j) {
-        pivots.push_back(gathered[j * gathered.size() / buckets]);
-      }
-    }
-    pivots = comm.template bcast_records<T>(std::move(pivots), 0);
+    pivots = select_splitters<T>(
+        ctx, std::move(sample),
+        [&](u64 pool) { return even_ranks(buckets - 1, pool); },
+        /*tree=*/false, /*sorted=*/false, /*unique=*/false, p, less);
   }
 
   // 2. Route every record to its sublist by binary search (no local sort).

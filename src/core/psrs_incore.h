@@ -56,25 +56,12 @@ std::vector<T> psrs_incore_sort(net::NodeContext& ctx,
 
   // Phase 2: regular sampling; designated node selects pivots.
   const double t_sample0 = ctx.clock().now();
-  std::vector<T> pivots;
-  if (splitter_uses_tree(splitter, p)) {
-    const u64 o_total = oversample * kTreeLeafOversample;
-    const u64 off = perf.sample_stride_clamped(n, o_total);
-    std::vector<T> samples =
-        draw_regular_sample<T>(std::span<const T>(local), off);
-    pivots = tree_select_pivots<T, Less>(ctx, perf, std::move(samples),
-                                         o_total, 0, less);
-  } else {
-    const u64 off = perf.sample_stride(n, oversample);
-    std::vector<T> samples =
-        draw_regular_sample<T>(std::span<const T>(local), off);
-    std::vector<T> gathered =
-        comm.template gather_records<T>(std::span<const T>(samples), 0);
-    if (rank == 0) {
-      pivots = select_pivots<T, Less>(gathered, perf, ctx, less, oversample);
-    }
-    pivots = comm.template bcast_records<T>(std::move(pivots), 0);
-  }
+  const bool use_tree = splitter_uses_tree(splitter, p);
+  const PsrsSampling density = psrs_sampling(perf, n, oversample, use_tree);
+  const std::vector<T> pivots = select_splitters<T>(
+      ctx, draw_regular_sample<T>(std::span<const T>(local), density.stride),
+      [&](u64) { return psrs_pivot_targets(perf, density.oversample); },
+      use_tree, /*sorted=*/true, /*unique=*/false, perf.sum(), less);
   const double t_sample1 = ctx.clock().now();
 
   // Phase 3: partition the sorted share at the pivots.

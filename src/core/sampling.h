@@ -1,16 +1,18 @@
 // Step 2 of the paper's Algorithm 1: regular sampling of each node's
-// *sorted* local file and pivot selection at the designated node.
+// *sorted* local file, and the rank rules the designated node cuts the
+// pooled sample at.
 //
 // Node i reads samples at local positions off−1, 2·off−1, … (the paper's
 // fseek/fread loop), where off = n/(p·Σperf) is identical on every node —
 // so every sample "represents" the same number of sorted records.  The
 // draw seeks once per sample while samples are a block or more apart and
 // streams the file once when they are denser (read_positions, which the
-// random draws of the other backends share).  Node i
-// therefore contributes p·perf[i]−1 samples, and the designated node picks
-// pivot j at index p·(perf[0]+…+perf[j]) − 1 of the sorted sample list,
-// giving node j a final partition proportional to perf[j].  The
-// homogeneous case degenerates to classic PSRS pivots.
+// random draws of the other backends share).  Node i therefore
+// contributes about p·perf[i]−1 samples, and pivot j at the PSRS rank
+// r_j (psrs_pivot_targets) gives node j a final partition proportional to
+// perf[j].  The homogeneous case degenerates to classic PSRS pivots.  The
+// selection itself — gather, sort, cut, broadcast — is
+// core::select_splitters (core/splitter_tree.h), for every backend.
 #pragma once
 
 #include <algorithm>
@@ -99,20 +101,20 @@ std::vector<T> draw_regular_sample(std::span<const T> sorted, u64 off) {
   return samples;
 }
 
-/// Sorts the gathered samples and selects the p−1 perf-weighted pivots.
+/// Step 2's rank rules.  Each returns the 1-based ranks, non-decreasing,
+/// at which the designated node cuts a pool of S sorted samples (or S units
+/// of digest weight on the tree path, core/splitter_tree.h), one rank per
+/// splitter.  core::select_splitters applies whichever rule its caller
+/// passes, flat or tree, so a rule is written once.
 ///
-/// Pivot j must approximate the global quantile q_j = cum_j/Σperf (cum_j =
-/// perf[0]+…+perf[j]).  Node i's samples sit at local quantiles
-/// t/(p·perf[i]), so the number of samples at or below q_j is exactly
-/// r_j = Σ_i ⌊p·perf[i]·cum_j/Σperf⌋ — pivot j is the r_j-th smallest
-/// sample.  In the homogeneous case r_j = p·j, the classic PSRS regular
-/// positions.  (Taking p·cum_j unconditionally — the naive generalisation —
-/// is biased high whenever Σperf ∤ p·perf[i]·cum_j, which measurably
-/// overloads slow nodes.)  `samples` is consumed (sorted in place, charged
-/// to the meter).
-/// The p−1 pivot ranks r_j (1-based, non-decreasing) in the gathered
-/// sample list — shared between the flat selection below and the
-/// tree-path selection (core/splitter_tree.h), so the two cannot drift.
+/// PSRS (ext-psrs, in-core PSRS): pivot j must approximate the global
+/// quantile q_j = cum_j/Σperf (cum_j = perf[0]+…+perf[j]).  Node i's samples
+/// sit at local quantiles t/(o·p·perf[i]), so the number of samples at or
+/// below q_j is exactly r_j = Σ_i ⌊o·p·perf[i]·cum_j/Σperf⌋ — pivot j is the
+/// r_j-th smallest sample.  In the homogeneous case r_j = o·p·j, the classic
+/// PSRS regular positions.  (Taking p·cum_j unconditionally — the naive
+/// generalisation — is biased high whenever Σperf ∤ p·perf[i]·cum_j, which
+/// measurably overloads slow nodes.)  The ranks do not depend on S.
 inline std::vector<u64> psrs_pivot_targets(const hetero::PerfVector& perf,
                                            u64 oversample = 1) {
   const u32 p = perf.node_count();
@@ -131,53 +133,72 @@ inline std::vector<u64> psrs_pivot_targets(const hetero::PerfVector& perf,
   return targets;
 }
 
+/// Perf quantiles (ext-distribution, ext-multiway): the p−1 cuts of a
+/// random sample at q_j = cum_j/Σperf, cut j at ⌊S·cum_j/Σperf⌋ + 1.
+inline std::vector<u64> perf_quantile_ranks(const hetero::PerfVector& perf,
+                                            u64 pool) {
+  std::vector<u64> ranks;
+  ranks.reserve(perf.node_count() - 1);
+  u64 cum = 0;
+  for (u32 j = 0; j + 1 < perf.node_count(); ++j) {
+    cum += perf[j];
+    ranks.push_back(pool * cum / perf.sum() + 1);
+  }
+  return ranks;
+}
+
+/// Even cuts (both overpartitioning sorts): `cuts` splitters into cuts + 1
+/// equal buckets, cut j (1-based) at ⌊j·S/(cuts+1)⌋ + 1.
+inline std::vector<u64> even_ranks(u64 cuts, u64 pool) {
+  std::vector<u64> ranks;
+  ranks.reserve(cuts);
+  for (u64 j = 1; j <= cuts; ++j) ranks.push_back(j * pool / (cuts + 1) + 1);
+  return ranks;
+}
+
+/// Adaptive weights (hetero::AdaptiveConfig): cut j at ⌊S·(w_0+…+w_j)⌋ + 1,
+/// the observed-weight quantiles instead of the static perf ones
+/// (docs/ALGORITHM.md §Adaptive re-split).  `weights` are normalized (sum
+/// 1), one per node; a prefix that reaches 1.0 in double cuts at rank S.
+inline std::vector<u64> weight_ranks(std::span<const double> weights,
+                                     u64 pool) {
+  PALADIN_EXPECTS(!weights.empty());
+  std::vector<u64> ranks;
+  ranks.reserve(weights.size() - 1);
+  double cum = 0.0;
+  for (std::size_t j = 0; j + 1 < weights.size(); ++j) {
+    cum += weights[j];
+    ranks.push_back(std::min<u64>(
+        static_cast<u64>(static_cast<double>(pool) * cum) + 1, pool));
+  }
+  return ranks;
+}
+
+/// The flat pick: for each 1-based rank r, `sorted[min(r−1, S−1)]`.
+template <Record T>
+std::vector<T> pick_ranks(std::span<const T> sorted,
+                          std::span<const u64> ranks) {
+  PALADIN_EXPECTS(!sorted.empty() || ranks.empty());
+  std::vector<T> picks;
+  picks.reserve(ranks.size());
+  for (const u64 rank : ranks) {
+    picks.push_back(sorted[std::min<u64>(rank - 1, sorted.size() - 1)]);
+  }
+  return picks;
+}
+
+/// Sorts gathered PSRS samples (consumed: sorted in place, charged to the
+/// meter) and picks the p−1 perf-weighted pivots at psrs_pivot_targets —
+/// the flat path of core::select_splitters as one local call.
 template <Record T, typename Less = std::less<T>>
 std::vector<T> select_pivots(std::vector<T>& samples,
                              const hetero::PerfVector& perf, Meter& meter,
                              Less less = {}, u64 oversample = 1) {
-  const u32 p = perf.node_count();
-  PALADIN_EXPECTS_MSG(samples.size() >= p,
+  PALADIN_EXPECTS_MSG(samples.size() >= perf.node_count(),
                       "too few samples to select p-1 pivots");
   seq::metered_sort(std::span<T>(samples), meter, less);
-
-  std::vector<T> pivots;
-  pivots.reserve(p - 1);
-  for (const u64 rank : psrs_pivot_targets(perf, oversample)) {
-    const u64 index = std::min<u64>(rank - 1, samples.size() - 1);
-    pivots.push_back(samples[index]);
-  }
-  return pivots;
-}
-
-/// Adaptive variant (hetero::AdaptiveConfig): pivots cut the sorted sample
-/// at the *observed weight* quantiles instead of the static perf quantiles —
-/// pivot j at index ⌊S·(w_0+…+w_j)⌋ of the S gathered samples.  Because
-/// the global sample stride made every sample represent equal record mass,
-/// this targets a final partition proportional to w_j: records the static
-/// split would have left on a slowed node land on its faster peers
-/// (docs/ALGORITHM.md §Adaptive re-split).  `weights` must be normalized
-/// (sum 1) with one entry per node.
-template <Record T, typename Less = std::less<T>>
-std::vector<T> select_weighted_pivots(std::vector<T>& samples,
-                                      const std::vector<double>& weights,
-                                      Meter& meter, Less less = {}) {
-  const u64 p = weights.size();
-  PALADIN_EXPECTS(p >= 1);
-  PALADIN_EXPECTS_MSG(samples.size() >= p,
-                      "too few samples to select p-1 pivots");
-  seq::metered_sort(std::span<T>(samples), meter, less);
-
-  std::vector<T> pivots;
-  pivots.reserve(p - 1);
-  double cum = 0.0;
-  for (u64 j = 0; j + 1 < p; ++j) {
-    cum += weights[j];
-    const u64 index = std::min<u64>(
-        static_cast<u64>(static_cast<double>(samples.size()) * cum),
-        samples.size() - 1);
-    pivots.push_back(samples[index]);
-  }
-  return pivots;
+  return pick_ranks(std::span<const T>(samples),
+                    psrs_pivot_targets(perf, oversample));
 }
 
 }  // namespace paladin::core

@@ -1,18 +1,25 @@
-// Multi-level splitter selection — Step 2 at cluster scale.
+// Step 2's splitter selection, for every backend, flat or tree.
 //
-// The paper's Step 2 gathers ≈ p·Σperf samples at one designated node and
-// sorts them serially: an O(p²) sample volume and a single-node serial
-// bottleneck that dominates the makespan once p reaches the hundreds
-// (bench_scalability quantifies the crossover).  Following the recursive
-// pivot-group hierarchy of *Robust Massively Parallel Sorting* (AMS,
-// PAPERS.md), this header organises the nodes into ≈√p-sized pivot-sorter
-// groups: each group leader merges its members' sorted samples with the
-// loser-tree kernel, re-samples the merged run into a bounded *weighted
-// digest*, and forwards the digest up a (possibly multi-level) tree.  No
-// node ever holds more than fanout·digest_budget ≈ O(p·polylog p) samples,
-// the per-level merges run concurrently across groups, and the final
-// leader — always the designated node — selects the splitters from the
-// root digest by cumulative weight.
+// select_splitters (at the end of this header) is the one collective: it
+// pools every node's sample at node 0, cuts the pool at the ranks of one
+// of core/sampling.h's rank rules, and broadcasts the cuts.  ext-psrs, the
+// three random-sample backends (through core/backend.h's
+// select_sample_splitters), in-core PSRS, in-core overpartitioning and
+// bench_scalability all call it.  It pools the samples one of two ways:
+//
+//  * flat — the paper's Step 2: gather ≈ p·Σperf samples at the designated
+//    node and sort them serially, an O(p²) sample volume and a single-node
+//    serial bottleneck that dominates the makespan once p reaches the
+//    hundreds (bench_scalability quantifies the crossover);
+//  * tree — following the recursive pivot-group hierarchy of *Robust
+//    Massively Parallel Sorting* (AMS, PAPERS.md), the nodes form
+//    ≈√p-sized pivot-sorter groups: each group leader merges its members'
+//    sorted samples with the loser-tree kernel, re-samples the merged run
+//    into a bounded *weighted digest*, and forwards the digest up a
+//    (possibly multi-level) tree.  No node ever holds more than
+//    fanout·digest_budget ≈ O(p·polylog p) samples, the per-level merges
+//    run concurrently across groups, and the final leader — always the
+//    designated node — cuts the root digest by cumulative weight.
 //
 // Weight discipline: a digest point {v, w} asserts "w of the represented
 // leaf samples are ≤ v (and greater than the previous digest point)".
@@ -26,12 +33,12 @@
 // in Parallel Sorting*, PAPERS.md, gives the general schedule).
 //
 // The geometry is a function of p alone (fanout ⌈√p⌉ clamped to [2, 32])
-// and the budget of p and Σperf; neither is a setting.  A degenerate
-// gather — one group (fanout ≥ p) and no re-sampling (budget ≥ total) —
-// reproduces the flat path *exactly*: the root digest is the fully merged
-// sample multiset, and weighted_select with the flat formulas picks
-// bit-identical splitters (tests/test_splitter_tree.cpp pins this by
-// calling splitter_tree_gather with those arguments).
+// and the budget of p and the rule's mass; neither is a setting.  A
+// degenerate gather — one group (fanout ≥ p) and no re-sampling (budget ≥
+// total) — reproduces the flat path *exactly*: the root digest is the
+// fully merged sample multiset, and weighted_select at a rule's ranks picks
+// the flat path's splitters (tests/test_splitter_tree.cpp pins this for
+// every rule by calling splitter_tree_gather with those arguments).
 #pragma once
 
 #include <algorithm>
@@ -138,15 +145,13 @@ struct WeightedSample {
   u64 weight;
 };
 
-/// Per-node observability of one tree gather (also mirrored into the obs
-/// counters splitter.levels / splitter.fanout / splitter.samples_forwarded).
+/// Per-node observability of one tree gather, mirrored into the obs
+/// counters splitter.levels / splitter.fanout / splitter.samples_forwarded.
 struct SplitterTreeStats {
   u32 levels = 0;
   u32 fanout = 0;
   /// Digest points this node sent upward (0 for the root).
   u64 samples_forwarded = 0;
-  /// Points this node popped through its level merges (leaders only).
-  u64 merged_points = 0;
 };
 
 /// Merges `runs` (each sorted by value) with a loser tree charged to
@@ -160,8 +165,7 @@ struct SplitterTreeStats {
 template <Record T, typename Less = std::less<T>>
 std::vector<WeightedSample<T>> merge_weighted_runs(
     Meter& meter, std::vector<std::vector<WeightedSample<T>>>& runs,
-    u64 digest_budget, bool merge_equal, Less less = {},
-    SplitterTreeStats* stats = nullptr) {
+    u64 digest_budget, bool merge_equal, Less less = {}) {
   using WS = WeightedSample<T>;
   PALADIN_EXPECTS(digest_budget >= 1);
 
@@ -222,7 +226,6 @@ std::vector<WeightedSample<T>> merge_weighted_runs(
   if (acc > 0) out.push_back({last, acc});  // trailing partial stratum
   meter.on_moves(popped);
   PALADIN_ASSERT(popped == total_points);
-  if (stats != nullptr) stats->merged_points += popped;
   return out;
 }
 
@@ -293,7 +296,7 @@ std::vector<WeightedSample<T>> splitter_tree_gather(
           rank_of(static_cast<u64>(m) * stride), kTagSplitterDigest));
     }
     digest = merge_weighted_runs<T, Less>(ctx, runs, digest_budget,
-                                          merge_equal, less, stats);
+                                          merge_equal, less);
     span.arg("points_kept", digest.size());
     span.end();
     active = static_cast<u32>(ceil_div(active, fanout));
@@ -339,114 +342,101 @@ std::vector<WeightedSample<T>> unit_weights(std::vector<T> values) {
   return out;
 }
 
-inline void record_tree_counters(obs::Tracer* tr,
-                                 const SplitterTreeStats& stats) {
-  if (tr == nullptr) return;
-  tr->counters().set("splitter.levels", stats.levels);
-  tr->counters().set("splitter.fanout", stats.fanout);
-  tr->counters().add("splitter.samples_forwarded", stats.samples_forwarded);
-}
-
 }  // namespace detail
 
-/// Tree-path Step 2 for the PSRS backends: every node passes its regular
-/// sample (drawn with the *clamped* stride at the combined oversample
-/// `oversample` = backend oversample × kTreeLeafOversample); returns the
-/// p−1 perf-weighted pivots on every node.  The pivot targets are the flat
-/// select_pivots ranks (psrs_pivot_targets), so a degenerate gather
-/// reproduces the flat pivots bit-for-bit.
-template <Record T, typename Less = std::less<T>>
-std::vector<T> tree_select_pivots(net::NodeContext& ctx,
-                                  const hetero::PerfVector& perf,
-                                  std::vector<T> samples, u64 oversample,
-                                  u32 root, Less less = {},
-                                  SplitterTreeStats* stats_out = nullptr) {
-  const u32 p = ctx.node_count();
-  const u32 fanout = splitter_fanout(p);
-  const u64 budget =
-      splitter_digest_budget(p, splitter_levels(p, fanout), perf.sum());
-  SplitterTreeStats stats;
-  std::vector<WeightedSample<T>> digest = splitter_tree_gather<T, Less>(
-      ctx, root, fanout, budget, /*merge_equal=*/false,
-      detail::unit_weights<T>(std::move(samples)), less, &stats);
-  std::vector<T> pivots;
-  if (ctx.rank() == root) {
-    u64 total = 0;
-    for (const auto& ws : digest) total += ws.weight;
-    PALADIN_EXPECTS_MSG(total >= p, "too few samples to select p-1 pivots");
-    pivots = weighted_select<T>(std::span<const WeightedSample<T>>(digest),
-                                psrs_pivot_targets(perf, oversample));
-  }
-  pivots = ctx.comm().template bcast_records<T>(std::move(pivots), root);
-  PALADIN_ASSERT(pivots.size() == p - 1);
-  detail::record_tree_counters(ctx.obs(), stats);
-  if (stats_out != nullptr) *stats_out = stats;
-  return pivots;
+/// Step 2's PSRS sampling density: the oversample the PSRS ranks assume and
+/// the stride every node draws its regular sample at.
+struct PsrsSampling {
+  u64 oversample = 1;
+  u64 stride = 1;
+};
+
+/// Flat samples at `oversample` (PerfVector::sample_stride, which rejects
+/// n < p·Σperf·oversample); the tree densifies it by kTreeLeafOversample and
+/// clamps the stride (sample_stride_clamped), so it survives huge p.
+inline PsrsSampling psrs_sampling(const hetero::PerfVector& perf, u64 n,
+                                  u64 oversample, bool tree) {
+  if (!tree) return {oversample, perf.sample_stride(n, oversample)};
+  const u64 o = oversample * kTreeLeafOversample;
+  return {o, perf.sample_stride_clamped(n, o)};
 }
 
-/// Tree-path counterpart of select_sample_splitters (random-sample
-/// backends: distribution, overpartitioning, multiway): sorts the local
-/// sample, reduces it up the tree, and applies the flat quantile-cut
-/// formulas to the root digest.  With `unique_splitters` the reduction
-/// runs in unique-value space (local dedup + merge_equal folds), matching
-/// the flat dedup-then-cut exactly in a degenerate gather.
-template <Record T, typename Less = std::less<T>>
-std::vector<T> tree_select_sample_splitters(
-    net::NodeContext& ctx, std::vector<T> local_sample, u64 cuts,
-    const hetero::PerfVector* perf, bool unique_splitters, u32 root,
-    Less less = {}, SplitterTreeStats* stats_out = nullptr) {
-  const u32 p = ctx.node_count();
-  const u32 fanout = splitter_fanout(p);
-  // Budget in sample units; Σperf only parameterises the perf-weighted
-  // path, the uniform one scales with p alone.
-  const u64 budget = splitter_digest_budget(
-      p, splitter_levels(p, fanout), perf != nullptr ? perf->sum() : p);
-
-  seq::metered_sort(std::span<T>(local_sample), ctx, less);
-  std::vector<WeightedSample<T>> mine;
-  if (unique_splitters) {
-    auto equiv = [&less](const T& a, const T& b) {
+/// Step 2's one selection collective, for every backend: pools every
+/// node's `sample` at node 0, cuts the pool at the 1-based ranks
+/// `ranks(S)` returns for a pool of S (a rank rule of core/sampling.h), and
+/// broadcasts the cut keys, so every node returns the same splitters in
+/// sorted order.
+///
+///  * Flat (`tree` false): the samples are gathered unsorted, given one
+///    metered sort at node 0 and cut at sorted[min(r−1, S−1)].
+///  * Tree: the √p-ary digest gather above pools them; a `sorted` sample
+///    (PSRS's regular draw) enters as is, any other gets a local metered
+///    sort first.  weighted_select picks at the same ranks, in units of
+///    digest weight — the same records whenever every weight is 1.  The
+///    digest budget is splitter_digest_budget(p, levels, `mass`).
+///
+/// With `unique` the pool is de-duplicated before the cut (Axtmann–Sanders
+/// robust-sorting style): heavy duplicate mass cannot collapse several
+/// splitters onto one key, which would funnel the whole duplicate class —
+/// and the partitions pinched between the equal splitters — onto a single
+/// node.  Flat de-duplicates the sorted pool; the tree de-duplicates each
+/// local sample and folds equal digest points (merge_equal).  The pool must
+/// hold more samples than splitters before de-duplication; in unique mode
+/// the tree, which cannot count them, needs only a non-empty digest, and
+/// cuts collapse onto the distinct values when they are fewer.
+template <Record T, typename RankRule, typename Less = std::less<T>>
+std::vector<T> select_splitters(net::NodeContext& ctx, std::vector<T> sample,
+                                RankRule&& ranks, bool tree, bool sorted,
+                                bool unique, u64 mass, Less less = {}) {
+  net::Communicator& comm = ctx.comm();
+  const u32 p = comm.size();
+  constexpr u32 root = 0;
+  const auto dedup = [&less](std::vector<T>& v) {
+    const auto equiv = [&less](const T& a, const T& b) {
       return !less(a, b) && !less(b, a);
     };
-    local_sample.erase(
-        std::unique(local_sample.begin(), local_sample.end(), equiv),
-        local_sample.end());
-  }
-  mine = detail::unit_weights<T>(std::move(local_sample));
-
-  SplitterTreeStats stats;
-  std::vector<WeightedSample<T>> digest = splitter_tree_gather<T, Less>(
-      ctx, root, fanout, budget, /*merge_equal=*/unique_splitters,
-      std::move(mine), less, &stats);
+    v.erase(std::unique(v.begin(), v.end(), equiv), v.end());
+  };
+  constexpr char kTooFew[] = "not enough samples for the requested splitters";
 
   std::vector<T> splitters;
-  if (ctx.rank() == root) {
-    u64 total = 0;
-    for (const auto& ws : digest) total += ws.weight;
-    PALADIN_EXPECTS_MSG(total > cuts,
-                        "not enough samples for the requested splitters");
-    std::vector<u64> targets;
-    targets.reserve(cuts);
-    if (perf != nullptr) {
-      PALADIN_EXPECTS(cuts + 1 == perf->node_count());
-      u64 cum = 0;
-      for (u32 j = 0; j + 1 < perf->node_count(); ++j) {
-        cum += (*perf)[j];
-        targets.push_back(
-            std::min<u64>(total * cum / perf->sum(), total - 1) + 1);
-      }
-    } else {
-      for (u64 j = 1; j <= cuts; ++j) {
-        targets.push_back(j * total / (cuts + 1) + 1);
-      }
+  SplitterTreeStats stats;
+  if (!tree) {
+    std::vector<T> pool =
+        comm.template gather_records<T>(std::span<const T>(sample), root);
+    if (comm.rank() == root) {
+      const u64 pooled = pool.size();
+      seq::metered_sort(std::span<T>(pool), ctx, less);
+      if (unique) dedup(pool);
+      const std::vector<u64> cuts = ranks(pool.size());
+      PALADIN_EXPECTS_MSG(pooled > cuts.size(), kTooFew);
+      splitters = pick_ranks(std::span<const T>(pool), cuts);
     }
-    splitters = weighted_select<T>(
-        std::span<const WeightedSample<T>>(digest), targets);
+  } else {
+    if (!sorted) seq::metered_sort(std::span<T>(sample), ctx, less);
+    if (unique) dedup(sample);
+    const u32 fanout = splitter_fanout(p);
+    const std::vector<WeightedSample<T>> digest =
+        splitter_tree_gather<T, Less>(
+            ctx, root, fanout,
+            splitter_digest_budget(p, splitter_levels(p, fanout), mass),
+            /*merge_equal=*/unique, detail::unit_weights<T>(std::move(sample)),
+            less, &stats);
+    if (comm.rank() == root) {
+      u64 total = 0;
+      for (const auto& ws : digest) total += ws.weight;
+      const std::vector<u64> cuts = ranks(total);
+      PALADIN_EXPECTS_MSG(total > (unique ? 0 : cuts.size()), kTooFew);
+      splitters = weighted_select<T>(
+          std::span<const WeightedSample<T>>(digest), cuts);
+    }
   }
-  splitters = ctx.comm().template bcast_records<T>(std::move(splitters), root);
-  PALADIN_ASSERT(splitters.size() == cuts || cuts == 0);
-  detail::record_tree_counters(ctx.obs(), stats);
-  if (stats_out != nullptr) *stats_out = stats;
+  splitters = comm.template bcast_records<T>(std::move(splitters), root);
+  if (obs::Tracer* const tr = ctx.obs(); tree && tr != nullptr) {
+    tr->counters().set("splitter.levels", stats.levels);
+    tr->counters().set("splitter.fanout", stats.fanout);
+    tr->counters().add("splitter.samples_forwarded", stats.samples_forwarded);
+  }
   return splitters;
 }
 

@@ -5,7 +5,8 @@
 //    output IS the std::sort of the concatenated input (which subsumes
 //    record conservation and global order) — on the adversarial inputs
 //    (all-equal, pre-sorted, reverse-sorted, zipf-skewed, duplicates-heavy)
-//    and p ∈ {1, 2, 4} with unequal perf;
+//    and p ∈ {1, 2, 4} with unequal perf, with the default splitter
+//    selection and again through the splitter tree;
 //  * determinism — a bit-identical re-run: same output bytes, same virtual
 //    makespan, per (seed, config);
 //  * the parse/name round-trip and the driver's report slice (layout +
@@ -60,7 +61,7 @@ struct BackendRun {
 
 BackendRun run_backend(ParallelSortAlgorithm algo,
                        const std::vector<u32>& perf_values, Dist dist,
-                       u64 seed) {
+                       u64 seed, SplitterStrategy splitter) {
   PerfVector perf(perf_values);
   const u64 n = perf.admissible_size(96);
 
@@ -82,6 +83,7 @@ BackendRun run_backend(ParallelSortAlgorithm algo,
   psc.sequential.tape_count = test_params::kTapeCount;
   psc.sequential.allow_in_memory = false;
   psc.message_records = test_params::kMessageRecords;
+  psc.splitter.strategy = splitter;
 
   struct NodeResult {
     std::vector<DefaultKey> input;
@@ -122,28 +124,34 @@ BackendRun run_backend(ParallelSortAlgorithm algo,
 }
 
 void check_backend_matrix(ParallelSortAlgorithm algo) {
-  u64 seed = 7;
-  for (const std::vector<u32>& perf : kPerfSets) {
-    for (const Dist dist : kAdversarial) {
-      SCOPED_TRACE(std::string(to_string(algo)) + " dist=" +
-                   workload::to_string(dist) + " p=" +
-                   std::to_string(perf.size()));
-      const BackendRun first = run_backend(algo, perf, dist, seed);
+  // Auto keeps these sizes on the flat path; the tree pass sorts the same
+  // inputs (same seeds) through the splitter tree wherever p > 1.
+  for (const SplitterStrategy splitter :
+       {SplitterStrategy::kAuto, SplitterStrategy::kTree}) {
+    u64 seed = 7;
+    for (const std::vector<u32>& perf : kPerfSets) {
+      for (const Dist dist : kAdversarial) {
+        SCOPED_TRACE(std::string(to_string(algo)) + " dist=" +
+                     workload::to_string(dist) + " p=" +
+                     std::to_string(perf.size()) + " splitter=" +
+                     to_string(splitter));
+        const BackendRun first = run_backend(algo, perf, dist, seed, splitter);
 
-      // Oracle: the collected output IS the std::sort of the input.  This
-      // subsumes record conservation (same multiset) and global order.
-      std::vector<DefaultKey> oracle = first.input;
-      std::sort(oracle.begin(), oracle.end());
-      ASSERT_EQ(first.output.size(), first.input.size());
-      ASSERT_EQ(first.output, oracle);
-      ASSERT_TRUE(first.layout_ok);
+        // Oracle: the collected output IS the std::sort of the input.  This
+        // subsumes record conservation (same multiset) and global order.
+        std::vector<DefaultKey> oracle = first.input;
+        std::sort(oracle.begin(), oracle.end());
+        ASSERT_EQ(first.output.size(), first.input.size());
+        ASSERT_EQ(first.output, oracle);
+        ASSERT_TRUE(first.layout_ok);
 
-      // Determinism: the whole run replays bitwise — output bytes and
-      // virtual makespan — from (seed, config) alone.
-      const BackendRun again = run_backend(algo, perf, dist, seed);
-      ASSERT_EQ(again.output, first.output);
-      ASSERT_EQ(again.makespan, first.makespan);
-      ++seed;
+        // Determinism: the whole run replays bitwise — output bytes and
+        // virtual makespan — from (seed, config) alone.
+        const BackendRun again = run_backend(algo, perf, dist, seed, splitter);
+        ASSERT_EQ(again.output, first.output);
+        ASSERT_EQ(again.makespan, first.makespan);
+        ++seed;
+      }
     }
   }
 }

@@ -16,6 +16,7 @@
 #include "hetero/perf_vector.h"
 #include "metrics/expansion.h"
 #include "net/cluster.h"
+#include "test_params.h"
 #include "workload/generators.h"
 
 namespace paladin::core {
@@ -115,7 +116,8 @@ TEST_P(InCorePsrs, SortsPermutesAndBalances) {
   EXPECT_TRUE(metrics::within_psrs_bound(finals, shares, slack));
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, InCorePsrs, ::testing::ValuesIn(cases()));
+INSTANTIATE_TEST_SUITE_P(Sweep, InCorePsrs, ::testing::ValuesIn(cases()),
+                         test_params::printed_name);
 
 TEST(InCorePsrsBalance, UniformExpansionNearOne) {
   // The paper's S(max) column is measured over the *fastest* nodes (whose
@@ -203,7 +205,8 @@ TEST_P(Overpartition, SublistsSortedDisjointAndComplete) {
   EXPECT_EQ(total_sublists, u64{p} * op.s);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, Overpartition, ::testing::ValuesIn(cases()));
+INSTANTIATE_TEST_SUITE_P(Sweep, Overpartition, ::testing::ValuesIn(cases()),
+                         test_params::printed_name);
 
 TEST(OverpartitionDetail, LptAssignmentBalancesWeightedLoad) {
   PerfVector perf({2, 1});
@@ -280,7 +283,8 @@ TEST_P(ExtDistribution, SortsAndPermutes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ExtDistribution,
-                         ::testing::ValuesIn(cases()));
+                         ::testing::ValuesIn(cases()),
+                         test_params::printed_name);
 
 
 // ---------------------------------------------------------------------
@@ -308,7 +312,6 @@ TEST_P(ExtOverpartition, BucketsSortedCompleteAndOwnedOnce) {
     bool buckets_sorted = true;
   };
   ExtOverpartitionConfig op;
-  op.s = 3;
   op.sequential.memory_records = 512;
   op.sequential.tape_count = 4;
   op.sequential.allow_in_memory = false;
@@ -351,7 +354,8 @@ TEST_P(ExtOverpartition, BucketsSortedCompleteAndOwnedOnce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ExtOverpartition,
-                         ::testing::ValuesIn(cases()));
+                         ::testing::ValuesIn(cases()),
+                         test_params::printed_name);
 
 TEST(ExtOverpartitionOrder, BucketsFormAGlobalOrder) {
   // Concatenating all buckets in bucket order (regardless of owner) must
@@ -364,7 +368,6 @@ TEST(ExtOverpartitionOrder, BucketsFormAGlobalOrder) {
   Cluster cluster(config);
   WorkloadSpec spec{Dist::kUniform, n, 2, 31};
   ExtOverpartitionConfig op;
-  op.s = 4;
   op.sequential.memory_records = 512;
   op.sequential.allow_in_memory = false;
 

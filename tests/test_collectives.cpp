@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "net/cluster.h"
+#include "test_params.h"
 
 namespace paladin::net {
 namespace {
@@ -74,7 +75,8 @@ TEST_P(Collectives, BarrierSynchronisesClocks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ClusterSizes, Collectives,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16));
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16),
+                         test_params::printed_name);
 
 TEST(CollectivesInSpmdBody, MixedTrafficComposes) {
   Cluster cluster(ClusterConfig::homogeneous(8));

@@ -146,6 +146,24 @@ TEST(Sampling, SelectPivotsClampsShortSampleLists) {
   EXPECT_EQ(pivots, (std::vector<u32>{3, 7, 10}));
 }
 
+TEST(Sampling, RankRulesCutAtOneBasedRanks) {
+  // Perf quantiles: cut j at ⌊S·cum_j/Σperf⌋ + 1; S = 20, Σperf = 10.
+  EXPECT_EQ(perf_quantile_ranks(PerfVector({4, 4, 1, 1}), 20),
+            (std::vector<u64>{9, 17, 19}));
+  // Even cuts: cut j at ⌊j·S/(cuts+1)⌋ + 1.
+  EXPECT_EQ(even_ranks(3, 8), (std::vector<u64>{3, 5, 7}));
+  // Adaptive weights: cut j at ⌊S·(w_0+…+w_j)⌋ + 1.
+  EXPECT_EQ(weight_ranks(std::vector<double>{0.25, 0.25, 0.5}, 8),
+            (std::vector<u64>{3, 5}));
+}
+
+TEST(Sampling, WeightRanksClampToThePool) {
+  // A weight prefix that reaches 1.0 in double would cut at rank S + 1;
+  // the rule clamps it to the pool's last record.
+  EXPECT_EQ(weight_ranks(std::vector<double>{1.0, 1e-18}, 10),
+            std::vector<u64>{10});
+}
+
 // ---------------------------------------------------------------------
 // Reading records at positions
 // ---------------------------------------------------------------------
@@ -891,7 +909,8 @@ std::vector<E2ECase> e2e_cases() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, ExtPsrsE2E, ::testing::ValuesIn(e2e_cases()));
+INSTANTIATE_TEST_SUITE_P(Sweep, ExtPsrsE2E, ::testing::ValuesIn(e2e_cases()),
+                         test_params::printed_name);
 
 TEST(ExtPsrs, UniformLoadBalanceIsTight) {
   // On uniform data the measured sublist expansion should be close to 1

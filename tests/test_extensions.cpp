@@ -14,6 +14,7 @@
 #include "hetero/perf_vector.h"
 #include "metrics/expansion.h"
 #include "net/cluster.h"
+#include "test_params.h"
 #include "workload/generators.h"
 
 namespace paladin {
@@ -188,7 +189,8 @@ std::vector<ExactCase> exact_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ExactSplit,
-                         ::testing::ValuesIn(exact_cases()));
+                         ::testing::ValuesIn(exact_cases()),
+                         test_params::printed_name);
 
 TEST(ExactSplitters, ExpansionIsExactlyOneEvenOnAllDuplicates) {
   PerfVector perf({4, 4, 1, 1});

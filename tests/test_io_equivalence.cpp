@@ -186,12 +186,14 @@ std::vector<SeqEqCase> seq_eq_cases(seq::RunFormation run_formation) {
 // Load-sort-store moves whole loads with read_span / push_span.
 INSTANTIATE_TEST_SUITE_P(AllDistributions, SeqIoEquivalence,
                          ::testing::ValuesIn(seq_eq_cases(
-                             seq::RunFormation::kLoadSortStore)));
+                             seq::RunFormation::kLoadSortStore)),
+                         test_params::printed_name);
 // Replacement selection reads and writes one record per call (next / push)
 // through the same block buffers.
 INSTANTIATE_TEST_SUITE_P(ReplacementSelection, SeqIoEquivalence,
                          ::testing::ValuesIn(seq_eq_cases(
-                             seq::RunFormation::kReplacementSelection)));
+                             seq::RunFormation::kReplacementSelection)),
+                         test_params::printed_name);
 
 // Records that do not tile the block (30-byte blocks, 4-byte records →
 // 7 records/block, 28 of 30 bytes used) force the span transfers onto

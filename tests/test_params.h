@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <ostream>
 #include <string>
 
@@ -53,6 +54,23 @@ inline std::string dist_name(
   }
   return name;
 }
+
+/// Test-name generator for the other parameterized suites: the parameter as
+/// gtest prints it (its PrintTo), each run of characters outside
+/// [A-Za-z0-9] folded to one '_', then the case index — two cases that
+/// print alike still get distinct names.
+inline constexpr auto printed_name = [](const auto& info) {
+  std::string name;
+  for (const char c : ::testing::PrintToString(info.param)) {
+    if (std::isalnum(static_cast<unsigned char>(c)) != 0) {
+      name += c;
+    } else if (!name.empty() && name.back() != '_') {
+      name += '_';
+    }
+  }
+  if (!name.empty() && name.back() != '_') name += '_';
+  return name + std::to_string(info.index);
+};
 
 }  // namespace paladin::test_params
 

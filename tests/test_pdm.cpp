@@ -17,6 +17,7 @@
 #include "pdm/disk.h"
 #include "pdm/pdm_math.h"
 #include "pdm/typed_io.h"
+#include "test_params.h"
 
 namespace paladin::pdm {
 namespace {
@@ -308,7 +309,8 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, MixedTransferAccounting,
     ::testing::Combine(::testing::Values<u64>(8, 30, 128, 4090, 4096),
                        ::testing::Values<u64>(sizeof(u32), sizeof(u64)),
-                       ::testing::Bool()));
+                       ::testing::Bool()),
+    test_params::printed_name);
 
 TEST(IoAccounting, StatsDifferenceOperator) {
   IoStats a{10, 5, 100, 50, 2, 1};

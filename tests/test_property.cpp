@@ -99,7 +99,8 @@ std::vector<SeqCase> seq_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, SeqOracle,
-                         ::testing::ValuesIn(seq_cases()));
+                         ::testing::ValuesIn(seq_cases()),
+                         test_params::printed_name);
 
 // ---------------------------------------------------------------------
 // Scatter → parallel external PSRS → gather, vs oracle

@@ -17,6 +17,7 @@
 #include "seq/loser_tree.h"
 #include "seq/polyphase.h"
 #include "seq/run_formation.h"
+#include "test_params.h"
 
 namespace paladin::seq {
 namespace {
@@ -128,7 +129,8 @@ TEST_P(LoserTreeFanIn, MergesKRandomRuns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FanIns, LoserTreeFanIn,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16, 31));
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16, 31),
+                         test_params::printed_name);
 
 // ---------------------------------------------------------------------
 // Run formation
@@ -204,7 +206,8 @@ INSTANTIATE_TEST_SUITE_P(
         RunFormationCase{RunFormation::kReplacementSelection, 5, 16},
         RunFormationCase{RunFormation::kReplacementSelection, 16, 16},
         RunFormationCase{RunFormation::kReplacementSelection, 1000, 64},
-        RunFormationCase{RunFormation::kReplacementSelection, 1024, 128}));
+        RunFormationCase{RunFormation::kReplacementSelection, 1024, 128}),
+    test_params::printed_name);
 
 TEST(ReplacementSelection, SortedInputProducesOneRun) {
   Disk disk = Disk::in_memory(small_blocks());
@@ -361,7 +364,8 @@ INSTANTIATE_TEST_SUITE_P(
         SortCase{SortStrategy::kPolyphase, RunFormation::kReplacementSelection,
                  20000, 256, 15},
         SortCase{SortStrategy::kPolyphase, RunFormation::kReplacementSelection,
-                 4096, 128, 7}));
+                 4096, 128, 7}),
+    test_params::printed_name);
 
 INSTANTIATE_TEST_SUITE_P(
     BalancedKWay, ExternalSortSweep,
@@ -379,7 +383,8 @@ INSTANTIATE_TEST_SUITE_P(
         SortCase{SortStrategy::kBalancedKWay,
                  RunFormation::kReplacementSelection, 20000, 128, 0},
         SortCase{SortStrategy::kBalancedKWay, RunFormation::kLoadSortStore,
-                 5000, 48, 0}));
+                 5000, 48, 0}),
+    test_params::printed_name);
 
 TEST(ExternalSort, InMemoryFastPathWhenDataFits) {
   Disk disk = Disk::in_memory(small_blocks());
@@ -466,7 +471,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, IoBound,
                          ::testing::Values(std::make_tuple(1000, 64),
                                            std::make_tuple(5000, 64),
                                            std::make_tuple(20000, 128),
-                                           std::make_tuple(50000, 256)));
+                                           std::make_tuple(50000, 256)),
+                         test_params::printed_name);
 
 }  // namespace
 }  // namespace paladin::seq

@@ -5,9 +5,9 @@
 //    distribution in kAllDists × p ∈ {4, 16, 64, 256}, including the
 //    zipf / all-duplicates adversaries;
 //  * flat≡tree equivalence — a degenerate gather (single group,
-//    re-sampling disabled) selects the flat path's pivots bit-for-bit,
-//    and the kAuto heuristic below kTreeThreshold IS the flat path
-//    (so the golden traces cannot churn);
+//    re-sampling disabled) selects the flat path's splitters bit-for-bit
+//    under every rank rule, and the kAuto heuristic below kTreeThreshold
+//    IS the flat path (so the golden traces cannot churn);
 //  * bitwise determinism — external tree-strategy runs replay to
 //    identical output bytes and makespans;
 //  * digest identity — flat and tree full external runs produce the same
@@ -318,9 +318,32 @@ TEST(SplitterTree, ExpansionBoundAcrossDistsAndScales) {
 
 TEST(SplitterTree, DegenerateTreeReproducesFlatExactly) {
   // One group (fanout = p) and an unbounded budget: the root digest is the
-  // fully merged sample multiset, so weighted selection at the flat pivot
-  // ranks must pick exactly the pivots select_pivots picks from the
-  // gathered sample.
+  // fully merged sample multiset, so weighted selection at a rule's ranks
+  // must pick exactly the splitters select_splitters' flat path picks from
+  // the gathered sample — under every rank rule.  PSRS cuts the regular
+  // sample; the other rules cut a random one.
+  struct Rule {
+    const char* name;
+    bool regular;  ///< PSRS's regular draw (sorted) instead of a random one
+    bool unique;   ///< cut the distinct values (merge_equal on the tree)
+    std::vector<u64> (*ranks)(const PerfVector&, u64 pool);
+  };
+  const Rule rules[] = {
+      {"psrs", true, false,
+       [](const PerfVector& perf, u64) { return psrs_pivot_targets(perf); }},
+      {"perf-quantiles", false, false,
+       [](const PerfVector& perf, u64 pool) {
+         return perf_quantile_ranks(perf, pool);
+       }},
+      {"even", false, false,
+       [](const PerfVector& perf, u64 pool) {
+         return even_ranks(2 * perf.node_count() - 1, pool);
+       }},
+      {"even-distinct", false, true,
+       [](const PerfVector& perf, u64 pool) {
+         return even_ranks(2 * perf.node_count() - 1, pool);
+       }},
+  };
   for (const std::vector<u32>& perf_values :
        {std::vector<u32>{1, 1}, std::vector<u32>{4, 2, 1, 1},
         std::vector<u32>{3, 1, 2, 1, 1, 2, 1, 1}}) {
@@ -329,48 +352,66 @@ TEST(SplitterTree, DegenerateTreeReproducesFlatExactly) {
     const u64 n = perf.round_up_admissible(4 * p * perf.sum());
     for (const Dist dist : {Dist::kUniform, Dist::kZipf, Dist::kZero,
                             Dist::kStaggered}) {
-      SCOPED_TRACE(std::string("p=") + std::to_string(p) +
-                   " dist=" + workload::to_string(dist));
-      ClusterConfig config;
-      config.perf = perf_values;
-      Cluster cluster(config);
-      WorkloadSpec spec;
-      spec.dist = dist;
-      spec.total_records = n;
-      spec.node_count = p;
-      spec.seed = 42 ^ 0x5eed;
+      for (const Rule& rule : rules) {
+        SCOPED_TRACE(std::string("p=") + std::to_string(p) +
+                     " dist=" + workload::to_string(dist) +
+                     " rule=" + rule.name);
+        ClusterConfig config;
+        config.perf = perf_values;
+        Cluster cluster(config);
+        WorkloadSpec spec;
+        spec.dist = dist;
+        spec.total_records = n;
+        spec.node_count = p;
+        spec.seed = 42 ^ 0x5eed;
 
-      struct RootPivots {
-        std::vector<DefaultKey> flat;
-        std::vector<DefaultKey> tree;
-      };
-      auto outcome = cluster.run([&](NodeContext& ctx) -> RootPivots {
-        std::vector<DefaultKey> local = workload::generate_share(
-            spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
-            perf.share(ctx.rank(), n));
-        std::sort(local.begin(), local.end());
-        std::vector<DefaultKey> samples = draw_regular_sample<DefaultKey>(
-            std::span<const DefaultKey>(local), perf.sample_stride(n));
-        std::vector<DefaultKey> gathered =
-            ctx.comm().gather_records<DefaultKey>(
-                std::span<const DefaultKey>(samples), 0);
-        const std::vector<WeightedSample<DefaultKey>> digest =
-            splitter_tree_gather<DefaultKey>(
-                ctx, /*root=*/0, /*fanout=*/p, kUnbounded,
-                /*merge_equal=*/false,
-                detail::unit_weights<DefaultKey>(std::move(samples)));
-        RootPivots out;
-        if (ctx.rank() == 0) {
-          out.flat = select_pivots<DefaultKey>(gathered, perf, ctx);
-          out.tree = weighted_select<DefaultKey>(
-              std::span<const WeightedSample<DefaultKey>>(digest),
-              psrs_pivot_targets(perf));
-        }
-        return out;
-      });
-      const RootPivots& root = outcome.results[0];
-      ASSERT_EQ(root.flat.size(), p - 1);
-      EXPECT_EQ(root.flat, root.tree);
+        struct RootCuts {
+          std::vector<DefaultKey> flat;
+          std::vector<DefaultKey> tree;
+        };
+        auto outcome = cluster.run([&](NodeContext& ctx) -> RootCuts {
+          std::vector<DefaultKey> local = workload::generate_share(
+              spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
+              perf.share(ctx.rank(), n));
+          std::sort(local.begin(), local.end());
+          std::vector<DefaultKey> sample;
+          if (rule.regular) {
+            sample = draw_regular_sample<DefaultKey>(
+                std::span<const DefaultKey>(local), perf.sample_stride(n));
+          } else {
+            for (u64 i = 0; i < 2 * p * perf[ctx.rank()]; ++i) {
+              sample.push_back(local[ctx.rng().next_below(local.size())]);
+            }
+          }
+          const auto ranks = [&](u64 pool) { return rule.ranks(perf, pool); };
+          RootCuts out;
+          out.flat = select_splitters<DefaultKey>(
+              ctx, sample, ranks, /*tree=*/false, rule.regular, rule.unique,
+              perf.sum());
+
+          // The tree path's leaf preparation, then the degenerate gather.
+          std::sort(sample.begin(), sample.end());
+          if (rule.unique) {
+            sample.erase(std::unique(sample.begin(), sample.end()),
+                         sample.end());
+          }
+          const std::vector<WeightedSample<DefaultKey>> digest =
+              splitter_tree_gather<DefaultKey>(
+                  ctx, /*root=*/0, /*fanout=*/p, kUnbounded, rule.unique,
+                  detail::unit_weights<DefaultKey>(std::move(sample)));
+          if (ctx.rank() == 0) {
+            u64 total = 0;
+            for (const auto& ws : digest) total += ws.weight;
+            out.tree = weighted_select<DefaultKey>(
+                std::span<const WeightedSample<DefaultKey>>(digest),
+                ranks(total));
+          }
+          return out;
+        });
+        const RootCuts& root = outcome.results[0];
+        EXPECT_FALSE(root.flat.empty());
+        EXPECT_EQ(root.flat, root.tree);
+      }
     }
   }
 }
