@@ -210,7 +210,10 @@ void BM_FileIoRoundTrip(benchmark::State& state) {
   u64 iter = 0;
   for (auto _ : state) {
     pdm::Disk disk = pdm::Disk::posix(dir.path);
-    const std::string name = "f" + std::to_string(iter++);
+    // Built in two steps: GCC 12 misreports `"f" + std::to_string(...)`
+    // under -Wrestrict.
+    std::string name = "f";
+    name += std::to_string(iter++);
     pdm::write_file<u32>(disk, name, std::span<const u32>(data));
     auto back = pdm::read_file<u32>(disk, name);
     benchmark::DoNotOptimize(back.data());

@@ -1,10 +1,12 @@
 // Ablation of the pivot / partitioning strategy (paper §3.1–§3.3): PSRS
-// regular sampling vs Li–Sevcik overpartitioning vs DeWitt probabilistic
-// splitting, measured as sublist expansion across the whole benchmark
-// input suite.  The paper's argument: overpartitioning's expansion stays
-// around 1.3 even with large s ("some processors receive 25% of work in
-// supplement"), while PSRS achieves a few percent; random sampling without
-// the initial sort (DeWitt) sits in between, degrading on skewed inputs.
+// regular sampling (in-core) vs Li–Sevcik overpartitioning (the
+// ext-overpartition backend) vs DeWitt probabilistic splitting (the
+// ext-distribution backend), measured as sublist expansion across the
+// whole benchmark input suite.  The paper's argument: overpartitioning's
+// expansion stays around 1.3 even with large s ("some processors receive
+// 25% of work in supplement"), while PSRS achieves a few percent.  Random
+// sampling without the initial sort (DeWitt) balances as well as its
+// sample is large, and nothing splits a run of equal keys.
 // The splitter-strategy section compares the flat Step 2 against the
 // multi-level sample tree (core/splitter_tree.h) and the exact bisection,
 // at p = 16/64, and with --json-dir=D drops machine-readable rows in
@@ -17,8 +19,8 @@
 #include "bench/bench_common.h"
 #include "core/exact_splitters.h"
 #include "base/math_util.h"
-#include "core/overpartition.h"
 #include "core/psrs_incore.h"
+#include "core/sort_driver.h"
 #include "core/splitter_tree.h"
 #include "hetero/perf_vector.h"
 #include "metrics/expansion.h"
@@ -69,36 +71,40 @@ double exact_expansion(const PerfVector& perf, u64 n, Dist dist, u64 seed) {
                                     perf);
 }
 
-/// Expansion of one overpartitioning run with factor s.
-double overpartition_expansion(const PerfVector& perf, u64 n, Dist dist,
-                               u32 s, u64 seed) {
+/// Expansion of one run of a library backend: each node writes its share
+/// to its in-memory disk and sorts it with `psc`'s backend.
+double backend_expansion(const PerfVector& perf, u64 n, Dist dist, u64 seed,
+                         const core::ParallelSortConfig& psc) {
   net::ClusterConfig config;
   config.perf.assign(perf.values().begin(), perf.values().end());
   config.seed = seed;
   net::Cluster cluster(config);
   workload::WorkloadSpec spec{dist, n, perf.node_count(), seed};
-  core::OverpartitionConfig op;
-  op.s = s;
   auto outcome = cluster.run([&](net::NodeContext& ctx) -> u64 {
-    std::vector<u32> local = workload::generate_share(
-        spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
-        perf.share(ctx.rank(), n));
-    core::OverpartitionReport report;
-    core::overpartition_sort<u32>(ctx, perf, std::move(local), op, &report);
-    return report.final_records;
+    workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
+                          perf.share(ctx.rank(), n), ctx.disk(), psc.input);
+    return core::parallel_external_sort<u32>(ctx, perf, psc).final_records;
   });
   return metrics::sublist_expansion(std::span<const u64>(outcome.results),
                                     perf);
 }
 
-/// Expansion of one DeWitt-style probabilistic-splitting run, approximated
-/// in-core: random-sample pivots on unsorted data
-/// (core::kOverpartitionOversample per node), then a direct partition
-/// count.
+/// Expansion of one ext-overpartition run with factor s.
+double overpartition_expansion(const PerfVector& perf, u64 n, Dist dist,
+                               u32 s, u64 seed) {
+  core::ParallelSortConfig psc;
+  psc.algorithm = core::ParallelSortAlgorithm::kExtOverpartition;
+  psc.overpartition.s = s;
+  return backend_expansion(perf, n, dist, seed, psc);
+}
+
+/// Expansion of one ext-distribution run: DeWitt's probabilistic
+/// splitting, kDistributionOversample·p·perf[i] random samples per node
+/// cut at the perf quantiles.
 double dewitt_expansion(const PerfVector& perf, u64 n, Dist dist, u64 seed) {
-  // s = 1 overpartitioning with one sublist per node IS probabilistic
-  // splitting with greedy assignment disabled; emulate by s=1.
-  return overpartition_expansion(perf, n, dist, 1, seed);
+  core::ParallelSortConfig psc;
+  psc.algorithm = core::ParallelSortAlgorithm::kExtDistribution;
+  return backend_expansion(perf, n, dist, seed, psc);
 }
 
 /// Which splitter-selection machinery a scaling row measures.
@@ -172,8 +178,8 @@ int run(const BenchOptions& opt) {
 
   heading("Pivot-strategy ablation: sublist expansion per input family");
   note("PSRS = regular sampling of sorted data (the paper); over(s) = "
-       "Li-Sevcik overpartitioning; split = probabilistic splitting "
-       "(DeWitt, = over(1))");
+       "Li-Sevcik overpartitioning (ext-overpartition); split = "
+       "probabilistic splitting (DeWitt, ext-distribution)");
 
   for (const auto& perf_values :
        {std::vector<u32>{1, 1, 1, 1}, std::vector<u32>{4, 4, 1, 1}}) {

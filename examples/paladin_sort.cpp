@@ -2,7 +2,7 @@
 // little-endian u32 keys on a simulated heterogeneous cluster with any of
 // the parallel external-sort backends, and write the sorted file back.
 //
-//   build/examples/paladin_sort --input keys.bin --output sorted.bin \
+//   build/examples/paladin_sort --input keys.bin --output sorted.bin
 //       --perf 4,4,1,1 [--algorithm ext-psrs|ext-distribution|...]
 //       [--memory 1048576] [--message 8192] [--net myrinet]
 //

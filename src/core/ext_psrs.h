@@ -46,10 +46,10 @@ namespace paladin::core {
 /// Knobs specific to this backend; the sequential machinery, message size
 /// and file names come from the shared BackendConfig core.
 struct ExtPsrsOptions {
-  /// Sampling densification (extension; 1 = the paper's sampling rate).
-  /// Larger values shrink the pivot quantisation error — the slow nodes'
-  /// balance improves at the cost of a larger gathered sample.
-  u64 sampling_oversample = 1;
+  /// Sampling density, at the paper's rate.  A constant: a denser sample
+  /// stays measurable through psrs_incore_sort's `oversample` argument and
+  /// the adaptive re-split's hetero::kAdaptResampleOversample.
+  static constexpr u64 sampling_oversample = 1;
   /// Node that sorts the samples and selects pivots.  A constant that
   /// perfbench's composed run reads; it goes with that run.
   static constexpr u32 designated_node = 0;

@@ -147,7 +147,7 @@ inline std::vector<u64> perf_quantile_ranks(const hetero::PerfVector& perf,
   return ranks;
 }
 
-/// Even cuts (both overpartitioning sorts): `cuts` splitters into cuts + 1
+/// Even cuts (ext-overpartition): `cuts` splitters into cuts + 1
 /// equal buckets, cut j (1-based) at ⌊j·S/(cuts+1)⌋ + 1.
 inline std::vector<u64> even_ranks(u64 cuts, u64 pool) {
   std::vector<u64> ranks;

@@ -4,8 +4,8 @@
 // pools every node's sample at node 0, cuts the pool at the ranks of one
 // of core/sampling.h's rank rules, and broadcasts the cuts.  ext-psrs, the
 // three random-sample backends (through core/backend.h's
-// select_sample_splitters), in-core PSRS, in-core overpartitioning and
-// bench_scalability all call it.  It pools the samples one of two ways:
+// select_sample_splitters), in-core PSRS and bench_scalability all call
+// it.  It pools the samples one of two ways:
 //
 //  * flat — the paper's Step 2: gather ≈ p·Σperf samples at the designated
 //    node and sort them serially, an O(p²) sample volume and a single-node

@@ -52,7 +52,6 @@
 #include "core/ext_overpartition.h"
 #include "core/ext_psrs.h"
 #include "core/merge_files.h"
-#include "core/overpartition.h"
 #include "core/partition_file.h"
 #include "core/psrs_incore.h"
 #include "core/redistribute.h"

@@ -12,13 +12,16 @@
 //  * the parse/name round-trip and the driver's report slice (layout +
 //    owned buckets) that collect_sorted_output consumes;
 //  * the layout-aware order check, which reads the order across bucket
-//    files, not only inside each.
+//    files, not only inside each;
+//  * core::minimum_input, which must be the smallest input ext-overpartition
+//    sorts, at every factor s.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "base/contracts.h"
 #include "core/backend.h"
 #include "core/sort_driver.h"
 #include "core/verify.h"
@@ -170,6 +173,66 @@ TEST(Backends, ExtOverpartitionOracleAndDeterminism) {
 
 TEST(Backends, ExtMultiwayOracleAndDeterminism) {
   check_backend_matrix(ParallelSortAlgorithm::kExtMultiway);
+}
+
+// core::minimum_input is tight for ext-overpartition at every factor s: the
+// driver sorts exactly that many records, and the next admissible size
+// down (Σperf fewer) holds too few samples for the p·s − 1 splitters.
+TEST(MinimumInput, ExtOverpartitionIsTightAtEveryS) {
+  struct Row {
+    std::vector<u32> perf;
+    std::vector<u64> minimum;  // at s = 1, 2, 4, 8
+  };
+  const Row rows[] = {
+      {{4, 4, 1, 1}, {10, 10, 20, 40}},
+      {{3, 2, 1}, {6, 6, 12, 24}},
+      {{1, 1, 1, 1}, {4, 8, 16, 32}},
+  };
+  const u32 factors[] = {1, 2, 4, 8};
+  for (const Row& row : rows) {
+    const PerfVector perf(row.perf);
+    for (std::size_t k = 0; k < std::size(factors); ++k) {
+      SCOPED_TRACE(perf.to_string() + " s=" + std::to_string(factors[k]));
+      ParallelSortConfig psc;
+      psc.algorithm = ParallelSortAlgorithm::kExtOverpartition;
+      psc.overpartition.s = factors[k];
+      const u64 minimum = minimum_input(psc, perf);
+      EXPECT_EQ(minimum, row.minimum[k]);
+
+      struct R {
+        bool ordered;
+        u64 records;
+      };
+      const auto sort = [&](u64 n) {
+        ClusterConfig config;
+        config.perf = row.perf;
+        Cluster cluster(config);
+        WorkloadSpec spec{Dist::kUniform, n, perf.node_count(), 5};
+        return cluster
+            .run([&](NodeContext& ctx) -> R {
+              workload::write_share(spec, ctx.rank(),
+                                    perf.share_offset(ctx.rank(), n),
+                                    perf.share(ctx.rank(), n), ctx.disk(),
+                                    psc.input);
+              const ParallelSortReport report =
+                  parallel_external_sort<DefaultKey>(ctx, perf, psc);
+              return R{verify_output_order<DefaultKey>(ctx, psc.output,
+                                                       report),
+                       report.final_records};
+            })
+            .results;
+      };
+      u64 total = 0;
+      for (const R& r : sort(minimum)) {
+        EXPECT_TRUE(r.ordered);
+        total += r.records;
+      }
+      EXPECT_EQ(total, minimum);
+      if (minimum > perf.sum()) {
+        EXPECT_THROW(sort(minimum - perf.sum()), ContractViolation);
+      }
+    }
+  }
 }
 
 // The multiway backend does not require the Equation-2 share layout: a

@@ -1,7 +1,7 @@
-// Tests of the comparison algorithms: in-core heterogeneous PSRS, Li–Sevcik
-// overpartitioning and the DeWitt-style external distribution sort.  Each
-// must produce a sorted permutation; PSRS must additionally obey its
-// deterministic balance bound.
+// Tests of the comparison algorithms: in-core heterogeneous PSRS, the
+// DeWitt-style external distribution sort and Li–Sevcik overpartitioning
+// (ext-overpartition).  Each must produce a sorted permutation; PSRS must
+// additionally obey its deterministic balance bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include "base/stats.h"
 #include "core/ext_distribution.h"
 #include "core/ext_overpartition.h"
-#include "core/overpartition.h"
 #include "core/psrs_incore.h"
 #include "core/verify.h"
 #include "hetero/perf_vector.h"
@@ -98,7 +97,9 @@ TEST_P(InCorePsrs, SortsPermutesAndBalances) {
     const R& r = outcome.results[i];
     EXPECT_TRUE(std::is_sorted(r.data.begin(), r.data.end()));
     if (!r.data.empty()) {
-      if (have_prev) EXPECT_LE(prev_last, r.data.front());
+      if (have_prev) {
+        EXPECT_LE(prev_last, r.data.front());
+      }
       prev_last = r.data.back();
       have_prev = true;
       last_nonempty = i;
@@ -153,60 +154,8 @@ TEST(InCorePsrsBalance, UniformExpansionNearOne) {
 }
 
 // ---------------------------------------------------------------------
-// Overpartitioning
+// Overpartitioning: the LPT schedule
 // ---------------------------------------------------------------------
-
-class Overpartition : public ::testing::TestWithParam<Case> {};
-
-TEST_P(Overpartition, SublistsSortedDisjointAndComplete) {
-  const Case& param = GetParam();
-  PerfVector perf(param.perf);
-  const u64 n = perf.round_up_admissible(6000);
-  const u32 p = perf.node_count();
-
-  ClusterConfig config;
-  config.perf = param.perf;
-  Cluster cluster(config);
-  WorkloadSpec spec{param.dist, n, p, 6};
-
-  struct R {
-    std::vector<std::vector<u32>> sublists;
-    OverpartitionReport report;
-    MultisetChecksum before;
-  };
-  OverpartitionConfig op;
-  op.s = 4;
-  auto outcome = cluster.run([&](NodeContext& ctx) -> R {
-    R r;
-    std::vector<u32> local = workload::generate_share(
-        spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
-        perf.share(ctx.rank(), n));
-    r.before.add_span(std::span<const u32>(local));
-    r.sublists =
-        overpartition_sort<u32>(ctx, perf, std::move(local), op, &r.report);
-    return r;
-  });
-
-  MultisetChecksum before, after;
-  u64 total = 0, total_sublists = 0;
-  for (u32 i = 0; i < p; ++i) {
-    const R& r = outcome.results[i];
-    before.merge(r.before);
-    for (const auto& sub : r.sublists) {
-      EXPECT_TRUE(std::is_sorted(sub.begin(), sub.end()));
-      after.add_span(std::span<const u32>(sub));
-      total += sub.size();
-    }
-    total_sublists += r.sublists.size();
-    EXPECT_EQ(r.report.sublists_owned, r.sublists.size());
-  }
-  EXPECT_EQ(before, after);
-  EXPECT_EQ(total, n);
-  EXPECT_EQ(total_sublists, u64{p} * op.s);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, Overpartition, ::testing::ValuesIn(cases()),
-                         test_params::printed_name);
 
 TEST(OverpartitionDetail, LptAssignmentBalancesWeightedLoad) {
   PerfVector perf({2, 1});
@@ -291,10 +240,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ExtDistribution,
 // External overpartitioning (Li–Sevcik at out-of-core scale)
 // ---------------------------------------------------------------------
 
-class ExtOverpartition : public ::testing::TestWithParam<Case> {};
-
-TEST_P(ExtOverpartition, BucketsSortedCompleteAndOwnedOnce) {
-  const Case& param = GetParam();
+/// Sorts `param`'s input with ext-overpartition at factor `s`: every bucket
+/// must come out sorted and owned exactly once, and together the buckets
+/// must hold the input multiset.
+void check_ext_overpartition(const Case& param, u32 s) {
   PerfVector perf(param.perf);
   const u64 n = perf.round_up_admissible(5000);
   const u32 p = perf.node_count();
@@ -312,6 +261,7 @@ TEST_P(ExtOverpartition, BucketsSortedCompleteAndOwnedOnce) {
     bool buckets_sorted = true;
   };
   ExtOverpartitionConfig op;
+  op.s = s;
   op.sequential.memory_records = 512;
   op.sequential.tape_count = 4;
   op.sequential.allow_in_memory = false;
@@ -353,8 +303,28 @@ TEST_P(ExtOverpartition, BucketsSortedCompleteAndOwnedOnce) {
   }
 }
 
+class ExtOverpartition : public ::testing::TestWithParam<Case> {};
+
+TEST_P(ExtOverpartition, BucketsSortedCompleteAndOwnedOnce) {
+  check_ext_overpartition(GetParam(), ExtOverpartitionOptions{}.s);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, ExtOverpartition,
                          ::testing::ValuesIn(cases()),
+                         test_params::printed_name);
+
+// The overpartitioning factors around the default s = 4: one bucket per
+// node (s = 1), 2 and 8.
+class Overpartition : public ::testing::TestWithParam<Case> {};
+
+TEST_P(Overpartition, SublistsSortedDisjointAndComplete) {
+  for (const u32 s : {1u, 2u, 8u}) {
+    SCOPED_TRACE("s=" + std::to_string(s));
+    check_ext_overpartition(GetParam(), s);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, Overpartition, ::testing::ValuesIn(cases()),
                          test_params::printed_name);
 
 TEST(ExtOverpartitionOrder, BucketsFormAGlobalOrder) {

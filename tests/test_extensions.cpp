@@ -99,7 +99,6 @@ TEST(Oversample, ExtPsrsStillSortsCorrectly) {
     core::ExtPsrsConfig psrs;
     psrs.sequential.memory_records = 512;
     psrs.sequential.allow_in_memory = false;
-    psrs.sampling_oversample = 4;
     core::ext_psrs_sort<DefaultKey>(ctx, perf, psrs);
     return core::verify_global_order<DefaultKey>(ctx, "sorted");
   });
@@ -163,7 +162,9 @@ TEST_P(ExactSplit, FinalPartitionsAreExactlyProportional) {
     EXPECT_EQ(r.data.size(), perf.share(i, n)) << "node " << i;
     EXPECT_TRUE(std::is_sorted(r.data.begin(), r.data.end()));
     if (!r.data.empty()) {
-      if (have_prev) EXPECT_LE(prev_last, r.data.front());
+      if (have_prev) {
+        EXPECT_LE(prev_last, r.data.front());
+      }
       prev_last = r.data.back();
       have_prev = true;
     }

@@ -47,7 +47,9 @@ TEST(WideRecords, SequentialExternalSortPreservesPayloads) {
   bool first = true;
   u64 intact = 0;
   while (r.next(cur)) {
-    if (!first) EXPECT_FALSE(less(cur, prev));
+    if (!first) {
+      EXPECT_FALSE(less(cur, prev));
+    }
     intact += workload::datamation_intact(cur, seed);
     prev = cur;
     first = false;

@@ -3,7 +3,10 @@
 # public docs must exist, so the manual cannot drift ahead of (or behind)
 # the tree again.  Scans README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md
 # for tokens that look like paths into the source tree and fails listing
-# the dangling ones.  Run from the repository root; CI runs it on every
+# the dangling ones.  Two forms are checked: paths rooted at a top-level
+# directory (`src/core/ext_psrs.h`) and module-relative paths under src/
+# (`core/ext_psrs.h`, resolved as src/core/ext_psrs.h) that no other path
+# character precedes.  Run from the repository root; CI runs it on every
 # build.
 #
 # Deliberately skipped: build/... (binaries exist only after a build) and
@@ -27,7 +30,11 @@ for doc in "${docs[@]}"; do
       echo "MISSING: $path (referenced in $doc)" >&2
       status=1
     fi
-  done < <(grep -oE '\b(src|docs|tools|tests|bench|examples)/[A-Za-z0-9_./-]+\.(h|hpp|cpp|md|sh|py|json|yml|txt)\b' "$doc" | sort -u)
+  done < <({
+    grep -oE '\b(src|docs|tools|tests|bench|examples)/[A-Za-z0-9_./-]+\.(h|hpp|cpp|md|sh|py|json|yml|txt)\b' "$doc"
+    grep -oP '(?<![A-Za-z0-9_./-])(core|seq|net|pdm|hetero|obs|base|fault|metrics|workload|service)/[A-Za-z0-9_./-]+\.(h|cpp)\b' "$doc" |
+      sed 's|^|src/|'
+  } | sort -u)
 done
 
 if [ "$checked" -eq 0 ]; then
